@@ -24,22 +24,42 @@ ArrayLike = Union[np.ndarray, sp.spmatrix]
 _CSR_NNZ_BYTES = 12
 _CSR_ROWPTR_BYTES = 4
 
+_FLOAT64 = np.dtype(np.float64)
+
 
 class Block:
-    """One dense or sparse tile of a blocked matrix.
+    """One dense or sparse tile of a blocked matrix — an immutable value.
+
+    The payload, its representation (``is_sparse``) and the derived facts
+    (``nnz``, ``nbytes``) are fixed at construction; kernels are pure and
+    return new blocks, so a block (and its payload) may be shared freely
+    between tasks, slabs and caches.
 
     Parameters
     ----------
     data:
         A 2-D ``numpy.ndarray`` or any scipy sparse matrix.  Sparse input is
-        converted to CSR; dense input to a C-contiguous float64 array.
+        converted to CSR; dense input to a C-contiguous float64 array.  A
+        payload that is already in that normal form — what every kernel
+        produces — is adopted as is, without a copy.  Adoption transfers
+        ownership: the block keeps the very ndarray / ``csr_matrix`` object
+        it was given and memoises ``nnz``/``nbytes`` from it, so the caller
+        must not mutate that object afterwards (pass a copy to keep one).
     """
 
-    __slots__ = ("data",)
+    __slots__ = ("data", "is_sparse", "_nnz", "_nbytes")
 
     def __init__(self, data: ArrayLike):
-        if sp.issparse(data):
+        if type(data) is np.ndarray and data.ndim == 2:
+            # the hot path: a no-op for float64 C-contiguous kernel results
+            self.data = np.ascontiguousarray(data, _FLOAT64)
+            self.is_sparse = False
+        elif type(data) is sp.csr_matrix and data.dtype == _FLOAT64:
+            self.data = data
+            self.is_sparse = True
+        elif sp.issparse(data):
             self.data = sp.csr_matrix(data, dtype=np.float64)
+            self.is_sparse = True
         else:
             arr = np.asarray(data, dtype=np.float64)
             if arr.ndim == 0:
@@ -49,13 +69,11 @@ class Block:
             elif arr.ndim != 2:
                 raise ValueError(f"a block must be 2-D, got ndim={arr.ndim}")
             self.data = np.ascontiguousarray(arr)
+            self.is_sparse = False
+        self._nnz = -1
+        self._nbytes = -1
 
     # -- classification ---------------------------------------------------
-
-    @property
-    def is_sparse(self) -> bool:
-        """Whether this block is stored in CSR format."""
-        return sp.issparse(self.data)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -63,10 +81,15 @@ class Block:
 
     @property
     def nnz(self) -> int:
-        """Number of stored non-zero elements."""
-        if self.is_sparse:
-            return int(self.data.nnz)
-        return int(np.count_nonzero(self.data))
+        """Number of stored non-zero elements (counted once)."""
+        nnz = self._nnz
+        if nnz < 0:
+            if self.is_sparse:
+                nnz = int(self.data.nnz)
+            else:
+                nnz = int(np.count_nonzero(self.data))
+            self._nnz = nnz
+        return nnz
 
     @property
     def density(self) -> float:
@@ -77,10 +100,15 @@ class Block:
     @property
     def nbytes(self) -> int:
         """Estimated in-memory/on-wire size, as the cost model's ``size(v)``."""
-        rows, cols = self.shape
-        if self.is_sparse:
-            return int(self.data.nnz) * _CSR_NNZ_BYTES + (rows + 1) * _CSR_ROWPTR_BYTES
-        return rows * cols * ELEMENT_BYTES
+        nbytes = self._nbytes
+        if nbytes < 0:
+            rows, cols = self.data.shape
+            if self.is_sparse:
+                nbytes = self.nnz * _CSR_NNZ_BYTES + (rows + 1) * _CSR_ROWPTR_BYTES
+            else:
+                nbytes = rows * cols * ELEMENT_BYTES
+            self._nbytes = nbytes
+        return nbytes
 
     # -- conversions -------------------------------------------------------
 
@@ -99,8 +127,19 @@ class Block:
     def to_numpy(self) -> np.ndarray:
         """Materialize the block as a dense ndarray (always a safe copy)."""
         if self.is_sparse:
-            return np.asarray(self.data.todense())
+            return self.dense_view()  # densifying already made a fresh array
         return self.data.copy()
+
+    def dense_view(self) -> np.ndarray:
+        """The dense values without a copy: a dense block's own payload.
+
+        Read-only by contract — the array aliases this (shared, immutable)
+        block, so callers may read it and feed it to pure functions but
+        must never write to it.  Use :meth:`to_numpy` for an array you own.
+        """
+        if self.is_sparse:
+            return self.data.toarray()
+        return self.data
 
     def require_sparse(self) -> sp.csr_matrix:
         """Return the CSR payload or raise :class:`SparsityError`."""

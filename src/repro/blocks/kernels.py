@@ -3,7 +3,9 @@
 Each kernel is registered under the operator name the DAG layer uses (e.g.
 ``"mul"`` for the paper's ``b(*)``, ``"log"`` for ``u(log)``,
 ``"sum"``/``"rowSum"``/``"colSum"`` for the unary aggregations of Section 2.1).
-Kernels are pure: they take blocks (or scalars) and return a new block.
+Kernels are pure: they take blocks (or scalars) and return a new block, and
+they never write to an operand's payload — the aliasing contract that lets
+them read dense operands through :meth:`Block.dense_view` without a copy.
 Separate ``*_flops`` estimators let the simulated cluster charge computation
 cost without instrumenting the math itself, mirroring ``numOp(v)`` in Eq. 5.
 """
@@ -82,7 +84,7 @@ def unary(name: str, a: Block) -> Block:
         result.data = kernel.fn(result.data)
         return Block(result)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        return Block(kernel.fn(a.to_numpy()))
+        return Block(kernel.fn(a.dense_view()))
 
 
 def unary_flops(name: str, a: Block) -> int:
@@ -160,7 +162,7 @@ def binary(name: str, a: Operand, b: Operand) -> Block:
         left = float(a)
         assert isinstance(b, Block)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            return Block(kernel.fn(left, b.to_numpy()))
+            return Block(kernel.fn(left, b.dense_view()))
     if not isinstance(b, Block):
         right = float(b)
         if a.is_sparse and name in _SPARSE_SCALAR_OK and right != 0.0:
@@ -174,7 +176,7 @@ def binary(name: str, a: Operand, b: Operand) -> Block:
             result.data = np.ones_like(result.data)
             return Block(result)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            return Block(kernel.fn(a.to_numpy(), right))
+            return Block(kernel.fn(a.dense_view(), right))
 
     # matrix-matrix case -------------------------------------------------------
     if a.shape != b.shape:
@@ -183,24 +185,24 @@ def binary(name: str, a: Operand, b: Operand) -> Block:
         )
     if a.is_sparse and kernel.sparse_safe_left:
         if name == "mul":
-            return Block(a.data.multiply(b.data if b.is_sparse else b.to_numpy()).tocsr())
+            return Block(a.data.multiply(b.data if b.is_sparse else b.dense_view()).tocsr())
         if name == "div":
             with np.errstate(divide="ignore", invalid="ignore"):
-                return Block(a.data.multiply(1.0 / b.to_numpy()).tocsr())
+                return Block(a.data.multiply(1.0 / b.dense_view()).tocsr())
         # pow with a sparse left: operate at the stored pattern
         rows, cols = a.data.nonzero()
-        dense_b = b.to_numpy()
+        dense_b = b.dense_view()
         result = a.data.copy()
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             result.data = kernel.fn(result.data, dense_b[rows, cols])
         return Block(result)
     if b.is_sparse and name == "mul":
-        return Block(b.data.multiply(a.to_numpy()).tocsr())
+        return Block(b.data.multiply(a.dense_view()).tocsr())
     if a.is_sparse and b.is_sparse and name in ("add", "sub"):
         op = a.data + b.data if name == "add" else a.data - b.data
         return Block(op.tocsr())
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        return Block(kernel.fn(a.to_numpy(), b.to_numpy()))
+        return Block(kernel.fn(a.dense_view(), b.dense_view()))
 
 
 def binary_flops(name: str, a: Operand, b: Operand) -> int:
@@ -272,7 +274,7 @@ def aggregate(name: str, a: Block) -> Block:
     kernel = AGGREGATION_KERNELS.get(name)
     if kernel is None:
         raise KeyError(f"unknown aggregation kernel {name!r}")
-    return Block(kernel.fn(a.to_numpy()))
+    return Block(kernel.fn(a.dense_view()))
 
 
 def aggregate_combine(name: str, a: Block, b: Block) -> Block:
@@ -280,7 +282,7 @@ def aggregate_combine(name: str, a: Block, b: Block) -> Block:
     kernel = AGGREGATION_KERNELS.get(name)
     if kernel is None:
         raise KeyError(f"unknown aggregation kernel {name!r}")
-    return Block(kernel.combine(a.to_numpy(), b.to_numpy()))
+    return Block(kernel.combine(a.dense_view(), b.dense_view()))
 
 
 def aggregate_flops(name: str, a: Block) -> int:
@@ -347,8 +349,8 @@ def sddmm(mask: Block, a: Block, b: Block) -> Block:
     rows, cols = csr.nonzero()
     if rows.size == 0:
         return Block(sp.csr_matrix(mask.shape, dtype=np.float64))
-    dense_a = a.to_numpy()
-    dense_b = b.to_numpy()
+    dense_a = a.dense_view()
+    dense_b = b.dense_view()
     values = np.einsum("ij,ji->i", dense_a[rows, :], dense_b[:, cols])
     result = sp.csr_matrix((values, (rows, cols)), shape=mask.shape)
     return Block(result)

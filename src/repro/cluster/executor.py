@@ -149,12 +149,17 @@ class Stage:
             raise RuntimeError(f"stage {self.name!r} is already closed")
         config = self._cluster.config
         consolidation, aggregation, flops, peak = self._totals()
+        # where the stage sits on the run's modeled clock: a running float
+        # sum that concurrent units keep appending to, so it only ever
+        # positions trace events — no modeled number is derived from it
         start = self._cluster.metrics.elapsed_seconds
 
         if config.time_model == "scheduled":
             try:
+                # scheduled from relative zero: the stage's seconds are then
+                # a function of its own tasks, not of the clock reading
                 scheduled = self._cluster.runtime.run_stage(
-                    self.name, self.tasks, start=start
+                    self.name, self.tasks, trace_offset=start
                 )
             except Exception:
                 # retries exhausted / cluster lost: keep the traffic visible

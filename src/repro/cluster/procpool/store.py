@@ -321,13 +321,6 @@ def _view(buffer, slot: ArraySlot) -> np.ndarray:
     return arr
 
 
-def _raw_block(data) -> Block:
-    """Wrap an already-normalized payload without re-copying it."""
-    block = Block.__new__(Block)
-    block.data = data
-    return block
-
-
 def unpack_matrix(ref: MatrixRef, buffer) -> BlockedMatrix:
     """Rebuild a matrix of read-only zero-copy views over *buffer*."""
     meta = MatrixMeta(
@@ -347,7 +340,9 @@ def unpack_matrix(ref: MatrixRef, buffer) -> BlockedMatrix:
             payload = sp.csr_matrix(
                 (data, indices, indptr), shape=block_ref.shape, copy=False
             )
-        matrix.blocks[block_ref.key] = _raw_block(payload)
+        # already in Block's normal form (float64 C-order / float64 CSR), so
+        # the constructor adopts the read-only views without copying them
+        matrix.blocks[block_ref.key] = Block(payload)
     matrix.version = ref.version
     return matrix
 
@@ -485,7 +480,7 @@ class SharedBlockStore:
             return matrix
         copied = BlockedMatrix(matrix.meta)
         for key, block in matrix.blocks.items():
-            copied.blocks[key] = _raw_block(block.data.copy())
+            copied.blocks[key] = Block(block.data.copy())
         copied.version = matrix.version
         return copied
 

@@ -52,10 +52,13 @@ class TaskAttempt:
 
 @dataclass(frozen=True)
 class ScheduledStage:
-    """The runtime's verdict on one stage: timelines, attempts, skew."""
+    """The runtime's verdict on one stage: timelines, attempts, skew.
+
+    The timeline is relative: the stage opens at 0.0 and *end* is when its
+    last attempt finishes.
+    """
 
     name: str
-    start: float
     end: float
     attempts: Tuple[TaskAttempt, ...]
     num_tasks: int
@@ -64,7 +67,7 @@ class ScheduledStage:
 
     @property
     def seconds(self) -> float:
-        return self.end - self.start
+        return self.end
 
     @property
     def num_attempts(self) -> int:
@@ -101,19 +104,24 @@ class ClusterRuntime:
         self,
         name: str,
         tasks: Sequence[TaskContext],
-        start: float = 0.0,
+        trace_offset: float = 0.0,
     ) -> ScheduledStage:
         """Schedule *tasks* onto slots and return the stage's timeline.
 
         Deterministic: tasks are queued in declaration order, attempts go to
         the earliest-available slot (ties broken by slot id), and all fault
         draws are pure functions of the fault plan's seed.
+
+        The timeline is relative to the stage's opening at 0.0, so its
+        duration is a function of its tasks alone (``(start + d) - start`` is
+        not ``d`` in floating point).  *trace_offset* is the stage's position
+        on the run's clock; it shifts only the timestamps of the trace events
+        emitted here.
         """
         if not tasks:
             return ScheduledStage(
                 name=name,
-                start=start,
-                end=start,
+                end=0.0,
                 attempts=(),
                 num_tasks=0,
                 skew_ratio=1.0,
@@ -131,7 +139,7 @@ class ClusterRuntime:
         }
 
         # slots: (free_at, slot_id) min-heap; slot s lives on node s // Tc
-        slots = [(start, s) for s in range(self.cluster.total_tasks)]
+        slots = [(0.0, s) for s in range(self.cluster.total_tasks)]
         heapq.heapify(slots)
         # each lost-node slot kills exactly one attempt, then is blacklisted
         doomed_slots = (
@@ -146,7 +154,7 @@ class ClusterRuntime:
 
         order = itertools.count()
         # pending attempts: (ready_at, tie_break, task, attempt_number)
-        pending = [(start, next(order), task, 1) for task in tasks]
+        pending = [(0.0, next(order), task, 1) for task in tasks]
         heapq.heapify(pending)
 
         attempts: List[TaskAttempt] = []
@@ -187,8 +195,8 @@ class ClusterRuntime:
                     attempt,
                     node,
                     slot,
-                    begin,
-                    end,
+                    trace_offset + begin,
+                    trace_offset + end,
                     outcome,
                     net_bytes=task.consolidation_bytes + task.aggregation_bytes,
                     flops=task.flops,
@@ -204,7 +212,6 @@ class ClusterRuntime:
         skew = (max(busy.values()) / mean_busy) if mean_busy > 0 else 1.0
         return ScheduledStage(
             name=name,
-            start=start,
             end=end_time,
             attempts=tuple(attempts),
             num_tasks=len(tasks),

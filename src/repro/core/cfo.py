@@ -17,8 +17,7 @@ A CFO executes one partial fusion plan end-to-end on the simulated cluster:
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Optional
-
+from typing import Dict, Mapping, NamedTuple, Optional
 
 from repro.blocks import Block
 from repro.blocks.kernels import AGGREGATION_KERNELS, aggregate_combine
@@ -54,6 +53,17 @@ from repro.matrix.distributed import BlockedMatrix
 Env = Mapping[object, BlockedMatrix]
 
 
+class _SlabBinding(NamedTuple):
+    """One slab a cuboid's task consolidates, and the edges it feeds."""
+
+    source: Node
+    row_range: tuple[int, int]
+    col_range: tuple[int, int]
+    #: environment key of *source* (graph passes mark shared inputs by key)
+    env_key: object
+    edges: tuple[tuple[Node, int], ...]
+
+
 class CuboidFusedOperator:
     """Physical operator executing one partial fusion plan as a CFO."""
 
@@ -83,6 +93,9 @@ class CuboidFusedOperator:
         self.mask: Optional[SparsityMask] = None
         if config.sparsity_exploitation:
             self.mask = find_sparsity_mask(plan, self.mm, self.tree)
+        self._slice_table = plan.derived(
+            ("slice_table", self.partitioning.pqr), self._compile_slice_table
+        )
         # bound to the cluster's per-execute cache in execute(); the default
         # keeps standalone operator use (tests constructing a CFO directly)
         # working with fresh copies
@@ -137,16 +150,50 @@ class CuboidFusedOperator:
 
     # -- slicing ------------------------------------------------------------------------
 
-    def _axis_block_range(
-        self, axis: Axis, p: int, q: int, r: int, grid_extent: int
-    ) -> tuple[int, int]:
-        if axis.kind is AxisKind.I:
-            return self.partitioning.i_ranges()[p]
-        if axis.kind is AxisKind.J:
-            return self.partitioning.j_ranges()[q]
-        if axis.kind is AxisKind.K:
-            return self.partitioning.k_ranges()[r]
-        return (0, grid_extent)
+    def _compile_slice_table(
+        self,
+    ) -> Dict[tuple[int, int, int], tuple[_SlabBinding, ...]]:
+        """Per cuboid, the distinct frontier slabs its task consolidates.
+
+        Which block range of which source a cuboid needs is fixed by the
+        plan's axis tags and the partitioning, so it is derived once per
+        ``(plan, (P, Q, R))`` instead of per task.  A slab feeding several
+        frontier edges of one task appears once (it is fetched — and
+        charged — once) with all the edges it binds.
+        """
+        parts = self.partitioning
+        # (ranges along the axis, which of (p, q, r, -) indexes them); an
+        # axis outside the model space keeps its whole extent: one range,
+        # indexed by the constant fourth coordinate
+        by_kind = {
+            AxisKind.I: (parts.i_ranges(), 0),
+            AxisKind.J: (parts.j_ranges(), 1),
+            AxisKind.K: (parts.k_ranges(), 2),
+        }
+        edges = []
+        for edge, tag in self.tags.frontier_tags.items():
+            consumer, index = edge
+            source = consumer.inputs[index]
+            # _resolve_frontier holds every binding to its node's shape and
+            # block size, so the node's grid is the bound matrix's grid
+            rows, cols = (
+                by_kind.get(axis.kind, (((0, extent),), 3))
+                for axis, extent in zip(tag, source.meta.block_grid)
+            )
+            edges.append((edge, source, rows, cols))
+
+        table = {}
+        for pqr in parts.cuboids():
+            at = (*pqr, 0)
+            slabs: Dict[tuple, list] = {}
+            for edge, source, (row_ranges, row_at), (col_ranges, col_at) in edges:
+                slab = (source, row_ranges[at[row_at]], col_ranges[at[col_at]])
+                slabs.setdefault(slab, []).append(edge)
+            table[pqr] = tuple(
+                _SlabBinding(*slab, env_key_of(slab[0]), tuple(bound))
+                for slab, bound in slabs.items()
+            )
+        return table
 
     def _bind_slices(
         self,
@@ -159,33 +206,23 @@ class CuboidFusedOperator:
     ) -> SliceEnv:
         """Consolidate every frontier slice this cuboid's task needs.
 
-        Materialized slabs come from the cluster's per-execute
+        Materialized slabs come from the cluster's
         :class:`~repro.cluster.slice_cache.SliceCache` — tasks sharing a
-        slab share one real copy.  The per-task ``received`` dedupe is about
-        *charging*: a task consuming the same slab through several frontier
-        edges declares the transfer once, exactly as before.
+        slab share one real copy.  Each distinct slab is *charged* once per
+        task, however many frontier edges consume it.
         """
         frontier: Dict[tuple[Node, int], Block] = {}
-        received: Dict[tuple[Node, tuple], Block] = {}
-        for edge, tag in self.tags.frontier_tags.items():
-            consumer, index = edge
-            source = consumer.inputs[index]
-            matrix = values[source]
-            grid_rows, grid_cols = matrix.block_grid
-            row_range = self._axis_block_range(tag[0], p, q, r, grid_rows)
-            col_range = self._axis_block_range(tag[1], p, q, r, grid_cols)
-            cache_key = (source, (row_range, col_range))
-            cached = received.get(cache_key)
-            if cached is not None:
-                frontier[edge] = cached
-                continue
-            block = self._slices.get(matrix, row_range, col_range)
-            if charge_network and env_key_of(source) not in self._shared_inputs:
+        slices, shared = self._slices, self._shared_inputs
+        for binding in self._slice_table[(p, q, r)]:
+            block = slices.get(
+                values[binding.source], binding.row_range, binding.col_range
+            )
+            if charge_network and binding.env_key not in shared:
                 task.receive(block)
             else:
                 task.receive_local(block)
-            received[cache_key] = block
-            frontier[edge] = block
+            for edge in binding.edges:
+                frontier[edge] = block
         return SliceEnv(frontier=frontier)
 
     # -- execution: R == 1 ---------------------------------------------------------------
@@ -346,8 +383,8 @@ class CuboidFusedOperator:
             r0, _ = self._axis_element_range(tag[0], p, q)
             c0, _ = self._axis_element_range(tag[1], p, q)
             _scatter_tile(result, tile, r0, c0)
-        refreshed = result.refreshed_meta()
-        return BlockedMatrix(refreshed, result.blocks)
+        result.meta = result.refreshed_meta()
+        return result
 
     def _combine_aggregates(
         self, cluster: SimulatedCluster, tiles: Dict[tuple[int, int], Block]
@@ -373,8 +410,8 @@ class CuboidFusedOperator:
             for (r_off, c_off), tile in groups.items():
                 task.hold_output(tile)
                 _scatter_tile(result, tile, r_off, c_off)
-        refreshed = result.refreshed_meta()
-        return BlockedMatrix(refreshed, result.blocks)
+        result.meta = result.refreshed_meta()
+        return result
 
     def _agg_group(
         self, axis: str, child_tag: tuple[Axis, Axis], p: int, q: int
@@ -394,11 +431,16 @@ def _add_blocks(a: Block, b: Block) -> Block:
     """Sum two partial-product tiles (sparse-friendly)."""
     if a.is_sparse and b.is_sparse:
         return Block((a.data + b.data).tocsr())
-    return Block(a.to_numpy() + b.to_numpy())
+    return Block(a.dense_view() + b.dense_view())
 
 
 def _scatter_tile(result: BlockedMatrix, tile: Block, row_off: int, col_off: int) -> None:
-    """Split a task's output tile back into grid blocks of *result*."""
+    """Split a task's output tile back into grid blocks of *result*.
+
+    All-zero pieces stay implicit; a piece landing on a stored block adds
+    to it.  The tile is checked against the grid once, which fixes every
+    piece's shape — pieces are then written without a per-block check.
+    """
     meta = result.meta
     block_size = meta.block_size
     tile_rows, tile_cols = tile.shape
@@ -406,21 +448,30 @@ def _scatter_tile(result: BlockedMatrix, tile: Block, row_off: int, col_off: int
         raise BlockLayoutError(
             f"tile offset ({row_off}, {col_off}) not block aligned"
         )
+    for extent, offset, limit in (
+        (tile_rows, row_off, meta.rows), (tile_cols, col_off, meta.cols)
+    ):
+        # a tile must end on a block boundary or at the matrix edge, or its
+        # last pieces would not be whole grid blocks
+        end = offset + extent
+        if end > limit or (end < limit and extent % block_size):
+            raise BlockLayoutError(
+                f"a {tile_rows}x{tile_cols} tile at ({row_off}, {col_off}) "
+                f"does not cover whole blocks of a {meta.rows}x{meta.cols} "
+                f"matrix with block size {block_size}"
+            )
     bi0 = row_off // block_size
     bj0 = col_off // block_size
-    n_bi = -(-tile_rows // block_size)
-    n_bj = -(-tile_cols // block_size)
-    for di in range(n_bi):
-        r0 = di * block_size
-        r1 = min(r0 + block_size, tile_rows)
-        for dj in range(n_bj):
-            c0 = dj * block_size
-            c1 = min(c0 + block_size, tile_cols)
-            piece = tile.slice(slice(r0, r1), slice(c0, c1))
+    data = tile.data
+    blocks = result.blocks
+    for r0 in range(0, tile_rows, block_size):
+        bi = bi0 + r0 // block_size
+        rows = data[r0:r0 + block_size]
+        for c0 in range(0, tile_cols, block_size):
+            piece = Block(rows[:, c0:c0 + block_size])
             if piece.nnz == 0:
                 continue
-            key = (bi0 + di, bj0 + dj)
-            if key in result.blocks:
-                result.blocks[key] = _add_blocks(result.blocks[key], piece)
-            else:
-                result.set_block(key[0], key[1], piece)
+            key = (bi, bj0 + c0 // block_size)
+            stored = blocks.get(key)
+            blocks[key] = piece if stored is None else _add_blocks(stored, piece)
+    result.version += 1

@@ -58,6 +58,17 @@ class CuboidPartitioning:
                     f"{name}={parts} outside [1, {extent}] for space "
                     f"{self.extent_i}x{self.extent_j}x{self.extent_k}"
                 )
+        # the partitioning is immutable: its axis ranges are computed once
+        # here, not on every per-cuboid lookup
+        object.__setattr__(
+            self, "_i_ranges", tuple(chunk_ranges(self.extent_i, self.p))
+        )
+        object.__setattr__(
+            self, "_j_ranges", tuple(chunk_ranges(self.extent_j, self.q))
+        )
+        object.__setattr__(
+            self, "_k_ranges", tuple(chunk_ranges(self.extent_k, self.r))
+        )
 
     @property
     def pqr(self) -> tuple[int, int, int]:
@@ -71,14 +82,14 @@ class CuboidPartitioning:
     def voxels(self) -> int:
         return self.extent_i * self.extent_j * self.extent_k
 
-    def i_ranges(self) -> list[BlockRange]:
-        return chunk_ranges(self.extent_i, self.p)
+    def i_ranges(self) -> tuple[BlockRange, ...]:
+        return self._i_ranges
 
-    def j_ranges(self) -> list[BlockRange]:
-        return chunk_ranges(self.extent_j, self.q)
+    def j_ranges(self) -> tuple[BlockRange, ...]:
+        return self._j_ranges
 
-    def k_ranges(self) -> list[BlockRange]:
-        return chunk_ranges(self.extent_k, self.r)
+    def k_ranges(self) -> tuple[BlockRange, ...]:
+        return self._k_ranges
 
     def cuboids(self) -> Iterator[tuple[int, int, int]]:
         """All ``(p, q, r)`` indices in row-major order."""
@@ -91,7 +102,7 @@ class CuboidPartitioning:
         self, p: int, q: int, r: int
     ) -> tuple[BlockRange, BlockRange, BlockRange]:
         """Block ranges ``(i, j, k)`` covered by cuboid ``D[p,q,r]``."""
-        return (self.i_ranges()[p], self.j_ranges()[q], self.k_ranges()[r])
+        return (self._i_ranges[p], self._j_ranges[q], self._k_ranges[r])
 
     def __repr__(self) -> str:
         return (

@@ -76,35 +76,40 @@ def evaluate_slice(
     "materialized" in the distributed sense.  Flops accumulate on *env*.
     """
     root = root if root is not None else plan.root
-    memo: Dict[int, Block] = {}
+    sources = plan.operand_sources()
+    frontier = env.frontier
+    # pre-bound values (the aggregated main product) win over evaluation;
+    # seeding the memo with them leaves the common nothing-bound case with
+    # no per-node probe
+    bound = env.bound_nodes
+    memo: Dict[int, Block] = dict(bound) if bound else {}
 
     def rec(node: Node) -> Block:
-        bound = env.bound_nodes.get(node.node_id)
-        if bound is not None:
-            return bound
-        cached = memo.get(node.node_id)
+        node_id = node.node_id
+        cached = memo.get(node_id)
         if cached is not None:
             return cached
-        if node not in plan.nodes:
+        children = sources.get(node_id)
+        if children is None:
             raise PlanError(
                 f"unbound frontier node {node!r} reached without an edge lookup"
             )
         operands: list[Block] = []
-        for idx, child in enumerate(node.inputs):
-            child_bound = env.bound_nodes.get(child.node_id)
-            if child_bound is not None:
-                operands.append(child_bound)
-            elif child in plan.nodes:
+        for idx, child in enumerate(children):
+            if child is not None:
                 operands.append(rec(child))
-            else:
+                continue
+            value = bound.get(node.inputs[idx].node_id) if bound else None
+            if value is None:
                 try:
-                    operands.append(env.frontier[(node, idx)])
+                    value = frontier[(node, idx)]
                 except KeyError:
                     raise ExecutionError(
                         f"no slice bound for operand {idx} of {node!r}"
                     ) from None
+            operands.append(value)
         result = _apply(node, operands, env)
-        memo[node.node_id] = result
+        memo[node_id] = result
         return result
 
     return rec(root)

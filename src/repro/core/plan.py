@@ -10,10 +10,21 @@ materialized — that is the entire point of fusion.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, Iterable, Sequence
+from typing import (
+    Callable,
+    FrozenSet,
+    Hashable,
+    Iterable,
+    Mapping,
+    Optional,
+    Sequence,
+    TypeVar,
+)
 
 from repro.errors import PlanError
 from repro.lang.dag import DAG, AggNode, MatMulNode, Node
+
+T = TypeVar("T")
 
 
 class PartialFusionPlan:
@@ -27,6 +38,9 @@ class PartialFusionPlan:
     dag:
         The enclosing query DAG (used for consumer counts).
     """
+
+    #: Memo behind :meth:`derived`; created on first use.
+    _derived: Optional[dict] = None
 
     def __init__(self, nodes: Iterable[Node], dag: DAG):
         self.nodes: FrozenSet[Node] = frozenset(nodes)
@@ -68,6 +82,38 @@ class PartialFusionPlan:
     def topo_nodes(self) -> tuple[Node, ...]:
         """Plan operators in topological order (children first)."""
         return tuple(n for n in self.dag.nodes() if n in self.nodes)
+
+    def derived(self, key: Hashable, compute: Callable[[], T]) -> T:
+        """``compute()``, evaluated once per *key* and kept with the plan.
+
+        For pure functions of this immutable plan (its 3-D layout, sparsity
+        mask, slice tables, operand table): a plan-cache hit re-executes the
+        same plan objects, so these are derived once per plan rather than on
+        every execute.  A *compute* that raises caches nothing.
+        """
+        memo = self._derived
+        if memo is None:
+            memo = self._derived = {}
+        try:
+            return memo[key]
+        except KeyError:
+            value = memo[key] = compute()
+            return value
+
+    def operand_sources(self) -> Mapping[int, tuple[Optional[Node], ...]]:
+        """Where each plan node's operands come from, keyed by ``node_id``:
+        per operand, the child node when it is fused into this plan, or
+        ``None`` when the operand arrives over a frontier edge."""
+        return self.derived("operand_sources", self._operand_sources)
+
+    def _operand_sources(self) -> Mapping[int, tuple[Optional[Node], ...]]:
+        nodes = self.nodes
+        return {
+            node.node_id: tuple(
+                child if child in nodes else None for child in node.inputs
+            )
+            for node in nodes
+        }
 
     def matmuls(self) -> tuple[MatMulNode, ...]:
         return tuple(n for n in self.topo_nodes() if isinstance(n, MatMulNode))

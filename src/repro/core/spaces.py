@@ -285,7 +285,15 @@ def plan_layout(plan: PartialFusionPlan) -> PlanLayout:
     private axis (which happens when another multiplication *contracts* the
     main product stream; such a plan cannot execute as one CFO and the plan
     generator splits it instead).
+
+    The layout is a pure function of the (immutable) plan, so it is derived
+    once and kept on the plan: every execute of a cached physical plan, and
+    the parameter search before it, share one layout.
     """
+    return plan.derived("layout", lambda: _choose_layout(plan))
+
+
+def _choose_layout(plan: PartialFusionPlan) -> PlanLayout:
     matmuls = sorted(
         plan.matmuls(),
         key=lambda n: (
@@ -441,7 +449,23 @@ def find_sparsity_mask(
     * the O-space contains no nested multiplication (masked evaluation
       operates on gathered 1-D cell vectors, which only element-wise,
       transpose and aggregation operators support).
+
+    *tree* is the space tree of ``(plan, mm)``, so the answer is a pure
+    function of ``(plan, mm, density_threshold)`` and is kept on the plan
+    like its layout.
     """
+    return plan.derived(
+        ("sparsity_mask", mm.node_id, density_threshold),
+        lambda: _detect_sparsity_mask(plan, mm, tree, density_threshold),
+    )
+
+
+def _detect_sparsity_mask(
+    plan: PartialFusionPlan,
+    mm: MatMulNode,
+    tree: SpaceTree,
+    density_threshold: float,
+) -> Optional[SparsityMask]:
     o_space = tree.space(SpaceKind.O)
     if o_space.nested:
         return None

@@ -9,7 +9,7 @@ sparse ``X`` repartitions into few partitions (Section 6.2, overall analysis).
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Mapping, Tuple
+from typing import Dict, Iterable, Iterator, Mapping, Tuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -33,7 +33,9 @@ class BlockedMatrix:
         keys are implicit zero tiles.
     """
 
-    __slots__ = ("meta", "blocks", "version")
+    # weak-referenceable so caches keyed on identity (the slice cache) can
+    # drop their entries when the matrix dies instead of pinning it
+    __slots__ = ("meta", "blocks", "version", "__weakref__")
 
     def __init__(self, meta: MatrixMeta, blocks: Mapping[BlockKey, Block] | None = None):
         self.meta = meta
@@ -124,16 +126,10 @@ class BlockedMatrix:
             result.blocks[(bj, bi)] = block.transpose()
         return result
 
-    def block_slice(
-        self,
-        row_blocks: tuple[int, int],
-        col_blocks: tuple[int, int],
-    ) -> "BlockedMatrix":
-        """Sub-matrix covering block rows/cols ``[start, stop)``.
-
-        Used when cuboid partitioning assigns a contiguous slab of blocks to a
-        task; block indices in the result are re-based to zero.
-        """
+    def _range_shape(
+        self, row_blocks: tuple[int, int], col_blocks: tuple[int, int]
+    ) -> tuple[int, int]:
+        """Element shape of block rows/cols ``[start, stop)``, validated."""
         r0, r1 = row_blocks
         c0, c1 = col_blocks
         grid_rows, grid_cols = self.meta.block_grid
@@ -142,13 +138,29 @@ class BlockedMatrix:
                 f"slice rows {row_blocks} cols {col_blocks} outside grid "
                 f"{self.meta.block_grid}"
             )
-        row_start = r0 * self.block_size
-        row_stop = min(r1 * self.block_size, self.meta.rows)
-        col_start = c0 * self.block_size
-        col_stop = min(c1 * self.block_size, self.meta.cols)
+        size = self.block_size
+        return (
+            min(r1 * size, self.meta.rows) - r0 * size,
+            min(c1 * size, self.meta.cols) - c0 * size,
+        )
+
+    def block_slice(
+        self,
+        row_blocks: tuple[int, int],
+        col_blocks: tuple[int, int],
+    ) -> "BlockedMatrix":
+        """Sub-matrix covering block rows/cols ``[start, stop)``.
+
+        Block indices in the result are re-based to zero and the tiles are
+        shared, not copied.  (A task's consolidated working tile comes from
+        :meth:`slab`, which never builds this intermediate matrix.)
+        """
+        rows, cols = self._range_shape(row_blocks, col_blocks)
+        r0, r1 = row_blocks
+        c0, c1 = col_blocks
         meta = MatrixMeta(
-            rows=row_stop - row_start,
-            cols=col_stop - col_start,
+            rows=rows,
+            cols=cols,
             block_size=self.block_size,
             density=self.meta.density,
         )
@@ -160,43 +172,98 @@ class BlockedMatrix:
 
     # -- conversion ------------------------------------------------------------------
 
-    def to_numpy(self) -> np.ndarray:
-        """Materialize the full matrix as a dense ndarray (tests/small data)."""
-        out = np.zeros(self.meta.shape)
-        for (bi, bj), block in self.blocks.items():
-            r0, r1 = self.meta.block_row_range(bi)
-            c0, c1 = self.meta.block_col_range(bj)
-            out[r0:r1, c0:c1] = block.to_numpy()
+    def _stored_in(
+        self, r0: int, r1: int, c0: int, c1: int
+    ) -> list[tuple[BlockKey, Block]]:
+        """Stored tiles of block rows/cols ``[start, stop)``, in key order.
+
+        Probes the requested keys, so a slab of a large matrix does not pay
+        for the tiles outside it.
+        """
+        blocks = self.blocks
+        found = []
+        for bi in range(r0, r1):
+            for bj in range(c0, c1):
+                block = blocks.get((bi, bj))
+                if block is not None:
+                    found.append(((bi, bj), block))
+        return found
+
+    def _assemble_dense(
+        self,
+        tiles: Iterable[tuple[BlockKey, Block]],
+        origin: BlockKey,
+        shape: tuple[int, int],
+    ) -> np.ndarray:
+        """*tiles* written into one fresh ndarray whose element (0, 0) is the
+        top-left of block *origin*."""
+        size = self.block_size
+        row0, col0 = origin[0] * size, origin[1] * size
+        out = np.zeros(shape)
+        for (bi, bj), block in tiles:
+            values = block.dense_view()
+            r = bi * size - row0
+            c = bj * size - col0
+            out[r:r + values.shape[0], c:c + values.shape[1]] = values
         return out
 
-    def to_scipy(self) -> sp.csr_matrix:
-        """Materialize as one CSR matrix."""
+    def _assemble_csr(
+        self,
+        tiles: Iterable[tuple[BlockKey, Block]],
+        origin: BlockKey,
+        shape: tuple[int, int],
+    ) -> sp.csr_matrix:
+        """*tiles* (in key order) as one CSR matrix based at block *origin*."""
+        size = self.block_size
+        row0, col0 = origin[0] * size, origin[1] * size
         parts = []
-        for (bi, bj), block in self.iter_blocks():
-            r0, _ = self.meta.block_row_range(bi)
-            c0, _ = self.meta.block_col_range(bj)
-            csr = block.to_sparse().data.tocoo()
-            parts.append((csr.row + r0, csr.col + c0, csr.data))
+        for (bi, bj), block in tiles:
+            coo = block.to_sparse().data.tocoo()
+            parts.append(
+                (coo.row + (bi * size - row0), coo.col + (bj * size - col0), coo.data)
+            )
         if not parts:
-            return sp.csr_matrix(self.meta.shape)
+            return sp.csr_matrix(shape)
         rows = np.concatenate([p[0] for p in parts])
         cols = np.concatenate([p[1] for p in parts])
         data = np.concatenate([p[2] for p in parts])
-        return sp.csr_matrix((data, (rows, cols)), shape=self.meta.shape)
+        return sp.csr_matrix((data, (rows, cols)), shape=shape)
+
+    def to_numpy(self) -> np.ndarray:
+        """Materialize the full matrix as a dense ndarray (tests/small data)."""
+        return self._assemble_dense(self.blocks.items(), (0, 0), self.meta.shape)
+
+    def to_scipy(self) -> sp.csr_matrix:
+        """Materialize as one CSR matrix."""
+        return self._assemble_csr(self.iter_blocks(), (0, 0), self.meta.shape)
+
+    def slab(
+        self,
+        row_blocks: tuple[int, int],
+        col_blocks: tuple[int, int],
+    ) -> Block:
+        """Block rows/cols ``[start, stop)`` consolidated into one
+        :class:`Block` — a task-local working tile.
+
+        Goes straight from the block dict to the tile.  The representation
+        is whichever is smaller (CSR when the stored tiles total fewer
+        bytes than the dense slab), so downstream kernels see the same
+        layout a task would actually hold; a range holding no stored tile
+        is an empty CSR block.
+        """
+        rows, cols = shape = self._range_shape(row_blocks, col_blocks)
+        tiles = self._stored_in(*row_blocks, *col_blocks)
+        if not tiles:
+            return Block.zeros(rows, cols, sparse=True)
+        origin = (row_blocks[0], col_blocks[0])
+        if sum(block.nbytes for _, block in tiles) < rows * cols * 8:
+            return Block(self._assemble_csr(tiles, origin, shape))
+        return Block(self._assemble_dense(tiles, origin, shape))
 
     def as_single_block(self) -> Block:
-        """Consolidate into one :class:`Block` (a task-local working tile).
-
-        Chooses sparse or dense representation by whichever is smaller, so
-        downstream kernels see the same layout a task would actually hold.
-        """
-        rows, cols = self.meta.shape
-        dense_bytes = rows * cols * 8
-        if not self.blocks:
-            return Block.zeros(rows, cols, sparse=True)
-        if self.nbytes < dense_bytes:
-            return Block(self.to_scipy())
-        return Block(self.to_numpy())
+        """The whole matrix as one :class:`Block` (see :meth:`slab`)."""
+        grid_rows, grid_cols = self.meta.block_grid
+        return self.slab((0, grid_rows), (0, grid_cols))
 
     # -- comparison --------------------------------------------------------------------
 

@@ -139,8 +139,9 @@ class FusedCellOperator:
 
         if is_agg:
             result = self._combine_aggregates(cluster, task_partials)
-        refreshed = result.refreshed_meta()
-        return BlockedMatrix(refreshed, result.blocks)
+        # every block was shape-checked when it was placed
+        result.meta = result.refreshed_meta()
+        return result
 
     # -- aggregation roots -------------------------------------------------------------
 

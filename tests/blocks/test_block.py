@@ -123,3 +123,72 @@ class TestStructural:
     def test_repr_mentions_kind(self):
         assert "dense" in repr(Block(np.ones((2, 2))))
         assert "sparse" in repr(Block(sp.eye(2, format="csr")))
+
+
+class TestImmutableValue:
+    """The facts a block caches are fixed at construction and equal to what
+    a fresh computation over its payload gives."""
+
+    def test_normalised_dense_payload_is_adopted_not_copied(self):
+        arr = np.arange(6.0).reshape(2, 3)
+        assert Block(arr).data is arr
+
+    def test_normalised_csr_payload_is_adopted_not_copied(self):
+        csr = sp.random(5, 4, density=0.5, format="csr", dtype=np.float64)
+        assert Block(csr).data is csr
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            np.arange(6).reshape(2, 3),  # integer dtype
+            np.asfortranarray(np.arange(6.0).reshape(2, 3)),
+            np.arange(12.0).reshape(3, 4)[:, ::2],  # strided view
+            [[1, 2], [3, 4]],
+        ],
+    )
+    def test_other_dense_payloads_are_normalised(self, payload):
+        b = Block(payload)
+        assert type(b.data) is np.ndarray
+        assert b.data.dtype == np.float64 and b.data.flags.c_contiguous
+        assert not b.is_sparse
+        assert np.array_equal(b.data, np.asarray(payload, dtype=np.float64))
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            sp.coo_matrix(np.eye(3)),
+            sp.csc_matrix(np.eye(3)),
+            sp.csr_matrix(np.eye(3, dtype=np.int64)),
+        ],
+    )
+    def test_other_sparse_payloads_are_normalised(self, payload):
+        b = Block(payload)
+        assert type(b.data) is sp.csr_matrix and b.data.dtype == np.float64
+        assert b.is_sparse
+        assert np.array_equal(b.to_numpy(), np.eye(3))
+
+    def test_dense_view_aliases_a_dense_payload(self):
+        b = Block(np.ones((2, 2)))
+        assert b.dense_view() is b.data
+
+    def test_dense_view_of_sparse_equals_to_numpy(self):
+        b = Block(sp.csr_matrix(np.array([[0.0, 2.0], [3.0, 0.0]])))
+        view = b.dense_view()
+        assert type(view) is np.ndarray
+        assert view.tobytes() == b.to_numpy().tobytes()
+
+    def test_to_numpy_stays_a_private_copy(self):
+        b = Block(np.ones((2, 2)))
+        out = b.to_numpy()
+        out[0, 0] = 7.0
+        assert b.data[0, 0] == 1.0
+
+    def test_cached_facts_survive_pickling(self):
+        import pickle
+
+        for b in (Block(np.eye(3)), Block(sp.eye(3, format="csr"))):
+            nnz, nbytes = b.nnz, b.nbytes  # memoise, then ship
+            clone = pickle.loads(pickle.dumps(b))
+            assert (clone.is_sparse, clone.nnz, clone.nbytes) == (
+                b.is_sparse, nnz, nbytes
+            )

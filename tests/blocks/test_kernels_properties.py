@@ -10,7 +10,18 @@ import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.blocks import Block, binary, matmul, sddmm, unary
+from repro.blocks import (
+    AGGREGATION_KERNELS,
+    BINARY_KERNELS,
+    UNARY_KERNELS,
+    Block,
+    aggregate,
+    binary,
+    matmul,
+    sddmm,
+    unary,
+)
+from repro.blocks.kernels import aggregate_combine
 
 finite = st.floats(min_value=-100, max_value=100, allow_nan=False, width=64)
 positive = st.floats(min_value=0.1, max_value=100, allow_nan=False, width=64)
@@ -105,3 +116,84 @@ def test_scalar_div_then_mul_roundtrip(arr, scalar):
     b = Block(arr)
     round_trip = binary("mul", binary("div", b, scalar), scalar).to_numpy()
     np.testing.assert_allclose(round_trip, arr, rtol=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# immutability: cached facts and the aliasing contract
+# ---------------------------------------------------------------------------
+
+
+def _fresh_facts(block: Block) -> tuple[bool, int, int]:
+    """``(is_sparse, nnz, nbytes)`` recomputed from the payload alone."""
+    rows, cols = block.data.shape
+    if sp.issparse(block.data):
+        stored = int(block.data.nnz)
+        return True, stored, stored * 12 + (rows + 1) * 4
+    return False, int(np.count_nonzero(block.data)), rows * cols * 8
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_matrix(), st.booleans(), st.booleans())
+def test_cached_facts_equal_fresh_ones(arr, sparse, explicit_zero):
+    arr = sparsify(arr)
+    if sparse:
+        payload = sp.csr_matrix(arr)
+        if explicit_zero and payload.nnz:
+            payload.data[0] = 0.0  # a stored zero still counts as stored
+    else:
+        payload = arr
+    block = Block(payload)
+    for _ in range(2):  # first read computes, second reads the memo
+        assert (block.is_sparse, block.nnz, block.nbytes) == _fresh_facts(block)
+
+
+def _payload_bytes(block: Block) -> tuple:
+    data = block.data
+    if block.is_sparse:
+        return (
+            data.shape, data.data.tobytes(), data.indices.tobytes(),
+            data.indptr.tobytes(),
+        )
+    return (data.shape, data.tobytes())
+
+
+def _both_forms(arr: np.ndarray) -> list[Block]:
+    return [Block(arr.copy()), Block(sp.csr_matrix(arr))]
+
+
+@settings(max_examples=25, deadline=None)
+@given(small_matrix(elements=positive))
+def test_kernels_never_write_to_their_operands(arr):
+    """The aliasing contract ``Block.dense_view`` relies on: kernels read
+    dense operands through their own payload, so every kernel — in every
+    dense/sparse operand combination — must leave operand payloads
+    byte-identical."""
+    other = arr[::-1].copy()
+
+    def check(kernel, *operands):
+        blocks = [op for op in operands if isinstance(op, Block)]
+        before = [_payload_bytes(b) for b in blocks]
+        kernel(*operands)
+        assert [_payload_bytes(b) for b in blocks] == before
+
+    for a in _both_forms(sparsify(arr)):
+        for name in UNARY_KERNELS:
+            check(lambda x, name=name: unary(name, x), a)
+        for name in AGGREGATION_KERNELS:
+            check(lambda x, name=name: aggregate(name, x), a)
+            check(
+                lambda x, name=name: aggregate_combine(
+                    name, aggregate(name, x), aggregate(name, x)
+                ),
+                a,
+            )
+        for name in BINARY_KERNELS:
+            check(lambda x, name=name: binary(name, x, 2.0), a)
+            check(lambda x, name=name: binary(name, 2.0, x), a)
+            check(lambda x, name=name: binary(name, x, 0.0), a)
+            for b in _both_forms(other):
+                check(lambda x, y, name=name: binary(name, x, y), a, b)
+        for b in _both_forms(other.T):
+            check(matmul, a, b)
+            mask = Block(sp.csr_matrix(sparsify(np.ones((arr.shape[0],) * 2))))
+            check(sddmm, mask, a, b)

@@ -105,6 +105,49 @@ class TestTiming:
         assert c.total_tasks == 15
 
 
+class TestScheduledStageSeconds:
+    """Under ``time_model="scheduled"`` a stage's modeled seconds depend on
+    its tasks alone — never on the reading of the run's clock at the moment
+    it closes, which concurrent units move under it."""
+
+    @staticmethod
+    def _probe_seconds(c: SimulatedCluster) -> float:
+        with c.stage("probe") as stage:
+            for size in (1_000_003, 777_777, 31_337):
+                task = stage.task()
+                task.receive(size)
+                task.add_flops(7 * size)
+        return c.metrics.stages[-1].seconds
+
+    def test_seconds_do_not_depend_on_the_clock_at_close(self):
+        fresh = self._probe_seconds(cluster(time_model="scheduled"))
+        for filler in range(1, 40):
+            c = cluster(time_model="scheduled")
+            with c.stage("filler") as stage:
+                stage.task().receive(filler * 104_729)
+            assert c.metrics.elapsed_seconds > 0.0
+            # bit for bit: (start + d) - start would differ in the last ulp
+            assert self._probe_seconds(c) == fresh
+
+    def test_trace_still_places_the_stage_on_the_run_clock(self):
+        c = cluster(time_model="scheduled")
+        with c.stage("filler") as stage:
+            stage.task().receive(5_000_000)
+        offset = c.metrics.elapsed_seconds
+        self._probe_seconds(c)
+        probe_tasks = [
+            e for e in c.trace.events
+            if e.category == "task" and e.name.startswith("probe")
+        ]
+        assert len(probe_tasks) == 3
+        assert all(e.ts >= offset for e in probe_tasks)
+        [probe_stage] = [
+            e for e in c.trace.events
+            if e.category == "stage" and e.name == "probe"
+        ]
+        assert probe_stage.ts == offset
+
+
 class TestLazyRuntime:
     def test_aggregate_mode_never_builds_runtime(self):
         """The event-driven runtime is scheduled-mode machinery; the default

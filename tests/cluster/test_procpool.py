@@ -135,6 +135,36 @@ class TestSharedBlockStore:
             finally:
                 close()
 
+    def test_unpacked_blocks_are_whole_blocks_over_zero_copy_views(self):
+        """Unpacking goes through ``Block.__init__``: the cached facts of
+        every rebuilt block equal the original's, while dense payloads and
+        CSR arrays stay read-only views into the segment (no copy)."""
+        dense = rand_dense(30, 20, 10, seed=3)
+        sparse = rand_sparse(40, 30, density=0.2, block_size=10, seed=4)
+        with SharedBlockStore() as store:
+            for matrix in (dense, sparse):
+                ref = store.register(matrix)
+                rebuilt, close = open_matrix(ref)
+                try:
+                    assert rebuilt.blocks.keys() == matrix.blocks.keys()
+                    for key, original in matrix.blocks.items():
+                        block = rebuilt.blocks[key]
+                        assert block.is_sparse == original.is_sparse
+                        assert block.nnz == original.nnz
+                        assert block.nbytes == original.nbytes
+                        assert block.shape == original.shape
+                        arrays = (
+                            (block.data.data, block.data.indices,
+                             block.data.indptr)
+                            if block.is_sparse else (block.data,)
+                        )
+                        for arr in arrays:
+                            assert not arr.flags.writeable
+                            assert not arr.flags.owndata
+                    assert rebuilt.nbytes == matrix.nbytes
+                finally:
+                    close()
+
     def test_views_are_read_only(self):
         matrix = rand_dense(10, 10, 10, seed=5)
         with SharedBlockStore() as store:

@@ -37,9 +37,9 @@ def make_tasks(costs, flops=0) -> list:
 class TestScheduler:
     def test_empty_stage_takes_no_time(self):
         rt = ClusterRuntime(small_cluster())
-        stage = rt.run_stage("s", [], start=5.0)
+        stage = rt.run_stage("s", [], trace_offset=5.0)
         assert stage.seconds == 0.0
-        assert stage.start == stage.end == 5.0
+        assert stage.end == 0.0
 
     def test_single_task_occupies_one_slot(self):
         rt = ClusterRuntime(small_cluster())
@@ -70,12 +70,16 @@ class TestScheduler:
         assert stage.skew_ratio > 3.0
 
     def test_start_offset_shifts_timeline(self):
-        rt = ClusterRuntime(small_cluster())
-        a = rt.run_stage("s", make_tasks([1000]), start=0.0)
-        b = rt.run_stage("s", make_tasks([1000]), start=10.0)
-        assert b.seconds == pytest.approx(a.seconds)
-        assert b.start == 10.0
-        assert b.attempts[0].start >= 10.0
+        """The offset moves the trace timestamps, never the stage itself."""
+        trace = TraceRecorder()
+        rt = ClusterRuntime(small_cluster(), trace=trace)
+        a = rt.run_stage("s", make_tasks([1000]))
+        b = rt.run_stage("s", make_tasks([1000]), trace_offset=10.0)
+        assert b == a
+        first, second = trace.events
+        assert first.ts == a.attempts[0].start == 0.0
+        assert second.ts == 10.0
+        assert second.duration == pytest.approx(first.duration)
 
     def test_deterministic_replay(self):
         plan = FaultPlan(crash_prob=0.2, straggler_factor=3.0, seed=7)

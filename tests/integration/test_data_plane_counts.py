@@ -1,0 +1,143 @@
+"""Count gate for the execute path's per-block bookkeeping.
+
+One GNMF iteration and one autoencoder step on the Figure-14 cluster (the
+ledger's ``gnmf_iter`` / ``autoencoder_dense`` shapes), measured in steady
+state: the plan is cached and the factors / weights are the previous step's
+outputs, so their slabs miss the slice cache as they do in a training loop.
+
+Two kinds of assertion, neither reads a clock:
+
+* the modeled run is pinned exactly — tasks, stages, flops, shuffled bytes,
+  modeled seconds, slice-cache hits and misses.  A data-plane change may
+  make the Python faster; it may not move a single modeled number;
+* the Python-side work per query is bounded — ``Block`` constructions,
+  defensive payload copies (``Block.to_numpy`` / ``Block.copy``) and
+  ``chunk_ranges`` evaluations.  The bounds are the measured values, so
+  re-introducing a per-block or per-task tax fails here on any runner.
+"""
+
+import pytest
+
+from repro import ClusterConfig, EngineConfig, FuseMEEngine
+from repro.blocks.block import Block
+from repro.core import cuboid
+from repro.matrix.generators import rand_dense, rand_sparse
+from repro.workloads import GNMF, AutoEncoder, AutoEncoderShapes
+
+BLOCK = 25
+
+
+def fig14_config() -> EngineConfig:
+    cluster = ClusterConfig(
+        num_nodes=4,
+        tasks_per_node=6,
+        task_memory_budget=6 * 1024 * 1024,
+        input_split_bytes=36 * 1024,
+    )
+    return EngineConfig(cluster=cluster, block_size=BLOCK)
+
+
+def gnmf_step():
+    gnmf = GNMF(975, 600, 50, 0.05, BLOCK)
+    x = rand_sparse(975, 600, 0.05, BLOCK, seed=1)
+    u, v = gnmf.initial_factors(seed=0)
+    query = [gnmf.query.u_update, gnmf.query.v_update]
+    return query, {"X": x, "U": u, "V": v}, ("U", "V")
+
+
+def autoencoder_step():
+    model = AutoEncoder(AutoEncoderShapes(500, 250, 25), 250, block_size=BLOCK)
+    batch = rand_dense(250, 500, BLOCK, seed=1)
+    weights = model.initial_weights(seed=2)
+    return model.step_exprs, {"B": batch, **weights}, ("W1", "W2", "W3", "W4")
+
+
+WORKLOADS = {
+    "gnmf": (
+        gnmf_step,
+        {
+            "num_tasks": 105,
+            "num_stages": 6,
+            "flops": 190545900,
+            "comm_bytes": 16304008,
+            "elapsed_seconds": 0.355688016,
+            "slice_cache_hits": 222,
+            "slice_cache_misses": 99,
+        },
+        # before the data-plane PR: 652 / 794 / 758
+        {"block_init": 652, "payload_copies": 0, "chunk_ranges": 12},
+    ),
+    "autoencoder": (
+        autoencoder_step,
+        {
+            "num_tasks": 360,
+            "num_stages": 20,
+            "flops": 335356250,
+            "comm_bytes": 46400000,
+            "elapsed_seconds": 1.1089000000000002,
+            "slice_cache_hits": 644,
+            "slice_cache_misses": 256,
+        },
+        # before the data-plane PR: 2956 / 4458 / 2296
+        {"block_init": 2956, "payload_copies": 0, "chunk_ranges": 33},
+    ),
+}
+
+
+@pytest.fixture
+def tally(monkeypatch):
+    """Call counts of the per-block primitives, by monkeypatched wrappers."""
+    counts = {"block_init": 0, "payload_copies": 0, "chunk_ranges": 0}
+
+    def counted(owner, name, key):
+        original = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counted(Block, "__init__", "block_init")
+    counted(Block, "to_numpy", "payload_copies")
+    counted(Block, "copy", "payload_copies")
+    counted(cuboid, "chunk_ranges", "chunk_ranges")
+    return counts
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS))
+def test_steady_state_query_counts(name, tally):
+    build, modeled, ceilings = WORKLOADS[name]
+    query, inputs, updated = build()
+    engine = FuseMEEngine(fig14_config())
+
+    # step 1 plans the query and produces the state step 2 re-binds
+    first = engine.execute(query, inputs)
+    for key, root in zip(updated, first.dag.roots):
+        inputs[key] = first.outputs[root]
+    for key in tally:
+        tally[key] = 0
+
+    result = engine.execute(query, inputs)
+
+    metrics = result.metrics
+    assert metrics.counters.get("plan_cache_hits") == 1
+    measured = {
+        "num_tasks": metrics.num_tasks,
+        "num_stages": metrics.num_stages,
+        "flops": metrics.flops,
+        "comm_bytes": metrics.comm_bytes,
+        "elapsed_seconds": metrics.elapsed_seconds,
+        "slice_cache_hits": metrics.counters.get("slice_cache_hits", 0),
+        "slice_cache_misses": metrics.counters.get("slice_cache_misses", 0),
+    }
+    assert measured == modeled
+    for key, ceiling in ceilings.items():
+        assert tally[key] <= ceiling, (key, tally[key], ceiling)
+
+    # blocks adopt kernel payloads and memoise facts from them: after a whole
+    # query nothing may have written to a payload behind a block's back
+    for root in result.dag.roots:
+        for block in result.outputs[root].blocks.values():
+            fresh = Block(block.data.copy())
+            assert (block.nnz, block.nbytes) == (fresh.nnz, fresh.nbytes)

@@ -6,6 +6,8 @@ exact same MetricsCollector totals as the serial baseline with every fast
 path disabled — speed is the only thing allowed to change.
 """
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -64,6 +66,28 @@ def test_fast_path_is_invisible(engine_cls, time_model, parallelism):
         )
     # counters differ by design; every modeled quantity must be exact
     assert baseline.metrics.totals() == fast.metrics.totals()
+
+
+def test_thread_wave_scheduled_totals_repeat_exactly():
+    """The formerly flaky ``[4-scheduled-SystemDSLikeEngine]`` case, 50 times
+    over with a short switch interval so sibling units really interleave: a
+    stage's scheduled seconds must not depend on what the other wave threads
+    have appended to the run clock by the time it closes."""
+    baseline = _run(
+        SystemDSLikeEngine,
+        "scheduled",
+        plan_cache_size=0,
+        slice_reuse=False,
+        local_parallelism=1,
+    ).metrics.totals()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(50):
+            fast = _run(SystemDSLikeEngine, "scheduled", local_parallelism=4)
+            assert fast.metrics.totals() == baseline
+    finally:
+        sys.setswitchinterval(interval)
 
 
 @pytest.mark.parametrize("engine_cls", [FuseMEEngine, SystemDSLikeEngine])
