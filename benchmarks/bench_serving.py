@@ -350,8 +350,8 @@ def run_scale_mode(args, replica_counts) -> int:
     # The QPS target needs real cores: replica dispatchers are Python
     # threads, so on fewer cores than replicas the GIL serializes them and
     # wall-clock scaling is unmeasurable (the determinism invariants above
-    # are asserted unconditionally).  Same policy as the procpool smoke:
-    # report honestly, gate the assertion on hardware.
+    # are asserted unconditionally): report honestly, gate the assertion
+    # on hardware.
     if args.assert_scaling is not None:
         if cpu_count >= peak:
             report["scaling_asserted"] = True

@@ -21,10 +21,6 @@ rules the paper's architecture depends on get called out explicitly:
 * only the physical layer (``core/cfo.py``, ``core/physical.py``) and
   ``operators/`` may open cluster stages (``.stage(...)``) — engines and
   everything above talk to the cluster through the physical plan;
-* ``cluster/procpool`` is a pure substrate: it may never import the
-  planning (``core``), serving, or telemetry (``obs``) layers, even if the
-  ``cluster`` layer as a whole is someday granted those imports.  The
-  driver-side bridge lives in ``core/procexec.py``, above the substrate;
 * ``core/calibration.py`` consumes plain floats only: it may import nothing
   above the config layer (in particular never ``serving``), even though the
   ``core`` layer as a whole is allowed more;
@@ -83,13 +79,7 @@ ALLOWED = {
 #: Files allowed to call ``<something>.stage(...)``: the cluster package
 #: (which defines it) plus the physical operators that execute units.
 STAGE_ALLOWED_DIRS = ("cluster", "operators")
-STAGE_ALLOWED_FILES = ("core/cfo.py", "core/physical.py", "core/procexec.py")
-
-#: ``cluster/procpool`` ships pickled tasks into spawned worker processes;
-#: anything it imports gets re-imported in every child.  It must stay a pure
-#: substrate — never the planning, serving, or telemetry layers — regardless
-#: of what the wider ``cluster`` layer is allowed.
-PROCPOOL_FORBIDDEN = {"core", "serving", "obs"}
+STAGE_ALLOWED_FILES = ("core/cfo.py", "core/physical.py")
 
 #: ``core/calibration.py`` is the shared store the serving layer publishes
 #: and ``scripts/calibrate.py`` round-trips to disk.  It consumes plain
@@ -242,13 +232,6 @@ def main() -> int:
                         f"{rel}:{lineno}: core/passes sits between the "
                         f"physical IR and engine annotation and must not "
                         f"import repro.{target}"
-                    )
-        if rel.startswith("cluster/procpool/"):
-            for lineno, target in repro_imports(tree):
-                if target in PROCPOOL_FORBIDDEN:
-                    violations.append(
-                        f"{rel}:{lineno}: cluster/procpool is a pure "
-                        f"substrate and must not import repro.{target}"
                     )
         if not stage_allowed(rel):
             for lineno in stage_calls(tree):

@@ -45,8 +45,7 @@ class SystemDSLikeEngine(Engine):
     def __init__(self, config: Optional[EngineConfig] = None):
         super().__init__(config)
         self._planner = GenPlanner(self.config)
-        # keyed by unit index so concurrent unit dispatch stays
-        # deterministic; read through the last_choices property
+        # keyed by unit index; read through the last_choices property
         self._choices: Dict[int, str] = {}
 
     @property

@@ -56,8 +56,7 @@ class Stage:
         #: cluster's per-thread unit scope at creation), None outside one.
         self.unit = cluster.current_unit
         # wall-clock anchor for StageRecord.wall_seconds; taken here so the
-        # measurement covers the stage body wherever it runs — driver
-        # thread, pool thread, or a process-pool worker
+        # measurement covers the whole stage body
         self._wall_start = time.perf_counter()
 
     def task(self) -> TaskContext:
@@ -149,8 +148,7 @@ class Stage:
             raise RuntimeError(f"stage {self.name!r} is already closed")
         config = self._cluster.config
         consolidation, aggregation, flops, peak = self._totals()
-        # where the stage sits on the run's modeled clock: a running float
-        # sum that concurrent units keep appending to, so it only ever
+        # where the stage sits on the run's modeled clock; it only ever
         # positions trace events — no modeled number is derived from it
         start = self._cluster.metrics.elapsed_seconds
 
@@ -232,8 +230,7 @@ class SimulatedCluster:
         # (the default, and every seed benchmark) never pay for it
         self._runtime: Optional[ClusterRuntime] = None
         # per-thread physical-plan unit index: stages opened on a thread
-        # inherit it, attributing their StageRecords to the unit even when
-        # independent units run concurrently
+        # inherit it, attributing their StageRecords to the unit
         self._unit_scope = threading.local()
 
     @property

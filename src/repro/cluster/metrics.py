@@ -37,11 +37,9 @@ class StageRecord:
     #: Physical-plan unit index this stage ran for (None outside a unit
     #: scope — e.g. hand-opened stages in tests).
     unit: "int | None" = None
-    #: Real wall-clock seconds the stage took to evaluate, measured where
-    #: the stage ran (also inside process-pool workers, whose records ship
-    #: back whole).  Observability/calibration only — never part of
-    #: :meth:`MetricsCollector.totals`, which stays comparable across runs
-    #: and backends.
+    #: Real wall-clock seconds the stage took to evaluate.
+    #: Observability/calibration only — never part of
+    #: :meth:`MetricsCollector.totals`, which stays comparable across runs.
     wall_seconds: float = 0.0
 
     def __post_init__(self) -> None:
@@ -78,21 +76,6 @@ class MetricsCollector:
     def record(self, stage: StageRecord) -> None:
         with self._lock:
             self.stages.append(stage)
-
-    def reorder_tail(self, start: int, key) -> None:
-        """Stably re-sort ``stages[start:]`` by *key*.
-
-        Used by the wave scheduler: stages of concurrently dispatched units
-        complete interleaved, and re-sorting each wave's records by unit
-        index restores the exact sequential record order (per-stage numbers
-        are pure functions of the stage's own tasks, so reordering is
-        semantics-free — it keeps totals bit-identical across parallelism
-        levels and record lists comparable).
-        """
-        with self._lock:
-            tail = self.stages[start:]
-            tail.sort(key=key)
-            self.stages[start:] = tail
 
     def bump(self, counter: str, amount: int = 1) -> None:
         """Increment an observability counter (thread-safe)."""

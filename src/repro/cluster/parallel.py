@@ -24,10 +24,11 @@ Item = TypeVar("Item")
 Result = TypeVar("Result")
 
 #: Marks threads that are already pool workers.  A ``parallel_map`` reached
-#: from inside one (e.g. an operator's per-task pool inside a concurrently
-#: dispatched physical-plan unit) degrades to the serial loop instead of
-#: nesting a second pool — nested pools oversubscribe cores without adding
-#: concurrency, and serial fallback is result-identical by construction.
+#: from inside one (an operator's per-task pool inside a query the serving
+#: layer dispatched on its own pool) degrades to the serial loop instead
+#: of nesting a second pool — nested pools oversubscribe cores without
+#: adding concurrency, and serial fallback is result-identical by
+#: construction.
 _worker = threading.local()
 
 
@@ -48,12 +49,6 @@ def parallel_map(
     *metrics* is given, pool usage counters (``{counter_prefix}_tasks``
     etc.) are bumped — observability only; counters never feed modeled
     numbers.
-
-    This is the *thread* dispatch seam of the execution stack: physical-plan
-    waves and operator task loops funnel through here under
-    ``EngineConfig(execution_backend="thread")``, and the process backend
-    falls back to this exact path whenever it is ineligible or its pool
-    breaks (see :func:`repro.core.procexec.make_wave_runner`).
     """
     if parallelism <= 0:
         raise ValueError(

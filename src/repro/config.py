@@ -19,9 +19,6 @@ if TYPE_CHECKING:  # avoid a config <-> cluster import cycle at runtime
 #: Valid values for :attr:`EngineConfig.time_model`.
 TIME_MODELS = ("aggregate", "scheduled")
 
-#: Valid values for :attr:`EngineConfig.execution_backend`.
-EXECUTION_BACKENDS = ("thread", "process")
-
 #: Valid values for :attr:`EngineConfig.calibration`.
 CALIBRATION_MODES = ("off", "observe", "active")
 
@@ -154,16 +151,6 @@ class EngineConfig:
     #: Simulated numbers (modeled seconds, traffic, flops) and matrix
     #: outputs are identical at any setting; only wall-clock changes.
     local_parallelism: int = 1
-    #: How physical-plan waves execute when ``local_parallelism > 1``:
-    #: ``"thread"`` (the seed behaviour) dispatches units to an in-process
-    #: thread pool — kernels contend on the GIL; ``"process"`` dispatches to
-    #: a persistent pool of worker *processes* fed through a shared-memory
-    #: block store (:mod:`repro.cluster.procpool`), so numpy/scipy work runs
-    #: truly in parallel.  Outputs stay bit-identical and modeled numbers
-    #: unchanged under either backend; ineligible configurations
-    #: (``time_model="scheduled"``, broken pools) demote to ``"thread"``
-    #: with a RuntimeWarning rather than ever risking a wrong answer.
-    execution_backend: str = "thread"
     #: Fusion-plan cache capacity (entries) per engine; 0 disables caching.
     #: Iterative workloads re-executing a structurally identical DAG skip
     #: CFG planning and the (P, Q, R) search entirely on a hit.
@@ -219,11 +206,6 @@ class EngineConfig:
             )
         if self.local_parallelism <= 0:
             raise ValueError("local_parallelism must be positive")
-        if self.execution_backend not in EXECUTION_BACKENDS:
-            raise ValueError(
-                f"execution_backend must be one of {EXECUTION_BACKENDS}, "
-                f"got {self.execution_backend!r}"
-            )
         if self.plan_cache_size < 0:
             raise ValueError("plan_cache_size cannot be negative")
         if self.calibration not in CALIBRATION_MODES:

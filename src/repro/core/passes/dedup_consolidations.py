@@ -9,9 +9,8 @@ blocks as local reads.  One materialization feeds all consumers; lifetimes
 (``releases``) are recomputed for the final last consumer.
 
 The annotation is *static* — first consumer is defined by final plan
-order, not runtime order — so modeled totals are identical under
-sequential and wave scheduling no matter how waves interleave.  Keys the
-merge pass already shares intra-group are skipped, never double-counted.
+order, which is also the execution order.  Keys the merge pass already
+shares intra-group are skipped, never double-counted.
 """
 
 from __future__ import annotations

@@ -15,8 +15,7 @@ additionally says, per unit:
 * **cost/footprint estimates** from the existing
   :class:`~repro.core.cost.CostModel` (network bytes, flops, modeled
   seconds, per-task memory);
-* **dependency edges** on other units (derived from the query DAG), which is
-  what lets independent units dispatch concurrently; and
+* **dependency edges** on other units (derived from the query DAG); and
 * **materialization lifetimes**: the environment keys whose *last* consumer
   is this unit, so intermediates are released as soon as they are dead
   instead of living until end-of-query.
@@ -25,16 +24,11 @@ Because lowering never opens a cluster stage, a ``PhysicalPlan`` is also the
 engine's introspection surface: ``engine.explain(query)`` renders one without
 executing anything (:meth:`PhysicalPlan.render`).
 
-Execution goes through :func:`run_physical_plan`, the dependency-driven unit
-scheduler.  With ``parallelism <= 1`` it is *sequential-equivalent*: units
-run one at a time in the fusion plan's original order, so stage records
-appear in exactly the order the pre-IR engine produced.  With
-``parallelism > 1`` ready units dispatch concurrently through
-:func:`~repro.cluster.parallel.parallel_map` in dependency waves; merge
-order stays the unit-index order and each unit's stages are pure functions
-of its own tasks, so outputs remain bit-identical and every modeled total
-(seconds, bytes, flops) unchanged — only wall-clock and the interleaving of
-stage records differ.
+Execution goes through :func:`run_physical_plan`: units run one at a time in
+plan order, so stage records are appended in unit-index order by
+construction.  Dependency waves (:meth:`PhysicalPlan.waves`) are plan
+*description* — EXPLAIN and the critical-path estimate read them; nothing
+dispatches by them.
 """
 
 from __future__ import annotations
@@ -43,7 +37,6 @@ import time
 from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.cluster.parallel import parallel_map
 from repro.core.optimizer import OptimizerResult
 from repro.core.plan import FusionPlan, PlanUnit
 from repro.errors import PlanError
@@ -95,11 +88,9 @@ class UnitOp:
     deps: Tuple[int, ...]
     #: Nodes this unit materializes.
     outputs: Tuple[Node, ...]
-    #: Environment keys whose last consumer *in fusion-plan order* is this
-    #: unit — released as soon as it completes in sequential mode.  Never
-    #: contains a key a DAG root still needs.  (Wave-concurrent dispatch may
-    #: run units out of index order, so the scheduler releases by consumer
-    #: refcount there instead — see :func:`run_physical_plan`.)
+    #: Environment keys whose last consumer in plan order is this unit —
+    #: released as soon as it completes.  Never contains a key a DAG root
+    #: still needs.
     releases: Tuple[EnvKey, ...]
     #: Environment keys this unit reads (deduplicated, stable order).
     consumes: Tuple[EnvKey, ...] = ()
@@ -109,8 +100,8 @@ class UnitOp:
     #: Display label; defaults to the wrapped unit's plan label.
     name: str = ""
     #: For ``kind="merged"`` ops: the original units executed back-to-back
-    #: under this op's identity (one stage-attribution index, one scheduler
-    #: slot, shared lifetimes).  Members are mutually independent — the
+    #: under this op's identity (one stage-attribution index, shared
+    #: lifetimes).  Members are mutually independent — the
     #: merge pass only fuses units with no path between them — and keep
     #: their original annotations (``pqr``, estimates), so execution stays
     #: bit-identical to the unmerged plan.
@@ -120,9 +111,7 @@ class UnitOp:
     sources: Tuple[int, ...] = ()
     #: Environment keys whose consolidation an *earlier* consumer (in final
     #: plan order) already paid for; the runtime charges these as local
-    #: reads (memory only, no network).  Annotated statically at plan time
-    #: so modeled totals are identical under sequential and wave
-    #: scheduling regardless of actual interleaving.
+    #: reads (memory only, no network).  Annotated statically at plan time.
     shared_inputs: Tuple[EnvKey, ...] = ()
 
     def label(self) -> str:
@@ -195,7 +184,7 @@ class PhysicalPlan:
 
         Every unit lands in the earliest wave all its dependencies precede;
         units within a wave are mutually independent and listed in unit-index
-        order, so dispatch and merge order are deterministic.
+        order.  Descriptive only: execution is plan order.
         """
         level: Dict[int, int] = {}
         waves: List[List[UnitOp]] = []
@@ -489,10 +478,7 @@ def recompute_releases(dag: DAG, ops: Sequence[UnitOp]) -> List[UnitOp]:
 def execute_unit(engine, op: UnitOp, cluster, env: Mapping[EnvKey, object]):
     """Run one (possibly merged, possibly input-sharing) unit op.
 
-    The single execution entry point for both the in-process scheduler
-    (:func:`run_physical_plan`) and the process-backend worker
-    (:func:`repro.core.procexec.execute_unit_task`), so graph-pass
-    semantics behave identically on every backend:
+    Where :func:`run_physical_plan` honours graph-pass annotations:
 
     * a ``shared_inputs`` annotation makes operators charge those
       consolidations as local reads (the earlier consumer already paid);
@@ -578,121 +564,34 @@ def run_physical_plan(
     physical: PhysicalPlan,
     cluster,
     env: Dict[EnvKey, object],
-    parallelism: int = 1,
     unit_observer: Optional[Callable[[UnitOp, float, float], None]] = None,
 ) -> None:
     """Execute *physical* on *cluster*, materializing unit outputs into *env*.
 
-    ``parallelism <= 1`` is sequential-equivalent mode: units run in the
-    fusion plan's original order and each unit's dead inputs are released
-    the moment it completes.  ``parallelism > 1`` dispatches each dependency
-    wave concurrently — through :func:`parallel_map` threads by default, or
-    through the engine's process pool when
-    ``EngineConfig(execution_backend="process")`` is eligible (see
-    :func:`repro.core.procexec.make_wave_runner`); either way results merge
-    in unit index order at the wave barrier, so outputs and modeled totals
-    match the sequential run exactly.
-
-    During a wave *env* is only read (all writes happen at the merge
-    barrier), which is what makes concurrent unit execution safe.
+    Units run one at a time in plan order — the only execution order there
+    is — and each unit's dead inputs (``op.releases``) are freed the moment
+    it completes.  Stage records are therefore appended in unit-index order
+    by construction.  Real concurrency lives *inside* a unit: operators
+    evaluate their cuboid/block tasks on ``EngineConfig.local_parallelism``
+    threads.
 
     *unit_observer* (telemetry) is called as ``observer(op, wall_start,
     wall_end)`` after each completed unit — wall-clock only, so attaching
-    one can never change a modeled number.  It may be called from pool
-    threads; the engine's observer writes one dict slot per unit index.
-    The process backend calls it with a 4th argument — the worker-captured
-    span dict (pid, wall/kernel seconds, shm traffic) — so observers must
-    accept an optional trailing parameter; this thread path passes none.
+    one can never change a modeled number.
     """
     metrics = cluster.metrics
-
-    def run_op(op: UnitOp):
+    for op in physical.ops:
         with cluster.unit_scope(op.index):
-            if unit_observer is None:
-                return execute_unit(engine, op, cluster, env)
             wall_start = time.perf_counter()
             result = execute_unit(engine, op, cluster, env)
-            unit_observer(op, wall_start, time.perf_counter())
-            return result
-
-    def merge(op: UnitOp, result) -> None:
+            if unit_observer is not None:
+                unit_observer(op, wall_start, time.perf_counter())
         if isinstance(result, dict):
-            # multi-output unit (Multi-aggregation fusion)
+            # multi-output unit (Multi-aggregation fusion, merged units)
             for node, value in result.items():
                 env[node.node_id] = value
         else:
             env[op.unit.output.node_id] = result
-
-    def release_key(key: EnvKey) -> None:
-        value = env.pop(key, None)
-        if value is not None:
-            metrics.bump("env_keys_released")
-            if runner is not None:
-                runner.release(value)
-
-    runner = None
-    if parallelism <= 1:
-        for op in physical.ops:
-            merge(op, run_op(op))
-            for key in op.releases:
-                release_key(key)
-        return
-
-    if getattr(engine, "config", None) is not None and (
-        engine.config.execution_backend == "process"
-    ):
-        from repro.core.procexec import make_wave_runner
-
-        runner = make_wave_runner(engine, cluster)
-
-    # Waves run units out of index order, so the index-based ``releases``
-    # annotation would free keys a later-wave, smaller-index consumer still
-    # needs.  Release by consumer refcount instead: a releasable key dies at
-    # the wave barrier after its final consumer actually ran.
-    releasable = {key for op in physical.ops for key in op.releases}
-    remaining: Dict[EnvKey, set] = {}
-    for op in physical.ops:
-        for key in op.consumes:
-            if key in releasable:
-                remaining.setdefault(key, set()).add(op.index)
-
-    try:
-        for wave in physical.waves():
-            metrics.bump("unit_waves")
-            metrics.bump_max("unit_wave_width_max", len(wave))
-            if runner is not None and not runner.broken and len(wave) > 1:
-                # process backend: workers return StageRecords + output
-                # refs; the runner commits them in unit-index order (the
-                # order ``reorder_tail`` below restores for threads)
-                runner.run_wave(wave, env, run_op, merge, unit_observer)
-            else:
-                wave_start = metrics.num_stages
-                results = parallel_map(
-                    run_op, wave, parallelism, metrics=metrics,
-                    counter_prefix="unit_pool",
-                )
-                # restore unit-index record order within the wave so the
-                # stage list (and every order-sensitive float sum over it)
-                # is bit-identical to the sequential run
-                metrics.reorder_tail(
-                    wave_start,
-                    key=lambda s: (
-                        s.unit if s.unit is not None else len(physical.ops)
-                    ),
-                )
-                for op, result in zip(wave, results):
-                    merge(op, result)
-            for op in wave:
-                for key in op.consumes:
-                    consumers = remaining.get(key)
-                    if consumers is not None:
-                        consumers.discard(op.index)
-                        if not consumers:
-                            del remaining[key]
-                            release_key(key)
-    finally:
-        if runner is not None:
-            # results must outlive the store: copy store-backed root
-            # outputs out of shared memory, then unlink every segment
-            runner.detach_roots(physical, env)
-            runner.finish()
+        for key in op.releases:
+            if env.pop(key, None) is not None:
+                metrics.bump("env_keys_released")

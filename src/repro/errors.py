@@ -62,9 +62,8 @@ class TaskOutOfMemoryError(ExecutionError):
         )
 
     # exceptions with non-message constructor arguments must spell out how
-    # to rebuild themselves, or pickling (used by the process execution
-    # backend to ship worker-side failures to the driver) degrades them to
-    # a generic RuntimeError carrying only the traceback text
+    # to rebuild themselves, or a pickle/copy round trip (multiprocessing,
+    # concurrent.futures, copy.deepcopy) fails to reconstruct them
     def __reduce__(self):
         return (type(self), (self.task_id, self.used_bytes, self.budget_bytes))
 

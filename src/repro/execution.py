@@ -4,10 +4,9 @@ Every engine in this repository — FuseME and the four baselines — executes a
 query the same way: plan the DAG into a fusion plan, *lower* it to a typed
 :class:`~repro.core.physical.PhysicalPlan` (operator kinds, cuboid
 parameters, cost estimates, dependency edges, materialization lifetimes),
-then run the unit graph on the simulated cluster through the
-dependency-driven scheduler.  Engines differ only in *how they plan* (which
-operators fuse) and *which physical operator runs a unit* — exactly the axes
-the paper's evaluation compares.
+then run the unit graph on the simulated cluster in plan order.  Engines
+differ only in *how they plan* (which operators fuse) and *which physical
+operator runs a unit* — exactly the axes the paper's evaluation compares.
 
 The physical plan is also the introspection surface: :meth:`Engine.explain`
 plans and lowers a query without opening a single cluster stage.
@@ -156,46 +155,22 @@ class Engine(ABC):
             window=self.config.calibration_window,
             min_samples=self.config.calibration_min_samples,
         )
-        #: Engine-owned worker-process pool
-        #: (``config.execution_backend="process"``).  Lazy: nothing spawns
-        #: until the first eligible wave dispatch; persistent: workers
-        #: survive across executes.  Release with :meth:`close`.
-        self._procpool = None
-
-    # -- process backend -------------------------------------------------------
-
-    def _ensure_procpool(self):
-        """The engine's :class:`~repro.cluster.procpool.ProcessPool`,
-        created on first use; ``None`` when a previous pool broke or was
-        closed (callers then fall back to the thread backend)."""
-        pool = self._procpool
-        if pool is not None:
-            return None if (pool.broken or pool.closed) else pool
-        from repro.cluster.procpool import ProcessPool
-
-        pool = ProcessPool(self.config.local_parallelism)
-        self._procpool = pool
-        return pool
 
     def close(self) -> None:
         """Release engine-owned runtime resources (idempotent).
 
-        Today that is the worker-process pool; thread-backend engines hold
-        nothing and close is a no-op.  The engine stays usable afterwards —
-        process-backed executes demote to the thread backend.
+        Engines hold none today (task threads live only for the duration of
+        one stage), so this is a no-op; it stays as the hook callers —
+        ``with engine:``, ``MatrixService.close()`` — already rely on.
         """
-        pool = self._procpool
-        if pool is not None:
-            pool.close()
 
     def clone(self, config: Optional[EngineConfig] = None) -> "Engine":
         """A fresh engine of this class: own plan/slice caches, own
-        calibration store, no worker pool yet.  *config* overrides the
-        source engine's (the replica pool divides ``local_parallelism``
-        this way); planning behaviour is otherwise identical, so clones
-        produce bit-identical outputs and modeled metrics.  Subclasses
-        with extra constructor state (e.g. FuseME's optimizer method)
-        override to carry it across.
+        calibration store.  *config* overrides the source engine's;
+        planning behaviour is otherwise identical, so clones produce
+        bit-identical outputs and modeled metrics.  Subclasses with extra
+        constructor state (e.g. FuseME's optimizer method) override to
+        carry it across.
         """
         return type(self)(config if config is not None else self.config)
 
@@ -223,8 +198,7 @@ class Engine(ABC):
         Multi-output units (Multi-aggregation fusion) return a mapping from
         root node to its materialized matrix instead of a single matrix.
         The :class:`UnitOp` carries the lowering-time decisions (operator
-        kind, cuboid parameters), so this must not mutate engine state —
-        independent units may run concurrently.
+        kind, cuboid parameters), so this must not mutate engine state.
         """
 
     def prepare_dag(self, dag: DAG, inputs: Optional[Mapping[str, BlockedMatrix]] = None) -> DAG:
@@ -481,7 +455,6 @@ class Engine(ABC):
         plan_span: Optional[Span] = None
         exec_span: Optional[Span] = None
         unit_walls: Dict[int, Tuple[float, float]] = {}
-        unit_workers: Dict[int, Dict[str, float]] = {}
 
         with (
             tracer.span("query", "query", engine=self.name)
@@ -518,12 +491,8 @@ class Engine(ABC):
 
             observer = None
             if tracer is not None:
-                def observer(op, wall_start, wall_end, worker=None):
-                    # the process backend passes the worker-captured span
-                    # dict as a 4th argument; the thread path passes none
+                def observer(op, wall_start, wall_end):
                     unit_walls[op.index] = (wall_start, wall_end)
-                    if worker is not None:
-                        unit_workers[op.index] = worker
 
             env: Dict[object, BlockedMatrix] = dict(inputs)
             with (
@@ -532,9 +501,7 @@ class Engine(ABC):
             ) as exec_span:
                 try:
                     run_physical_plan(
-                        self, physical, cluster, env,
-                        parallelism=self.config.local_parallelism,
-                        unit_observer=observer,
+                        self, physical, cluster, env, unit_observer=observer
                     )
                 finally:
                     slices = cluster.slice_cache
@@ -552,14 +519,6 @@ class Engine(ABC):
                                 misses=miss_delta,
                             )
 
-        if (
-            exec_span is not None
-            and self._procpool is not None
-            and self._procpool.stats.batches
-        ):
-            # pool-lifetime utilization (workers persist across executes)
-            exec_span.attrs["procpool"] = self._procpool.stats.as_dict()
-
         outputs = {root: self._root_value(root, env, inputs) for root in dag.roots}
         if self.config.calibration != "off":
             # feed the store (and maybe evict the plan) before the final
@@ -574,8 +533,7 @@ class Engine(ABC):
         if tracer is not None:
             span = tracer.root
             _attach_unit_spans(
-                exec_span, physical, metrics, unit_walls, modeled_epoch,
-                unit_workers,
+                exec_span, physical, metrics, unit_walls, modeled_epoch
             )
             modeled_end = modeled_epoch + metrics.elapsed_seconds
             span.modeled_start = modeled_epoch
@@ -596,8 +554,7 @@ class Engine(ABC):
         )
         if tracer is not None:
             profile = self._build_profile(
-                physical, metrics, optimizer_counters, span, result,
-                unit_workers,
+                physical, metrics, optimizer_counters, span, result
             )
             result.profile = profile
             self.last_profile = profile
@@ -714,14 +671,11 @@ class Engine(ABC):
         optimizer_counters: Mapping[str, int],
         span: Span,
         result: ExecutionResult,
-        unit_workers: Optional[Mapping[int, Mapping[str, float]]] = None,
     ) -> QueryProfile:
         per_unit = metrics.per_unit_totals()
-        workers = unit_workers or {}
         units = []
         for op in physical.ops:
             totals = per_unit.get(op.index, {})
-            worker = workers.get(op.index)
             est = op.estimate
             units.append(UnitProfile(
                 index=op.index,
@@ -744,13 +698,8 @@ class Engine(ABC):
                 measured_flops=float(totals.get("flops", 0)),
                 num_stages=int(totals.get("num_stages", 0)),
                 num_tasks=int(totals.get("num_tasks", 0)),
-                # prefer the worker-process clock when the unit ran on the
-                # process backend: stage-sum wall time excludes the worker's
-                # env open/write overhead and was measured in another process
                 measured_wall_seconds=(
-                    float(worker["wall_seconds"])
-                    if worker is not None and "wall_seconds" in worker
-                    else float(totals["wall_seconds"])
+                    float(totals["wall_seconds"])
                     if "wall_seconds" in totals else None
                 ),
             ))
@@ -863,20 +812,13 @@ def _attach_unit_spans(
     metrics: MetricsCollector,
     unit_walls: Mapping[int, Tuple[float, float]],
     modeled_epoch: float,
-    unit_workers: Optional[Mapping[int, Mapping[str, float]]] = None,
 ) -> None:
     """Grow the execute span: one child per unit, one grandchild per stage.
 
-    Stage records are sequential on the modeled clock (wave dispatch
-    re-sorts them into unit order), so walking them while accumulating
-    seconds reconstructs each stage's modeled ``[start, end]`` window.
-    Wall times come from the unit observer; stages carry modeled time only.
-
-    Units that ran on the process backend additionally get a ``worker``
-    child span built from the clock the *worker* captured: anchored inside
-    the driver-observed dispatch window, carrying the worker pid, kernel
-    seconds and shared-memory traffic — the cross-process half of the
-    unified timeline.
+    Stage records are sequential on the modeled clock and appended in unit
+    order, so walking them while accumulating seconds reconstructs each
+    stage's modeled ``[start, end]`` window.  Wall times come from the unit
+    observer; stages carry modeled time only.
     """
     clock = modeled_epoch
     windows: Dict[int, list] = {}
@@ -885,7 +827,6 @@ def _attach_unit_spans(
         if record.unit is not None:
             windows.setdefault(record.unit, []).append((record, start, clock))
 
-    workers = unit_workers or {}
     for op in physical.ops:
         unit_span = exec_span.child(
             f"unit[{op.index}]", "unit", kind=op.kind, label=op.label()
@@ -897,26 +838,6 @@ def _attach_unit_spans(
         wall = unit_walls.get(op.index)
         if wall is not None:
             unit_span.wall_start, unit_span.wall_end = wall
-        worker = workers.get(op.index)
-        if worker is not None:
-            pid = int(worker.get("pid", -1))
-            worker_span = unit_span.child(
-                f"worker[{pid}]",
-                "worker",
-                pid=pid,
-                kernel_seconds=worker.get("kernel_seconds"),
-                shm_read_bytes=worker.get("shm_read_bytes"),
-                shm_write_bytes=worker.get("shm_write_bytes"),
-            )
-            if "worker_id" in worker:
-                worker_span.attrs["worker_id"] = int(worker["worker_id"])
-            if wall is not None and "wall_seconds" in worker:
-                # the worker clock measures duration; anchor it at the tail
-                # of the driver-observed dispatch window (queue wait first,
-                # execution second), clamped so it never precedes dispatch
-                duration = float(worker["wall_seconds"])
-                worker_span.wall_end = wall[1]
-                worker_span.wall_start = max(wall[0], wall[1] - duration)
         stage_windows = windows.get(op.index, [])
         if stage_windows:
             unit_span.modeled_start = stage_windows[0][1]

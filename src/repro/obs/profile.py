@@ -74,9 +74,8 @@ class UnitProfile:
     measured_flops: float = 0.0
     num_stages: int = 0
     num_tasks: int = 0
-    #: Real wall-clock seconds the unit's stages took where they ran (driver
-    #: thread, thread pool or process-pool worker).  Observability only —
-    #: never enters an error ratio, since it depends on host load.
+    #: Real wall-clock seconds the unit's stages took.  Observability only
+    #: — never enters an error ratio, since it depends on host load.
     measured_wall_seconds: Optional[float] = None
 
     @property

@@ -116,8 +116,8 @@ class SpanTracer:
 
     The tracer is single-threaded by design: the engine's execute lock
     serializes query phases, and per-unit spans are attached after the
-    (possibly concurrent) unit dispatch finished, from measured wall
-    durations — so no span is ever mutated from two threads.
+    units finished, from measured wall durations — so no span is ever
+    mutated from two threads.
 
     *clock* defaults to :func:`time.perf_counter`; inject a fake for
     deterministic tests.

@@ -2,8 +2,8 @@
 
 One :class:`ReplicaPool` owns N :class:`EngineReplica` instances.  Each
 replica is a complete, independent execution stack — its own engine clone
-(own plan cache, slice cache, execute lock, optional worker-process
-pool), its own :class:`~repro.cluster.executor.SimulatedCluster`, its own
+(own plan cache, slice cache, execute lock), its own
+:class:`~repro.cluster.executor.SimulatedCluster`, its own
 :class:`~repro.serving.admission.AdmissionController` and dispatcher
 thread — so replicas never contend on an execute lock and a pool of N
 replicas runs N queries truly concurrently.  What replicas *share* is
@@ -25,9 +25,7 @@ the tenants the ring moves.
 memory budget (:func:`split_budget` — they sum to it exactly, never
 multiply it) and are recomputed on every resize, so N replicas can never
 collectively admit more than the one cluster-wide budget the operator
-configured.  Worker processes are partitioned the same way: with the
-process execution backend, each replica's ``local_parallelism`` is the
-engine's share of the configured total.
+configured.
 
 **Determinism.**  A replica executes exactly like a standalone engine —
 the same planning signature, per-query metric deltas, and execute-lock
@@ -400,8 +398,8 @@ class EngineReplica:
         """Stop this replica (idempotent, safe under concurrent callers).
 
         ``drain=True`` lets queued queries finish; ``drain=False`` fails
-        them with ServiceOverloadedError.  The engine's runtime resources
-        (its worker-process pool) are released after the dispatcher stops.
+        them with ServiceOverloadedError.  The engine is closed after the
+        dispatcher stops.
         """
         with self._close_lock:
             with self._cond:
@@ -437,9 +435,7 @@ class ReplicaPool:
     Replica 0 wraps the engine (and optional cluster) the caller handed
     the service — single-replica pools behave exactly like the pre-pool
     service.  Replicas 1..N-1 are ``engine.clone()``s sharing the
-    template's calibration store; with the process execution backend each
-    replica gets ``local_parallelism // N`` workers (min 1), bounding the
-    pool-wide worker count at the configured total.
+    template's calibration store.
     """
 
     def __init__(
@@ -478,8 +474,7 @@ class ReplicaPool:
         self._closed = False
 
         count = config.num_replicas
-        self._worker_share = self._compute_worker_share(engine, count)
-        engines = [self._fit_template_workers(engine)]
+        engines = [engine]
         for _ in range(1, count):
             engines.append(self._clone_engine())
         budgets = split_budget(memory_budget, count)
@@ -497,35 +492,8 @@ class ReplicaPool:
 
     # -- replica construction ---------------------------------------------
 
-    @staticmethod
-    def _compute_worker_share(engine: "Engine", count: int) -> Optional[int]:
-        """Per-replica worker-process count, or None when irrelevant
-        (thread backend, or a single replica keeps the configured total)."""
-        if count <= 1 or engine.config.execution_backend != "process":
-            return None
-        return max(1, engine.config.local_parallelism // count)
-
-    def _fit_template_workers(self, engine: "Engine") -> "Engine":
-        """Cap replica 0's worker share before its lazy pool spawns.
-
-        ``local_parallelism`` is not part of the planning signature, so
-        this never perturbs plans, caches, outputs or modeled metrics —
-        only how many OS processes replica 0 may spawn.
-        """
-        if self._worker_share is not None and engine._procpool is None:
-            engine.config = engine.config.with_options(
-                local_parallelism=self._worker_share
-            )
-        return engine
-
     def _clone_engine(self) -> "Engine":
-        template = self._template
-        if self._worker_share is not None:
-            clone = template.clone(template.config.with_options(
-                local_parallelism=self._worker_share
-            ))
-        else:
-            clone = template.clone()
+        clone = self._template.clone()
         # one calibration store across the pool: every replica feeds and
         # plans off the same fitted coefficients
         clone.calibration = self.calibration

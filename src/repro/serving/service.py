@@ -468,10 +468,8 @@ class MatrixService:
         the close lock, a second close finds every replica already closed
         and returns quietly, and close during in-flight queries lets them
         finish (``drain=True``, the default) or fails queued ones with
-        ServiceOverloadedError (``drain=False``).  Engine runtime
-        resources (worker-process pools) are released after each replica's
-        dispatcher stops, so in-flight queries finish on whatever backend
-        they started with.
+        ServiceOverloadedError (``drain=False``).  Each replica's engine
+        is closed after its dispatcher stops.
         """
         with self._close_lock:
             with self._lock:

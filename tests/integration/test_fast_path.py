@@ -70,9 +70,9 @@ def test_fast_path_is_invisible(engine_cls, time_model, parallelism):
 
 def test_thread_wave_scheduled_totals_repeat_exactly():
     """The formerly flaky ``[4-scheduled-SystemDSLikeEngine]`` case, 50 times
-    over with a short switch interval so sibling units really interleave: a
-    stage's scheduled seconds must not depend on what the other wave threads
-    have appended to the run clock by the time it closes."""
+    over with a short switch interval so sibling task threads really
+    interleave: a stage's scheduled seconds must be a function of its own
+    tasks, whatever order the pool finished them in."""
     baseline = _run(
         SystemDSLikeEngine,
         "scheduled",

@@ -3,7 +3,7 @@
 Three guarantees, across all five engines:
 
 * **bit-identity** — enabling the pass pipeline never changes any matrix
-  output, in sequential and wave (parallel unit dispatch) modes alike;
+  output, with and without task threads (``local_parallelism``);
 * **off == seed** — with ``graph_passes="off"`` the modeled metrics are
   exactly what the engine produced before the pipeline existed;
 * **the rewrites pay** — on GNMF the merged plan has strictly fewer units
@@ -115,7 +115,9 @@ def test_golden_unit_counts_autoencoder():
             assert op.sources == tuple(m.index for m in op.members)
 
 
-# -- bit-identity: pass on == pass off, sequential and wave modes -----------
+# -- bit-identity: pass on == pass off, serial and task-threaded -----------
+# (the "wave" id predates the removal of unit-level wave dispatch; it now
+# means local_parallelism=4 task threads)
 
 
 @pytest.mark.parametrize("parallelism", [1, 4], ids=["sequential", "wave"])

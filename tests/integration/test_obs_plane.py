@@ -1,11 +1,7 @@
 """The service observability plane, end to end (DESIGN.md §16).
 
-Four contracts:
+Three contracts:
 
-* **cross-process trace propagation** — on the process execution backend,
-  a GNMF query's span tree carries a worker-side span (pid, kernel clock,
-  shared-memory traffic) for every unit dispatched to the pool, and
-  ``UnitProfile.measured_wall_seconds`` comes from the worker's own clock;
 * **strictly observational** — accounting + SLO tracking enabled change
   neither outputs (bit-identical) nor modeled metrics;
 * **conservation** — per-tenant ledgers sum exactly to the cluster-level
@@ -17,17 +13,13 @@ Four contracts:
 """
 
 import json
-import os
 import time
 import urllib.error
 import urllib.request
-import warnings
 
 import pytest
 
-import repro.core.procexec as procexec
 from repro import FuseMEEngine, MatrixService, ServiceConfig
-from repro.cluster.procpool.testing import crash_task
 from repro.execution import as_dag
 from repro.lang import matrix_input, sq, sum_of
 from repro.matrix import rand_dense, rand_sparse
@@ -73,97 +65,6 @@ def wait_for_running(service, deadline=5.0):
             return
         time.sleep(0.01)
     raise AssertionError("dispatcher never picked the ticket up")
-
-
-# -- cross-process trace propagation ----------------------------------------
-
-
-class TestWorkerSpans:
-    def test_process_backend_spans_carry_worker_pids(self, workload):
-        query, inputs = workload
-        engine = FuseMEEngine(make_config(
-            block_size=BS, local_parallelism=2, execution_backend="process",
-        ))
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("error", RuntimeWarning)
-                profile = engine.profile(query, inputs)
-        finally:
-            engine.close()
-
-        worker_spans = [
-            s for s in profile.span.walk() if s.category == "worker"
-        ]
-        # the two-root GNMF update dispatches multi-unit waves to the pool
-        assert len(worker_spans) >= 2
-        driver_pid = os.getpid()
-        for span in worker_spans:
-            assert span.attrs["pid"] > 0
-            assert span.attrs["pid"] != driver_pid
-            assert span.attrs["kernel_seconds"] >= 0.0
-            assert span.attrs["shm_read_bytes"] > 0
-            assert span.attrs["shm_write_bytes"] > 0
-
-    def test_worker_span_anchored_inside_unit_dispatch_window(self, workload):
-        query, inputs = workload
-        engine = FuseMEEngine(make_config(
-            block_size=BS, local_parallelism=2, execution_backend="process",
-        ))
-        try:
-            profile = engine.profile(query, inputs)
-        finally:
-            engine.close()
-        by_index = {u.index: u for u in profile.units}
-        seen = 0
-        for unit_span in profile.span.walk():
-            if unit_span.category != "unit":
-                continue
-            workers = [c for c in unit_span.children if c.category == "worker"]
-            if not workers:
-                continue
-            seen += 1
-            (worker,) = workers
-            assert worker.wall_start >= unit_span.wall_start
-            assert worker.wall_end <= unit_span.wall_end
-            # measured_wall_seconds comes from the worker's clock, which is
-            # exactly the duration the grafted child span covers
-            index = int(unit_span.name[len("unit["):-1])
-            measured = by_index[index].measured_wall_seconds
-            assert measured is not None and measured > 0.0
-            assert worker.wall_seconds == pytest.approx(measured, abs=1e-9)
-        assert seen >= 2
-
-    def test_thread_backend_has_no_worker_spans(self, workload):
-        query, inputs = workload
-        profile = FuseMEEngine(make_config(block_size=BS)).profile(
-            query, inputs
-        )
-        assert not [
-            s for s in profile.span.walk() if s.category == "worker"
-        ]
-
-    def test_fallback_event_names_worker_pid_and_task(
-        self, workload, monkeypatch
-    ):
-        query, inputs = workload
-        engine = FuseMEEngine(make_config(
-            block_size=BS, local_parallelism=2, execution_backend="process",
-        ))
-        sink = engine.telemetry.attach(MemorySink())
-        monkeypatch.setattr(procexec, "_UNIT_TASK_FN", crash_task)
-        try:
-            with pytest.warns(RuntimeWarning, match="falling back"):
-                engine.execute(query, inputs)
-        finally:
-            engine.close()
-        events = sink.named("procpool.fallback")
-        assert events
-        attrs = events[0].attrs
-        assert attrs["engine"] == "FuseME"
-        assert "died" in attrs["reason"]
-        assert attrs["worker_pid"] > 0
-        assert attrs["worker_pid"] != os.getpid()
-        assert attrs["task"]  # the demoted unit's label
 
 
 # -- the plane is strictly observational ------------------------------------

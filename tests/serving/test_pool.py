@@ -1,6 +1,7 @@
 """Replica pool: budget partitioning, affinity, shared state, lifecycle."""
 
 import threading
+from functools import partial
 
 import pytest
 
@@ -204,20 +205,6 @@ def test_clones_preserve_planning_signature():
         service.close()
 
 
-def test_process_backend_workers_split_across_replicas():
-    engine = StubEngine(
-        make_config(execution_backend="process", local_parallelism=4)
-    )
-    service = make_service(engine, num_replicas=2)
-    try:
-        shares = [
-            r.engine.config.local_parallelism for r in service.pool.replicas
-        ]
-        assert shares == [2, 2], "pool-wide workers stay bounded by the total"
-    finally:
-        service.close()
-
-
 # -- observability ---------------------------------------------------------
 
 
@@ -257,10 +244,15 @@ def test_prometheus_has_replica_families():
 
 def test_close_is_idempotent():
     service = make_service(num_replicas=3)
+    engines_closed = []
+    for replica in service.pool.replicas:
+        replica.engine.close = partial(engines_closed.append, replica.name)
     service.close()
     service.close()
     service.close(drain=False)
     assert service.closed
+    # the engine close hook fires for every replica
+    assert set(engines_closed) == {r.name for r in service.pool.replicas}
 
 
 def test_concurrent_close_does_not_raise():
