@@ -1,20 +1,13 @@
 """Graph-pass pipeline benchmark (not a paper figure).
 
-Part 1 — **pass payoff**: runs the GNMF update step through all five
-engines with the graph-pass pipeline off and on, hard-asserting that
+Runs the GNMF update step through all five engines with the graph-pass
+pipeline off and on, hard-asserting that
 
 * outputs are bit-identical in both modes on every engine,
 * on FuseME the optimized plan has strictly fewer units, and
 * strictly lower modeled cost (elapsed seconds and consolidation bytes)
 
 and records what each pass saved (the plan's own pass reports).
-
-Part 2 — **cross-query CSE**: a two-tenant replay of one GNMF query
-through a 2-replica :class:`MatrixService`.  The tenants are chosen to
-route to *different* replicas, the second submits while the first is
-mid-execution, and the service-wide subplan index must record at least
-one in-flight adoption (``cse_hits >= 1``) — with per-query outputs
-bit-identical to a CSE-disabled replay.
 
 Writes ``BENCH_graph_passes.json`` next to this script, appends the
 summary to ``RESULTS.txt``, and exits non-zero when any assertion fails —
@@ -27,7 +20,6 @@ import argparse
 import io
 import json
 import sys
-import time
 from contextlib import redirect_stdout
 from pathlib import Path
 
@@ -40,9 +32,7 @@ from repro import (
     MatFastLikeEngine,
     SystemDSLikeEngine,
 )
-from repro.config import ServiceConfig
 from repro.matrix import rand_dense, rand_sparse
-from repro.serving import MatrixService
 from repro.utils.formatting import format_bytes, format_seconds
 from repro.workloads.gnmf import gnmf_updates
 
@@ -66,10 +56,6 @@ def gnmf_workload(quick: bool):
         "V": rand_dense(users, factors, BLOCK_SIZE, seed=23, low=0.1, high=1.0),
     }
     return [q.u_update, q.v_update], inputs
-
-
-# ---------------------------------------------------------------------------
-# part 1: pass payoff
 
 
 def run_pass_payoff(quick: bool, failures: list) -> dict:
@@ -126,79 +112,6 @@ def run_pass_payoff(quick: bool, failures: list) -> dict:
     return report
 
 
-# ---------------------------------------------------------------------------
-# part 2: cross-query CSE replay
-
-
-def _distinct_tenants(service: MatrixService) -> tuple:
-    """Two tenant names the hash ring routes to different replicas."""
-    first = "tenant-0"
-    home = service.replica_for(first).name
-    for i in range(1, 64):
-        candidate = f"tenant-{i}"
-        if service.replica_for(candidate).name != home:
-            return first, candidate
-    raise RuntimeError("hash ring routed 64 tenants to one replica")
-
-
-def _replay_once(query, inputs, cse: bool):
-    """One 2-tenant concurrent replay; returns (outputs, cse stats)."""
-    engine = FuseMEEngine(bench_config())
-    config = ServiceConfig(num_replicas=2, cross_query_cse=cse)
-    with MatrixService(engine, config) as service:
-        tenant_a, tenant_b = _distinct_tenants(service)
-        session_a = service.open_session(tenant_a).bind_many(inputs)
-        session_b = service.open_session(tenant_b).bind_many(inputs)
-        ticket_a = session_a.submit(query)
-        # submit B only once A is mid-execution on its replica, so the
-        # subplan index sees two in-flight queries with one key
-        for _ in range(500):
-            if service.pool.running:
-                break
-            time.sleep(0.005)
-        ticket_b = session_b.submit(query)
-        served = [ticket_a.result(timeout=120), ticket_b.result(timeout=120)]
-        outputs = [
-            [s.result.outputs[root].to_numpy() for root in s.result.dag.roots]
-            for s in served
-        ]
-        return outputs, service.pool.subplans.stats()
-
-
-def run_cse_replay(quick: bool, failures: list) -> dict:
-    query, inputs = gnmf_workload(quick)
-    stats = {}
-    outputs_on = None
-    attempts = 0
-    for attempts in range(1, 4):  # the overlap window is wall-clock timing
-        outputs_on, stats = _replay_once(query, inputs, cse=True)
-        if stats["hits"] >= 1:
-            break
-    outputs_off, stats_off = _replay_once(query, inputs, cse=False)
-
-    if stats["hits"] < 1:
-        failures.append(
-            f"cross-query CSE recorded no in-flight hit in {attempts} replays"
-        )
-    if stats_off["executed"] != 0:
-        failures.append("disabled CSE index leased keys anyway")
-    for per_query_on, per_query_off in zip(outputs_on, outputs_off):
-        for a, b in zip(per_query_on, per_query_off):
-            if not np.array_equal(a, b):
-                failures.append("CSE-on output diverged from CSE-off")
-    print(
-        f"  2-tenant replay on 2 replicas: cse_hits={stats['hits']} "
-        f"(attempts={attempts}), executed={stats['executed']}, "
-        f"identical_vs_disabled="
-        f"{all('diverged' not in f for f in failures)}"
-    )
-    return {
-        "attempts": attempts,
-        "cse_on": stats,
-        "cse_off": stats_off,
-    }
-
-
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--quick", action="store_true",
@@ -211,10 +124,8 @@ def main() -> int:
     failures: list = []
     print("graph-pass payoff (GNMF update, passes off -> on):")
     payoff = run_pass_payoff(args.quick, failures)
-    print("cross-query CSE:")
-    cse = run_cse_replay(args.quick, failures)
 
-    report = {"quick": args.quick, "pass_payoff": payoff, "cse": cse}
+    report = {"quick": args.quick, "pass_payoff": payoff}
     out_path = Path(
         args.output
         or Path(__file__).resolve().parent / "BENCH_graph_passes.json"

@@ -118,7 +118,7 @@ TENANTS = ("alice", "bob", "canary")
 
 
 def tenant_workloads(quick: bool):
-    """One distinct query per tenant (no cross-tenant cache/CSE sharing)."""
+    """One distinct query per tenant (no cross-tenant cache sharing)."""
     base = 120 if quick else 240
     workloads = {}
     for i, tenant in enumerate(TENANTS):
@@ -133,7 +133,7 @@ def tenant_workloads(quick: bool):
 
 
 def make_service(plane: bool):
-    """A 2-replica service; with the plane on, accounting + SLOs are live
+    """A service; with the plane on, accounting + SLOs are live
     (the canary tenant's impossible target induces the burn alert)."""
     slos = ()
     if plane:
@@ -146,7 +146,6 @@ def make_service(plane: bool):
     config = ServiceConfig(
         accounting=plane,
         slos=slos,
-        num_replicas=2,
         result_cache_entries=0,  # every query executes: steady A/B walls
     )
     engine = FuseMEEngine(bench_config())
@@ -200,10 +199,7 @@ def serving_plane_section(quick: bool, trials: int, failures, here: Path):
     for name in RESOURCE_FIELDS:
         if abs(totals["charged"][name] - totals["usage"][name]) > 1e-6:
             failures.append(f"charged != usage for {name}")
-    clusters = {
-        id(r.cluster): r.cluster for r in service.pool.replicas
-    }.values()
-    cluster_seconds = sum(c.metrics.elapsed_seconds for c in clusters)
+    cluster_seconds = service.cluster.metrics.elapsed_seconds
     ledger_seconds = totals["usage"]["modeled_seconds"]
     if abs(ledger_seconds - cluster_seconds) > 1e-6 * max(1.0, cluster_seconds):
         failures.append(

@@ -27,11 +27,10 @@ rules the paper's architecture depends on get called out explicitly:
 * the observability plane (``obs/accounting.py``, ``obs/slo.py``) consumes
   plain data only: beyond the ``obs`` package itself it may import nothing
   but ``errors``, so ledgers and SLO math stay engine-free leaf modules;
-* the replica pool and async front end (``serving/pool.py``,
-  ``serving/routing.py``, ``serving/ticket.py``,
-  ``serving/async_service.py``) are front-end plumbing: engines reach them
-  as constructed objects, so they never import the planning/execution
-  stacks, even though the ``serving`` layer as a whole may.
+* the query handles (``serving/ticket.py``) are front-end plumbing:
+  results reach them as constructed objects, so they never import the
+  planning/execution stacks, even though the ``serving`` layer as a whole
+  may.
 
 Imports inside ``if TYPE_CHECKING:`` blocks are ignored (annotations only).
 Exit status 0 when clean, 1 with one line per violation otherwise.
@@ -88,20 +87,14 @@ STAGE_ALLOWED_FILES = ("core/cfo.py", "core/physical.py")
 #: layer is allowed.
 CALIBRATION_ALLOWED = {"utils", "errors", "config"}
 
-#: The replica pool and async front end are pure front-end plumbing: they
-#: route, queue, and bridge — engines reach them as already-constructed
-#: objects (``engine.clone()``), never as imports.  Regardless of what the
-#: wider ``serving`` layer is allowed, these files must not import the
-#: planning/execution stacks (``core``, ``operators``, ``execution``,
-#: ``baselines``) or anything above serving.
-SERVING_POOL_FILES = (
-    "serving/pool.py",
-    "serving/routing.py",
-    "serving/ticket.py",
-    "serving/async_service.py",
-)
-SERVING_POOL_ALLOWED = {"serving", "cluster", "obs", "utils", "errors",
-                        "config"}
+#: Tickets and served results are pure front-end plumbing: execution
+#: results reach them as already-constructed objects, never as imports.
+#: Regardless of what the wider ``serving`` layer is allowed, these files
+#: must not import the planning/execution stacks (``core``, ``operators``,
+#: ``execution``, ``baselines``) or anything above serving.
+SERVING_TICKET_FILES = ("serving/ticket.py",)
+SERVING_TICKET_ALLOWED = {"serving", "cluster", "obs", "utils", "errors",
+                          "config"}
 
 #: The accounting ledger and SLO tracker are the service observability
 #: plane: the serving layer pushes plain dicts and floats *into* them and
@@ -210,13 +203,12 @@ def main() -> int:
                         f"{rel}:{lineno}: core/calibration consumes plain "
                         f"floats and must not import repro.{target}"
                     )
-        if rel in SERVING_POOL_FILES:
+        if rel in SERVING_TICKET_FILES:
             for lineno, target in repro_imports(tree):
-                if target and target not in SERVING_POOL_ALLOWED:
+                if target and target not in SERVING_TICKET_ALLOWED:
                     violations.append(
-                        f"{rel}:{lineno}: the replica pool / async front end "
-                        f"is front-end plumbing and must not import "
-                        f"repro.{target}"
+                        f"{rel}:{lineno}: query handles are front-end "
+                        f"plumbing and must not import repro.{target}"
                     )
         if rel in OBS_PLANE_FILES:
             for lineno, target in repro_imports(tree):

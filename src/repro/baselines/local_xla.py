@@ -47,7 +47,7 @@ class LocalXLAEngine:
         self.telemetry = EventBus()
         self.last_profile: Optional[QueryProfile] = None
         # the serving layer's duck-type surface (status pages, result-cache
-        # keys, replica cloning).  XLA "recompiles" per query, so the plan
+        # keys).  XLA "recompiles" per query, so the plan
         # cache stays empty and the slice cache disabled; the calibration
         # store exists but this engine never feeds it.
         self.plan_cache = PlanCache(self.config.plan_cache_size)
@@ -71,11 +71,6 @@ class LocalXLAEngine:
             cluster.task_launch_overhead,
             self.config.block_size,
         )
-
-    def clone(self, config: Optional[EngineConfig] = None) -> "LocalXLAEngine":
-        """A fresh single-node engine (replica pools multiply engines
-        this way)."""
-        return type(self)(config if config is not None else self.config)
 
     def close(self) -> None:
         """No runtime resources to release (single-node, no worker pool)."""

@@ -36,7 +36,7 @@ from contextlib import contextmanager
 from typing import Iterator, Optional
 
 from repro.config import EngineConfig
-from repro.cluster.metrics import MetricsCollector, StageRecord
+from repro.cluster.metrics import MetricsCollector, MetricsMark, StageRecord
 from repro.cluster.runtime import ClusterRuntime, TraceRecorder
 from repro.cluster.simulation import stage_seconds, task_seconds
 from repro.cluster.slice_cache import SliceCache
@@ -150,7 +150,7 @@ class Stage:
         consolidation, aggregation, flops, peak = self._totals()
         # where the stage sits on the run's modeled clock; it only ever
         # positions trace events — no modeled number is derived from it
-        start = self._cluster.metrics.elapsed_seconds
+        start = self._cluster.metrics.clock
 
         if config.time_model == "scheduled":
             try:
@@ -216,11 +216,11 @@ class SimulatedCluster:
         if trace is None and self.config.time_model == "scheduled":
             trace = TraceRecorder()
         self.trace = trace
-        # modeled elapsed seconds at the start of the current query; the
+        # the collector position at the start of the current query; the
         # simulated timeout budget applies per query, not per cluster
         # lifetime, so a long-lived (serving) cluster never times out a
         # query for the time its predecessors spent
-        self._query_epoch = 0.0
+        self._query_mark = self.metrics.mark()
         # index into the trace's event list at the start of the current
         # query; Engine._execute slices from here so each result's trace
         # holds only its own query's events
@@ -294,18 +294,20 @@ class SimulatedCluster:
         """Open a new stage (use as a context manager)."""
         return Stage(self, name)
 
-    def begin_query(self) -> None:
+    def begin_query(self) -> MetricsMark:
         """Mark the start of a new query on this cluster.
 
         Called by :meth:`Engine.execute <repro.execution.Engine.execute>`.
         Accumulated metrics are left untouched (a shared cluster keeps
         whole-job totals); only the timeout epoch advances, so each query
         gets the full ``timeout_seconds`` budget regardless of how much
-        modeled time earlier queries on the same cluster consumed.
+        modeled time earlier queries on the same cluster consumed.  Returns
+        the collector mark the query's metrics delta is taken from.
         """
-        self._query_epoch = self.metrics.elapsed_seconds
+        self._query_mark = self.metrics.mark()
         if self.trace is not None:
             self._trace_epoch = len(self.trace)
+        return self._query_mark
 
     def query_trace(self) -> Optional[TraceRecorder]:
         """A recorder holding only the current query's events.
@@ -321,13 +323,13 @@ class SimulatedCluster:
 
     def reset_metrics(self) -> None:
         self.metrics.reset()
-        self._query_epoch = 0.0
+        self._query_mark = self.metrics.mark()
         self._trace_epoch = 0
         if self.trace is not None:
             self.trace.clear()
 
     def _check_timeout(self) -> None:
-        elapsed = self.metrics.elapsed_seconds - self._query_epoch
+        elapsed = self.metrics.elapsed_since(self._query_mark)
         if elapsed > self.config.timeout_seconds:
             raise SimulatedTimeoutError(elapsed, self.config.timeout_seconds)
 

@@ -55,6 +55,16 @@ class StageRecord:
         return self.attempts - self.num_tasks
 
 
+@dataclass(frozen=True)
+class MetricsMark:
+    """A position in a collector's history: what :meth:`MetricsCollector.mark`
+    hands out and :meth:`MetricsCollector.diff_since` slices from.  O(counters)
+    to take, however many stages the collector holds."""
+
+    num_stages: int
+    counters: Dict[str, int]
+
+
 @dataclass
 class MetricsCollector:
     """Accumulates stage records and running totals for one engine run.
@@ -72,10 +82,27 @@ class MetricsCollector:
     _lock: threading.Lock = field(
         default_factory=threading.Lock, repr=False, compare=False
     )
+    #: Running sum of recorded stage seconds (see :attr:`clock`).
+    _clock: float = field(default=0.0, init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self._clock = sum(s.seconds for s in self.stages)
 
     def record(self, stage: StageRecord) -> None:
         with self._lock:
             self.stages.append(stage)
+            self._clock += stage.seconds
+
+    @property
+    def clock(self) -> float:
+        """Where the collector stands on the modeled clock, in O(1).
+
+        A *position* (trace offsets, span epochs) for long-lived clusters
+        whose stage list only grows; every reported duration is still a sum
+        over stage records (:attr:`elapsed_seconds`, :meth:`elapsed_since`).
+        """
+        with self._lock:
+            return self._clock
 
     def bump(self, counter: str, amount: int = 1) -> None:
         """Increment an observability counter (thread-safe)."""
@@ -98,9 +125,9 @@ class MetricsCollector:
     # (``local_parallelism > 1``) may be appending stages / bumping counters
     # while the driver reads, and iterating a mutating dict raises.
 
-    def _stages_view(self) -> list[StageRecord]:
+    def _stages_view(self, start: int = 0) -> list[StageRecord]:
         with self._lock:
-            return list(self.stages)
+            return self.stages[start:]
 
     def _counters_view(self) -> Dict[str, int]:
         with self._lock:
@@ -215,6 +242,17 @@ class MetricsCollector:
         with self._lock:
             self.stages.clear()
             self.counters.clear()
+            self._clock = 0.0
+
+    def mark(self) -> MetricsMark:
+        """The current position, for a later :meth:`diff_since` /
+        :meth:`elapsed_since` — the per-query baseline on a shared cluster."""
+        with self._lock:
+            return MetricsMark(len(self.stages), dict(self.counters))
+
+    def elapsed_since(self, mark: MetricsMark) -> float:
+        """Modeled seconds of the stages recorded after *mark*."""
+        return sum(s.seconds for s in self._stages_view(mark.num_stages))
 
     def copy(self) -> "MetricsCollector":
         """An independent copy of the current state (stages + counters)."""
@@ -232,10 +270,15 @@ class MetricsCollector:
         snap["counters"] = self._counters_view()
         return snap
 
-    def diff_since(self, baseline: "MetricsCollector") -> "MetricsCollector":
-        """Metrics accumulated after the :meth:`copy` *baseline* was taken."""
+    def diff_since(
+        self, baseline: "MetricsMark | MetricsCollector"
+    ) -> "MetricsCollector":
+        """Metrics accumulated after *baseline* (a :meth:`mark`, or a
+        :meth:`copy`) was taken."""
+        # read before taking our lock: a collector baseline takes its own
+        start = baseline.num_stages
         with self._lock:
-            stages = self.stages[len(baseline.stages):]
+            stages = self.stages[start:]
             counters = dict(self.counters)
         deltas = {
             name: value - baseline.counters.get(name, 0)

@@ -273,37 +273,12 @@ class ServiceConfig:
     log_every: int = 0
     #: Dispatcher poll interval (seconds) while waiting for work/timeouts.
     dispatch_poll_seconds: float = 0.02
-    #: Engine replicas behind the service.  Each replica owns its own
-    #: cluster, plan/slice caches and dispatcher thread; tenants shard
-    #: across replicas by consistent hash.  Per-replica admission budgets
-    #: *split* the service memory budget (they sum to it, never multiply).
-    num_replicas: int = 1
-    #: Virtual nodes per replica on the consistent-hash ring; more vnodes
-    #: spread tenants more evenly at slightly larger rings.
-    ring_vnodes: int = 64
-    #: In-flight query cap of the asyncio front end
-    #: (:class:`repro.serving.async_service.AsyncMatrixService`); submits
-    #: beyond it are shed *before* touching the admission queues.  ``None``
-    #: defaults to ``2 * max_queue_depth``.
-    async_max_inflight: Optional[int] = None
-    #: Cross-query common-subexpression elimination: concurrent queries
-    #: with the same planning signature, DAG fingerprint, and bound-input
-    #: versions share one execution through a service-wide in-flight index
-    #: (:class:`repro.serving.cse.SubplanIndex`).  Waiters adopt the
-    #: owner's (deterministic, hence bit-identical) result.  Off by
-    #: default: with the default, every query executes independently, so
-    #: per-query metric deltas still sum to the shared cluster's totals
-    #: (the seed serving invariant).
-    cross_query_cse: bool = False
     #: Per-tenant resource accounting
     #: (:class:`repro.obs.accounting.ResourceAccountant`): served queries
     #: deposit modeled usage and wall time into per-tenant ledgers surfaced
     #: via ``service.accounting()`` and ``repro_tenant_*`` metric families.
     #: Strictly observational.
     accounting: bool = True
-    #: Fraction of an execution's modeled cost a cross-query-CSE adopter
-    #: is charged (and the owning tenant credited) in the ledgers.
-    cse_adopter_cost_share: float = 0.5
     #: Latency SLOs: a sequence of :class:`repro.obs.slo.SLOSpec`, one per
     #: tenant to track.  Non-empty enables burn-rate tracking surfaced in
     #: ``status()["slo"]``, ``repro_slo_*`` families and ``slo.burn_alert``
@@ -331,16 +306,6 @@ class ServiceConfig:
             raise ValueError("log_every cannot be negative")
         if self.dispatch_poll_seconds <= 0:
             raise ValueError("dispatch_poll_seconds must be positive")
-        if self.num_replicas <= 0:
-            raise ValueError("num_replicas must be positive")
-        if self.ring_vnodes <= 0:
-            raise ValueError("ring_vnodes must be positive")
-        if self.async_max_inflight is not None and self.async_max_inflight <= 0:
-            raise ValueError("async_max_inflight must be positive or None")
-        if not 0.0 <= self.cse_adopter_cost_share <= 1.0:
-            raise ValueError(
-                "cse_adopter_cost_share must be within [0, 1]"
-            )
         seen = set()
         for spec in self.slos:
             tenant = getattr(spec, "tenant", None)

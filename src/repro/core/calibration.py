@@ -289,16 +289,6 @@ class CalibrationStore:
         self._fits: Dict[KernelKey, Optional[KernelCalibration]] = {}
         self._generation = 0
         self._pending = 0
-        #: Names of the engines/replicas sharing this store (observability
-        #: only — the replica pool registers each replica so a status page
-        #: can show that N replicas plan off one set of fits).
-        self._clients: set = set()
-
-    def register_client(self, name: str) -> None:
-        """Note that *name* (an engine replica, a replay run, ...) reads
-        and feeds this store.  Purely observational; shows in stats()."""
-        with self._lock:
-            self._clients.add(str(name))
 
     # -- recording ---------------------------------------------------------
 
@@ -467,7 +457,6 @@ class CalibrationStore:
                     len(w) for w in self._observations.values()
                 ),
                 "mean_abs_seconds_error": self.mean_abs_error(),
-                "clients": sorted(self._clients),
                 "kernels": kernels,
             }
 

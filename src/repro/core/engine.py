@@ -69,13 +69,6 @@ class FuseMEEngine(Engine):
     def planning_signature(self) -> tuple:
         return super().planning_signature() + (self.optimizer_method,)
 
-    def clone(self, config: Optional[EngineConfig] = None) -> "FuseMEEngine":
-        """A fresh FuseME engine planning with the same optimizer method."""
-        return type(self)(
-            config if config is not None else self.config,
-            optimizer_method=self.optimizer_method,
-        )
-
     def planning_attrs(self):
         """CFG/exploitation counters for the planning span.
 

@@ -164,16 +164,6 @@ class Engine(ABC):
         ``with engine:``, ``MatrixService.close()`` — already rely on.
         """
 
-    def clone(self, config: Optional[EngineConfig] = None) -> "Engine":
-        """A fresh engine of this class: own plan/slice caches, own
-        calibration store.  *config* overrides the source engine's;
-        planning behaviour is otherwise identical, so clones produce
-        bit-identical outputs and modeled metrics.  Subclasses with extra
-        constructor state (e.g. FuseME's optimizer method) override to
-        carry it across.
-        """
-        return type(self)(config if config is not None else self.config)
-
     def __enter__(self) -> "Engine":
         return self
 
@@ -439,8 +429,7 @@ class Engine(ABC):
         inputs: Mapping[str, BlockedMatrix],
         cluster: SimulatedCluster,
     ) -> ExecutionResult:
-        baseline = cluster.metrics.copy()
-        cluster.begin_query()
+        baseline = cluster.begin_query()
         # attach the engine's long-lived slice cache; counters are bumped per
         # execute as deltas so each run's metrics stand alone
         self.slice_cache.enabled = self.config.slice_reuse
@@ -451,7 +440,7 @@ class Engine(ABC):
         # telemetry is observability only: every modeled number and matrix
         # output below is bit-identical whether the tracer exists or not
         tracer = SpanTracer() if self.config.telemetry else None
-        modeled_epoch = cluster.metrics.elapsed_seconds
+        modeled_epoch = cluster.metrics.clock
         plan_span: Optional[Span] = None
         exec_span: Optional[Span] = None
         unit_walls: Dict[int, Tuple[float, float]] = {}
@@ -514,7 +503,7 @@ class Engine(ABC):
                             cluster.trace.instant(
                                 "slice_cache",
                                 "cache",
-                                ts=cluster.metrics.elapsed_seconds,
+                                ts=cluster.metrics.clock,
                                 hits=hit_delta,
                                 misses=miss_delta,
                             )
@@ -648,7 +637,7 @@ class Engine(ABC):
                     cluster.trace.instant(
                         "plan_cache:invalidate",
                         "cache",
-                        ts=cluster.metrics.elapsed_seconds,
+                        ts=cluster.metrics.clock,
                         engine=self.name,
                         mean_error=round(mean_error, 6),
                         generation=generation,

@@ -15,7 +15,7 @@ The observability subsystem every layer above it reports into:
 * :mod:`repro.obs.prometheus` — Prometheus text-exposition rendering plus
   a line-format validator;
 * :mod:`repro.obs.accounting` — per-tenant resource ledgers and the
-  chargeback report (CSE-aware cost redistribution);
+  chargeback report;
 * :mod:`repro.obs.slo` — latency SLOs with multi-window error-budget
   burn-rate alerts;
 * :mod:`repro.obs.httpd` — a stdlib HTTP endpoint serving ``/metrics``

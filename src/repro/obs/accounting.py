@@ -1,25 +1,19 @@
 """Per-tenant resource accounting: who consumed what, as a chargeback ledger.
 
 The serving layer records every query outcome here (see
-:mod:`repro.serving.pool`): served queries deposit their *usage* — modeled
+:mod:`repro.serving.service`): served queries deposit their *usage* — modeled
 compute/network seconds, modeled elapsed seconds, shuffled bytes, flops —
 plus real wall seconds; shed, timed-out and failed queries bump their
 outcome counters.  The accountant is strictly observational: nothing in it
 is ever read back by planning or execution.
 
-Two views per tenant:
-
-* **usage** — raw resources of the executions charged to this tenant, a
-  monotonic counter per resource dimension;
-* **charged** — usage after cross-query-CSE redistribution.  When a tenant
-  adopts another tenant's in-flight result (:mod:`repro.serving.cse`), the
-  adopter is charged a configurable share of the owner's cost and the owner
-  is credited the same amount, so **per-dimension charged totals always sum
-  to the usage totals** — which themselves sum to the cluster-level
-  :class:`~repro.cluster.metrics.MetricsCollector` totals (the conservation
-  invariant the regression tests pin).  Transfers are clamped so an owner's
-  charged balance never goes negative, no matter how many adopters share
-  one execution.
+Each ledger keeps the raw resources of the executions run for its tenant
+as a monotonic counter per resource dimension, under two names — **usage**
+and **charged** — that every snapshot, report and exported family reads.
+Nothing moves cost between tenants, so the two are equal per tenant and
+their totals sum to the cluster-level
+:class:`~repro.cluster.metrics.MetricsCollector` totals (the conservation
+invariant the regression tests pin).
 
 Layering: this module consumes plain dicts and floats only.  It must never
 import ``core``, ``cluster`` or ``serving`` (enforced by
@@ -47,7 +41,6 @@ OUTCOME_FIELDS = (
     "submitted",
     "served",
     "cache_hits",
-    "cse_adoptions",
     "shed",
     "timed_out",
     "failed",
@@ -66,7 +59,6 @@ class TenantLedger:
     submitted: int = 0
     served: int = 0
     cache_hits: int = 0
-    cse_adoptions: int = 0
     shed: int = 0
     timed_out: int = 0
     failed: int = 0
@@ -74,12 +66,9 @@ class TenantLedger:
     wall_seconds: float = 0.0
     #: Raw resources of executions charged here (monotonic per dimension).
     usage: Dict[str, float] = field(default_factory=_zero_resources)
-    #: Usage after CSE redistribution (owner credits, adopter charges).
+    #: What the tenant is billed: equal to usage (no cost moves between
+    #: tenants).
     charged: Dict[str, float] = field(default_factory=_zero_resources)
-    #: Modeled seconds moved *off* this ledger by adopters of its results.
-    cse_credited_seconds: float = 0.0
-    #: Modeled seconds moved *onto* this ledger by adopting others' results.
-    cse_charged_seconds: float = 0.0
 
     def snapshot(self) -> Dict[str, object]:
         snap: Dict[str, object] = {
@@ -88,26 +77,13 @@ class TenantLedger:
         snap["wall_seconds"] = self.wall_seconds
         snap["usage"] = dict(self.usage)
         snap["charged"] = dict(self.charged)
-        snap["cse_credited_seconds"] = self.cse_credited_seconds
-        snap["cse_charged_seconds"] = self.cse_charged_seconds
         return snap
 
 
 class ResourceAccountant:
-    """Thread-safe per-tenant ledger book (the chargeback source of truth).
+    """Thread-safe per-tenant ledger book (the chargeback source of truth)."""
 
-    *cse_adopter_share* is the fraction of an execution's cost a CSE
-    adopter is charged (and the owner credited); transfers clamp at the
-    owner's remaining charged balance so charged totals stay conserved.
-    """
-
-    def __init__(self, cse_adopter_share: float = 0.5):
-        if not 0.0 <= cse_adopter_share <= 1.0:
-            raise ValueError(
-                f"cse_adopter_share must be within [0, 1], "
-                f"got {cse_adopter_share}"
-            )
-        self.cse_adopter_share = cse_adopter_share
+    def __init__(self):
         self._lock = threading.Lock()
         self._ledgers: Dict[str, TenantLedger] = {}
 
@@ -160,42 +136,6 @@ class ResourceAccountant:
                     ledger.usage[name] += amount
                     ledger.charged[name] += amount
 
-    def charge_adoption(
-        self,
-        adopter: str,
-        owner: Optional[str],
-        usage: Optional[Mapping[str, float]] = None,
-        wall_seconds: float = 0.0,
-    ) -> Dict[str, float]:
-        """Charge *adopter* for adopting *owner*'s in-flight result.
-
-        Transfers ``cse_adopter_share`` of *usage* (the owner execution's
-        resources) from the owner's charged balance to the adopter's,
-        clamped per dimension at what the owner still holds.  Returns the
-        per-dimension amounts actually transferred.
-        """
-        share = self.cse_adopter_share
-        with self._lock:
-            ledger = self._ledger(adopter)
-            ledger.served += 1
-            ledger.cse_adoptions += 1
-            ledger.wall_seconds += max(0.0, wall_seconds)
-            transferred = _zero_resources()
-            if owner is None or owner == adopter or share == 0.0 or not usage:
-                return transferred
-            owner_ledger = self._ledger(owner)
-            for name in RESOURCE_FIELDS:
-                amount = share * float(usage.get(name, 0.0))
-                amount = min(amount, owner_ledger.charged[name])
-                if amount <= 0.0:
-                    continue
-                owner_ledger.charged[name] -= amount
-                ledger.charged[name] += amount
-                transferred[name] = amount
-            owner_ledger.cse_credited_seconds += transferred["modeled_seconds"]
-            ledger.cse_charged_seconds += transferred["modeled_seconds"]
-            return transferred
-
     # -- reading -----------------------------------------------------------
 
     def tenants(self) -> list:
@@ -205,8 +145,7 @@ class ResourceAccountant:
     def totals(self) -> Dict[str, object]:
         """Outcome counters, usage and charged amounts summed over tenants.
 
-        ``totals()["usage"] == totals()["charged"]`` per dimension — the
-        conservation invariant CSE transfers preserve.
+        ``totals()["usage"] == totals()["charged"]`` per dimension.
         """
         with self._lock:
             ledgers = list(self._ledgers.values())
@@ -233,7 +172,6 @@ class ResourceAccountant:
                 for name, ledger in sorted(self._ledgers.items())
             }
         return {
-            "cse_adopter_share": self.cse_adopter_share,
             "tenants": tenants,
             "totals": self.totals(),
         }
@@ -242,7 +180,7 @@ class ResourceAccountant:
         """The chargeback report: one row per tenant, a totals row last."""
         snap = self.snapshot()
         header = [
-            "tenant", "served", "cache", "cse", "shed", "t/o", "fail",
+            "tenant", "served", "cache", "shed", "t/o", "fail",
             "charged_s", "compute_s", "network_s", "shuffled_MB", "wall_s",
         ]
         rows = [header]
@@ -253,7 +191,6 @@ class ResourceAccountant:
                 name,
                 str(data["served"]),
                 str(data["cache_hits"]),
-                str(data["cse_adoptions"]),
                 str(data["shed"]),
                 str(data["timed_out"]),
                 str(data["failed"]),
@@ -268,8 +205,7 @@ class ResourceAccountant:
             rows.append(row(tenant, data))
         rows.append(row("TOTAL", snap["totals"]))
         widths = [max(len(r[col]) for r in rows) for col in range(len(header))]
-        lines = ["chargeback report (share per CSE adoption: "
-                 f"{self.cse_adopter_share:g})"]
+        lines = ["chargeback report"]
         for r in rows:
             lines.append("  ".join(
                 cell.ljust(width) for cell, width in zip(r, widths)
@@ -278,7 +214,4 @@ class ResourceAccountant:
 
     def __repr__(self) -> str:
         with self._lock:
-            return (
-                f"ResourceAccountant(tenants={len(self._ledgers)}, "
-                f"cse_adopter_share={self.cse_adopter_share})"
-            )
+            return f"ResourceAccountant(tenants={len(self._ledgers)})"

@@ -284,83 +284,7 @@ def serving_families(
             f"{prefix}_sessions", "gauge", "Open sessions",
         ).add(status.get("sessions", 0)),
     ])
-    cse = status.get("cse")
-    if cse:
-        families.extend([
-            MetricFamily(
-                f"{prefix}_cse_hits_total", "counter",
-                "Queries that adopted a concurrent query's in-flight result",
-            ).add(cse.get("hits", 0)),
-            MetricFamily(
-                f"{prefix}_cse_inflight", "gauge",
-                "Result keys currently executing under a CSE lease",
-            ).add(cse.get("inflight", 0)),
-        ])
     return families
-
-
-def replica_families(
-    replicas: List[Mapping[str, Any]], prefix: str = "repro_replica"
-) -> List[MetricFamily]:
-    """Families for ``MatrixService.status()["replicas"]``: one sample per
-    engine replica, labeled ``replica=<name>`` — queue depth, busy/idle,
-    outcome counters, memory budget and calibration generation."""
-    queue_depth = MetricFamily(
-        f"{prefix}_queue_depth", "gauge",
-        "Queries waiting for admission, per replica",
-    )
-    running = MetricFamily(
-        f"{prefix}_running", "gauge",
-        "Queries currently executing, per replica",
-    )
-    busy = MetricFamily(
-        f"{prefix}_busy", "gauge",
-        "1 when the replica is executing at least one query",
-    )
-    budget = MetricFamily(
-        f"{prefix}_memory_budget_bytes", "gauge",
-        "Admission memory budget share, per replica",
-    )
-    generation = MetricFamily(
-        f"{prefix}_calibration_generation", "gauge",
-        "Shared calibration-store generation seen by the replica",
-    )
-    served = MetricFamily(
-        f"{prefix}_served_total", "counter",
-        "Queries completed by the replica",
-    )
-    cache_hits = MetricFamily(
-        f"{prefix}_result_cache_hits_total", "counter",
-        "Result-cache hits answered on the replica's dispatch path",
-    )
-    cse_hits = MetricFamily(
-        f"{prefix}_cse_hits_total", "counter",
-        "In-flight results adopted via cross-query CSE on the replica",
-    )
-    failed = MetricFamily(
-        f"{prefix}_failed_total", "counter",
-        "Queries failed on the replica",
-    )
-    timed_out = MetricFamily(
-        f"{prefix}_timed_out_total", "counter",
-        "Queries expired from the replica's admission queue",
-    )
-    for replica in replicas:
-        name = str(replica.get("name", ""))
-        queue_depth.add(replica.get("queue_depth", 0), replica=name)
-        running.add(replica.get("running", 0), replica=name)
-        busy.add(1 if replica.get("busy") else 0, replica=name)
-        budget.add(replica.get("memory_budget_bytes", 0), replica=name)
-        generation.add(replica.get("calibration_generation", 0), replica=name)
-        served.add(replica.get("served", 0), replica=name)
-        cache_hits.add(replica.get("result_cache_hits", 0), replica=name)
-        cse_hits.add(replica.get("cse_hits", 0), replica=name)
-        failed.add(replica.get("failed", 0), replica=name)
-        timed_out.add(replica.get("timed_out", 0), replica=name)
-    return [
-        queue_depth, running, busy, budget, generation,
-        served, cache_hits, cse_hits, failed, timed_out,
-    ]
 
 
 def calibration_families(
@@ -412,14 +336,14 @@ def tenant_families(
     accounting: Mapping[str, Any], prefix: str = "repro_tenant"
 ) -> List[MetricFamily]:
     """Families for a ``ResourceAccountant.snapshot()`` dict: per-tenant
-    query outcomes, charged/raw resource usage, and CSE cost transfers."""
+    query outcomes and resource usage."""
     outcomes = MetricFamily(
         f"{prefix}_queries_total", "counter",
         "Accounted queries by tenant and outcome",
     )
     charged = MetricFamily(
         f"{prefix}_charged_seconds_total", "counter",
-        "Modeled seconds charged after CSE redistribution, by resource",
+        "Modeled seconds charged to the tenant, by resource",
     )
     usage = MetricFamily(
         f"{prefix}_usage_seconds_total", "counter",
@@ -427,26 +351,22 @@ def tenant_families(
     )
     shuffled = MetricFamily(
         f"{prefix}_charged_shuffled_bytes_total", "counter",
-        "Shuffled bytes charged after CSE redistribution",
+        "Shuffled bytes charged to the tenant",
     )
     flops = MetricFamily(
         f"{prefix}_charged_flops_total", "counter",
-        "Floating point operations charged after CSE redistribution",
+        "Floating point operations charged to the tenant",
     )
     wall = MetricFamily(
         f"{prefix}_wall_seconds_total", "counter",
         "Real submit-to-completion wall seconds of served queries",
     )
-    transfers = MetricFamily(
-        f"{prefix}_cse_transfer_seconds_total", "counter",
-        "Modeled seconds moved between ledgers by CSE adoption",
-    )
     seconds_dims = ("modeled_seconds", "compute_seconds", "network_seconds")
     tenants = accounting.get("tenants") or {}
     for tenant in sorted(tenants):
         ledger = tenants[tenant]
-        for outcome in ("submitted", "served", "cache_hits", "cse_adoptions",
-                        "shed", "timed_out", "failed"):
+        for outcome in ("submitted", "served", "cache_hits", "shed",
+                        "timed_out", "failed"):
             outcomes.add(ledger.get(outcome, 0), tenant=tenant,
                          outcome=outcome)
         ledger_charged = ledger.get("charged") or {}
@@ -460,11 +380,7 @@ def tenant_families(
         shuffled.add(ledger_charged.get("shuffled_bytes", 0.0), tenant=tenant)
         flops.add(ledger_charged.get("flops", 0.0), tenant=tenant)
         wall.add(ledger.get("wall_seconds", 0.0), tenant=tenant)
-        transfers.add(ledger.get("cse_credited_seconds", 0.0),
-                      tenant=tenant, direction="credited")
-        transfers.add(ledger.get("cse_charged_seconds", 0.0),
-                      tenant=tenant, direction="charged")
-    return [outcomes, charged, usage, shuffled, flops, wall, transfers]
+    return [outcomes, charged, usage, shuffled, flops, wall]
 
 
 def slo_families(

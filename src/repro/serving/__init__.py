@@ -1,47 +1,33 @@
-"""Multi-tenant serving layer: sessions, admission control, result caching,
-and horizontal scale-out across engine replicas.
+"""Multi-tenant serving layer: sessions, admission control, result caching.
 
 The engines in this repository execute one query at a time with exclusive
-ownership of the simulated cluster.  :class:`MatrixService` turns them into
-a long-lived query service: tenants open :class:`Session`\\ s that bind
-named input matrices, an admission controller gates query start on the
-cluster memory budget with per-tenant fair scheduling (deficit
+ownership of the simulated cluster.  :class:`MatrixService` turns one of
+them into a long-lived query service: tenants open :class:`Session`\\ s
+that bind named input matrices, an admission controller gates query start
+on the cluster memory budget with per-tenant fair scheduling (deficit
 round-robin), bounded queues, timeouts and load shedding, and a result
 cache serves identical repeated queries without re-execution — all while
 keeping modeled per-query metrics and outputs bit-identical to standalone
 ``engine.execute()`` runs.
 
-Scale-out (``ServiceConfig.num_replicas``): a :class:`ReplicaPool` shards
-tenants across N independent engine replicas by consistent hash
-(:class:`ConsistentHashRing`), sharing the result cache and calibration
-store pool-wide, and :class:`AsyncMatrixService` fronts the pool for
-asyncio callers with semaphore backpressure that sheds overload before
-the admission queues.
-
-See DESIGN.md §9 for the single-replica architecture and determinism
-argument, §14 for the replica pool and async front end.
+One engine, one cluster, one admission queue, one dispatcher thread: see
+DESIGN.md §9 for the architecture and determinism argument, §14 for the
+replica pool, async front end and cross-query CSE that were measured and
+removed.
 """
 
 from repro.serving.admission import AdmissionController, estimate_query_bytes
-from repro.serving.async_service import AsyncMatrixService, AsyncSession
 from repro.serving.metrics import LatencyHistogram, ServiceMetrics, TenantStats
-from repro.serving.pool import EngineReplica, ReplicaPool, split_budget
 from repro.serving.result_cache import ResultCache, result_key
-from repro.serving.routing import ConsistentHashRing, stable_hash
 from repro.serving.service import MatrixService
 from repro.serving.session import Session
 from repro.serving.ticket import QueryTicket, ServedResult
 
 __all__ = [
     "AdmissionController",
-    "AsyncMatrixService",
-    "AsyncSession",
-    "ConsistentHashRing",
-    "EngineReplica",
     "LatencyHistogram",
     "MatrixService",
     "QueryTicket",
-    "ReplicaPool",
     "ResultCache",
     "ServedResult",
     "ServiceMetrics",
@@ -49,6 +35,4 @@ __all__ = [
     "TenantStats",
     "estimate_query_bytes",
     "result_key",
-    "split_budget",
-    "stable_hash",
 ]

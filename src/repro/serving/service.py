@@ -1,41 +1,30 @@
 """The multi-tenant query service front end.
 
-A :class:`MatrixService` turns an engine into a long-lived service that
-many tenants share, scaled horizontally across N engine replicas::
+A :class:`MatrixService` turns one engine into a long-lived service that
+many tenants share::
 
-    submit ──► result-cache probe (shared) ──► consistent-hash route
-                                                     │ by tenant
-                     ┌───────────────┬───────────────┤
-                     ▼               ▼               ▼
-               replica-0       replica-1   ...  replica-N-1
-               (own cluster,   (own cluster,    (own cluster,
-                admission       admission        admission
-                queue +         queue +          queue +
-                dispatcher)     dispatcher)      dispatcher)
-                     └───────────────┴───────────────┘
-                       shared result cache + shared
-                       calibration store + metrics
+    submit ──► result-cache probe ──► admission queue (bounded, per-tenant,
+                                      deficit round-robin)
+                                            │ waves of <= max_concurrency
+                                            ▼
+                                      dispatcher thread ──► engine.execute
+                                            │               on the service's
+                                            ▼               one cluster
+                                  result cache + metrics + accounting + SLOs
 
-Each replica dispatches deficit-round-robin waves through its own engine
-(see :mod:`repro.serving.pool`); with ``ServiceConfig.num_replicas=1``
-the service behaves exactly like the original single-engine front end.
-
-**Determinism.**  A replica executes exactly like a standalone engine —
+**Determinism.**  The service executes exactly like the standalone engine —
 per-query metric deltas, execute-lock serialization, stateless per-slot
 runtime — so a fixed workload replayed through the service produces
 bit-identical outputs and identical modeled per-query seconds/bytes to
-running every query standalone through ``engine.execute()``, whether the
-pool holds 1 replica or N.  Only wall-clock timing and observability
-counters depend on scheduling and replica count.
+running every query standalone through ``engine.execute()``.  Only
+wall-clock timing and observability counters depend on scheduling.
 
 **Robustness.**  Admission control (see :mod:`repro.serving.admission`)
-guarantees a query never starts unless its estimated footprint fits its
-replica's share of the service memory budget alongside the rest of its
-wave — and the shares *sum* to the one configured budget, so N replicas
-never collectively over-admit.  Over-budget queries wait in a bounded
-queue or are shed with :class:`~repro.errors.ServiceOverloadedError`;
-queued queries expire with :class:`~repro.errors.QueryTimeoutError`
-after the configured wait.
+guarantees a query never starts unless its estimated footprint fits the
+service memory budget alongside the rest of its wave.  Over-budget queries
+wait in a bounded queue or are shed with
+:class:`~repro.errors.ServiceOverloadedError`; queued queries expire with
+:class:`~repro.errors.QueryTimeoutError` after the configured wait.
 """
 
 from __future__ import annotations
@@ -45,17 +34,19 @@ import json
 import logging
 import threading
 import time
-from typing import Dict, List, Mapping, Optional
+from typing import Dict, Mapping, Optional
 
 from repro.cluster.executor import SimulatedCluster
+from repro.cluster.parallel import parallel_map
 from repro.config import ServiceConfig
 from repro.core import FuseMEEngine
 from repro.errors import (
+    QueryTimeoutError,
     ServingError,
     ServiceOverloadedError,
     SessionClosedError,
 )
-from repro.execution import Engine, Query, as_dag
+from repro.execution import Engine, ExecutionResult, Query, as_dag
 from repro.matrix.distributed import BlockedMatrix
 from repro.obs import QueryProfile
 from repro.obs.accounting import ResourceAccountant
@@ -65,15 +56,13 @@ from repro.obs.prometheus import (
     calibration_families,
     engine_families,
     render_exposition,
-    replica_families,
     serving_families,
     slo_families,
     tenant_families,
 )
 from repro.obs.slo import SLOTracker
-from repro.serving.admission import estimate_query_bytes
+from repro.serving.admission import AdmissionController, estimate_query_bytes
 from repro.serving.metrics import ServiceMetrics
-from repro.serving.pool import EngineReplica, ReplicaPool
 from repro.serving.result_cache import ResultCache, result_key
 from repro.serving.session import Session
 from repro.serving.ticket import QueryTicket, ServedResult
@@ -83,31 +72,30 @@ __all__ = ["MatrixService", "QueryTicket", "ServedResult"]
 logger = logging.getLogger("repro.serving")
 
 
-def _merge_cache_stats(stats: List[Dict[str, object]]) -> Dict[str, object]:
-    """Pool-wide view of per-replica cache stats: numeric fields sum,
-    ``hit_rate`` is recomputed from the summed hits/misses, and flags
-    (``enabled``) come from replica 0.  With one replica this returns its
-    stats unchanged, so status consumers never see a shape change."""
-    if len(stats) == 1:
-        return dict(stats[0])
-    merged: Dict[str, object] = dict(stats[0])
-    for key in merged:
-        if key == "hit_rate":
-            continue
-        if isinstance(merged[key], (int, float)) and not isinstance(
-            merged[key], bool
-        ):
-            merged[key] = sum(s.get(key, 0) for s in stats)
-    if "hit_rate" in merged:
-        hits = sum(int(s.get("hits", 0)) for s in stats)
-        misses = sum(int(s.get("misses", 0)) for s in stats)
-        lookups = hits + misses
-        merged["hit_rate"] = (hits / lookups) if lookups else 0.0
-    return merged
+def _result_usage(result, cluster_config) -> Dict[str, float]:
+    """An execution's resource usage in ledger dimensions.
+
+    Modeled seconds / shuffled bytes / flops are the per-query metric
+    delta verbatim (so ledgers sum to cluster totals); the compute and
+    network second splits derive from the configured bandwidths — the same
+    denominators the CFO cost model charges against.
+    """
+    metrics = result.metrics
+    comm = float(metrics.comm_bytes)
+    flops = float(metrics.flops)
+    return {
+        "modeled_seconds": float(metrics.elapsed_seconds),
+        "compute_seconds": flops / (
+            cluster_config.compute_bandwidth * cluster_config.num_nodes
+        ),
+        "network_seconds": comm / cluster_config.network_bandwidth,
+        "shuffled_bytes": comm,
+        "flops": flops,
+    }
 
 
 class MatrixService:
-    """Long-lived, multi-tenant matrix query service over a replica pool.
+    """Long-lived, multi-tenant matrix query service over one engine.
 
     Usage::
 
@@ -118,12 +106,10 @@ class MatrixService:
             ...
             print(service.status())
 
-    The engine handed in becomes replica 0 (with
-    ``ServiceConfig.num_replicas=1`` — the default — the service is
-    exactly the single-engine front end it always was); further replicas
-    are ``engine.clone()``s.  The result cache, calibration store and
-    service metrics are shared across all replicas; plan and slice caches
-    stay per-replica (tenant affinity keeps them warm).
+    The service owns one :class:`SimulatedCluster` (whole-job totals keep
+    accumulating on it) and shares the engine's plan cache, slice cache and
+    calibration store across every tenant; the result cache is the
+    service's own.
     """
 
     def __init__(
@@ -134,6 +120,7 @@ class MatrixService:
     ):
         self.engine = engine if engine is not None else FuseMEEngine()
         self.config = config or ServiceConfig()
+        self.cluster = cluster or SimulatedCluster(self.engine.config)
         budget = self.config.memory_budget_bytes
         if budget is None:
             budget = self.engine.config.cluster.total_memory_budget
@@ -141,49 +128,39 @@ class MatrixService:
         self.result_cache = ResultCache(
             self.config.result_cache_entries, self.config.result_cache_bytes
         )
+        self._admission = AdmissionController(self.config, budget)
         self._lock = threading.Lock()
+        self._cond = threading.Condition(self._lock)
         self._sessions: Dict[str, Session] = {}
         self._session_seq = itertools.count(1)
         self._query_seq = itertools.count(1)
+        self._running = 0
         self._closed = False
+        #: Serializes close() against concurrent closers (not dispatch).
         self._close_lock = threading.Lock()
         self._last_logged = 0
         # the observability plane: per-tenant chargeback ledgers and SLO
         # burn-rate tracking — both strictly observational (nothing here is
-        # ever read back by admission, routing, planning or execution)
+        # ever read back by admission, planning or execution)
         self.accountant: Optional[ResourceAccountant] = (
-            ResourceAccountant(self.config.cse_adopter_cost_share)
-            if self.config.accounting else None
+            ResourceAccountant() if self.config.accounting else None
         )
         self.slo: Optional[SLOTracker] = (
             SLOTracker(self.config.slos, bus=self.engine.telemetry)
             if self.config.slos else None
         )
         self._httpd: Optional[MetricsHTTPServer] = None
-        self.pool = ReplicaPool(
-            self.engine,
-            self.config,
-            result_cache=self.result_cache,
-            metrics=self.metrics,
-            memory_budget=budget,
-            cluster=cluster,
-            on_complete=self._maybe_log,
-            accountant=self.accountant,
-            slo=self.slo,
+        self._dispatcher = threading.Thread(
+            target=self._dispatch_loop,
+            name="repro-serving-dispatch",
+            daemon=True,
         )
-
-    @property
-    def cluster(self) -> SimulatedCluster:
-        """Replica 0's cluster (the service's cluster, pre-pool): whole-job
-        totals for work routed there keep accumulating on it."""
-        return self.pool.replicas[0].cluster
+        self._dispatcher.start()
 
     # -- sessions ---------------------------------------------------------
 
     def open_session(self, tenant: str) -> Session:
-        """A new session for *tenant* (fair-share groups by tenant name;
-        the replica router keys by tenant too, so a tenant's sessions all
-        land on one replica)."""
+        """A new session for *tenant* (fair-share groups by tenant name)."""
         with self._lock:
             if self._closed:
                 raise ServingError("service is closed")
@@ -208,10 +185,12 @@ class MatrixService:
         """Queue *query* for *session*; returns immediately with a ticket.
 
         Raises :class:`~repro.errors.ServiceOverloadedError` (load shed)
-        when the tenant's replica queue is full or the query could never
-        fit the replica's memory budget, and propagates binding errors
-        eagerly so a doomed query never occupies queue space.
+        when the admission queue is full or the query could never fit the
+        memory budget, and propagates binding errors eagerly so a doomed
+        query never occupies queue space.
         """
+        if self._closed:
+            raise ServingError("service is closed")
         if session.closed:
             raise SessionClosedError(f"session {session.session_id} is closed")
         dag = as_dag(query)
@@ -225,49 +204,24 @@ class MatrixService:
         if self.accountant is not None:
             self.accountant.record_submitted(tenant)
 
-        # the result cache is shared pool-wide and the planning signature
-        # is identical across replica clones, so any replica's earlier
-        # fill answers this probe
         cached = self.result_cache.get(
             result_key(self.engine.planning_signature(), dag, bound)
         )
         if cached is not None:
-            served = ServedResult(
-                query_id=query_id,
-                tenant=tenant,
-                result=cached,
-                from_cache=True,
-                queue_seconds=0.0,
-                service_seconds=time.monotonic() - ticket.enqueued_at,
-            )
-            self.metrics.record_served(
-                tenant, from_cache=True,
-                queue_seconds=0.0, total_seconds=served.service_seconds,
-            )
-            if self.accountant is not None:
-                self.accountant.charge_query(
-                    tenant, wall_seconds=served.service_seconds,
-                    from_cache=True,
-                )
-            if self.slo is not None:
-                self.slo.record(
-                    tenant, latency_seconds=served.service_seconds
-                )
-            ticket._resolve(served)
+            self._serve(ticket, cached, from_cache=True, queue_seconds=0.0)
             self._maybe_log()
             return ticket
 
-        if self._closed:
-            raise ServingError("service is closed")
-        replica = self.pool.replica_for(tenant)
         try:
-            replica.offer(ticket)
+            with self._cond:
+                # re-checked under the lock: once closed, the dispatcher
+                # may already have exited and nothing would drain the ticket
+                if self._closed:
+                    raise ServingError("service is closed")
+                self._admission.offer(ticket)
+                self._cond.notify_all()
         except ServiceOverloadedError:
-            self.metrics.record_shed(tenant)
-            if self.accountant is not None:
-                self.accountant.record_shed(tenant)
-            if self.slo is not None:
-                self.slo.record(tenant, ok=False)
+            self._record_unserved(tenant, "shed")
             raise
         return ticket
 
@@ -291,18 +245,16 @@ class MatrixService:
         """Render *query*'s physical plan without executing it.
 
         Resolves bindings exactly like :meth:`submit` (so the plan reflects
-        this session's inputs), plans and lowers on the tenant's replica
-        engine — warming the plan cache a later execute will hit — and
-        never opens a cluster stage, bypasses admission, and touches no
-        result cache.
+        this session's inputs), plans and lowers on the shared engine —
+        warming the plan cache a later execute will hit — and never opens
+        a cluster stage, bypasses admission, and touches no result cache.
         """
         if session.closed:
             raise SessionClosedError(f"session {session.session_id} is closed")
         dag = as_dag(query)
         bound = session.resolve_inputs(inputs)
         dag.validate_inputs(bound.keys())
-        replica = self.pool.replica_for(session.tenant)
-        return replica.engine.explain(dag, bound)
+        return self.engine.explain(dag, bound)
 
     def profile(
         self,
@@ -327,52 +279,132 @@ class MatrixService:
         assert profile is not None
         return profile
 
-    # -- replica management -----------------------------------------------
+    # -- dispatch ---------------------------------------------------------
 
-    def replica_for(self, tenant: str) -> EngineReplica:
-        """The replica currently serving *tenant*."""
-        return self.pool.replica_for(tenant)
+    def _dispatch_loop(self) -> None:
+        poll = self.config.dispatch_poll_seconds
+        while True:
+            with self._cond:
+                while not self._closed and self._admission.depth == 0:
+                    self._cond.wait(poll)
+                expired = self._admission.expire(time.monotonic())
+                wave = self._admission.next_wave()
+                if (
+                    self._closed
+                    and not wave
+                    and not expired
+                    and self._admission.depth == 0
+                ):
+                    return
+                self._running += len(wave)
+            for ticket in expired:
+                self._expire_ticket(ticket)
+            if wave:
+                # the wave drains on the same thread-pool path queries use
+                # for intra-query parallelism; the engine's execute lock
+                # serializes cluster-stage accounting inside
+                parallel_map(self._run_one, wave, self.config.max_concurrency)
 
-    def rebalance(self) -> Dict[str, str]:
-        """The current ``tenant -> replica name`` assignment over the
-        tenants with open sessions (the explicit rebalance hook: call
-        after :meth:`ReplicaPool.add_replica` / ``remove_replica`` to see
-        where tenants moved)."""
-        with self._lock:
-            tenants = sorted({s.tenant for s in self._sessions.values()})
-        return self.pool.rebalance(tenants)
+    def _run_one(self, ticket: QueryTicket) -> None:
+        queue_seconds = time.monotonic() - ticket.enqueued_at
+        try:
+            # recompute the key: a set_block between submit and execution
+            # bumped the version, and the fresh result must be stored under
+            # the content actually read
+            key = result_key(
+                self.engine.planning_signature(), ticket.dag, ticket.bound
+            )
+            result = self.result_cache.get(key)
+            from_cache = result is not None
+            if not from_cache:
+                result = self.engine.execute(
+                    ticket.dag, ticket.bound, cluster=self.cluster
+                )
+                self.result_cache.put(key, result, pins=ticket.bound)
+            self._serve(ticket, result, from_cache, queue_seconds)
+        except Exception as exc:  # noqa: BLE001 - failures belong to the ticket
+            self._record_unserved(ticket.tenant, "failed")
+            ticket._fail(exc)
+        finally:
+            with self._cond:
+                self._running -= 1
+                self._cond.notify_all()
+            self._maybe_log()
+
+    def _serve(
+        self,
+        ticket: QueryTicket,
+        result: ExecutionResult,
+        from_cache: bool,
+        queue_seconds: float,
+    ) -> None:
+        """Resolve *ticket* with *result* and book the served outcome."""
+        tenant = ticket.tenant
+        total = time.monotonic() - ticket.enqueued_at
+        self.metrics.record_served(
+            tenant, from_cache,
+            queue_seconds=queue_seconds, total_seconds=total,
+        )
+        if self.accountant is not None:
+            # a cache hit charges no usage: the execution that filled the
+            # cache was already charged to whoever ran it
+            usage = None if from_cache else _result_usage(
+                result, self.engine.config.cluster
+            )
+            self.accountant.charge_query(
+                tenant, usage=usage, wall_seconds=total, from_cache=from_cache,
+            )
+        if self.slo is not None:
+            self.slo.record(tenant, latency_seconds=total)
+        ticket._resolve(ServedResult(
+            query_id=ticket.query_id,
+            tenant=tenant,
+            result=result,
+            from_cache=from_cache,
+            queue_seconds=queue_seconds,
+            service_seconds=total,
+        ))
+
+    def _record_unserved(self, tenant: str, outcome: str) -> None:
+        """Book a query that got no result: *outcome* is ``"shed"``,
+        ``"timed_out"`` or ``"failed"``."""
+        getattr(self.metrics, f"record_{outcome}")(tenant)
+        if self.accountant is not None:
+            getattr(self.accountant, f"record_{outcome}")(tenant)
+        if self.slo is not None:
+            self.slo.record(tenant, ok=False)
+
+    def _expire_ticket(self, ticket: QueryTicket) -> None:
+        waited = time.monotonic() - ticket.enqueued_at
+        self._record_unserved(ticket.tenant, "timed_out")
+        ticket._fail(QueryTimeoutError(
+            ticket.query_id, waited, self.config.queue_timeout_seconds
+        ))
+        self._maybe_log()
 
     # -- observability ----------------------------------------------------
 
     def status(self) -> Dict[str, object]:
         """Everything observable about the service, as one plain dict."""
         with self._lock:
+            queue_depth = self._admission.depth
+            running = self._running
             sessions = len(self._sessions)
             closed = self._closed
-        replicas = self.pool.status()
+            memory_budget = self._admission.memory_budget
         snap = self.metrics.snapshot()
         snap.update(
             closed=closed,
-            queue_depth=sum(int(r["queue_depth"]) for r in replicas),
-            running=sum(int(r["running"]) for r in replicas),
+            queue_depth=queue_depth,
+            running=running,
             sessions=sessions,
-            num_replicas=len(replicas),
-            # pool-wide: the per-replica budgets sum back to the one
-            # configured service budget
-            memory_budget_bytes=sum(
-                int(r["memory_budget_bytes"]) for r in replicas
-            ),
+            memory_budget_bytes=memory_budget,
             result_cache=self.result_cache.stats(),
-            # cross-query CSE: in-flight dedup across tenants and replicas
-            cse=self.pool.subplans.stats(),
-            plan_cache=_merge_cache_stats([r["plan_cache"] for r in replicas]),
-            slice_cache=_merge_cache_stats(
-                [r["slice_cache"] for r in replicas]
-            ),
-            # one store across the pool, shared by every replica and tenant
+            plan_cache=self.engine.plan_cache.stats(),
+            slice_cache=self.engine.slice_cache.stats(),
+            # one store per engine, shared by every tenant of this service
             calibration=self.engine.calibration.stats(),
             cluster=self.cluster.metrics.snapshot(),
-            replicas=replicas,
         )
         if self.accountant is not None:
             snap["accounting"] = self.accountant.snapshot()
@@ -395,9 +427,8 @@ class MatrixService:
     def prometheus(self) -> str:
         """The whole service as one Prometheus text exposition page:
         engine stage totals and counters, all three cache layers,
-        per-tenant query outcomes + latency quantiles, per-replica gauges,
-        and — when enabled — the per-tenant accounting ledgers and SLO
-        burn rates."""
+        per-tenant query outcomes + latency quantiles, and — when enabled —
+        the per-tenant accounting ledgers and SLO burn rates."""
         status = self.status()
         families = engine_families(status["cluster"])
         families += cache_families({
@@ -407,7 +438,6 @@ class MatrixService:
         })
         families += calibration_families(status["calibration"])
         families += serving_families(status)
-        families += replica_families(status["replicas"])
         if "accounting" in status:
             families += tenant_families(status["accounting"])
         if "slo" in status:
@@ -451,8 +481,8 @@ class MatrixService:
             if completed < self._last_logged + every:
                 return
             self._last_logged = completed
-        queue_depth = self.pool.queue_depth
-        running = self.pool.running
+            queue_depth = self._admission.depth
+            running = self._running
         logger.info("%s", self.metrics.log_line(queue_depth, running))
 
     # -- lifecycle --------------------------------------------------------
@@ -462,22 +492,30 @@ class MatrixService:
         return self._closed
 
     def close(self, drain: bool = True, timeout: Optional[float] = None) -> None:
-        """Stop accepting queries and shut every replica down.
+        """Stop accepting queries and shut the dispatcher down.
 
         Idempotent and concurrency-safe: concurrent closers serialize on
-        the close lock, a second close finds every replica already closed
-        and returns quietly, and close during in-flight queries lets them
-        finish (``drain=True``, the default) or fails queued ones with
-        ServiceOverloadedError (``drain=False``).  Each replica's engine
-        is closed after its dispatcher stops.
+        the close lock and a second close returns quietly.  Close during
+        in-flight queries lets queued ones finish (``drain=True``, the
+        default) or fails them with ServiceOverloadedError
+        (``drain=False``).  The engine is closed after the dispatcher
+        stops.
         """
         with self._close_lock:
-            with self._lock:
+            with self._cond:
                 self._closed = True
                 httpd, self._httpd = self._httpd, None
+                leftovers = [] if drain else self._admission.drain()
+                self._cond.notify_all()
             if httpd is not None:
                 httpd.close()
-            self.pool.close(drain=drain, timeout=timeout)
+            for ticket in leftovers:
+                self._record_unserved(ticket.tenant, "shed")
+                ticket._fail(ServiceOverloadedError(
+                    f"query {ticket.query_id} dropped: service shutting down"
+                ))
+            self._dispatcher.join(timeout)
+            self.engine.close()
 
     def __enter__(self) -> "MatrixService":
         return self
@@ -486,9 +524,11 @@ class MatrixService:
         self.close()
 
     def __repr__(self) -> str:
+        with self._lock:
+            queue_depth = self._admission.depth
+            running = self._running
         return (
             f"MatrixService(engine={self.engine.name!r}, "
-            f"replicas={len(self.pool)}, "
-            f"queue_depth={self.pool.queue_depth}, "
-            f"running={self.pool.running}, closed={self._closed})"
+            f"queue_depth={queue_depth}, "
+            f"running={running}, closed={self._closed})"
         )

@@ -1,28 +1,19 @@
 """Query tickets and served results: the service's future-like handles.
 
-These used to live inside :mod:`repro.serving.service`; they moved here so
-both the single-front-end :class:`~repro.serving.service.MatrixService`
-and the replica machinery (:mod:`repro.serving.pool`) can share them
-without an import cycle.  A :class:`QueryTicket` is resolved exactly once
-— by a replica's dispatcher thread, or synchronously on a result-cache
-hit — and supports thread-safe completion callbacks, which is how the
-asyncio front end (:mod:`repro.serving.async_service`) bridges dispatcher
-threads back into an event loop without polling.
+A :class:`QueryTicket` is resolved exactly once — by the service's
+dispatcher, or synchronously on a result-cache hit at submit time.
 """
 
 from __future__ import annotations
 
-import logging
 import threading
 import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, Optional
 
 if TYPE_CHECKING:
     from repro.execution import ExecutionResult
     from repro.matrix.distributed import BlockedMatrix
-
-logger = logging.getLogger("repro.serving")
 
 
 @dataclass(frozen=True)
@@ -39,9 +30,6 @@ class ServedResult:
     queue_seconds: float
     #: Wall-clock seconds from submission to completion.
     service_seconds: float
-    #: Name of the engine replica that served the query (None on a
-    #: result-cache hit answered at submit time, before routing).
-    replica: Optional[str] = None
 
     def output(self, index: int = 0) -> "BlockedMatrix":
         return self.result.output(index)
@@ -76,13 +64,9 @@ class QueryTicket:
         self.cost = cost
         self.priority = priority
         self.enqueued_at = time.monotonic()
-        #: Name of the replica the router assigned (None until routed).
-        self.replica: Optional[str] = None
         self._event = threading.Event()
         self._value: Optional[ServedResult] = None
         self._error: Optional[BaseException] = None
-        self._cb_lock = threading.Lock()
-        self._callbacks: List[Callable[["QueryTicket"], None]] = []
 
     def done(self) -> bool:
         return self._event.is_set()
@@ -106,38 +90,13 @@ class QueryTicket:
             )
         return self._error
 
-    def add_done_callback(
-        self, callback: Callable[["QueryTicket"], None]
-    ) -> None:
-        """Call *callback(ticket)* once the ticket resolves (immediately if
-        it already has).  Callbacks run on whatever thread resolves the
-        ticket — a replica dispatcher, or the submitter on a cache hit —
-        so they must be cheap and must not block."""
-        with self._cb_lock:
-            if not self._event.is_set():
-                self._callbacks.append(callback)
-                return
-        callback(self)
-
     def _resolve(self, value: ServedResult) -> None:
         self._value = value
-        self._finish()
+        self._event.set()
 
     def _fail(self, error: BaseException) -> None:
         self._error = error
-        self._finish()
-
-    def _finish(self) -> None:
         self._event.set()
-        with self._cb_lock:
-            callbacks, self._callbacks = self._callbacks, []
-        for callback in callbacks:
-            try:
-                callback(self)
-            except Exception:  # noqa: BLE001 - observers must not kill dispatch
-                logger.exception(
-                    "done-callback failed for query %s", self.query_id
-                )
 
     def __repr__(self) -> str:
         state = "done" if self.done() else "pending"

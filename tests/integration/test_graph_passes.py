@@ -8,14 +8,8 @@ Three guarantees, across all five engines:
   exactly what the engine produced before the pipeline existed;
 * **the rewrites pay** — on GNMF the merged plan has strictly fewer units
   and strictly lower modeled cost than raw lowering.
-
-Plus the serving layer's cross-query CSE: concurrent identical queries
-execute once, adopted results are the owner's verbatim, and an owner
-failure demotes waiters to solo execution instead of failing them.
 """
 
-import threading
-import time
 
 import numpy as np
 import pytest
@@ -27,12 +21,8 @@ from repro import (
     MatFastLikeEngine,
     SystemDSLikeEngine,
 )
-from repro.config import EngineConfig, ServiceConfig
-from repro.execution import as_dag
+from repro.config import EngineConfig
 from repro.matrix import rand_dense, rand_sparse
-from repro.serving.cse import SubplanIndex
-from repro.serving.result_cache import result_key
-from repro.serving.service import MatrixService
 from repro.workloads.als import als_loss_query
 from repro.workloads.autoencoder import AutoEncoder, AutoEncoderShapes
 from repro.workloads.gnmf import gnmf_updates
@@ -218,130 +208,3 @@ def test_visualize_mermaid_and_dot(workload):
     assert dot.startswith("digraph") and "->" in dot
     with pytest.raises(ValueError):
         physical.visualize(fmt="png")
-
-
-# -- cross-query CSE --------------------------------------------------------
-
-
-def _serving_pieces():
-    engine = FuseMEEngine(make_config(block_size=BS))
-    service = MatrixService(engine, ServiceConfig(cross_query_cse=True))
-    return service
-
-
-def test_cse_waiter_adopts_owner_result():
-    query, inputs = gnmf_query(), gnmf_inputs()
-    with _serving_pieces() as service:
-        session = service.open_session("alice")
-        for name, matrix in inputs.items():
-            session.bind(name, matrix)
-        key = result_key(
-            service.engine.planning_signature(), as_dag(query), inputs
-        )
-        lease = service.pool.subplans.lease(key)
-        assert lease.owner
-        ticket = session.submit(query)
-        for _ in range(500):  # dispatcher picks the ticket up, then waits
-            if service.pool.running:
-                break
-            time.sleep(0.01)
-        expected = FuseMEEngine(make_config(block_size=BS)).execute(
-            query, inputs
-        )
-        service.pool.subplans.complete(key, expected)
-        served = ticket.result(timeout=30)
-        assert served.result is expected  # adopted verbatim
-        stats = service.pool.subplans.stats()
-        assert stats["hits"] == 1
-        assert service.pool.replicas[0].cse_hits == 1
-        assert service.status()["cse"]["hits"] == 1
-        assert "repro_serving_cse_hits_total 1" in service.prometheus()
-
-
-def test_cse_owner_failure_demotes_waiter_to_solo():
-    query, inputs = gnmf_query(), gnmf_inputs()
-    with _serving_pieces() as service:
-        session = service.open_session("bob")
-        for name, matrix in inputs.items():
-            session.bind(name, matrix)
-        key = result_key(
-            service.engine.planning_signature(), as_dag(query), inputs
-        )
-        lease = service.pool.subplans.lease(key)
-        ticket = session.submit(query)
-        for _ in range(500):
-            if service.pool.running:
-                break
-            time.sleep(0.01)
-        service.pool.subplans.fail(key)
-        served = ticket.result(timeout=60)  # executed solo, not failed
-        baseline = FuseMEEngine(make_config(block_size=BS)).execute(
-            query, inputs
-        )
-        for root_s, root_b in zip(served.result.dag.roots, baseline.dag.roots):
-            assert np.array_equal(
-                served.result.outputs[root_s].to_numpy(),
-                baseline.outputs[root_b].to_numpy(),
-            )
-        stats = service.pool.subplans.stats()
-        assert stats["fallbacks"] == 1 and stats["hits"] == 0
-
-
-def test_cse_results_identical_vs_disabled():
-    """A two-tenant replay of the same query produces identical per-query
-    outputs with CSE on and off."""
-    query, inputs = gnmf_query(), gnmf_inputs()
-
-    def replay(cse: bool):
-        engine = FuseMEEngine(make_config(block_size=BS))
-        outputs = {}
-        with MatrixService(
-            engine, ServiceConfig(cross_query_cse=cse)
-        ) as service:
-            for tenant in ("alice", "bob"):
-                session = service.open_session(tenant)
-                for name, matrix in inputs.items():
-                    session.bind(name, matrix)
-                served = session.execute(query, timeout=60)
-                outputs[tenant] = [
-                    served.result.outputs[root].to_numpy()
-                    for root in served.result.dag.roots
-                ]
-        return outputs
-
-    on, off = replay(True), replay(False)
-    for tenant in ("alice", "bob"):
-        for a, b in zip(on[tenant], off[tenant]):
-            assert np.array_equal(a, b)
-
-
-def test_subplan_index_disabled_is_inert():
-    index = SubplanIndex(enabled=False)
-    lease = index.lease("k")
-    assert lease.owner
-    index.complete("k", object())
-    assert index.stats() == {
-        "enabled": False, "hits": 0, "executed": 0,
-        "failures": 0, "fallbacks": 0, "inflight": 0,
-    }
-
-
-def test_subplan_index_concurrent_waiters():
-    index = SubplanIndex()
-    owner = index.lease("k")
-    assert owner.owner
-    results = []
-
-    def wait():
-        results.append(index.lease("k").wait(timeout=10))
-
-    threads = [threading.Thread(target=wait) for _ in range(3)]
-    for t in threads:
-        t.start()
-    time.sleep(0.05)
-    index.complete("k", "payload")
-    for t in threads:
-        t.join()
-    assert results == ["payload"] * 3
-    assert index.stats()["hits"] == 3
-    assert index.stats()["inflight"] == 0

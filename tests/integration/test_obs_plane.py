@@ -5,28 +5,24 @@ Three contracts:
 * **strictly observational** — accounting + SLO tracking enabled change
   neither outputs (bit-identical) nor modeled metrics;
 * **conservation** — per-tenant ledgers sum exactly to the cluster-level
-  :class:`~repro.cluster.metrics.MetricsCollector` totals, and CSE
-  adoption redistributes charges without creating or destroying cost;
+  :class:`~repro.cluster.metrics.MetricsCollector` totals;
 * **alerting** — an induced latency regression flips the burn-rate alert
   on the bus, in ``status()["slo"]``, and on a real HTTP ``/metrics``
   scrape.
 """
 
 import json
-import time
 import urllib.error
 import urllib.request
 
 import pytest
 
 from repro import FuseMEEngine, MatrixService, ServiceConfig
-from repro.execution import as_dag
 from repro.lang import matrix_input, sq, sum_of
 from repro.matrix import rand_dense, rand_sparse
 from repro.obs import MemorySink, SLOSpec
 from repro.obs.accounting import RESOURCE_FIELDS
 from repro.obs.prometheus import validate_exposition
-from repro.serving.result_cache import result_key
 from repro.workloads.gnmf import gnmf_updates
 
 from tests.conftest import make_config
@@ -47,7 +43,7 @@ def workload():
 
 def tenant_query(seed: int):
     """A per-tenant query whose shape depends on *seed* (no cross-tenant
-    result-cache or CSE sharing)."""
+    result-cache sharing)."""
     rows = 60 + 5 * seed
     a = matrix_input("A", rows, 40, BS)
     b = matrix_input("B", 40, rows, BS)
@@ -57,14 +53,6 @@ def tenant_query(seed: int):
         "B": rand_dense(40, rows, BS, seed=seed + 100),
     }
     return query, inputs
-
-
-def wait_for_running(service, deadline=5.0):
-    for _ in range(int(deadline / 0.01)):
-        if service.pool.running:
-            return
-        time.sleep(0.01)
-    raise AssertionError("dispatcher never picked the ticket up")
 
 
 # -- the plane is strictly observational ------------------------------------
@@ -104,10 +92,10 @@ class TestObservational:
 
 class TestConservation:
     def test_three_tenant_ledgers_sum_to_cluster_totals(self):
-        """With CSE off, every tenant's raw usage is exactly the modeled
-        resources of the executions run for it — so summed over tenants
-        the ledgers reproduce the cluster-level MetricsCollector totals."""
-        config = ServiceConfig(accounting=True, num_replicas=2)
+        """Every tenant's raw usage is exactly the modeled resources of
+        the executions run for it — so summed over tenants the ledgers
+        reproduce the cluster-level MetricsCollector totals."""
+        config = ServiceConfig(accounting=True)
         engine = FuseMEEngine(make_config(block_size=BS))
         with MatrixService(engine, config) as service:
             for i, tenant in enumerate(("alice", "bob", "carol")):
@@ -119,9 +107,7 @@ class TestConservation:
                 again = session.execute(query, timeout=60)  # cache hit
                 assert not first.from_cache and again.from_cache
             snap = service.accountant.snapshot()
-            clusters = {
-                id(r.cluster): r.cluster for r in service.pool.replicas
-            }.values()
+            metrics = service.cluster.metrics
 
         usage_seconds = sum(
             t["usage"]["modeled_seconds"] for t in snap["tenants"].values()
@@ -132,11 +118,9 @@ class TestConservation:
         usage_flops = sum(
             t["usage"]["flops"] for t in snap["tenants"].values()
         )
-        assert usage_seconds == pytest.approx(
-            sum(c.metrics.elapsed_seconds for c in clusters)
-        )
-        assert usage_bytes == sum(c.metrics.comm_bytes for c in clusters)
-        assert usage_flops == sum(c.metrics.flops for c in clusters)
+        assert usage_seconds == pytest.approx(metrics.elapsed_seconds)
+        assert usage_bytes == metrics.comm_bytes
+        assert usage_flops == metrics.flops
         # charged == usage per dimension (nothing created or destroyed)
         totals = snap["totals"]
         for name in RESOURCE_FIELDS:
@@ -145,58 +129,6 @@ class TestConservation:
             )
         # cache hits were counted but charged no usage
         assert totals["cache_hits"] == 3 and totals["served"] == 6
-
-    def test_cse_adoption_charges_share_to_adopter(self, workload):
-        """An adopted in-flight result moves ``cse_adopter_cost_share`` of
-        the owner's charged cost onto the adopter's ledger."""
-        query, inputs = workload
-        config = ServiceConfig(
-            cross_query_cse=True,
-            result_cache_entries=0,  # force bob through the CSE index
-            accounting=True,
-            cse_adopter_cost_share=0.5,
-        )
-        engine = FuseMEEngine(make_config(block_size=BS))
-        with MatrixService(engine, config) as service:
-            alice = service.open_session("alice")
-            for name, matrix in inputs.items():
-                alice.bind(name, matrix)
-            owned = alice.execute(query, timeout=60)
-            alice_usage = service.accountant.snapshot()["tenants"]["alice"]
-            modeled = alice_usage["usage"]["modeled_seconds"]
-            assert modeled > 0.0
-
-            key = result_key(
-                service.engine.planning_signature(), as_dag(query), inputs
-            )
-            lease = service.pool.subplans.lease(key, "alice")
-            assert lease.owner
-            bob = service.open_session("bob")
-            for name, matrix in inputs.items():
-                bob.bind(name, matrix)
-            ticket = bob.submit(query)
-            wait_for_running(service)
-            service.pool.subplans.complete(
-                key, owned.result,
-                usage={"modeled_seconds": modeled},
-            )
-            served = ticket.result(timeout=30)
-            assert served.result is owned.result  # adopted verbatim
-
-            tenants = service.accountant.snapshot()["tenants"]
-            assert tenants["bob"]["cse_adoptions"] == 1
-            assert tenants["bob"]["usage"]["modeled_seconds"] == 0.0
-            assert tenants["bob"]["charged"]["modeled_seconds"] == (
-                pytest.approx(0.5 * modeled)
-            )
-            assert tenants["alice"]["charged"]["modeled_seconds"] == (
-                pytest.approx(0.5 * modeled)
-            )
-            assert tenants["alice"]["cse_credited_seconds"] == (
-                pytest.approx(tenants["bob"]["cse_charged_seconds"])
-            )
-            report = service.accounting()
-            assert "alice" in report and "bob" in report
 
     def test_accounting_disabled(self, workload):
         query, inputs = workload
@@ -208,44 +140,6 @@ class TestConservation:
             with pytest.raises(RuntimeError, match="accounting"):
                 service.accounting()
             assert "accounting" not in service.status()
-
-
-# -- CSE / plan-cache trace instants ----------------------------------------
-
-
-class TestTraceInstants:
-    def test_cse_owner_and_adopt_instants_on_cluster_trace(self, workload):
-        query, inputs = workload
-        config = ServiceConfig(
-            cross_query_cse=True, result_cache_entries=0
-        )
-        engine = FuseMEEngine(
-            make_config(block_size=BS, time_model="scheduled")
-        )
-        with MatrixService(engine, config) as service:
-            alice = service.open_session("alice")
-            for name, matrix in inputs.items():
-                alice.bind(name, matrix)
-            owned = alice.execute(query, timeout=60)
-
-            key = result_key(
-                service.engine.planning_signature(), as_dag(query), inputs
-            )
-            service.pool.subplans.lease(key, "alice")
-            bob = service.open_session("bob")
-            for name, matrix in inputs.items():
-                bob.bind(name, matrix)
-            ticket = bob.submit(query)
-            wait_for_running(service)
-            service.pool.subplans.complete(key, owned.result)
-            ticket.result(timeout=30)
-
-            names = [
-                e.name for e in service.pool.replicas[0].cluster.trace.events
-                if e.category == "cse"
-            ]
-        assert "cse:owner" in names  # alice executed as the key's owner
-        assert "cse:adopt" in names  # bob adopted her in-flight result
 
 
 # -- SLO burn-rate alerting --------------------------------------------------
@@ -320,10 +214,9 @@ class TestSLOAlerting:
 
 
 class TestExposition:
-    def test_multi_replica_multi_tenant_page_validates(self):
+    def test_multi_tenant_page_validates(self):
         config = ServiceConfig(
             accounting=True,
-            num_replicas=2,
             slos=(
                 SLOSpec(tenant="alice", latency_target_s=60.0),
                 SLOSpec(tenant="bob", latency_target_s=60.0),
@@ -344,8 +237,6 @@ class TestExposition:
             'repro_tenant_queries_total{outcome="served",tenant="carol"} 1',
             'repro_tenant_charged_seconds_total{resource="modeled",'
             'tenant="bob"}',
-            'repro_tenant_cse_transfer_seconds_total{direction="credited",'
-            'tenant="alice"} 0',
             'repro_slo_burn_rate{tenant="alice",window="5m"}',
             'repro_slo_burning{tenant="bob"} 0',
             'repro_slo_latency_target_seconds{tenant="alice"} 60',

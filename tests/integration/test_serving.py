@@ -11,7 +11,15 @@ engine.  Only wall-clock timing and observability counters may differ.
 import numpy as np
 import pytest
 
-from repro import FuseMEEngine, MatrixService, ServiceConfig
+from repro import (
+    DistMELikeEngine,
+    FuseMEEngine,
+    LocalXLAEngine,
+    MatFastLikeEngine,
+    MatrixService,
+    ServiceConfig,
+    SystemDSLikeEngine,
+)
 from repro.blocks.block import Block
 from repro.errors import ServiceOverloadedError
 from repro.lang import DAG, matrix_input, nnz_mask, sq, sum_of
@@ -121,6 +129,40 @@ class TestReplayDeterminism:
         status = service.status()
         assert status["served"] == 20
         assert {name for name in status["tenants"]} == set(WORKLOADS)
+
+
+    @pytest.mark.parametrize(
+        "engine_cls",
+        [FuseMEEngine, DistMELikeEngine, SystemDSLikeEngine,
+         MatFastLikeEngine, LocalXLAEngine],
+        ids=lambda c: c.name,
+    )
+    def test_engine_matches_standalone(self, engine_cls):
+        """Every engine class serves bit-identically to running standalone
+        (result cache off so each query truly executes on the one shared
+        cluster, after other tenants' queries)."""
+        query = (
+            matrix_input("X", 75, 50, BS, density=0.2)
+            @ matrix_input("W", 50, 50, BS)
+        ) * 2.0
+        tenants = {
+            f"tenant-{i}": {
+                "X": rand_sparse(75, 50, density=0.2, block_size=BS,
+                                 seed=100 + i),
+                "W": rand_dense(50, 50, BS, seed=200 + i),
+            }
+            for i in range(5)
+        }
+        service = MatrixService(
+            engine_cls(make_config()),
+            ServiceConfig(result_cache_entries=0),
+        )
+        with service:
+            for tenant, inputs in tenants.items():
+                session = service.open_session(tenant).bind_many(inputs)
+                served = session.execute(query, timeout=60.0)
+                reference = engine_cls(make_config()).execute(query, inputs)
+                assert_same_execution(served, reference)
 
 
 class TestClosedLoop:

@@ -1,4 +1,4 @@
-"""Per-tenant resource accounting: conservation, clamping, chargeback."""
+"""Per-tenant resource accounting: conservation and the chargeback report."""
 
 import threading
 
@@ -54,63 +54,15 @@ class TestLedgerBasics:
         snap = acct.snapshot()["tenants"]["t"]
         assert (snap["shed"], snap["timed_out"], snap["failed"]) == (1, 1, 1)
 
-    def test_share_out_of_range_rejected(self):
-        with pytest.raises(ValueError, match="cse_adopter_share"):
-            ResourceAccountant(cse_adopter_share=1.5)
-
-
-class TestAdoptionTransfers:
-    def test_transfer_moves_share_from_owner_to_adopter(self):
-        acct = ResourceAccountant(cse_adopter_share=0.5)
-        acct.charge_query("owner", usage=usage(modeled=2.0))
-        moved = acct.charge_adoption("adopter", "owner", usage=usage(modeled=2.0))
-        assert moved["modeled_seconds"] == pytest.approx(1.0)
-        tenants = acct.snapshot()["tenants"]
-        assert tenants["owner"]["charged"]["modeled_seconds"] == pytest.approx(1.0)
-        assert tenants["adopter"]["charged"]["modeled_seconds"] == pytest.approx(1.0)
-        assert tenants["owner"]["cse_credited_seconds"] == pytest.approx(1.0)
-        assert tenants["adopter"]["cse_charged_seconds"] == pytest.approx(1.0)
-        # usage stays where the execution ran
-        assert tenants["adopter"]["usage"]["modeled_seconds"] == 0.0
-
-    def test_transfer_clamps_at_owner_balance(self):
-        """Many adopters of one execution can never drive the owner's
-        charged balance negative."""
-        acct = ResourceAccountant(cse_adopter_share=0.5)
-        acct.charge_query("owner", usage=usage(modeled=1.0))
-        for i in range(5):
-            acct.charge_adoption(f"a{i}", "owner", usage=usage(modeled=1.0))
-        tenants = acct.snapshot()["tenants"]
-        for ledger in tenants.values():
-            for amount in ledger["charged"].values():
-                assert amount >= 0.0
-
-    def test_self_adoption_and_no_owner_are_counted_but_free(self):
-        acct = ResourceAccountant()
-        assert acct.charge_adoption("t", "t", usage=usage()) == {
-            name: 0.0 for name in RESOURCE_FIELDS
-        }
-        acct.charge_adoption("t", None, usage=usage())
-        snap = acct.snapshot()["tenants"]["t"]
-        assert snap["cse_adoptions"] == 2
-        assert snap["charged"]["modeled_seconds"] == 0.0
-
-    def test_zero_share_transfers_nothing(self):
-        acct = ResourceAccountant(cse_adopter_share=0.0)
-        acct.charge_query("owner", usage=usage())
-        moved = acct.charge_adoption("adopter", "owner", usage=usage())
-        assert all(v == 0.0 for v in moved.values())
-
 
 class TestConservation:
     def test_charged_totals_equal_usage_totals(self):
-        """The invariant the chargeback report rests on: CSE transfers
-        redistribute cost but never create or destroy it."""
-        acct = ResourceAccountant(cse_adopter_share=0.7)
+        """The invariant the chargeback report rests on: what tenants are
+        charged is exactly what their executions used."""
+        acct = ResourceAccountant()
         acct.charge_query("t1", usage=usage(modeled=3.0, shuffled=5e6))
         acct.charge_query("t2", usage=usage(modeled=1.0))
-        acct.charge_adoption("t2", "t1", usage=usage(modeled=3.0, shuffled=5e6))
-        acct.charge_adoption("t3", "t1", usage=usage(modeled=3.0, shuffled=5e6))
+        acct.charge_query("t3", from_cache=True)
         totals = acct.totals()
         for name in RESOURCE_FIELDS:
             assert totals["charged"][name] == pytest.approx(
@@ -118,12 +70,12 @@ class TestConservation:
             ), name
 
     def test_conservation_under_concurrency(self):
-        acct = ResourceAccountant(cse_adopter_share=0.5)
+        acct = ResourceAccountant()
 
         def worker(tenant):
             for _ in range(50):
                 acct.charge_query(tenant, usage=usage())
-                acct.charge_adoption("adopter", tenant, usage=usage())
+                acct.charge_query("shared", usage=usage())
 
         threads = [
             threading.Thread(target=worker, args=(f"t{i}",)) for i in range(4)
@@ -142,9 +94,9 @@ class TestConservation:
 
 class TestChargebackReport:
     def test_render_has_tenant_rows_and_total(self):
-        acct = ResourceAccountant(cse_adopter_share=0.5)
-        acct.charge_query("alice", usage=usage(modeled=2.0), wall_seconds=0.5)
-        acct.charge_adoption("bob", "alice", usage=usage(modeled=2.0))
+        acct = ResourceAccountant()
+        acct.charge_query("alice", usage=usage(modeled=1.0), wall_seconds=0.5)
+        acct.charge_query("bob", usage=usage(modeled=1.0))
         acct.record_shed("carol")
         report = acct.render_chargeback()
         lines = report.splitlines()
@@ -153,7 +105,6 @@ class TestChargebackReport:
         body = "\n".join(lines[2:])
         for tenant in ("alice", "bob", "carol", "TOTAL"):
             assert tenant in body
-        # both tenants ended up with half the 2.0 modeled seconds
         alice = next(line for line in lines if line.startswith("alice"))
         bob = next(line for line in lines if line.startswith("bob"))
         assert "1.0000" in alice and "1.0000" in bob

@@ -148,6 +148,23 @@ class TestOverload:
             queued.result(timeout=10.0)
         assert service.status()["shed"] == 1
 
+    def test_overload_still_sheds(self):
+        engine = StubEngine()
+        engine.release.clear()
+        service = make_service(
+            engine, max_queue_depth=1, result_cache_entries=0
+        )
+        try:
+            session = service.open_session("alice").bind("X", x_matrix())
+            session.submit(QUERY)
+            assert engine.started.wait(timeout=10.0)
+            session.submit(QUERY)  # fills the queue
+            with pytest.raises(ServiceOverloadedError):
+                session.submit(QUERY)
+        finally:
+            engine.release.set()
+            service.close()
+
     def test_queued_query_times_out(self):
         engine = StubEngine()
         engine.release.clear()
@@ -223,12 +240,86 @@ class TestLifecycle:
     def test_closed_service_rejects_work(self):
         service = make_service()
         alice = service.open_session("alice").bind("X", x_matrix())
+        alice.execute(QUERY, timeout=10.0)  # fills the result cache
         service.close()
+        before = service.status()
         with pytest.raises(ServingError):
             service.open_session("bob")
         with pytest.raises(ServingError):
+            # a closed service must not answer from the result cache either
             alice.submit(QUERY)
+        with pytest.raises(ServingError):
+            alice.submit(QUERY, inputs={"X": x_matrix(seed=2)})  # uncached
         assert service.closed
+        after = service.status()
+        for key in ("served", "cache_hits", "shed", "failed", "tenants",
+                    "accounting", "queue_depth"):
+            assert after[key] == before[key], key
+
+    def test_close_is_idempotent(self):
+        engine = StubEngine()
+        engine_closed = []
+        engine.close = lambda: engine_closed.append(True)
+        service = make_service(engine)
+        service.close()
+        service.close()
+        service.close(drain=False)
+        assert service.closed
+        assert engine_closed, "the engine close hook must fire"
+
+    def test_concurrent_close_does_not_raise(self):
+        service = make_service()
+        errors = []
+
+        def closer():
+            try:
+                service.close()
+            except Exception as exc:  # pragma: no cover - assertion target
+                errors.append(exc)
+
+        threads = [threading.Thread(target=closer) for _ in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=10.0)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors
+        assert service.closed
+
+    def test_close_during_inflight_drains(self):
+        engine = StubEngine()
+        engine.release.clear()
+        service = make_service(engine, result_cache_entries=0)
+        session = service.open_session("alice").bind("X", x_matrix())
+        ticket = session.submit(QUERY)
+        assert engine.started.wait(timeout=10.0)
+
+        closer = threading.Thread(target=service.close)
+        closer.start()
+        engine.release.set()
+        closer.join(timeout=10.0)
+        assert not closer.is_alive()
+        assert ticket.result(timeout=10.0).output() is not None
+        service.close()  # double close after close-during-inflight
+
+    def test_submit_after_close_raises(self):
+        service = make_service(result_cache_entries=0)
+        session = service.open_session("alice").bind("X", x_matrix())
+        service.close()
+        with pytest.raises(ServingError):
+            session.submit(QUERY)
+
+    def test_offer_after_close_sheds_nothing_silently(self):
+        """A submit racing close() must fail loudly, not park a ticket on
+        a queue whose dispatcher has already exited."""
+        service = make_service(result_cache_entries=0)
+        session = service.open_session("alice").bind("X", x_matrix())
+        service.close()
+        with pytest.raises(ServingError):
+            session.submit(QUERY)
+        status = service.status()
+        assert status["queue_depth"] == 0
+        assert status["shed"] == 0
 
     def test_closed_session_rejects_submits(self):
         with make_service() as service:
