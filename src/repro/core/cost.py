@@ -18,6 +18,17 @@ Implements Section 3.3 faithfully:
   containing them (the paper's Figure 11 walk-through: the farther a nested
   multiplication sits from the main one, the larger its accumulated factor —
   which is exactly why Algorithm 3 splits distant multiplications first).
+
+The walks are *array-polymorphic*: ``P``, ``Q`` and ``R`` may each be a
+Python int or a float64 array that broadcasts against the others, and the
+same code prices one candidate or a whole ``(Q, R)`` grid.  Grid evaluation
+is exact, not approximate.  Every partition count (and every product of
+them below 2**53) is exactly representable in float64; the only
+conversions are int -> float64 of exact values; and a walk adds its terms
+in the same order whatever the operand types.  Each grid cell is therefore
+produced by the same sequence of IEEE-754 operations as the scalar call at
+that cell, so the two compare ``==`` and a search that reads costs off the
+grid takes every comparison and tie-break exactly as a scalar search would.
 """
 
 from __future__ import annotations
@@ -25,10 +36,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+import numpy as np
+
 from repro.config import EngineConfig
 from repro.core.calibration import KernelCalibration
 from repro.core.plan import PartialFusionPlan
-from repro.core.spaces import SpaceKind, SpaceTree
+from repro.core.spaces import SpaceKind, SpaceTree, find_sparsity_mask
 from repro.lang.dag import InputNode
 
 
@@ -40,6 +53,10 @@ def _env_key(node):
 
 #: Marker cost for an infeasible plan (cannot fit the memory budget).
 INFEASIBLE = float("inf")
+
+#: ``(P, Q, R)``: each an int, or a float64 array broadcastable against the
+#: other two.  Results are floats for all-int input, arrays otherwise.
+Pqr = tuple
 
 
 @dataclass(frozen=True)
@@ -60,15 +77,11 @@ class PlanCost:
 class CostModel:
     """Evaluates Mem/Net/Com/Cost for a partial fusion plan's space tree.
 
-    Each instance memoizes its estimates.  One parameter search evaluates
-    hundreds of ``(P, Q, R)`` candidates against the *same* plan/tree, and
-    the pruned search re-probes many of them for bounds
-    (``_raw_cost(1, q, r)``) before the full evaluation — the memo collapses
-    those repeats to dict lookups.  Keys use object identity for the
-    plan/tree (they are fixed for the lifetime of a search) and the memo
-    pins them so a recycled ``id()`` can never alias an entry.  Reported
-    ``evaluations`` counts are tallied by the optimizer itself, so
-    memoization changes no observable numbers — only wall-clock.
+    Stateless between calls: every estimate is a fresh walk of the tree.
+    ``pqr`` components are ints for one candidate or broadcastable float64
+    arrays for many (see the module docstring for why the two agree bit
+    for bit); :meth:`evaluate` is the scalar-only entry point that packs
+    one candidate into a :class:`PlanCost`.
 
     With a *calibration* (a fitted :class:`~repro.core.calibration.
     KernelCalibration` for this plan's kernel class), ``cost_seconds``
@@ -89,29 +102,7 @@ class CostModel:
         #: Environment keys whose consolidation is already paid elsewhere
         #: (graph-pass sharing): their Eq. 4 traffic is skipped, their
         #: Eq. 3 memory still charged (the slabs are resident either way).
-        #: Fixed per instance, so the memo never needs it in its keys —
-        #: merge candidates build a fresh model per evaluation.
         self.free_sources = frozenset(free_sources or ())
-        self._memo: dict = {}
-        self._pins: dict = {}
-        #: Memo telemetry (surfaced through ``OptimizerResult``); purely
-        #: observational, never part of a cost.
-        self.memo_hits = 0
-        self.memo_misses = 0
-
-    def _pin(self, obj) -> int:
-        key = id(obj)
-        if key not in self._pins:
-            self._pins[key] = obj
-        return key
-
-    def _memo_get(self, key):
-        cached = self._memo.get(key)
-        if cached is not None:
-            self.memo_hits += 1
-        else:
-            self.memo_misses += 1
-        return cached
 
     # -- public entry points ------------------------------------------------
 
@@ -121,53 +112,29 @@ class CostModel:
         tree: SpaceTree,
         pqr: tuple[int, int, int],
     ) -> PlanCost:
-        """Full cost of executing *plan* with the given partitioning."""
-        key = ("evaluate", self._pin(plan), self._pin(tree), pqr)
-        cached = self._memo_get(key)
-        if cached is not None:
-            return cached
-        result = self._evaluate(plan, tree, pqr)
-        self._memo[key] = result
-        return result
-
-    def _evaluate(
-        self,
-        plan: PartialFusionPlan,
-        tree: SpaceTree,
-        pqr: tuple[int, int, int],
-    ) -> PlanCost:
+        """Full cost of executing *plan* with one integer partitioning."""
         mem = self.mem_est(plan, tree, pqr)
-        net = self.net_est(
-            tree, pqr,
-            include_aggregation=True,
-            outer_output_bytes=self._aggregated_tile_bytes(plan, tree),
-        )
+        net = self._full_net(plan, tree, pqr)
         com = self.com_est(tree, pqr)
-        cluster = self.config.cluster
-        seconds = self._price(net, com)
-        feasible = mem <= cluster.task_memory_budget
+        feasible = mem <= self.config.cluster.task_memory_budget
         return PlanCost(
             pqr=pqr,
             mem_bytes_per_task=mem,
             net_bytes=net,
             com_flops=com,
-            cost_seconds=seconds if feasible else INFEASIBLE,
+            # ``np.maximum`` hands back a numpy scalar; PlanCost holds floats
+            cost_seconds=float(self._price(net, com)) if feasible else INFEASIBLE,
             feasible=feasible,
         )
 
-    def _price(self, net: float, com: float) -> float:
-        """Seconds for cluster-wide *net* bytes and *com* flops — Eq. 2 with
-        the paper constants, or the fitted throughputs when calibrated."""
-        if self.calibration is not None:
-            return self.calibration.predict_seconds(net, com)
-        cluster = self.config.cluster
-        net_time = net / (cluster.num_nodes * cluster.network_bandwidth)
-        com_time = com / (cluster.num_nodes * cluster.compute_bandwidth)
-        if self.config.overlap_comm_compute:
-            return max(net_time, com_time)
-        return net_time + com_time
+    def full_seconds(self, plan: PartialFusionPlan, tree: SpaceTree, pqr: Pqr):
+        """Cost with the aggregation shuffle, ignoring memory feasibility:
+        ``evaluate(...).cost_seconds`` of every feasible candidate in *pqr*."""
+        return self._price(
+            self._full_net(plan, tree, pqr), self.com_est(tree, pqr)
+        )
 
-    def raw_seconds(self, tree: SpaceTree, pqr: tuple[int, int, int]) -> float:
+    def raw_seconds(self, tree: SpaceTree, pqr: Pqr):
         """Cost ignoring memory feasibility (the pruned search's bounds).
 
         Consolidation traffic only (Eq. 4 exactly) — a *lower* bound on the
@@ -176,27 +143,29 @@ class CostModel:
         """
         return self._price(self.net_est(tree, pqr), self.com_est(tree, pqr))
 
+    def _price(self, net, com):
+        """Seconds for cluster-wide *net* bytes and *com* flops — Eq. 2 with
+        the paper constants, or the fitted throughputs when calibrated."""
+        if self.calibration is not None:
+            return self.calibration.predict_seconds(net, com)
+        cluster = self.config.cluster
+        net_time = net / (cluster.num_nodes * cluster.network_bandwidth)
+        com_time = com / (cluster.num_nodes * cluster.compute_bandwidth)
+        if self.config.overlap_comm_compute:
+            return np.maximum(net_time, com_time)
+        return net_time + com_time
+
     # -- MemEst (Algorithm 1) --------------------------------------------------
 
-    def mem_est(
-        self,
-        plan: PartialFusionPlan,
-        tree: SpaceTree,
-        pqr: tuple[int, int, int],
-    ) -> float:
+    def mem_est(self, plan: PartialFusionPlan, tree: SpaceTree, pqr: Pqr):
         """Estimated memory per task, Algorithm 1 + the plan output tile."""
-        key = ("mem", self._pin(plan), self._pin(tree), pqr)
-        cached = self._memo_get(key)
-        if cached is not None:
-            return cached
         total = self._mem_tree(tree, pqr)
         if tree.produces_output:
             p, q, _ = pqr
-            total += plan.root.meta.estimated_bytes / (p * q)
-        self._memo[key] = total
+            total = total + plan.root.meta.estimated_bytes / (p * q)
         return total
 
-    def _mem_tree(self, tree: SpaceTree, pqr: tuple[int, int, int]) -> float:
+    def _mem_tree(self, tree: SpaceTree, pqr: Pqr):
         p, q, r = pqr
         divisors = {SpaceKind.L: p * r, SpaceKind.R: q * r, SpaceKind.O: p * q}
         total = 0.0
@@ -204,10 +173,10 @@ class CostModel:
             divisor = divisors[kind]
             for consumer, index in space.materialized:
                 size = consumer.inputs[index].meta.estimated_bytes
-                total += size / divisor
+                total = total + size / divisor
             confined = self._confined(kind, pqr)
             for nested in space.nested:
-                total += self._mem_tree(nested, confined)
+                total = total + self._mem_tree(nested, confined)
         return total
 
     # -- NetEst (Eq. 4) ------------------------------------------------------------
@@ -215,10 +184,10 @@ class CostModel:
     def net_est(
         self,
         tree: SpaceTree,
-        pqr: tuple[int, int, int],
+        pqr: Pqr,
         include_aggregation: bool = False,
         outer_output_bytes: Optional[float] = None,
-    ) -> float:
+    ):
         """Estimated network traffic for the whole cluster.
 
         With ``include_aggregation=False`` this is exactly Eq. 4 / Table 1
@@ -230,16 +199,18 @@ class CostModel:
         ``outer_output_bytes`` overrides the outer product's tile volume
         (used when a sparsity mask makes the partials sparse).
         """
-        key = ("net", self._pin(tree), pqr, include_aggregation,
-               outer_output_bytes)
-        cached = self._memo_get(key)
-        if cached is not None:
-            return cached
-        total = self._net_tree(tree, pqr, multiplier=1.0,
-                               include_aggregation=include_aggregation,
-                               output_bytes=outer_output_bytes)
-        self._memo[key] = total
-        return total
+        return self._net_tree(tree, pqr, multiplier=1.0,
+                              include_aggregation=include_aggregation,
+                              output_bytes=outer_output_bytes)
+
+    def _full_net(self, plan: PartialFusionPlan, tree: SpaceTree, pqr: Pqr):
+        """Eq. 4 plus the aggregation shuffle of *plan*'s (possibly masked)
+        partial product tiles — the traffic :meth:`evaluate` charges."""
+        return self.net_est(
+            tree, pqr,
+            include_aggregation=True,
+            outer_output_bytes=self._aggregated_tile_bytes(plan, tree),
+        )
 
     def _aggregated_tile_bytes(
         self, plan: PartialFusionPlan, tree: SpaceTree
@@ -249,48 +220,42 @@ class CostModel:
         When an Outer-style sparsity mask covers the main product, partials
         carry values only at the mask's non-zero cells.
         """
-        from repro.core.spaces import find_sparsity_mask
-
-        key = ("agg_tile", self._pin(plan), self._pin(tree))
-        cached = self._memo_get(key)
-        if cached is not None:
-            return cached
         full = tree.mm.meta.estimated_bytes
         if self.config.sparsity_exploitation:
             mask = find_sparsity_mask(plan, tree.mm, tree)
             if mask is not None:
                 driver = mask.mask_mul.inputs[mask.mask_operand_index]
                 full = min(full, driver.meta.estimated_bytes)
-        self._memo[key] = full
         return full
 
     def _net_tree(
         self,
         tree: SpaceTree,
-        pqr: tuple[int, int, int],
-        multiplier: float,
+        pqr: Pqr,
+        multiplier,
         include_aggregation: bool = False,
         output_bytes: Optional[float] = None,
-    ) -> float:
+    ):
         p, q, r = pqr
         factors = {SpaceKind.L: q, SpaceKind.R: p, SpaceKind.O: r}
         total = 0.0
-        if include_aggregation and r > 1:
+        if include_aggregation:
             tile_volume = (
                 output_bytes if output_bytes is not None
                 else tree.mm.meta.estimated_bytes
             )
-            total += multiplier * (r - 1) * tile_volume
+            # no ``r > 1`` branch: at r == 1 the term is exactly +0.0
+            total = total + multiplier * (r - 1) * tile_volume
         for kind, space in tree.spaces.items():
             factor = factors[kind]
             for consumer, index in space.materialized:
                 source = consumer.inputs[index]
                 if self.free_sources and _env_key(source) in self.free_sources:
                     continue
-                total += multiplier * factor * source.meta.estimated_bytes
+                total = total + multiplier * factor * source.meta.estimated_bytes
             confined = self._confined(kind, pqr)
             for nested in space.nested:
-                total += self._net_tree(
+                total = total + self._net_tree(
                     nested, confined, multiplier * factor,
                     include_aggregation=include_aggregation,
                 )
@@ -298,35 +263,29 @@ class CostModel:
 
     # -- ComEst (Eq. 5) --------------------------------------------------------------
 
-    def com_est(self, tree: SpaceTree, pqr: tuple[int, int, int]) -> float:
+    def com_est(self, tree: SpaceTree, pqr: Pqr):
         """Estimated floating point operations for the whole cluster."""
-        key = ("com", self._pin(tree), pqr)
-        cached = self._memo_get(key)
-        if cached is not None:
-            return cached
-        total = self._com_tree(tree, pqr, multiplier=1.0)
-        self._memo[key] = total
-        return total
+        return self._com_tree(tree, pqr, multiplier=1.0)
 
-    def _com_tree(
-        self, tree: SpaceTree, pqr: tuple[int, int, int], multiplier: float
-    ) -> float:
+    def _com_tree(self, tree: SpaceTree, pqr: Pqr, multiplier):
         p, q, r = pqr
         factors = {SpaceKind.L: q, SpaceKind.R: p, SpaceKind.O: r}
         total = multiplier * tree.mm.estimated_flops()  # v_mm computed once
         for kind, space in tree.spaces.items():
             factor = factors[kind]
             for node in space.operators:
-                total += multiplier * factor * node.estimated_flops()
+                total = total + multiplier * factor * node.estimated_flops()
             confined = self._confined(kind, pqr)
             for nested in space.nested:
-                total += self._com_tree(nested, confined, multiplier * factor)
+                total = total + self._com_tree(
+                    nested, confined, multiplier * factor
+                )
         return total
 
     # -- helpers -------------------------------------------------------------------------
 
     @staticmethod
-    def _confined(kind: SpaceKind, pqr: tuple[int, int, int]) -> tuple[int, int, int]:
+    def _confined(kind: SpaceKind, pqr: Pqr) -> Pqr:
         """Algorithm 1 line 4: the partitioning a space passes to nested
         multiplications — ``(P,1,R)`` for L, ``(1,Q,R)`` for R, ``(P,Q,1)``
         for O."""

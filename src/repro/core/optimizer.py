@@ -10,6 +10,21 @@ Two search strategies are provided:
   the cost grows with ``P`` while memory shrinks, so the best ``P`` is the
   smallest feasible one — found by binary search; lower bounds on the cost of
   a whole ``(Q, R)`` or ``R`` slab abandon it without enumeration.
+
+The pruned search prices the whole ``(Q, R)`` grid at once.  The cost model
+is array-polymorphic (:mod:`repro.core.cost`), so one ``raw_seconds`` walk at
+``P = 1`` yields every slab bound, the bisection for the smallest feasible
+``P`` runs on all ``(q, r)`` cells in lockstep (``ceil(log2 I)`` ``mem_est``
+walks), and one more walk prices the ``K x J`` candidates it found.  The
+``r -> q`` scan with its ``break`` rules, strict ``<`` tie-break and
+``evaluations`` tally then replays over those precomputed numbers, and the
+winner is materialized by the scalar ``CostModel.evaluate``.  Grid cells
+equal the scalar calls bit for bit, so the chosen ``(P*, Q*, R*)``, its
+``PlanCost`` and the tally are exactly what a candidate-at-a-time search
+returns — in a dozen tree walks whatever the voxel count (the paper's
+Figure 13(d): flat).  ``exhaustive`` stays one scalar ``evaluate`` per
+candidate over the same formula on purpose: its cost *is* the baseline that
+figure compares against.
 """
 
 from __future__ import annotations
@@ -18,6 +33,8 @@ import math
 import time
 from dataclasses import dataclass
 from typing import Literal, Optional
+
+import numpy as np
 
 from repro.config import EngineConfig
 from repro.core.calibration import KernelCalibration
@@ -40,8 +57,8 @@ class OptimizerResult:
     method: SearchMethod
     #: Size of the full ``(P, Q, R)`` candidate space (``I * J * K``).
     candidates: int = 0
-    #: Cost-model memo hits/misses during this search (wall-clock telemetry
-    #: only; evaluation counts are tallied by the search itself).
+    #: Always 0 (no candidate is priced twice, so there is no memo); kept
+    #: because ``benchmarks/ledger/workloads.py`` reads both fields.
     memo_hits: int = 0
     memo_misses: int = 0
     #: When the search priced with fitted throughputs: the *same* chosen
@@ -84,8 +101,29 @@ def optimize_parameters(
     is discounted.  Used by the unit-merging graph pass to cost merge
     candidates; the seed path never passes it.
     """
-    if tree is None:
-        tree = plan_layout(plan).tree
+    if tree is not None:
+        return _search(plan, config, tree, method, calibration, free_sources)
+    # CFG costs a plan, re-costs it when a split queues it again, and
+    # lowering searches the survivors once more.  The plan is immutable and
+    # every other argument frozen, so the first result is kept with the plan.
+    free_sources = frozenset(free_sources or ())
+    return plan.derived(
+        ("pqr", config, method, calibration, free_sources),
+        lambda: _search(
+            plan, config, plan_layout(plan).tree, method, calibration,
+            free_sources,
+        ),
+    )
+
+
+def _search(
+    plan: PartialFusionPlan,
+    config: EngineConfig,
+    tree: SpaceTree,
+    method: SearchMethod,
+    calibration: Optional[KernelCalibration],
+    free_sources,
+) -> OptimizerResult:
     extent_i, extent_j, extent_k = tree.mm.mm_dims()
     model = CostModel(config, calibration=calibration, free_sources=free_sources)
     started = time.perf_counter()
@@ -117,8 +155,6 @@ def optimize_parameters(
         elapsed_seconds=elapsed,
         method=method,
         candidates=extent_i * extent_j * extent_k,
-        memo_hits=model.memo_hits,
-        memo_misses=model.memo_misses,
         paper_cost=paper_cost,
     )
 
@@ -168,64 +204,54 @@ def _pruned(
         cost = model.evaluate(plan, tree, (extent_i, extent_j, extent_k))
         return (cost if cost.feasible else None), 1
 
-    best: Optional[PlanCost] = None
-    for r in range(1, extent_k + 1):
+    budget = config.cluster.task_memory_budget
+    grid = (extent_k, extent_j)
+    q = np.arange(1, extent_j + 1, dtype=np.float64)[np.newaxis, :]
+    r = np.arange(1, extent_k + 1, dtype=np.float64)[:, np.newaxis]
+    # cheapest conceivable cost of every (q, r) column; the q == 1 entries
+    # are the lower bounds of the whole r-slabs
+    bounds = np.broadcast_to(model.raw_seconds(tree, (1, q, r)), grid).tolist()
+    # The smallest P that fills the cluster, then the smallest memory-feasible
+    # one at or above it: per-task memory is non-increasing in P (Eq. 3
+    # divides by ``P*R`` and ``P*Q``) while Net/Com are non-decreasing
+    # (Eq. 4-5 multiply R-space contributions by P), so that P is optimal
+    # for its (Q, R).
+    p_floor = np.maximum(1.0, np.ceil(slots / (q * r)))
+    usable = (p_floor <= extent_i) & (
+        model.mem_est(plan, tree, (extent_i, q, r)) <= budget
+    )
+    lo = np.where(usable, p_floor, extent_i)
+    hi = np.full(grid, float(extent_i))
+    # every cell bisects in lockstep; an interval of at most I candidates is
+    # down to one after ceil(log2 I) halvings
+    for _ in range((extent_i - 1).bit_length()):
+        mid = np.floor((lo + hi) / 2)
+        fits = model.mem_est(plan, tree, (mid, q, r)) <= budget
+        unsettled = lo < hi
+        hi = np.where(unsettled & fits, mid, hi)
+        lo = np.where(unsettled & ~fits, mid + 1, lo)
+    seconds = np.broadcast_to(
+        model.full_seconds(plan, tree, (lo, q, r)), grid
+    ).tolist()
+    p_floor, usable, p_best = p_floor.tolist(), usable.tolist(), lo.tolist()
+
+    best: Optional[tuple[float, tuple[int, int, int]]] = None
+    for k in range(extent_k):
         # lower bound for this whole r-slab: the cheapest conceivable (p=1,q=1)
-        bound = _raw_cost(model, tree, (1, 1, r))
         evaluations += 1
-        if best is not None and bound >= best.cost_seconds:
+        if best is not None and bounds[k][0] >= best[0]:
             break  # Net/Com grow with r; later slabs only get worse
-        for q in range(1, extent_j + 1):
-            qr_bound = _raw_cost(model, tree, (1, q, r))
+        for j in range(extent_j):
             evaluations += 1
-            if best is not None and qr_bound >= best.cost_seconds:
+            if best is not None and bounds[k][j] >= best[0]:
                 break  # cost grows with q at fixed r
-            p_floor = max(1, math.ceil(slots / (q * r)))
-            if p_floor > extent_i:
+            if not usable[k][j]:
                 continue
-            p_best = _smallest_feasible_p(
-                plan, tree, model, p_floor, extent_i, q, r
+            evaluations += 2 + int(
+                math.log2(max(1, extent_i - int(p_floor[k][j]) + 1))
             )
-            if p_best is None:
-                continue
-            cost = model.evaluate(plan, tree, (p_best, q, r))
-            evaluations += 2 + int(math.log2(max(1, extent_i - p_floor + 1)))
-            if cost.feasible and (best is None or cost < best):
-                best = cost
-    return best, evaluations
-
-
-def _raw_cost(model: CostModel, tree: SpaceTree, pqr: tuple[int, int, int]) -> float:
-    """Cost ignoring memory feasibility (used for pruning bounds) — Eq. 2
-    with the paper constants, or the fitted throughputs when the model
-    carries a calibration."""
-    return model.raw_seconds(tree, pqr)
-
-
-def _smallest_feasible_p(
-    plan: PartialFusionPlan,
-    tree: SpaceTree,
-    model: CostModel,
-    p_floor: int,
-    p_ceil: int,
-    q: int,
-    r: int,
-) -> Optional[int]:
-    """Binary search the smallest memory-feasible P in ``[p_floor, p_ceil]``.
-
-    Per-task memory is non-increasing in P (Eq. 3 divides by ``P*R`` and
-    ``P*Q``), while Net/Com are non-decreasing (Eq. 4-5 multiply R-space
-    contributions by P), so the smallest feasible P is optimal for a fixed
-    ``(Q, R)``.
-    """
-    budget = model.config.cluster.task_memory_budget
-    if model.mem_est(plan, tree, (p_ceil, q, r)) > budget:
-        return None
-    lo, hi = p_floor, p_ceil
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if model.mem_est(plan, tree, (mid, q, r)) <= budget:
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
+            if best is None or seconds[k][j] < best[0]:
+                best = (seconds[k][j], (int(p_best[k][j]), j + 1, k + 1))
+    if best is None:
+        return None, evaluations
+    return model.evaluate(plan, tree, best[1]), evaluations

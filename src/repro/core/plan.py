@@ -81,7 +81,10 @@ class PartialFusionPlan:
 
     def topo_nodes(self) -> tuple[Node, ...]:
         """Plan operators in topological order (children first)."""
-        return tuple(n for n in self.dag.nodes() if n in self.nodes)
+        return self.derived(
+            "topo_nodes",
+            lambda: tuple(n for n in self.dag.nodes() if n in self.nodes),
+        )
 
     def derived(self, key: Hashable, compute: Callable[[], T]) -> T:
         """``compute()``, evaluated once per *key* and kept with the plan.

@@ -790,8 +790,6 @@ def _optimizer_counters(physical: PhysicalPlan) -> Dict[str, int]:
         "cuboids_enumerated": sum(r.candidates for r in results),
         "cuboids_evaluated": sum(r.evaluations for r in results),
         "cuboids_pruned": sum(r.pruned for r in results),
-        "cost_memo_hits": sum(r.memo_hits for r in results),
-        "cost_memo_misses": sum(r.memo_misses for r in results),
     }
 
 

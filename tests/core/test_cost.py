@@ -8,14 +8,18 @@ forms; the model must reproduce them exactly:
 * BFO == the (T, T, 1) corner, RFO == the (I, J, 1) corner (Figure 9).
 """
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.core.calibration import KernelCalibration
 from repro.core.cost import CostModel
 from repro.core.plan import PartialFusionPlan
 from repro.core.spaces import plan_layout
 from repro.lang import DAG, log, matrix_input
 
 from tests.conftest import make_config
+from tests.core.test_optimizer_properties import build_explored_plan
 
 BS = 25
 I_BLOCKS, J_BLOCKS, K_BLOCKS = 8, 6, 2
@@ -144,3 +148,71 @@ class TestCost:
         cheap = model.evaluate(plan, layout.tree, (2, 2, 1))
         pricey = model.evaluate(plan, layout.tree, (8, 6, 2))
         assert (cheap < pricey) == (cheap.cost_seconds < pricey.cost_seconds)
+
+
+# -- grid evaluation ------------------------------------------------------------
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(["single", "nested"]),
+    st.integers(2, 14), st.integers(2, 12), st.integers(1, 6),
+    st.sampled_from([0.01, 0.1, 0.5, 1.0]),
+    st.sampled_from([None, {"X"}, {"U", "V"}]),
+    st.sampled_from([
+        None,
+        KernelCalibration(
+            kind="cfo", bucket="mid", inv_net_rate=3.7e-9,
+            inv_com_rate=1.3e-10, overhead_seconds=0.05, samples=8,
+        ),
+    ]),
+    st.booleans(),
+    st.randoms(use_true_random=False),
+)
+def test_grid_estimates_equal_scalar_calls_at_every_cell(
+    shape, i_b, j_b, k_b, density, free, calibration, overlap, rng
+):
+    """One array-polymorphic formula: each estimate on a ``(q, r)`` grid —
+    with ``p`` a constant or its own per-cell array — is ``==`` (not approx)
+    the int call at that cell, for single, masked and nested plans, with
+    and without ``free_sources`` and a calibration."""
+    plan = build_explored_plan(shape, i_b, j_b, k_b, density)
+    tree = plan_layout(plan).tree
+    extent_i, extent_j, extent_k = tree.mm.mm_dims()
+    model = CostModel(
+        make_config(block_size=BS, overlap_comm_compute=overlap),
+        calibration=calibration, free_sources=free,
+    )
+    q = np.arange(1, extent_j + 1, dtype=np.float64)[np.newaxis, :]
+    r = np.arange(1, extent_k + 1, dtype=np.float64)[:, np.newaxis]
+    shape_kj = (extent_k, extent_j)
+    p_cells = [
+        [rng.randint(1, extent_i) for _ in range(extent_j)]
+        for _ in range(extent_k)
+    ]
+    for p in (1, extent_i, np.array(p_cells, dtype=np.float64)):
+        grids = {
+            "mem": model.mem_est(plan, tree, (p, q, r)),
+            "net": model.net_est(tree, (p, q, r)),
+            "net+agg": model.net_est(tree, (p, q, r), include_aggregation=True),
+            "com": model.com_est(tree, (p, q, r)),
+            "raw": model.raw_seconds(tree, (p, q, r)),
+            "full": model.full_seconds(plan, tree, (p, q, r)),
+        }
+        grids = {k: np.broadcast_to(v, shape_kj) for k, v in grids.items()}
+        for k in range(extent_k):
+            for j in range(extent_j):
+                cell_p = p if isinstance(p, int) else p_cells[k][j]
+                pqr = (cell_p, j + 1, k + 1)
+                assert grids["mem"][k, j] == model.mem_est(plan, tree, pqr)
+                assert grids["net"][k, j] == model.net_est(tree, pqr)
+                assert grids["net+agg"][k, j] == model.net_est(
+                    tree, pqr, include_aggregation=True
+                )
+                assert grids["com"][k, j] == model.com_est(tree, pqr)
+                assert grids["raw"][k, j] == model.raw_seconds(tree, pqr)
+                # the budget is generous, so evaluate() prices every cell
+                cost = model.evaluate(plan, tree, pqr)
+                assert cost.feasible
+                assert grids["full"][k, j] == cost.cost_seconds
+                assert type(cost.cost_seconds) is float

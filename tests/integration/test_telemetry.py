@@ -61,7 +61,7 @@ unit  kind  pqr        sec(pred)  sec(meas)  sec err  net(pred)  net(meas)  net 
 [1]   cfo   (4, 1, 2)  0.0007936  0.1005     -99.2%   1.984e+05  9.92e+04   +100.0%  6.464e+05    6.484e+05    -0.3%      F[ba(x),r(T),ba(x)]
 [2]   cfo   (1, 4, 2)  0.0006912  0.1006     -99.3%   1.728e+05  1.491e+05  +15.9%   2.096e+05    1.433e+05    +46.2%     F[r(T),ba(x),b(mul),ba(x),b(add:,s1e-09),b(div)]
 [3]   cfo   (4, 1, 2)  0.0006016  0.1007     -99.4%   1.504e+05  1.515e+05  -0.7%    8.24e+04     7.932e+04    +3.9%      F[r(T),ba(x),b(mul),b(add:,s1e-09),b(div)]
-counters: cost_memo_hits=32, cost_memo_misses=83, cuboids_enumerated=65, cuboids_evaluated=52, cuboids_pruned=13, env_keys_released=5, plan_cache_misses=1, slice_cache_hits=91, slice_cache_misses=35"""
+counters: cuboids_enumerated=65, cuboids_evaluated=52, cuboids_pruned=13, env_keys_released=5, plan_cache_misses=1, slice_cache_hits=91, slice_cache_misses=35"""
 
 
 def test_golden_gnmf_profile_report(workload):
