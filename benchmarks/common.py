@@ -16,11 +16,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
 from repro.config import ClusterConfig, EngineConfig
-from repro.errors import (
-    SimulatedTimeoutError,
-    TaskOutOfMemoryError,
-    TaskRetriesExceededError,
-)
+from repro.errors import SimulatedTimeoutError, TaskOutOfMemoryError
 from repro.utils.formatting import format_bytes, format_seconds, render_table
 
 #: Block size used by every benchmark (the paper uses 1000).
@@ -60,8 +56,7 @@ class SeriesResult:
 
     elapsed_seconds: Optional[float] = None
     comm_bytes: Optional[int] = None
-    failure: Optional[str] = None  # "O.O.M.", "T.O." or "FAILED"
-    num_retries: int = 0
+    failure: Optional[str] = None  # "O.O.M." or "T.O."
 
     @property
     def label_time(self) -> str:
@@ -84,13 +79,9 @@ def run_engine(fn: Callable[[], object]) -> SeriesResult:
         return SeriesResult(failure="O.O.M.")
     except SimulatedTimeoutError:
         return SeriesResult(failure="T.O.")
-    except TaskRetriesExceededError:
-        # a fault plan killed some task on every allowed attempt
-        return SeriesResult(failure="FAILED")
     return SeriesResult(
         elapsed_seconds=result.metrics.elapsed_seconds,
         comm_bytes=result.metrics.comm_bytes,
-        num_retries=result.metrics.num_retries,
     )
 
 

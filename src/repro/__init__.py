@@ -20,7 +20,7 @@ Quickstart::
     print(result.metrics.summary())
 """
 
-from repro.cluster.runtime import FaultPlan, TraceRecorder
+from repro.cluster.trace import TraceRecorder
 from repro.config import ClusterConfig, EngineConfig, ServiceConfig, paper_cluster
 from repro.core import FuseMEEngine
 from repro.baselines import (
@@ -81,7 +81,6 @@ __all__ = [
     "MatrixService",
     "ServedResult",
     "Session",
-    "FaultPlan",
     "TraceRecorder",
     "EventBus",
     "JsonDumpSink",

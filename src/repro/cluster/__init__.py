@@ -17,14 +17,8 @@ from repro.cluster.parallel import parallel_map
 from repro.cluster.slice_cache import SliceCache
 from repro.cluster.task import TaskContext, TransferKind
 from repro.cluster.executor import SimulatedCluster, Stage
-from repro.cluster.simulation import stage_seconds, task_seconds
-from repro.cluster.runtime import (
-    ClusterRuntime,
-    FaultPlan,
-    ScheduledStage,
-    TaskAttempt,
-    TraceRecorder,
-)
+from repro.cluster.simulation import stage_seconds
+from repro.cluster.trace import TraceRecorder
 
 __all__ = [
     "MetricsCollector",
@@ -36,10 +30,5 @@ __all__ = [
     "SimulatedCluster",
     "Stage",
     "stage_seconds",
-    "task_seconds",
-    "ClusterRuntime",
-    "FaultPlan",
-    "ScheduledStage",
-    "TaskAttempt",
     "TraceRecorder",
 ]

@@ -12,16 +12,10 @@ Operators interact with the cluster through :class:`Stage`::
 
 Closing the stage computes its modeled elapsed time, records a
 :class:`~repro.cluster.metrics.StageRecord`, and enforces the simulated-time
-timeout (the paper's 12-hour ``T.O.``).  Two time models exist
-(``EngineConfig.time_model``):
-
-* ``"aggregate"`` (default, the seed behaviour) — the paper's Eq. 2 applied
-  to the stage's *total* traffic and flops
-  (:func:`repro.cluster.simulation.stage_seconds`), perfect load balance;
-* ``"scheduled"`` — the event-driven per-slot runtime
-  (:mod:`repro.cluster.runtime`): tasks are placed on ``N x Tc`` slot
-  timelines, faults from the config's :class:`FaultPlan` are injected and
-  retried, and the stage pays for its longest slot.
+timeout (the paper's 12-hour ``T.O.``).  A stage is priced one way: the
+paper's Eq. 2 applied to its *total* traffic and flops, scaled by slot
+utilisation plus per-wave launch overhead
+(:func:`repro.cluster.simulation.stage_seconds`).
 
 A stage whose body raises (O.O.M., timeout, operator bug) is still recorded
 — as an *aborted* :class:`StageRecord` with zero modeled seconds — so a
@@ -37,10 +31,10 @@ from typing import Iterator, Optional
 
 from repro.config import EngineConfig
 from repro.cluster.metrics import MetricsCollector, MetricsMark, StageRecord
-from repro.cluster.runtime import ClusterRuntime, TraceRecorder
-from repro.cluster.simulation import stage_seconds, task_seconds
+from repro.cluster.simulation import stage_seconds
 from repro.cluster.slice_cache import SliceCache
 from repro.cluster.task import TaskContext
+from repro.cluster.trace import TraceRecorder
 from repro.errors import SimulatedTimeoutError
 
 
@@ -88,30 +82,7 @@ class Stage:
         peak = max((t.peak_memory for t in self.tasks), default=0)
         return consolidation, aggregation, flops, peak
 
-    def _skew_ratio(self) -> float:
-        """Max-over-mean per-task busy time (1.0 when empty or balanced)."""
-        if not self.tasks:
-            return 1.0
-        config = self._cluster.config
-        busy = [
-            task_seconds(
-                config.cluster,
-                t.consolidation_bytes + t.aggregation_bytes,
-                t.flops,
-                overlap=config.overlap_comm_compute,
-            )
-            for t in self.tasks
-        ]
-        mean = sum(busy) / len(busy)
-        return max(busy) / mean if mean > 0 else 1.0
-
-    def _record(
-        self,
-        seconds: float,
-        attempts: Optional[int] = None,
-        skew: Optional[float] = None,
-        aborted: bool = False,
-    ) -> StageRecord:
+    def _record(self, seconds: float, aborted: bool = False) -> StageRecord:
         """Record this stage exactly once; every exit path funnels here."""
         if self._closed:
             raise RuntimeError(f"stage {self.name!r} is already closed")
@@ -125,8 +96,6 @@ class Stage:
             flops=flops,
             seconds=seconds,
             peak_task_memory=peak,
-            attempts=len(self.tasks) if attempts is None else attempts,
-            skew_ratio=self._skew_ratio() if skew is None else skew,
             aborted=aborted,
             unit=self.unit,
             wall_seconds=time.perf_counter() - self._wall_start,
@@ -147,49 +116,25 @@ class Stage:
         if self._closed:
             raise RuntimeError(f"stage {self.name!r} is already closed")
         config = self._cluster.config
-        consolidation, aggregation, flops, peak = self._totals()
-        # where the stage sits on the run's modeled clock; it only ever
-        # positions trace events — no modeled number is derived from it
-        start = self._cluster.metrics.clock
-
-        if config.time_model == "scheduled":
-            try:
-                # scheduled from relative zero: the stage's seconds are then
-                # a function of its own tasks, not of the clock reading
-                scheduled = self._cluster.runtime.run_stage(
-                    self.name, self.tasks, trace_offset=start
-                )
-            except Exception:
-                # retries exhausted / cluster lost: keep the traffic visible
-                self.abort()
-                raise
-            seconds = scheduled.seconds
-            attempts = scheduled.num_attempts
-            skew = scheduled.skew_ratio
-        else:
-            seconds = stage_seconds(
-                config.cluster,
-                num_tasks=len(self.tasks),
-                net_bytes=consolidation + aggregation,
-                flops=flops,
-                overlap=config.overlap_comm_compute,
+        consolidation, aggregation, flops, _ = self._totals()
+        seconds = stage_seconds(
+            config.cluster,
+            num_tasks=len(self.tasks),
+            net_bytes=consolidation + aggregation,
+            flops=flops,
+            overlap=config.overlap_comm_compute,
+        )
+        trace = self._cluster.trace
+        if trace is not None:
+            # where the stage sits on the run's modeled clock; it only ever
+            # positions trace events — no modeled number is derived from it
+            start = self._cluster.metrics.clock
+        record = self._record(seconds=seconds)
+        if trace is not None:
+            trace.stage(
+                self.name, start, start + seconds, num_tasks=len(self.tasks)
             )
-            attempts = len(self.tasks)
-            skew = self._skew_ratio()
-
-        record = self._record(seconds=seconds, attempts=attempts, skew=skew)
-        if self._cluster.trace is not None:
-            self._cluster.trace.stage(
-                self.name,
-                start,
-                start + seconds,
-                num_tasks=len(self.tasks),
-                attempts=attempts,
-                skew_ratio=skew,
-            )
-            self._cluster.trace.transfer(
-                self.name, start + seconds, consolidation, aggregation
-            )
+            trace.transfer(self.name, start + seconds, consolidation, aggregation)
         self._cluster._check_timeout()
         return record
 
@@ -197,11 +142,9 @@ class Stage:
 class SimulatedCluster:
     """The distributed substrate shared by FuseME and every baseline engine.
 
-    With ``time_model="scheduled"`` the cluster owns a
-    :class:`~repro.cluster.runtime.ClusterRuntime` (per-slot scheduling plus
-    the config's fault plan) and auto-attaches a
-    :class:`~repro.cluster.runtime.TraceRecorder`; pass ``trace=`` to attach
-    one explicitly (stage-level events are recorded in aggregate mode too).
+    Pass ``trace=`` a :class:`~repro.cluster.trace.TraceRecorder` to record
+    each stage's span and transfer totals on the modeled clock; without
+    one, nothing is recorded.
     """
 
     def __init__(
@@ -213,8 +156,6 @@ class SimulatedCluster:
         self.metrics = MetricsCollector()
         #: Shared consolidation slabs, reset by the engine per execute.
         self.slice_cache = SliceCache(enabled=self.config.slice_reuse)
-        if trace is None and self.config.time_model == "scheduled":
-            trace = TraceRecorder()
         self.trace = trace
         # the collector position at the start of the current query; the
         # simulated timeout budget applies per query, not per cluster
@@ -225,25 +166,9 @@ class SimulatedCluster:
         # query; Engine._execute slices from here so each result's trace
         # holds only its own query's events
         self._trace_epoch = 0
-        # the event-driven runtime is only needed under
-        # time_model="scheduled"; built lazily so aggregate-mode clusters
-        # (the default, and every seed benchmark) never pay for it
-        self._runtime: Optional[ClusterRuntime] = None
         # per-thread physical-plan unit index: stages opened on a thread
         # inherit it, attributing their StageRecords to the unit
         self._unit_scope = threading.local()
-
-    @property
-    def runtime(self) -> ClusterRuntime:
-        """The event-driven per-slot runtime (built on first use)."""
-        if self._runtime is None:
-            self._runtime = ClusterRuntime(
-                self.config.cluster,
-                fault_plan=self.config.fault_plan,
-                trace=self.trace,
-                overlap=self.config.overlap_comm_compute,
-            )
-        return self._runtime
 
     @property
     def current_unit(self) -> Optional[int]:
@@ -337,6 +262,5 @@ class SimulatedCluster:
         c = self.config.cluster
         return (
             f"SimulatedCluster(nodes={c.num_nodes}, tasks_per_node="
-            f"{c.tasks_per_node}, theta_t={c.task_memory_budget}, "
-            f"time_model={self.config.time_model!r})"
+            f"{c.tasks_per_node}, theta_t={c.task_memory_budget})"
         )

@@ -17,11 +17,8 @@ from typing import Dict, Iterator
 class StageRecord:
     """Totals for one executed stage (one wave-set of parallel tasks).
 
-    ``attempts`` counts task attempts including retries (equal to
-    ``num_tasks`` under the aggregate time model, which never retries);
-    ``skew_ratio`` is max-over-mean per-task busy time (1.0 = perfectly
-    balanced); ``aborted`` marks a stage whose body raised — its partial
-    traffic still counts, its modeled time is zero.
+    ``aborted`` marks a stage whose body raised — its partial traffic still
+    counts, its modeled time is zero.
     """
 
     name: str
@@ -31,8 +28,6 @@ class StageRecord:
     flops: int
     seconds: float
     peak_task_memory: int
-    attempts: int = -1
-    skew_ratio: float = 1.0
     aborted: bool = False
     #: Physical-plan unit index this stage ran for (None outside a unit
     #: scope — e.g. hand-opened stages in tests).
@@ -42,17 +37,9 @@ class StageRecord:
     #: :meth:`MetricsCollector.totals`, which stays comparable across runs.
     wall_seconds: float = 0.0
 
-    def __post_init__(self) -> None:
-        if self.attempts < 0:
-            object.__setattr__(self, "attempts", self.num_tasks)
-
     @property
     def comm_bytes(self) -> int:
         return self.consolidation_bytes + self.aggregation_bytes
-
-    @property
-    def retries(self) -> int:
-        return self.attempts - self.num_tasks
 
 
 @dataclass(frozen=True)
@@ -176,23 +163,9 @@ class MetricsCollector:
         return sum(s.num_tasks for s in self._stages_view())
 
     @property
-    def num_attempts(self) -> int:
-        """Task attempts including retries (== num_tasks without faults)."""
-        return sum(s.attempts for s in self._stages_view())
-
-    @property
-    def num_retries(self) -> int:
-        return sum(s.retries for s in self._stages_view())
-
-    @property
     def num_aborted_stages(self) -> int:
         """Stages whose body raised (O.O.M. / timeout) before closing."""
         return sum(1 for s in self._stages_view() if s.aborted)
-
-    @property
-    def max_skew_ratio(self) -> float:
-        """Worst per-stage load imbalance seen during the run."""
-        return max((s.skew_ratio for s in self._stages_view()), default=1.0)
 
     def per_unit_totals(self) -> Dict[int, Dict[str, object]]:
         """Modeled totals grouped by physical-plan unit index.
@@ -227,7 +200,6 @@ class MetricsCollector:
         return {
             "num_stages": len(stages),
             "num_tasks": sum(s.num_tasks for s in stages),
-            "num_attempts": sum(s.attempts for s in stages),
             "consolidation_bytes": sum(s.consolidation_bytes for s in stages),
             "aggregation_bytes": sum(s.aggregation_bytes for s in stages),
             "flops": sum(s.flops for s in stages),
@@ -301,8 +273,6 @@ class MetricsCollector:
             f"flops={self.flops:,}, "
             f"elapsed={format_seconds(self.elapsed_seconds)}"
         )
-        if self.num_retries:
-            text += f", retries={self.num_retries}"
         if self.num_aborted_stages:
             text += f", aborted_stages={self.num_aborted_stages}"
         return text

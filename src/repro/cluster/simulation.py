@@ -55,25 +55,3 @@ def stage_seconds(
     busy = max(net_time, comp_time) if overlap else net_time + comp_time
     waves = math.ceil(num_tasks / slots)
     return busy + waves * cluster.task_launch_overhead
-
-
-def task_seconds(
-    cluster: ClusterConfig,
-    net_bytes: int,
-    flops: int,
-    overlap: bool = True,
-) -> float:
-    """Eq. 2 applied to ONE task running on one slot.
-
-    Each of a node's ``Tc`` slots owns a ``1/Tc`` share of the node's
-    network and compute bandwidth, so a fully-loaded stage of uniform tasks
-    takes exactly the aggregate :func:`stage_seconds` time, while skewed
-    task sets pay for their longest slot timeline instead of their average
-    (the event-driven runtime's whole point).  Launch overhead is *not*
-    included here; the scheduler charges it per attempt.
-    """
-    slot_net = cluster.network_bandwidth / cluster.tasks_per_node
-    slot_comp = cluster.compute_bandwidth / cluster.tasks_per_node
-    net_time = net_bytes / slot_net
-    comp_time = flops / slot_comp
-    return max(net_time, comp_time) if overlap else net_time + comp_time

@@ -11,13 +11,7 @@ layout.  Benchmarks construct configs that mirror the paper's cluster (8 nodes,
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Optional
-
-if TYPE_CHECKING:  # avoid a config <-> cluster import cycle at runtime
-    from repro.cluster.runtime.faults import FaultPlan
-
-#: Valid values for :attr:`EngineConfig.time_model`.
-TIME_MODELS = ("aggregate", "scheduled")
+from typing import Optional
 
 #: Valid values for :attr:`EngineConfig.calibration`.
 CALIBRATION_MODES = ("off", "observe", "active")
@@ -81,6 +75,10 @@ class ClusterConfig:
             raise ValueError("task_memory_budget must be positive")
         if self.network_bandwidth <= 0 or self.compute_bandwidth <= 0:
             raise ValueError("bandwidths must be positive")
+        if self.task_launch_overhead < 0:
+            raise ValueError("task_launch_overhead cannot be negative")
+        if self.input_split_bytes <= 0:
+            raise ValueError("input_split_bytes must be positive")
 
     @property
     def total_tasks(self) -> int:
@@ -138,15 +136,6 @@ class EngineConfig:
     refine_input_metas: bool = False
     #: RNG seed used by dataset generators unless overridden.
     seed: int = 0
-    #: How stage elapsed time is modeled: ``"aggregate"`` applies Eq. 2 to
-    #: the stage's totals (the seed behaviour, perfectly load-balanced);
-    #: ``"scheduled"`` runs the event-driven per-slot runtime
-    #: (:mod:`repro.cluster.runtime`), so skew, stragglers and retries cost
-    #: real modeled seconds.
-    time_model: str = "aggregate"
-    #: Seeded fault injection (crashes / stragglers / node loss), only
-    #: honoured by the ``"scheduled"`` time model.
-    fault_plan: Optional["FaultPlan"] = None
     #: Real worker threads evaluating cuboid/block tasks concurrently.
     #: Simulated numbers (modeled seconds, traffic, flops) and matrix
     #: outputs are identical at any setting; only wall-clock changes.
@@ -199,11 +188,6 @@ class EngineConfig:
             raise ValueError("timeout_seconds must be positive")
         if not 0.0 <= self.sparse_threshold <= 1.0:
             raise ValueError("sparse_threshold must be within [0, 1]")
-        if self.time_model not in TIME_MODELS:
-            raise ValueError(
-                f"time_model must be one of {TIME_MODELS}, "
-                f"got {self.time_model!r}"
-            )
         if self.local_parallelism <= 0:
             raise ValueError("local_parallelism must be positive")
         if self.plan_cache_size < 0:

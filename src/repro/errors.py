@@ -68,39 +68,6 @@ class TaskOutOfMemoryError(ExecutionError):
         return (type(self), (self.task_id, self.used_bytes, self.budget_bytes))
 
 
-class TaskRetriesExceededError(ExecutionError):
-    """A simulated task failed on every allowed attempt (crash/node loss).
-
-    Mirrors Spark's ``spark.task.maxFailures`` abort: the scheduler retried
-    the task with exponential backoff until the fault plan's
-    ``max_attempts`` bound, and every attempt failed.
-    """
-
-    def __init__(self, task_id: str, attempts: int):
-        self.task_id = task_id
-        self.attempts = attempts
-        super().__init__(
-            f"task {task_id} failed on all {attempts} allowed attempts"
-        )
-
-    def __reduce__(self):
-        return (type(self), (self.task_id, self.attempts))
-
-
-class ClusterLostError(ExecutionError):
-    """Every node was lost mid-stage; no slots remain to retry on."""
-
-    def __init__(self, stage_name: str):
-        self.stage_name = stage_name
-        super().__init__(
-            f"stage {stage_name!r} lost every cluster node; nothing left "
-            f"to schedule retries on"
-        )
-
-    def __reduce__(self):
-        return (type(self), (self.stage_name,))
-
-
 class SimulatedTimeoutError(ExecutionError):
     """Modeled elapsed time exceeded the configured timeout (paper: 12 h)."""
 

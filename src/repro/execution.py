@@ -23,7 +23,7 @@ from typing import Any, Dict, Mapping, Optional, Sequence, Tuple, Union
 from repro.cluster.executor import SimulatedCluster
 from repro.cluster.metrics import MetricsCollector
 from repro.cluster.slice_cache import SliceCache
-from repro.cluster.runtime import TraceRecorder
+from repro.cluster.trace import TraceRecorder
 from repro.config import EngineConfig
 from repro.obs import (
     EventBus,
@@ -75,8 +75,9 @@ class ExecutionResult:
     metrics: MetricsCollector
     fusion_plan: Optional[FusionPlan]
     dag: Optional[DAG] = None
-    #: Structured runtime trace (auto-attached when time_model="scheduled");
-    #: per-query slice — on a shared cluster it contains only this query's
+    #: Modeled-clock trace, present only when the cluster was built with an
+    #: explicit ``SimulatedCluster(config, trace=TraceRecorder())``; a
+    #: per-query slice — on a shared cluster it holds only this query's
     #: events.  Export with ``result.trace.write_chrome_trace("run.json")``.
     trace: Optional[TraceRecorder] = None
     #: The lowered unit graph this query executed through (None only for

@@ -179,10 +179,6 @@ def engine_families(
         MetricFamily(
             f"{prefix}_tasks_total", "counter", "Simulated tasks executed",
         ).add(snapshot.get("num_tasks", 0)),
-        MetricFamily(
-            f"{prefix}_task_attempts_total", "counter",
-            "Task attempts including retries",
-        ).add(snapshot.get("num_attempts", 0)),
         comm,
         MetricFamily(
             f"{prefix}_flops_total", "counter", "Modeled floating point operations",

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cluster import SimulatedCluster
+from repro.cluster import SimulatedCluster, TraceRecorder
 from repro.errors import SimulatedTimeoutError
 
 from tests.conftest import make_config
@@ -10,6 +10,10 @@ from tests.conftest import make_config
 
 def cluster(**kwargs) -> SimulatedCluster:
     return SimulatedCluster(make_config(**kwargs))
+
+
+def traced_cluster(**kwargs) -> SimulatedCluster:
+    return SimulatedCluster(make_config(**kwargs), trace=TraceRecorder())
 
 
 class TestStageLifecycle:
@@ -105,66 +109,30 @@ class TestTiming:
         assert c.total_tasks == 15
 
 
-class TestScheduledStageSeconds:
-    """Under ``time_model="scheduled"`` a stage's modeled seconds depend on
-    its tasks alone — never on the reading of the run's clock at the moment
-    it closes, which concurrent units move under it."""
-
-    @staticmethod
-    def _probe_seconds(c: SimulatedCluster) -> float:
+class TestStageTrace:
+    def test_trace_places_the_stage_on_the_run_clock(self):
+        """An attached recorder positions each stage at the run's modeled
+        clock when it closes: its span starts where the previous ones end
+        and its transfer instant sits at the span's end."""
+        c = traced_cluster()
+        with c.stage("filler") as stage:
+            stage.task().receive(5_000_000)
+        offset = c.metrics.elapsed_seconds
         with c.stage("probe") as stage:
             for size in (1_000_003, 777_777, 31_337):
                 task = stage.task()
                 task.receive(size)
                 task.add_flops(7 * size)
-        return c.metrics.stages[-1].seconds
-
-    def test_seconds_do_not_depend_on_the_clock_at_close(self):
-        fresh = self._probe_seconds(cluster(time_model="scheduled"))
-        for filler in range(1, 40):
-            c = cluster(time_model="scheduled")
-            with c.stage("filler") as stage:
-                stage.task().receive(filler * 104_729)
-            assert c.metrics.elapsed_seconds > 0.0
-            # bit for bit: (start + d) - start would differ in the last ulp
-            assert self._probe_seconds(c) == fresh
-
-    def test_trace_still_places_the_stage_on_the_run_clock(self):
-        c = cluster(time_model="scheduled")
-        with c.stage("filler") as stage:
-            stage.task().receive(5_000_000)
-        offset = c.metrics.elapsed_seconds
-        self._probe_seconds(c)
-        probe_tasks = [
-            e for e in c.trace.events
-            if e.category == "task" and e.name.startswith("probe")
-        ]
-        assert len(probe_tasks) == 3
-        assert all(e.ts >= offset for e in probe_tasks)
+        seconds = c.metrics.stages[-1].seconds
         [probe_stage] = [
             e for e in c.trace.events
             if e.category == "stage" and e.name == "probe"
         ]
         assert probe_stage.ts == offset
-
-
-class TestLazyRuntime:
-    def test_aggregate_mode_never_builds_runtime(self):
-        """The event-driven runtime is scheduled-mode machinery; the default
-        aggregate cluster must stay runtime-free even after running stages."""
-        c = cluster()  # time_model="aggregate"
-        assert c._runtime is None
-        with c.stage("s") as stage:
-            stage.task().add_flops(10)
-        assert c._runtime is None
-
-    def test_scheduled_mode_builds_runtime_on_demand(self):
-        c = cluster(time_model="scheduled")
-        assert c._runtime is None
-        with c.stage("s") as stage:
-            stage.task().add_flops(10)
-        assert c._runtime is not None
-        assert c.runtime is c._runtime  # property reuses the instance
+        assert probe_stage.duration == pytest.approx(seconds)
+        assert probe_stage.args == {"num_tasks": 3}
+        [transfer] = [e for e in c.trace.events if e.name == "transfer:probe"]
+        assert transfer.ts == offset + seconds
 
 
 class TestUnitScope:
@@ -191,7 +159,7 @@ class TestQueryTrace:
     def test_query_trace_is_isolated_slice(self):
         """Each query's trace holds only its own events, independent of the
         live recorder (per-query trace isolation on shared clusters)."""
-        c = cluster(time_model="scheduled")
+        c = traced_cluster()
         c.begin_query()
         with c.stage("q1") as stage:
             stage.task().add_flops(10)
@@ -210,6 +178,6 @@ class TestQueryTrace:
         assert len(first) + len(second) == len(c.trace)
 
     def test_query_trace_none_without_recorder(self):
-        c = cluster()  # aggregate mode, no trace attached
+        c = cluster()  # no trace attached
         c.begin_query()
         assert c.query_trace() is None

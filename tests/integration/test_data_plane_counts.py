@@ -14,6 +14,9 @@ Two kinds of assertion, neither reads a clock:
   defensive payload copies (``Block.to_numpy`` / ``Block.copy``) and
   ``chunk_ranges`` evaluations.  The bounds are the measured values, so
   re-introducing a per-block or per-task tax fails here on any runner.
+
+The oldest pin rides along: the conftest cluster's two GNMF iterations
+reproduce the seed commit's elapsed and communication numbers exactly.
 """
 
 import pytest
@@ -24,7 +27,14 @@ from repro.core import cuboid
 from repro.matrix.generators import rand_dense, rand_sparse
 from repro.workloads import GNMF, AutoEncoder, AutoEncoderShapes
 
+from tests.conftest import make_config
+
 BLOCK = 25
+
+#: Pinned at the seed commit by running two GNMF iterations on the conftest
+#: cluster; every later change must reproduce them bit for bit.
+SEED_ELAPSED_SECONDS = 0.41678630400000005
+SEED_COMM_BYTES = 3836576
 
 
 def fig14_config() -> EngineConfig:
@@ -141,3 +151,12 @@ def test_steady_state_query_counts(name, tally):
         for block in result.outputs[root].blocks.values():
             fresh = Block(block.data.copy())
             assert (block.nnz, block.nbytes) == (fresh.nnz, fresh.nbytes)
+
+
+def test_default_config_reproduces_seed_numbers_exactly():
+    """Elapsed and comm of the seed's GNMF run are compared exactly."""
+    gnmf = GNMF(200, 150, 50, 0.05, BLOCK)
+    x = rand_sparse(200, 150, 0.05, BLOCK, seed=7)
+    run = gnmf.run(FuseMEEngine(make_config()), x, iterations=2)
+    assert run.accumulated_seconds[-1] == SEED_ELAPSED_SECONDS
+    assert run.total_comm_bytes == SEED_COMM_BYTES

@@ -1,12 +1,10 @@
 """The execution fast path must be invisible in results and modeled metrics.
 
-Every combination of engine (CFO via FuseME, BFO/RFO via SystemDS), time
-model and ``local_parallelism`` must produce bit-identical outputs and the
+Every combination of engine (CFO via FuseME, BFO/RFO via SystemDS) and
+``local_parallelism`` must produce bit-identical outputs and the
 exact same MetricsCollector totals as the serial baseline with every fast
 path disabled — speed is the only thing allowed to change.
 """
-
-import sys
 
 import numpy as np
 import pytest
@@ -40,24 +38,22 @@ def _inputs():
     }
 
 
-def _run(engine_cls, time_model, **options):
-    config = make_config(time_model=time_model, **options)
+def _run(engine_cls, **options):
+    config = make_config(**options)
     engine = engine_cls(config)
     return engine.execute(_query(), _inputs())
 
 
 @pytest.mark.parametrize("engine_cls", [FuseMEEngine, SystemDSLikeEngine])
-@pytest.mark.parametrize("time_model", ["aggregate", "scheduled"])
 @pytest.mark.parametrize("parallelism", [1, 4])
-def test_fast_path_is_invisible(engine_cls, time_model, parallelism):
+def test_fast_path_is_invisible(engine_cls, parallelism):
     baseline = _run(
         engine_cls,
-        time_model,
         plan_cache_size=0,
         slice_reuse=False,
         local_parallelism=1,
     )
-    fast = _run(engine_cls, time_model, local_parallelism=parallelism)
+    fast = _run(engine_cls, local_parallelism=parallelism)
 
     for root_base, root_fast in zip(baseline.dag.roots, fast.dag.roots):
         assert np.array_equal(
@@ -66,28 +62,6 @@ def test_fast_path_is_invisible(engine_cls, time_model, parallelism):
         )
     # counters differ by design; every modeled quantity must be exact
     assert baseline.metrics.totals() == fast.metrics.totals()
-
-
-def test_thread_wave_scheduled_totals_repeat_exactly():
-    """The formerly flaky ``[4-scheduled-SystemDSLikeEngine]`` case, 50 times
-    over with a short switch interval so sibling task threads really
-    interleave: a stage's scheduled seconds must be a function of its own
-    tasks, whatever order the pool finished them in."""
-    baseline = _run(
-        SystemDSLikeEngine,
-        "scheduled",
-        plan_cache_size=0,
-        slice_reuse=False,
-        local_parallelism=1,
-    ).metrics.totals()
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for _ in range(50):
-            fast = _run(SystemDSLikeEngine, "scheduled", local_parallelism=4)
-            assert fast.metrics.totals() == baseline
-    finally:
-        sys.setswitchinterval(interval)
 
 
 @pytest.mark.parametrize("engine_cls", [FuseMEEngine, SystemDSLikeEngine])
@@ -106,6 +80,6 @@ def test_repeated_execution_stays_invisible(engine_cls):
 
 
 def test_parallel_pool_counters_recorded():
-    result = _run(FuseMEEngine, "aggregate", local_parallelism=4)
+    result = _run(FuseMEEngine, local_parallelism=4)
     assert result.metrics.counter("pool_tasks") > 0
     assert result.metrics.counter("pool_width_max") <= 4

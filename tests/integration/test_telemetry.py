@@ -22,7 +22,8 @@ from repro import (
     MatFastLikeEngine,
     SystemDSLikeEngine,
 )
-from repro.cluster.runtime.trace import validate_chrome_trace
+from repro.cluster import SimulatedCluster, TraceRecorder
+from repro.cluster.trace import validate_chrome_trace
 from repro.obs import MemorySink
 from repro.workloads.gnmf import gnmf_updates
 
@@ -257,15 +258,15 @@ def test_plan_cache_hit_span_attrs(workload):
 
 
 def test_trace_carries_spans_and_cache_instants(workload):
-    """Under the event-driven runtime the per-query trace interleaves
-    stage/task events with span events and cache instant markers, and the
-    Chrome export stays loadable."""
+    """With a recorder attached, the per-query trace interleaves stage
+    events with span events and cache instant markers, and the Chrome
+    export stays loadable."""
     query, inputs = workload
-    engine = FuseMEEngine(
-        make_config(block_size=BS, time_model="scheduled")
-    )
-    first = engine.execute(query, inputs)
-    second = engine.execute(query, inputs)
+    config = make_config(block_size=BS)
+    engine = FuseMEEngine(config)
+    cluster = SimulatedCluster(config, trace=TraceRecorder())
+    first = engine.execute(query, inputs, cluster=cluster)
+    second = engine.execute(query, inputs, cluster=cluster)
 
     def names(trace, category):
         return [e.name for e in trace.events if e.category == category]
@@ -289,7 +290,7 @@ def test_trace_carries_spans_and_cache_instants(workload):
 
 
 def test_spans_without_scheduled_trace_still_profile(workload):
-    """The default time model has no TraceRecorder; profiles and span trees
+    """The default cluster has no TraceRecorder; profiles and span trees
     must work regardless."""
     query, inputs = workload
     result = FuseMEEngine(make_config(block_size=BS)).execute(query, inputs)

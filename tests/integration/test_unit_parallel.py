@@ -4,7 +4,7 @@ Units always run one at a time in plan order
 (``repro.core.physical.run_physical_plan``); ``local_parallelism > 1`` only
 puts each operator's cuboid/block tasks on real threads.  These tests assert
 the contract that makes that safe to enable anywhere: across all five
-engines and both time models, outputs are bit-identical and the stage-record
+engines, outputs are bit-identical and the stage-record
 *list* — not just its totals — is equal at any parallelism level, in unit
 order by construction.
 """
@@ -73,17 +73,14 @@ def stage_list(result):
     return [replace(s, wall_seconds=0.0) for s in result.metrics.stages]
 
 
-@pytest.mark.parametrize("time_model", ["aggregate", "scheduled"])
 @pytest.mark.parametrize("engine_cls", ENGINES, ids=lambda c: c.name)
-def test_stage_list_is_identical(engine_cls, time_model, workload):
+def test_stage_list_is_identical(engine_cls, workload):
     """Task threads never touch the record list: same stages, same
     per-stage modeled numbers, in the same order."""
     query, inputs = workload
-    serial = engine_cls(
-        make_config(block_size=BS, time_model=time_model)
-    ).execute(query, inputs)
+    serial = engine_cls(make_config(block_size=BS)).execute(query, inputs)
     threaded = engine_cls(
-        make_config(block_size=BS, time_model=time_model, local_parallelism=4)
+        make_config(block_size=BS, local_parallelism=4)
     ).execute(query, inputs)
     assert stage_list(serial) == stage_list(threaded)
 
@@ -134,19 +131,3 @@ def test_intermediates_released_at_last_consumer(workload):
         assert result.output(0).shape == (20, 80)
         assert result.output(1).shape == (100, 20)
 
-
-def test_scheduled_time_model_equivalence(workload):
-    """The contract holds under the event-driven runtime too."""
-    query, inputs = workload
-    sequential = FuseMEEngine(
-        make_config(block_size=BS, time_model="scheduled")
-    ).execute(query, inputs)
-    concurrent = FuseMEEngine(
-        make_config(block_size=BS, time_model="scheduled", local_parallelism=4)
-    ).execute(query, inputs)
-    assert sequential.metrics.totals() == concurrent.metrics.totals()
-    for root_s, root_c in zip(sequential.dag.roots, concurrent.dag.roots):
-        assert np.array_equal(
-            sequential.outputs[root_s].to_numpy(),
-            concurrent.outputs[root_c].to_numpy(),
-        )

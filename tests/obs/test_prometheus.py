@@ -104,7 +104,7 @@ class TestValidateExposition:
 class TestBuilders:
     def test_engine_families(self):
         snapshot = {
-            "num_stages": 3, "num_tasks": 12, "num_attempts": 12,
+            "num_stages": 3, "num_tasks": 12,
             "consolidation_bytes": 100, "aggregation_bytes": 50,
             "flops": 1000, "elapsed_seconds": 1.5,
             "peak_task_memory": 4096, "num_aborted_stages": 0,

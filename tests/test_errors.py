@@ -5,11 +5,9 @@ import pickle
 import pytest
 
 from repro.errors import (
-    ClusterLostError,
     QueryTimeoutError,
     SimulatedTimeoutError,
     TaskOutOfMemoryError,
-    TaskRetriesExceededError,
 )
 
 
@@ -17,8 +15,6 @@ from repro.errors import (
     "error",
     [
         TaskOutOfMemoryError("cfo#3", 2048, 1024),
-        TaskRetriesExceededError("cfo#3", 4),
-        ClusterLostError("cfo:compute"),
         SimulatedTimeoutError(50000.0, 43200.0),
         QueryTimeoutError("q-7", 1.5, 1.0),
     ],

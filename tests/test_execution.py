@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro import FuseMEEngine
-from repro.cluster import MetricsCollector, SimulatedCluster
+from repro.cluster import MetricsCollector, SimulatedCluster, TraceRecorder
 from repro.execution import ExecutionResult, as_dag
 from repro.lang import DAG, matrix_input
 from repro.matrix import rand_dense
@@ -178,11 +178,11 @@ class TestRootResolution:
 
 class TestTraceIsolation:
     def test_result_trace_is_per_query_slice(self, simple):
-        """On a shared scheduled-mode cluster, each result's trace contains
-        only its own query's events and never aliases the live recorder."""
+        """On a shared traced cluster, each result's trace contains only its
+        own query's events and never aliases the live recorder."""
         x, inputs = simple
-        config = make_config(time_model="scheduled")
-        cluster = SimulatedCluster(config)
+        config = make_config()
+        cluster = SimulatedCluster(config, trace=TraceRecorder())
         engine = FuseMEEngine(config)
         a = engine.execute(x * 2.0, inputs, cluster=cluster)
         b = engine.execute(x + 1.0, inputs, cluster=cluster)

@@ -73,6 +73,13 @@ class TestConfig:
             ClusterConfig(num_nodes=0)
         with pytest.raises(ValueError):
             ClusterConfig(network_bandwidth=0)
+        with pytest.raises(ValueError):
+            ClusterConfig(task_launch_overhead=-1.0)
+        with pytest.raises(ValueError):
+            ClusterConfig(input_split_bytes=0)
+        with pytest.raises(ValueError):
+            ClusterConfig(input_split_bytes=-4096)
+        ClusterConfig(task_launch_overhead=0.0)  # paper mode: no overhead
 
     def test_invalid_engine(self):
         with pytest.raises(ValueError):
