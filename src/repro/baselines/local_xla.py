@@ -11,6 +11,7 @@ models elapsed time as pure single-node computation.
 from __future__ import annotations
 
 from contextlib import nullcontext
+from dataclasses import replace
 from typing import Dict, Mapping, Optional
 
 import numpy as np
@@ -118,7 +119,8 @@ class LocalXLAEngine:
             )
         result = self.execute(query, inputs, cluster)
         assert result.profile is not None
-        return result.profile
+        self.last_profile = replace(result.profile, result=result)
+        return self.last_profile
 
     def execute(
         self,
@@ -192,7 +194,7 @@ class LocalXLAEngine:
         )
         if tracer is not None:
             result.profile = self._build_profile(
-                physical, metrics, tracer, exec_span, seconds, result
+                physical, metrics, tracer, exec_span, seconds
             )
             self.last_profile = result.profile
             emit_profile_telemetry(self.telemetry, result.profile)
@@ -205,7 +207,6 @@ class LocalXLAEngine:
         tracer: SpanTracer,
         exec_span,
         seconds: float,
-        result: ExecutionResult,
     ) -> QueryProfile:
         span = tracer.root
         span.modeled_start = exec_span.modeled_start = 0.0
@@ -246,5 +247,4 @@ class LocalXLAEngine:
             counters=dict(metrics.counters),
             span=span,
             wall_seconds=span.wall_seconds,
-            result=result,
         )

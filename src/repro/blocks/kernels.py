@@ -45,12 +45,11 @@ class UnaryKernel:
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # the overflow-free form, without a masked gather/scatter: exp(-|x|) is
+    # exp(-x) where x >= 0 and exp(x) elsewhere, so each branch divides
+    # exactly as 1/(1+exp(-x)) and exp(x)/(1+exp(x)) would
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 UNARY_KERNELS: Mapping[str, UnaryKernel] = {

@@ -409,7 +409,14 @@ def _cell_fuse_leftovers(dag: DAG, leftovers: list[Node]) -> list[set[Node]]:
                         group.add(child)
                         remaining.discard(child)
                         changed = True
-                if dag.consumers(member) == 1 and member not in dag.roots:
+                # a termination member is the group's top: nothing fuses
+                # above it (an aggregation's block partials must be combined
+                # before any parent reads them)
+                if (
+                    dag.consumers(member) == 1
+                    and member not in dag.roots
+                    and not is_termination(dag, member)
+                ):
                     for parent in dag.parents(member):
                         if parent not in remaining or isinstance(parent, MatMulNode):
                             continue

@@ -1,51 +1,48 @@
 """Fused local evaluation of a partial plan over per-task slices.
 
-Every distributed fused operator (CFO, BFO, RFO) ultimately runs the same
-thing inside a task: the partial plan's operator chain applied to *slices* of
-the input matrices, with no intermediate materialization between operators.
-This module implements that local execution once, on :class:`Block` payloads
-(so dense/sparse dispatch and flop counting stay consistent with the rest of
-the library), plus the masked (SDDMM) evaluation path that realises the
-paper's sparsity exploitation: when a sparse element-wise multiplication
-masks the main product, only the masked cells are ever computed, as 1-D
-gathered vectors.
+Every distributed fused operator (CFO, BFO, RFO, cell, multi-aggregation)
+ultimately runs the same thing inside a task: the partial plan's operator
+chain applied to *slices* of the input matrices, with no intermediate
+materialization between operators.  This module is that task body, once.
+
+A plan is compiled — once per ``(root, bound-node set)``, kept with the plan
+through :meth:`PartialFusionPlan.derived` — into a flat *slab program*: a
+topologically ordered tuple of ``(kernel, operand slots, out slot)`` steps.
+One loop runs it over raw payloads.  A step whose operands are all dense
+calls the numpy function directly and tallies its flops from shapes; a step
+with a sparse operand goes through the :class:`Block` kernel and its
+``*_flops`` estimator, so dense/sparse dispatch and flop counting stay those
+of the rest of the library.  Only the value that leaves the task becomes a
+``Block``; the intermediates live in the call's slot list and die with it,
+by refcount.
+
+The masked (SDDMM) path realises the paper's sparsity exploitation: when a
+sparse element-wise multiplication masks the main product, only the masked
+cells are ever computed, and the O-space chain runs as the same program over
+1-D vectors gathered at the mask positions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from functools import partial
+from typing import Callable, Dict, FrozenSet, NamedTuple, Optional, Tuple
 
 import numpy as np
 import scipy.sparse as sp
 
 from repro.blocks import (
-    Block,
-    aggregate,
-    binary,
-    binary_flops,
-    matmul,
-    matmul_flops,
-    sddmm,
-    sddmm_flops,
-    unary,
-    unary_flops,
+    Block, aggregate, binary, binary_flops, matmul, matmul_flops, sddmm,
+    sddmm_flops, unary, unary_flops,
 )
 from repro.blocks.kernels import (
-    BINARY_KERNELS,
-    UNARY_KERNELS,
-    aggregate_flops,
+    AGGREGATION_KERNELS, BINARY_KERNELS, UNARY_KERNELS, aggregate_flops,
 )
 from repro.core.plan import PartialFusionPlan
 from repro.core.spaces import SparsityMask
-from repro.errors import ExecutionError, PlanError
+from repro.errors import ExecutionError, MatrixShapeError, PlanError
 from repro.lang.dag import (
-    AggNode,
-    BinaryNode,
-    MatMulNode,
-    Node,
-    TransposeNode,
-    UnaryNode,
+    AggNode, BinaryNode, MatMulNode, Node, TransposeNode, UnaryNode,
 )
 
 #: A frontier consumption point bound to this task's slice of the input.
@@ -65,6 +62,175 @@ class SliceEnv:
         self.bound_nodes[node.node_id] = value
 
 
+# ---------------------------------------------------------------------------
+# the slab program
+# ---------------------------------------------------------------------------
+
+#: Step opcodes, one per operator node type; a binary operator over a scalar
+#: (``_SCALAR``) reads the scalar from a constant slot.
+_UNARY, _BINARY, _SCALAR, _MATMUL, _TRANSPOSE, _AGG = range(6)
+_ELEMENTWISE = (_UNARY, _BINARY, _SCALAR)
+#: Node type -> (opcode, kernel table whose ``fn`` the dense path calls).
+_OPCODES = {
+    UnaryNode: (_UNARY, UNARY_KERNELS),
+    BinaryNode: (_BINARY, BINARY_KERNELS),
+    MatMulNode: (_MATMUL, None),
+    TransposeNode: (_TRANSPOSE, None),
+    AggNode: (_AGG, AGGREGATION_KERNELS),
+}
+_UNBOUND: FrozenSet[int] = frozenset()
+
+
+class _Step(NamedTuple):
+    """``slots[out] = node's kernel(*slots[ins])``."""
+
+    op: int
+    node: Node
+    fn: Optional[Callable]
+    ins: Tuple[int, ...]
+    out: int
+
+
+class _SlabProgram(NamedTuple):
+    """A compiled task body: the loads fill a copy of *slots* (scalar
+    constants, ``None`` elsewhere), the steps run in order, *out* is read."""
+
+    slots: Tuple[object, ...]
+    bound_loads: Tuple[Tuple[int, int], ...]  # (slot, bound node id)
+    edge_loads: Tuple[Tuple[int, Edge], ...]  # (slot, frontier edge)
+    steps: Tuple[_Step, ...]
+    out: int
+
+
+def _program(
+    plan: PartialFusionPlan, root: Node, bound: FrozenSet[int]
+) -> _SlabProgram:
+    return plan.derived(
+        ("slab_program", root.node_id, bound),
+        partial(_compile, plan, root, bound),
+    )
+
+
+def _compile(
+    plan: PartialFusionPlan, root: Node, bound: FrozenSet[int]
+) -> _SlabProgram:
+    """Lower the sub-plan under *root* to a slab program.
+
+    A node whose id is in *bound* is loaded, never evaluated, and nothing is
+    reached through it: a pre-bound value wins over both evaluation and a
+    frontier edge.
+    """
+    nodes = plan.nodes
+    if root.node_id not in bound and root not in nodes:
+        raise PlanError(
+            f"unbound frontier node {root!r} reached without an edge lookup"
+        )
+    needed = set() if root.node_id in bound else {root}
+    topo = plan.topo_nodes()
+    for node in reversed(topo):
+        if node in needed:
+            needed.update(
+                c for c in node.inputs if c in nodes and c.node_id not in bound
+            )
+    slots: list = []
+    slot_of: Dict[object, int] = {}
+    bound_loads: list = []
+    edge_loads: list = []
+    steps = []
+    for node in topo:
+        if node not in needed:
+            continue
+        ins = []
+        for index, child in enumerate(node.inputs):
+            is_bound = child.node_id in bound
+            key = child.node_id if is_bound or child in nodes else (node, index)
+            if key not in slot_of:  # a load: fused children are steps above
+                slot_of[key] = len(slots)
+                slots.append(None)
+                (bound_loads if is_bound else edge_loads).append((len(slots) - 1, key))
+            ins.append(slot_of[key])
+        try:
+            op, kernels = _OPCODES[type(node)]
+        except KeyError:
+            raise PlanError(
+                f"cannot evaluate node type {type(node).__name__}"
+            ) from None
+        if op == _BINARY and node.has_scalar:
+            op = _SCALAR
+            ins.insert(0 if node.scalar_on_left else 1, len(slots))
+            slots.append(node.scalar)
+        fn = kernels[node.kernel].fn if kernels else None
+        slot_of[node.node_id] = len(slots)
+        slots.append(None)
+        steps.append(_Step(op, node, fn, tuple(ins), slot_of[node.node_id]))
+    if root.node_id not in slot_of:  # the root itself is bound
+        slot_of[root.node_id] = len(slots)
+        slots.append(None)
+        bound_loads.append((len(slots) - 1, root.node_id))
+    return _SlabProgram(
+        tuple(slots), tuple(bound_loads), tuple(edge_loads), tuple(steps),
+        slot_of[root.node_id],
+    )
+
+
+def _run(program: _SlabProgram, slots: list) -> tuple[object, int]:
+    """Run *program* over loaded *slots*; return the out value and flops.
+
+    A slot holds a dense value as its bare ``ndarray`` and anything else (a
+    sparse slice, a Block-kernel result) as a :class:`Block`.
+    """
+    flops = 0
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for step in program.steps:
+            args = [slots[i] for i in step.ins]
+            if Block in map(type, args):
+                value, cost = _block_step(step, args)
+            else:
+                value, cost = _dense_step(step, args)
+            slots[step.out] = value
+            flops += cost
+    return slots[program.out], flops
+
+
+def _dense_step(step: _Step, args: list) -> tuple[np.ndarray, int]:
+    """One step on bare arrays: the very numpy call the Block kernel makes
+    on dense operands, with the flops its estimator charges them."""
+    op, a = step.op, args[0]
+    if op == _MATMUL:
+        b = args[1]
+        if a.shape[1] != b.shape[0]:
+            raise MatrixShapeError(
+                f"cannot multiply {a.shape} by {b.shape}: inner dimensions differ"
+            )
+        return a @ b, 2 * a.shape[0] * a.shape[1] * b.shape[1]
+    if op == _BINARY and a.shape != args[1].shape:
+        raise MatrixShapeError(
+            f"binary operands must match: {a.shape} vs {args[1].shape}"
+        )
+    if op == _TRANSPOSE:
+        return np.ascontiguousarray(a.T), a.size
+    value = step.fn(*args)
+    # the operand's size: an aggregation's output is smaller, and a scalar
+    # may come first
+    return value, (value if op == _SCALAR else a).size
+
+
+def _block_step(step: _Step, args: list) -> tuple[Block, int]:
+    """One step through the Block kernels (some operand is sparse)."""
+    args = [Block(x) if type(x) is np.ndarray else x for x in args]
+    op, a = step.op, args[0]
+    if op == _UNARY:
+        return unary(step.node.kernel, a), unary_flops(step.node.kernel, a)
+    if op == _BINARY or op == _SCALAR:
+        name = step.node.kernel
+        return binary(name, *args), binary_flops(name, *args)
+    if op == _MATMUL:
+        return matmul(*args), matmul_flops(*args)
+    if op == _TRANSPOSE:
+        return a.transpose(), a.nnz if a.is_sparse else a.shape[0] * a.shape[1]
+    return aggregate(step.node.kernel, a), aggregate_flops(step.node.kernel, a)
+
+
 def evaluate_slice(
     plan: PartialFusionPlan,
     env: SliceEnv,
@@ -72,87 +238,38 @@ def evaluate_slice(
 ) -> Block:
     """Evaluate the plan (or the sub-plan rooted at *root*) on slice bindings.
 
-    Intermediates flow operator-to-operator as in-memory blocks and are never
+    Intermediates flow step-to-step as bare payloads and are never
     "materialized" in the distributed sense.  Flops accumulate on *env*.
     """
     root = root if root is not None else plan.root
-    sources = plan.operand_sources()
-    frontier = env.frontier
-    # pre-bound values (the aggregated main product) win over evaluation;
-    # seeding the memo with them leaves the common nothing-bound case with
-    # no per-node probe
     bound = env.bound_nodes
-    memo: Dict[int, Block] = dict(bound) if bound else {}
-
-    def rec(node: Node) -> Block:
-        node_id = node.node_id
-        cached = memo.get(node_id)
-        if cached is not None:
-            return cached
-        children = sources.get(node_id)
-        if children is None:
-            raise PlanError(
-                f"unbound frontier node {node!r} reached without an edge lookup"
+    if bound:
+        value = bound.get(root.node_id)
+        if value is not None:
+            return value
+        program = _program(plan, root, frozenset(bound))
+    else:
+        program = _program(plan, root, _UNBOUND)
+    slots = list(program.slots)
+    for slot, node_id in program.bound_loads:
+        block = bound[node_id]
+        slots[slot] = block if block.is_sparse else block.data
+    frontier = env.frontier
+    for slot, edge in program.edge_loads:
+        block = frontier.get(edge)
+        if block is None:
+            raise ExecutionError(
+                f"no slice bound for operand {edge[1]} of {edge[0]!r}"
             )
-        operands: list[Block] = []
-        for idx, child in enumerate(children):
-            if child is not None:
-                operands.append(rec(child))
-                continue
-            value = bound.get(node.inputs[idx].node_id) if bound else None
-            if value is None:
-                try:
-                    value = frontier[(node, idx)]
-                except KeyError:
-                    raise ExecutionError(
-                        f"no slice bound for operand {idx} of {node!r}"
-                    ) from None
-            operands.append(value)
-        result = _apply(node, operands, env)
-        memo[node_id] = result
-        return result
-
-    return rec(root)
-
-
-def _apply(node: Node, operands: list[Block], env: SliceEnv) -> Block:
-    if isinstance(node, UnaryNode):
-        env.flops += unary_flops(node.kernel, operands[0])
-        return unary(node.kernel, operands[0])
-    if isinstance(node, BinaryNode):
-        if node.has_scalar:
-            if node.scalar_on_left:
-                env.flops += binary_flops(node.kernel, node.scalar, operands[0])
-                return binary(node.kernel, node.scalar, operands[0])
-            env.flops += binary_flops(node.kernel, operands[0], node.scalar)
-            return binary(node.kernel, operands[0], node.scalar)
-        env.flops += binary_flops(node.kernel, operands[0], operands[1])
-        return binary(node.kernel, operands[0], operands[1])
-    if isinstance(node, MatMulNode):
-        env.flops += matmul_flops(operands[0], operands[1])
-        return matmul(operands[0], operands[1])
-    if isinstance(node, TransposeNode):
-        env.flops += operands[0].nnz if operands[0].is_sparse else (
-            operands[0].shape[0] * operands[0].shape[1]
-        )
-        return operands[0].transpose()
-    if isinstance(node, AggNode):
-        env.flops += aggregate_flops(node.kernel, operands[0])
-        return aggregate(node.kernel, operands[0])
-    raise PlanError(f"cannot evaluate node type {type(node).__name__}")
+        slots[slot] = block if block.is_sparse else block.data
+    value, flops = _run(program, slots)
+    env.flops += flops
+    return value if type(value) is Block else Block(value)
 
 
 # ---------------------------------------------------------------------------
 # masked (SDDMM) evaluation — sparsity exploitation
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class MaskedResult:
-    """Outcome of one masked evaluation over a task's tile."""
-
-    value: Block
-    positions: int
 
 
 def mask_positions(
@@ -202,9 +319,11 @@ def finish_masked(
     """Apply the O-space operator chain at the masked cells only.
 
     ``product`` is the (possibly k-aggregated) masked main product.  Values
-    are gathered to 1-D vectors at the mask positions, the element-wise
-    O-space chain runs positionally, and the result scatters into a sparse
-    output tile (or aggregates, when the plan root is an aggregation).
+    are gathered to 1-D vectors at the mask positions and the element-wise
+    O-space chain runs positionally: it is the chain's slab program with the
+    main product bound, run over gathered vectors instead of slices.  The
+    result scatters into a sparse output tile (or aggregates, when the plan
+    root is an aggregation).
     """
     rows, cols = positions if positions is not None else mask_positions(plan, env, mask)
     if rows.size == 0:
@@ -213,11 +332,25 @@ def finish_masked(
             return aggregate(plan.root.kernel, empty)
         return empty
     product_vals = np.asarray(product.to_sparse().data[rows, cols]).ravel()
-    gathered = _GatheredEvaluator(plan, env, mm, rows, cols, product_vals)
-    out_vals = gathered.evaluate(plan.root, stop_before_agg=True)
+    is_agg = isinstance(plan.root, AggNode)
+    chain = plan.root.inputs[0] if is_agg else plan.root
+    program = _program(plan, chain, frozenset((mm.node_id,)))
+    for step in program.steps:
+        if step.op not in _ELEMENTWISE:
+            raise PlanError(f"masked evaluation cannot handle "
+                            f"{type(step.node).__name__} in O-space")
+    slots = list(program.slots)
+    for slot, _ in program.bound_loads:
+        slots[slot] = product_vals
+    for slot, edge in program.edge_loads:
+        block = env.frontier[edge]
+        gathered = block.data[rows, cols]
+        slots[slot] = np.asarray(gathered).ravel() if block.is_sparse else gathered
+    out_vals, flops = _run(program, slots)
+    env.flops += flops
     result = sp.csr_matrix((out_vals, (rows, cols)), shape=tile_shape)
     result.eliminate_zeros()
-    if isinstance(plan.root, AggNode):
+    if is_agg:
         env.flops += rows.size
         return aggregate(plan.root.kernel, Block(result))
     return Block(result)
@@ -248,78 +381,3 @@ def _eval_operand(
     if bound is not None:
         return bound
     return env.frontier[(consumer, index)]
-
-
-class _GatheredEvaluator:
-    """Evaluates O-space operators on 1-D vectors gathered at mask positions.
-
-    Element-wise operators apply positionally; transposes are identities
-    because orientation was already resolved when the slice was gathered
-    through its axis tag; the main product is pre-bound to the SDDMM values.
-    """
-
-    def __init__(
-        self,
-        plan: PartialFusionPlan,
-        env: SliceEnv,
-        mm: MatMulNode,
-        rows: np.ndarray,
-        cols: np.ndarray,
-        product_vals: np.ndarray,
-    ):
-        self.plan = plan
-        self.env = env
-        self.mm = mm
-        self.rows = rows
-        self.cols = cols
-        self.product_vals = product_vals
-        self._memo: Dict[int, np.ndarray] = {}
-
-    def evaluate(self, node: Node, stop_before_agg: bool = False) -> np.ndarray:
-        if isinstance(node, AggNode) and stop_before_agg:
-            return self._rec_edge(node, 0)
-        return self._rec(node)
-
-    def _rec(self, node: Node) -> np.ndarray:
-        if node is self.mm:
-            return self.product_vals
-        cached = self._memo.get(node.node_id)
-        if cached is not None:
-            return cached
-        result = self._apply(node)
-        self._memo[node.node_id] = result
-        return result
-
-    def _rec_edge(self, consumer: Node, index: int) -> np.ndarray:
-        """Value of one operand, gathered to the mask positions."""
-        child = consumer.inputs[index]
-        if child is self.mm:
-            return self.product_vals
-        if child in self.plan.nodes:
-            return self._rec(child)
-        block = self.env.frontier[(consumer, index)]
-        return self._gather(block)
-
-    def _gather(self, block: Block) -> np.ndarray:
-        if block.is_sparse:
-            return np.asarray(block.data[self.rows, self.cols]).ravel()
-        return block.data[self.rows, self.cols]
-
-    def _apply(self, node: Node) -> np.ndarray:
-        self.env.flops += self.rows.size
-        if isinstance(node, UnaryNode):
-            arg = self._rec_edge(node, 0)
-            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                return UNARY_KERNELS[node.kernel].fn(arg)
-        if isinstance(node, BinaryNode):
-            fn = BINARY_KERNELS[node.kernel].fn
-            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                if node.has_scalar:
-                    arg = self._rec_edge(node, 0)
-                    if node.scalar_on_left:
-                        return fn(node.scalar, arg)
-                    return fn(arg, node.scalar)
-                return fn(self._rec_edge(node, 0), self._rec_edge(node, 1))
-        raise PlanError(
-            f"masked evaluation cannot handle {type(node).__name__} in O-space"
-        )

@@ -15,7 +15,6 @@ from typing import (
     FrozenSet,
     Hashable,
     Iterable,
-    Mapping,
     Optional,
     Sequence,
     TypeVar,
@@ -102,21 +101,6 @@ class PartialFusionPlan:
         except KeyError:
             value = memo[key] = compute()
             return value
-
-    def operand_sources(self) -> Mapping[int, tuple[Optional[Node], ...]]:
-        """Where each plan node's operands come from, keyed by ``node_id``:
-        per operand, the child node when it is fused into this plan, or
-        ``None`` when the operand arrives over a frontier edge."""
-        return self.derived("operand_sources", self._operand_sources)
-
-    def _operand_sources(self) -> Mapping[int, tuple[Optional[Node], ...]]:
-        nodes = self.nodes
-        return {
-            node.node_id: tuple(
-                child if child in nodes else None for child in node.inputs
-            )
-            for node in nodes
-        }
 
     def matmuls(self) -> tuple[MatMulNode, ...]:
         return tuple(n for n in self.topo_nodes() if isinstance(n, MatMulNode))

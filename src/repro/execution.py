@@ -85,7 +85,11 @@ class ExecutionResult:
     physical_plan: Optional[PhysicalPlan] = None
     #: Cost-model accountability report + span tree (None when
     #: ``EngineConfig.telemetry`` is off).  ``profile.render()`` is the
-    #: engine's EXPLAIN ANALYZE.
+    #: engine's EXPLAIN ANALYZE.  Its ``result`` is None: a result and its
+    #: profile form no reference cycle, so dropping the result frees its
+    #: outputs (and the slabs they pinned) by refcount, without waiting for
+    #: the cyclic collector.  ``engine.profile()`` returns a copy that
+    #: holds the result instead.
     profile: Optional[QueryProfile] = None
 
     def __post_init__(self) -> None:
@@ -413,16 +417,22 @@ class Engine(ABC):
         The engine's EXPLAIN ANALYZE: per-unit predicted-vs-measured net
         bytes / flops / modeled seconds with relative errors, the query's
         span tree, and the fast-path counters.  The underlying
-        :class:`ExecutionResult` rides along as ``profile.result``.
+        :class:`ExecutionResult` rides along as ``profile.result``: the
+        returned profile is a copy of ``result.profile`` with the result
+        attached, so the result never points at a profile that points back
+        at it (see :attr:`ExecutionResult.profile`).  That copy is also
+        :attr:`last_profile` until the next query.
         """
         if not self.config.telemetry:
             raise RuntimeError(
                 "engine.profile() needs telemetry; this engine was built "
                 "with EngineConfig.telemetry=False"
             )
-        result = self.execute(query, inputs, cluster)
-        assert result.profile is not None
-        return result.profile
+        with self._execute_lock:
+            result = self.execute(query, inputs, cluster)
+            assert result.profile is not None
+            self.last_profile = replace(result.profile, result=result)
+            return self.last_profile
 
     def _execute(
         self,
@@ -544,7 +554,7 @@ class Engine(ABC):
         )
         if tracer is not None:
             profile = self._build_profile(
-                physical, metrics, optimizer_counters, span, result
+                physical, metrics, optimizer_counters, span
             )
             result.profile = profile
             self.last_profile = profile
@@ -660,7 +670,6 @@ class Engine(ABC):
         metrics: MetricsCollector,
         optimizer_counters: Mapping[str, int],
         span: Span,
-        result: ExecutionResult,
     ) -> QueryProfile:
         per_unit = metrics.per_unit_totals()
         units = []
@@ -702,7 +711,6 @@ class Engine(ABC):
             counters=counters,
             span=span,
             wall_seconds=span.wall_seconds,
-            result=result,
         )
 
     def _emit_telemetry(self, profile: QueryProfile) -> None:

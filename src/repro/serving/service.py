@@ -34,6 +34,7 @@ import json
 import logging
 import threading
 import time
+from dataclasses import replace
 from typing import Dict, Mapping, Optional
 
 from repro.cluster.executor import SimulatedCluster
@@ -265,9 +266,11 @@ class MatrixService:
         timeout: Optional[float] = None,
     ) -> QueryProfile:
         """Execute *query* through the normal admission path and return its
-        cost-model accountability report (``profile.result`` carries the
-        :class:`ExecutionResult`).  A result-cache hit returns the profile
-        captured when the cached entry originally executed.
+        cost-model accountability report.  As with ``engine.profile()``,
+        the returned profile is a copy with ``profile.result`` carrying the
+        :class:`ExecutionResult` (whose own ``result.profile`` holds no
+        back-reference).  A result-cache hit returns the profile captured
+        when the cached entry originally executed.
         """
         if not self.engine.config.telemetry:
             raise RuntimeError(
@@ -277,7 +280,7 @@ class MatrixService:
         served = self.execute(session, query, inputs, priority, timeout)
         profile = served.result.profile
         assert profile is not None
-        return profile
+        return replace(profile, result=served.result)
 
     # -- dispatch ---------------------------------------------------------
 

@@ -70,6 +70,50 @@ class TestUnary:
         assert out[0, 1] == pytest.approx(0.0)
 
 
+def masked_sigmoid(x):
+    """The former two-branch sigmoid (boolean-mask gather/scatter), kept as
+    the oracle the single-pass kernel must reproduce bit for bit."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+class TestSigmoidExact:
+    SPECIAL = np.array(
+        [0.0, -0.0, np.nan, np.inf, -np.inf, 1e-300, -1e-300, 5e-324,
+         -5e-324, 709.0, -709.0, 710.0, -746.0, 36.7, -36.7, 1.0, -1.0]
+    )
+
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 30.0, 800.0])
+    def test_bit_identical_on_random_data(self, seed, scale):
+        x = np.random.default_rng(seed).normal(0.0, scale, (37, 23))
+        with np.errstate(all="ignore"):
+            got = UNARY_KERNELS["sigmoid"].fn(x)
+            want = masked_sigmoid(x)
+        assert np.array_equal(got, want, equal_nan=True)
+
+    def test_bit_identical_on_special_values(self):
+        x = np.concatenate([self.SPECIAL, -self.SPECIAL]).reshape(2, -1)
+        with np.errstate(all="ignore"):
+            got = UNARY_KERNELS["sigmoid"].fn(x)
+            want = masked_sigmoid(x)
+        assert np.array_equal(got, want, equal_nan=True)
+        # the sign of every non-NaN output cell matches too
+        numbers = ~np.isnan(want)
+        assert np.array_equal(np.signbit(got[numbers]), np.signbit(want[numbers]))
+
+    def test_one_dimensional_and_empty(self):
+        for x in (np.linspace(-50, 50, 101), np.empty((0, 3))):
+            with np.errstate(all="ignore"):
+                got = UNARY_KERNELS["sigmoid"].fn(x)
+            assert got.shape == x.shape
+            assert np.array_equal(got, masked_sigmoid(x), equal_nan=True)
+
+
 class TestBinary:
     @pytest.mark.parametrize("name", sorted(BINARY_KERNELS))
     def test_matches_numpy_dense_dense(self, name):
