@@ -13,7 +13,6 @@ for partial cluster utilization when a stage has fewer tasks than slots.
 """
 
 from repro.cluster.metrics import MetricsCollector, StageRecord
-from repro.cluster.parallel import parallel_map
 from repro.cluster.slice_cache import SliceCache
 from repro.cluster.task import TaskContext, TransferKind
 from repro.cluster.executor import SimulatedCluster, Stage
@@ -24,7 +23,6 @@ __all__ = [
     "MetricsCollector",
     "StageRecord",
     "SliceCache",
-    "parallel_map",
     "TaskContext",
     "TransferKind",
     "SimulatedCluster",

@@ -155,7 +155,7 @@ class SimulatedCluster:
         self.config = config or EngineConfig()
         self.metrics = MetricsCollector()
         #: Shared consolidation slabs, reset by the engine per execute.
-        self.slice_cache = SliceCache(enabled=self.config.slice_reuse)
+        self.slice_cache = SliceCache()
         self.trace = trace
         # the collector position at the start of the current query; the
         # simulated timeout budget applies per query, not per cluster
@@ -197,8 +197,7 @@ class SimulatedCluster:
     def shared_input_scope(self, keys) -> Iterator[None]:
         """Mark *keys* as already-consolidated for operators executing on
         this thread (see :func:`repro.core.physical.execute_unit`).
-        Operators capture the set once at ``execute()`` entry — on the
-        driver thread, before task closures fan out to pool threads."""
+        Operators capture the set once at ``execute()`` entry."""
         previous = self.shared_inputs
         self._unit_scope.shared_inputs = frozenset(keys)
         try:

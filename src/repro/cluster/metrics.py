@@ -57,11 +57,11 @@ class MetricsCollector:
     """Accumulates stage records and running totals for one engine run.
 
     Besides the modeled stage records, a collector carries fast-path
-    *counters* (plan-cache hits/misses, slice-cache hits/misses, thread-pool
-    usage).  Counters are observability only: they never feed the modeled
-    numbers, so two runs may differ in counters while being identical in
-    every total below.  Recording is thread-safe — parallel local evaluation
-    (``EngineConfig.local_parallelism``) may complete tasks concurrently.
+    *counters* (plan-cache and slice-cache hits/misses).  Counters are
+    observability only: they never feed the modeled numbers, so two runs
+    may differ in counters while being identical in every total below.
+    Recording is thread-safe — a serving dispatcher thread records stages
+    while other threads read status and totals.
     """
 
     stages: list[StageRecord] = field(default_factory=list)
@@ -96,21 +96,15 @@ class MetricsCollector:
         with self._lock:
             self.counters[counter] = self.counters.get(counter, 0) + amount
 
-    def bump_max(self, counter: str, value: int) -> None:
-        """Raise a high-water-mark counter to *value* (thread-safe)."""
-        with self._lock:
-            if value > self.counters.get(counter, 0):
-                self.counters[counter] = value
-
     def counter(self, name: str) -> int:
         with self._lock:
             return self.counters.get(name, 0)
 
     # -- totals -----------------------------------------------------------
     #
-    # Every read goes through a lock-consistent snapshot: pool threads
-    # (``local_parallelism > 1``) may be appending stages / bumping counters
-    # while the driver reads, and iterating a mutating dict raises.
+    # Every read goes through a lock-consistent snapshot: the thread
+    # executing a query may be appending stages / bumping counters while
+    # another thread reads, and iterating a mutating dict raises.
 
     def _stages_view(self, start: int = 0) -> list[StageRecord]:
         with self._lock:

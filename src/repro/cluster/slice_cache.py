@@ -10,7 +10,7 @@ loop — the dominant wall-clock cost of an execute.
 :class:`SliceCache` shares one materialized :class:`~repro.blocks.Block` per
 ``(matrix identity, matrix version, row_range, col_range)``.  Blocks are
 immutable (kernels are pure, returning new blocks), so sharing is safe
-across tasks and worker threads.  Only the redundant *real* copies
+across tasks and executes.  Only the redundant *real* copies
 disappear — every task still declares its transfer via ``task.receive``, so
 modeled traffic, memory ledgers and elapsed seconds are byte-for-byte
 unchanged.
@@ -52,9 +52,9 @@ DEFAULT_MAX_BYTES = 256 << 20
 class SliceCache:
     """Thread-safe ``(matrix, row_range, col_range) -> Block`` memo.
 
-    With ``enabled=False`` every lookup materializes a fresh copy (the
-    pre-fast-path behaviour, kept for A/B wall-clock measurements via
-    ``EngineConfig(slice_reuse=False)``).
+    With ``enabled=False`` every lookup materializes a fresh copy: the
+    placeholder of an operator used standalone, or of an engine that keeps
+    no slabs.
     """
 
     def __init__(self, enabled: bool = True, max_bytes: int = DEFAULT_MAX_BYTES):

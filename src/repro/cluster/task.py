@@ -12,7 +12,6 @@ MatFast (Figures 12 and 14: "O.O.M.").
 from __future__ import annotations
 
 import enum
-import threading
 from typing import Union
 
 from repro.blocks.block import Block
@@ -46,7 +45,6 @@ class TaskContext:
         "flops",
         "_memory_used",
         "peak_memory",
-        "_lock",
     )
 
     def __init__(self, task_id: str, memory_budget: int):
@@ -57,31 +55,25 @@ class TaskContext:
         self.flops = 0
         self._memory_used = 0
         self.peak_memory = 0
-        # parallel local evaluation may complete tasks on worker threads;
-        # the ledger must stay consistent under concurrent declarations
-        self._lock = threading.Lock()
 
     # -- traffic -------------------------------------------------------------
 
     def receive(self, item: Sized, kind: TransferKind = TransferKind.CONSOLIDATION) -> None:
         """Declare an incoming transfer: charges the network and the ledger."""
         size = _size_of(item)
-        with self._lock:
-            if kind is TransferKind.CONSOLIDATION:
-                self.consolidation_bytes += size
-            else:
-                self.aggregation_bytes += size
-            self._charge(size)
+        if kind is TransferKind.CONSOLIDATION:
+            self.consolidation_bytes += size
+        else:
+            self.aggregation_bytes += size
+        self._charge(size)
 
     def receive_local(self, item: Sized) -> None:
         """Hold data without network cost (task-local intermediate reuse)."""
-        with self._lock:
-            self._charge(_size_of(item))
+        self._charge(_size_of(item))
 
     def hold_output(self, item: Sized) -> None:
         """Account an output block in the task's memory ledger."""
-        with self._lock:
-            self._charge(_size_of(item))
+        self._charge(_size_of(item))
 
     def release(self, item: Sized) -> None:
         """Return memory to the ledger (streamed/discarded intermediates).
@@ -91,21 +83,19 @@ class TaskContext:
         it, so it raises instead.
         """
         size = _size_of(item)
-        with self._lock:
-            if size > self._memory_used:
-                raise ValueError(
-                    f"task {self.task_id} released {size} bytes but holds only "
-                    f"{self._memory_used}; double release?"
-                )
-            self._memory_used -= size
+        if size > self._memory_used:
+            raise ValueError(
+                f"task {self.task_id} released {size} bytes but holds only "
+                f"{self._memory_used}; double release?"
+            )
+        self._memory_used -= size
 
     # -- compute -----------------------------------------------------------------
 
     def add_flops(self, count: int) -> None:
         if count < 0:
             raise ValueError("flops cannot be negative")
-        with self._lock:
-            self.flops += count
+        self.flops += count
 
     # -- memory ----------------------------------------------------------------------
 
@@ -114,7 +104,7 @@ class TaskContext:
         return self._memory_used
 
     def _charge(self, size: int) -> None:
-        """Ledger update; callers hold ``self._lock``."""
+        """Ledger update: charge *size* bytes and enforce the budget."""
         self._memory_used += size
         if self._memory_used > self.peak_memory:
             self.peak_memory = self._memory_used

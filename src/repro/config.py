@@ -136,19 +136,10 @@ class EngineConfig:
     refine_input_metas: bool = False
     #: RNG seed used by dataset generators unless overridden.
     seed: int = 0
-    #: Real worker threads evaluating cuboid/block tasks concurrently.
-    #: Simulated numbers (modeled seconds, traffic, flops) and matrix
-    #: outputs are identical at any setting; only wall-clock changes.
-    local_parallelism: int = 1
     #: Fusion-plan cache capacity (entries) per engine; 0 disables caching.
     #: Iterative workloads re-executing a structurally identical DAG skip
     #: CFG planning and the (P, Q, R) search entirely on a hit.
     plan_cache_size: int = 64
-    #: Share one materialized slab per ``(matrix, row_range, col_range)``
-    #: within an execute instead of re-copying it for every task.  Modeled
-    #: traffic is unaffected; False forces the pre-fast-path copies (for
-    #: A/B wall-clock measurements).
-    slice_reuse: bool = True
     #: Build per-query span trees + cost-model accountability profiles
     #: (:mod:`repro.obs`).  Observability only: modeled numbers and matrix
     #: outputs are bit-identical at either setting; False removes even the
@@ -188,8 +179,6 @@ class EngineConfig:
             raise ValueError("timeout_seconds must be positive")
         if not 0.0 <= self.sparse_threshold <= 1.0:
             raise ValueError("sparse_threshold must be within [0, 1]")
-        if self.local_parallelism <= 0:
-            raise ValueError("local_parallelism must be positive")
         if self.plan_cache_size < 0:
             raise ValueError("plan_cache_size cannot be negative")
         if self.calibration not in CALIBRATION_MODES:
@@ -223,21 +212,16 @@ class EngineConfig:
 class ServiceConfig:
     """Knobs of the multi-tenant serving layer (:mod:`repro.serving`).
 
-    Admission control gates query start on two resources: *concurrency*
-    (at most ``max_concurrency`` queries execute per dispatch wave) and
-    *memory* (the summed footprint estimates of a wave never exceed
-    ``memory_budget_bytes``, which defaults to the cluster's aggregate task
-    memory ``N * Tc * theta_t``).  Queries that cannot start immediately
+    One dispatcher thread executes admitted queries one at a time.  Queries
     wait in a bounded per-tenant priority queue drained by deficit
-    round-robin; a full queue or a single query that could never fit the
-    budget is shed with :class:`~repro.errors.ServiceOverloadedError`, and
-    a queued query that waits longer than ``queue_timeout_seconds`` fails
-    with :class:`~repro.errors.QueryTimeoutError` instead of waiting
-    forever.
+    round-robin; a full queue, or a query whose footprint estimate exceeds
+    ``memory_budget_bytes`` (by default the cluster's aggregate task memory
+    ``N * Tc * theta_t``), is shed at submit with
+    :class:`~repro.errors.ServiceOverloadedError`, and a queued query that
+    waits longer than ``queue_timeout_seconds`` fails with
+    :class:`~repro.errors.QueryTimeoutError` instead of waiting forever.
     """
 
-    #: Maximum queries executed per dispatch wave (thread-pool width).
-    max_concurrency: int = 4
     #: Total queued queries across all tenants before submits are shed.
     max_queue_depth: int = 64
     #: Wall-clock seconds a query may wait queued; ``None`` disables.
@@ -272,8 +256,6 @@ class ServiceConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "slos", tuple(self.slos))
-        if self.max_concurrency <= 0:
-            raise ValueError("max_concurrency must be positive")
         if self.max_queue_depth <= 0:
             raise ValueError("max_queue_depth must be positive")
         if self.queue_timeout_seconds is not None and self.queue_timeout_seconds <= 0:

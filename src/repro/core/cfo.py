@@ -22,7 +22,6 @@ from typing import Dict, Mapping, NamedTuple, Optional
 from repro.blocks import Block
 from repro.blocks.kernels import AGGREGATION_KERNELS, aggregate_combine
 from repro.cluster.executor import SimulatedCluster
-from repro.cluster.parallel import parallel_map
 from repro.cluster.slice_cache import SliceCache
 from repro.cluster.task import TaskContext, TransferKind
 from repro.config import EngineConfig
@@ -113,8 +112,7 @@ class CuboidFusedOperator:
     def execute(self, cluster: SimulatedCluster, env: Env) -> BlockedMatrix:
         """Run the CFO and return the materialized plan output."""
         self._slices = cluster.slice_cache
-        # captured once on the driver thread — task closures run on pool
-        # threads where the cluster's thread-local scope is unset
+        # graph-pass sharing annotation, captured once per execute
         self._shared_inputs = cluster.shared_inputs
         values = self._resolve_frontier(env)
         if self.partitioning.r == 1:
@@ -232,14 +230,10 @@ class CuboidFusedOperator:
     ) -> Dict[tuple[int, int], Block]:
         tiles: Dict[tuple[int, int], Block] = {}
         with cluster.stage(f"cfo[{self.pqr}]:compute") as stage:
-            # tasks are allocated serially (stable ids), evaluated possibly
-            # in parallel, and results collected in cuboid order — tile
-            # placement is identical at any parallelism level
-            cuboids = list(self.partitioning.cuboids())
-            work = [((p, q, r), stage.task()) for p, q, r in cuboids]
-
-            def run_cuboid(item: tuple[tuple[int, int, int], TaskContext]) -> Block:
-                (p, q, r), task = item
+            # every task is allocated before any runs, so an aborted stage
+            # still records the stage's full width
+            work = [(pqr, stage.task()) for pqr in self.partitioning.cuboids()]
+            for (p, q, r), task in work:
                 env = self._bind_slices(values, task, p, q, r)
                 if self.mask is not None:
                     tile = evaluate_masked_slice(
@@ -250,13 +244,6 @@ class CuboidFusedOperator:
                     tile = evaluate_slice(self.plan, env)
                 task.add_flops(env.flops)
                 task.hold_output(tile)
-                return tile
-
-            results = parallel_map(
-                run_cuboid, work, self.config.local_parallelism,
-                metrics=cluster.metrics,
-            )
-            for (p, q, _), tile in zip(cuboids, results):
                 tiles[(p, q)] = tile
         return tiles
 
@@ -267,11 +254,8 @@ class CuboidFusedOperator:
     ) -> Dict[tuple[int, int], Block]:
         partials: Dict[tuple[int, int], list[Block]] = {}
         with cluster.stage(f"cfo[{self.pqr}]:compute") as stage:
-            cuboids = list(self.partitioning.cuboids())
-            work = [((p, q, r), stage.task()) for p, q, r in cuboids]
-
-            def run_cuboid(item: tuple[tuple[int, int, int], TaskContext]) -> Block:
-                (p, q, r), task = item
+            work = [(pqr, stage.task()) for pqr in self.partitioning.cuboids()]
+            for (p, q, r), task in work:
                 env = self._bind_slices(values, task, p, q, r)
                 if self.mask is not None:
                     rows, cols = mask_positions(self.plan, env, self.mask)
@@ -280,28 +264,17 @@ class CuboidFusedOperator:
                     partial = evaluate_slice(self.plan, env, root=self.mm)
                 task.add_flops(env.flops)
                 task.hold_output(partial)
-                return partial
-
-            results = parallel_map(
-                run_cuboid, work, self.config.local_parallelism,
-                metrics=cluster.metrics,
-            )
-            # grouped in cuboid order, so each (p, q) list is in r-order —
-            # the same merge order the serial loop produced
-            for (p, q, _), partial in zip(cuboids, results):
+                # cuboid order, so each (p, q) list is in r-order
                 partials.setdefault((p, q), []).append(partial)
 
         tiles: Dict[tuple[int, int], Block] = {}
         with cluster.stage(f"cfo[{self.pqr}]:aggregate") as stage:
-            owners = [
-                (p, q)
+            work = [
+                ((p, q), stage.task())
                 for p in range(self.partitioning.p)
                 for q in range(self.partitioning.q)
             ]
-            work = [((p, q), stage.task()) for p, q in owners]
-
-            def run_owner(item: tuple[tuple[int, int], TaskContext]) -> Block:
-                (p, q), task = item
+            for (p, q), task in work:
                 parts = partials[(p, q)]
                 # the owner task (p, q, 0) holds its own partial; others
                 # shuffle theirs over (the matrix aggregation step)
@@ -331,13 +304,6 @@ class CuboidFusedOperator:
                     tile = evaluate_slice(self.plan, env)
                 task.add_flops(env.flops)
                 task.hold_output(tile)
-                return tile
-
-            results = parallel_map(
-                run_owner, work, self.config.local_parallelism,
-                metrics=cluster.metrics,
-            )
-            for (p, q), tile in zip(owners, results):
                 tiles[(p, q)] = tile
         return tiles
 

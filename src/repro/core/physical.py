@@ -571,9 +571,8 @@ def run_physical_plan(
     Units run one at a time in plan order — the only execution order there
     is — and each unit's dead inputs (``op.releases``) are freed the moment
     it completes.  Stage records are therefore appended in unit-index order
-    by construction.  Real concurrency lives *inside* a unit: operators
-    evaluate their cuboid/block tasks on ``EngineConfig.local_parallelism``
-    threads.
+    by construction.  Within a unit, operators run their cuboid/block
+    tasks one after another in task order, on the same thread.
 
     *unit_observer* (telemetry) is called as ``observer(op, wall_start,
     wall_end)`` after each completed unit — wall-clock only, so attaching

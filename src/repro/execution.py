@@ -135,11 +135,10 @@ class Engine(ABC):
         #: Materialized consolidation slabs, shared across executes so an
         #: iterative workload re-binding the same matrix (GNMF's ``X``)
         #: skips the copy from iteration 2 on.
-        self.slice_cache = SliceCache(enabled=self.config.slice_reuse)
+        self.slice_cache = SliceCache()
         #: Serializes execute() on this engine: the slice cache attachment
         #: and cluster-stage accounting are per-engine mutable state, so
-        #: concurrent submitters (the serving layer) take turns; intra-query
-        #: parallelism still comes from ``config.local_parallelism``.
+        #: concurrent submitters take turns; a query runs on one thread.
         self._execute_lock = threading.RLock()
         #: Telemetry fan-out: attach sinks (``repro.obs``) to receive query
         #: profiles, span trees and counters.  With no sinks attached the
@@ -164,9 +163,8 @@ class Engine(ABC):
     def close(self) -> None:
         """Release engine-owned runtime resources (idempotent).
 
-        Engines hold none today (task threads live only for the duration of
-        one stage), so this is a no-op; it stays as the hook callers —
-        ``with engine:``, ``MatrixService.close()`` — already rely on.
+        Engines hold none today, so this is a no-op; it stays as the hook
+        callers — ``with engine:``, ``MatrixService.close()`` — rely on.
         """
 
     def __enter__(self) -> "Engine":
@@ -443,7 +441,6 @@ class Engine(ABC):
         baseline = cluster.begin_query()
         # attach the engine's long-lived slice cache; counters are bumped per
         # execute as deltas so each run's metrics stand alone
-        self.slice_cache.enabled = self.config.slice_reuse
         cluster.slice_cache = self.slice_cache
         slice_hits0 = self.slice_cache.hits
         slice_misses0 = self.slice_cache.misses

@@ -20,9 +20,8 @@ from typing import Dict, Mapping, Optional
 from repro.blocks import Block
 from repro.blocks.kernels import aggregate_combine, AGGREGATION_KERNELS
 from repro.cluster.executor import SimulatedCluster
-from repro.cluster.parallel import parallel_map
 from repro.cluster.slice_cache import SliceCache
-from repro.cluster.task import TaskContext, TransferKind
+from repro.cluster.task import TransferKind
 from repro.config import EngineConfig
 from repro.core.cfo import _scatter_tile
 from repro.core.fused_eval import SliceEnv, evaluate_masked_slice, evaluate_slice
@@ -80,8 +79,7 @@ class BroadcastFusedOperator:
     def execute(self, cluster: SimulatedCluster, env: Env) -> BlockedMatrix:
         self._slices = cluster.slice_cache
         values = self._resolve_frontier(env)
-        # graph-pass sharing annotation, captured once on the driver thread
-        # (task closures run on pool threads where the scope is unset)
+        # graph-pass sharing annotation, captured once per execute
         shared = {
             node.node_id
             for node in self.plan.frontier()
@@ -101,9 +99,7 @@ class BroadcastFusedOperator:
 
         with cluster.stage("bfo:compute") as stage:
             work = [(t, stage.task()) for t in range(num_tasks)]
-
-            def run_task(item: tuple[int, TaskContext]):
-                t, task = item
+            for t, task in work:
                 # broadcast: full copies of every non-main frontier source
                 for source, matrix in values.items():
                     if source is main:
@@ -129,7 +125,6 @@ class BroadcastFusedOperator:
                 else:
                     task.receive(values[main].nbytes // num_tasks)
 
-                placed: list[tuple[Block, int, int]] = []
                 partials: Dict[tuple[int, int], Block] = {}
                 for i, j in owned:
                     slice_env = self._bind_block(values, i, j)
@@ -152,22 +147,10 @@ class BroadcastFusedOperator:
                     else:
                         if out.nnz:
                             task.hold_output(out)
-                            placed.append((out, i, j))
+                            self._place(result, out, i, j)
                 if is_agg:
                     for block in partials.values():
                         task.hold_output(block)
-                return placed, partials
-
-            # evaluate possibly in parallel; mutate the shared result and
-            # the partial list serially, in task order, as the serial loop did
-            outcomes = parallel_map(
-                run_task, work, self.config.local_parallelism,
-                metrics=cluster.metrics,
-            )
-            for placed, partials in outcomes:
-                for out, i, j in placed:
-                    self._place(result, out, i, j)
-                if is_agg:
                     task_partials.append(partials)
 
         if is_agg:

@@ -15,8 +15,7 @@ from typing import Dict, Mapping
 from repro.blocks import Block
 from repro.blocks.kernels import AGGREGATION_KERNELS, aggregate_combine
 from repro.cluster.executor import SimulatedCluster
-from repro.cluster.parallel import parallel_map
-from repro.cluster.task import TaskContext, TransferKind
+from repro.cluster.task import TransferKind
 from repro.config import EngineConfig
 from repro.core.fused_eval import SliceEnv, evaluate_slice
 from repro.core.physical import env_key_of
@@ -65,8 +64,7 @@ class FusedCellOperator:
 
     def execute(self, cluster: SimulatedCluster, env: Env) -> BlockedMatrix:
         values = self._resolve_frontier(env)
-        # graph-pass sharing annotation, captured once on the driver thread
-        # (task closures run on pool threads where the scope is unset)
+        # graph-pass sharing annotation, captured once per execute
         shared = {
             node.node_id
             for node in self.plan.frontier()
@@ -83,11 +81,8 @@ class FusedCellOperator:
 
         with cluster.stage(f"cell:{self.plan.label()[:40]}") as stage:
             work = [(t, stage.task()) for t in range(num_tasks)]
-
-            def run_task(item: tuple[int, TaskContext]):
-                t, task = item
+            for t, task in work:
                 received: Dict[tuple[int, tuple], Block] = {}
-                placed: list[tuple[tuple[int, int], Block]] = []
                 partials: Dict[tuple[int, int], Block] = {}
                 for key in keys[t::num_tasks]:
                     frontier: Dict[Edge, Block] = {}
@@ -119,22 +114,10 @@ class FusedCellOperator:
                     else:
                         if out.nnz:
                             task.hold_output(out)
-                            placed.append((key, out))
+                            result.set_block(key[0], key[1], out)
                 if is_agg:
                     for block in partials.values():
                         task.hold_output(block)
-                return placed, partials
-
-            # kernels may run on several threads; the shared result matrix
-            # is only touched here, serially, in the serial loop's task order
-            outcomes = parallel_map(
-                run_task, work, self.config.local_parallelism,
-                metrics=cluster.metrics,
-            )
-            for placed, partials in outcomes:
-                for key, out in placed:
-                    result.set_block(key[0], key[1], out)
-                if is_agg:
                     task_partials.append(partials)
 
         if is_agg:

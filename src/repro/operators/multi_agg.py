@@ -14,8 +14,7 @@ from typing import Dict, Mapping
 from repro.blocks import Block
 from repro.blocks.kernels import AGGREGATION_KERNELS, aggregate_combine
 from repro.cluster.executor import SimulatedCluster
-from repro.cluster.parallel import parallel_map
-from repro.cluster.task import TaskContext, TransferKind
+from repro.cluster.task import TransferKind
 from repro.config import EngineConfig
 from repro.core.fused_eval import SliceEnv, evaluate_slice
 from repro.core.physical import env_key_of
@@ -70,8 +69,7 @@ class MultiAggregationOperator:
 
     def execute(self, cluster: SimulatedCluster, env: Env) -> Dict[Node, BlockedMatrix]:
         values = self._resolve_frontier(env)
-        # graph-pass sharing annotation, captured once on the driver thread
-        # (task closures run on pool threads where the scope is unset)
+        # graph-pass sharing annotation, captured once per execute
         shared = {
             node.node_id
             for node in self.plan.frontier()
@@ -84,9 +82,7 @@ class MultiAggregationOperator:
 
         with cluster.stage(f"multi-agg:{len(self.roots)}-outputs") as stage:
             work = [(t, stage.task()) for t in range(num_tasks)]
-
-            def run_task(item: tuple[int, TaskContext]) -> Dict[GroupKey, Block]:
-                t, task = item
+            for t, task in work:
                 received: Dict[tuple[int, tuple], Block] = {}
                 partials: Dict[GroupKey, Block] = {}
                 for key in keys[t::num_tasks]:
@@ -117,14 +113,7 @@ class MultiAggregationOperator:
                     task.add_flops(slice_env.flops)
                 for block in partials.values():
                     task.hold_output(block)
-                return partials
-
-            # results arrive in task order, so the combine stage sees the
-            # exact partial sequence the serial loop produced
-            task_partials.extend(parallel_map(
-                run_task, work, self.config.local_parallelism,
-                metrics=cluster.metrics,
-            ))
+                task_partials.append(partials)
 
         return self._combine(cluster, task_partials)
 

@@ -2,9 +2,10 @@
 
 The service never starts a query the cluster cannot hold: every submitted
 query carries a footprint estimate (:func:`estimate_query_bytes`), and the
-:class:`AdmissionController` only releases *waves* of queries whose summed
-estimates fit the service memory budget and whose count fits the configured
-``max_concurrency``.  Everything else waits in a bounded per-tenant queue:
+:class:`AdmissionController` sheds any query whose estimate exceeds the
+service memory budget.  The dispatcher runs one query at a time, picking
+each next query with :meth:`AdmissionController.next_ticket`; until then it
+waits in a bounded per-tenant queue:
 
 * **bounded** — once ``max_queue_depth`` queries are waiting, further
   submits are shed with :class:`~repro.errors.ServiceOverloadedError`
@@ -13,10 +14,10 @@ estimates fit the service memory budget and whose count fits the configured
   O.O.M.-ing mid-flight);
 * **priority** — within one tenant, higher-priority queries dequeue first
   (FIFO among equals);
-* **fair** — across tenants, waves are filled by *deficit round-robin*:
-  each tenant banks ``drr_quantum_bytes`` of credit per scheduling round
-  and admits queued queries while its credit covers their estimated cost,
-  so one chatty tenant cannot starve the others no matter how fast it
+* **fair** — across tenants, picks follow *deficit round-robin*: each
+  tenant banks ``drr_quantum_bytes`` of credit per scheduling round and
+  admits queued queries while its credit covers their estimated cost, so
+  one chatty tenant cannot starve the others no matter how fast it
   submits;
 * **impatient** — a queued query that waits longer than the configured
   queue timeout is failed with :class:`~repro.errors.QueryTimeoutError`
@@ -31,7 +32,7 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
-from typing import TYPE_CHECKING, Dict, List, Mapping, Tuple
+from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Tuple
 
 from repro.config import ELEMENT_BYTES, ServiceConfig
 from repro.errors import ServiceOverloadedError
@@ -83,6 +84,9 @@ class AdmissionController:
         self._deficits: Dict[str, float] = {}
         #: Tenants with queued work, in round-robin order.
         self._active: deque = deque()
+        #: The tenant at the head of ``_active`` whose round-robin turn is
+        #: in progress (its quantum is banked); None between turns.
+        self._turn: Optional[str] = None
         self._seq = 0
         self._depth = 0
         self.num_shed = 0
@@ -149,63 +153,38 @@ class AdmissionController:
         self.num_expired += len(expired)
         return expired
 
-    def next_wave(self) -> List["QueryTicket"]:
-        """Admit the next wave of queries under both resource constraints.
+    def next_ticket(self) -> Optional["QueryTicket"]:
+        """Admit the next query in deficit round-robin order, or None.
 
-        Deficit round-robin across tenants: each tenant visited in a round
-        banks one quantum of credit (capped at one quantum beyond its head
-        query, so idle tenants cannot hoard unbounded credit) and admits
-        queued queries while the credit covers their cost.  The wave stops
-        at ``max_concurrency`` queries or when the next candidate would
-        push the summed estimates past the memory budget.
+        A tenant's turn starts by banking one quantum of credit (capped at
+        one quantum beyond its head query, so idle tenants cannot hoard
+        unbounded credit) and lasts across calls while the credit covers
+        its head query; then the turn passes to the next tenant.  Credit
+        grows every turn, so an expensive head is admitted after banking
+        enough of it.
         """
-        wave: List["QueryTicket"] = []
-        wave_bytes = 0
         quantum = self.config.drr_quantum_bytes
-        limit = self.config.max_concurrency
-        while self._active and len(wave) < limit:
-            took_any = False
-            deficit_blocked = False
-            visited = set()
-            for _ in range(len(self._active)):
-                if len(wave) >= limit or not self._active:
-                    break
-                tenant = self._active[0]
-                if tenant in visited:
-                    break
-                visited.add(tenant)
-                self._active.rotate(-1)
-                queue = self._queues[tenant]
-                head_cost = queue[0][2].cost
-                deficit = min(
+        while self._active:
+            tenant = self._active[0]
+            queue = self._queues[tenant]
+            head = queue[0][2]
+            if self._turn != tenant:
+                self._turn = tenant
+                self._deficits[tenant] = min(
                     self._deficits.get(tenant, 0.0) + quantum,
-                    max(quantum, head_cost) + quantum,
+                    max(quantum, head.cost) + quantum,
                 )
-                while queue and len(wave) < limit:
-                    head = queue[0][2]
-                    if wave_bytes + head.cost > self.memory_budget:
-                        # memory-blocked: more credit cannot help this wave
-                        break
-                    if head.cost > deficit:
-                        deficit_blocked = True
-                        break
-                    heapq.heappop(queue)
-                    self._depth -= 1
-                    deficit -= head.cost
-                    wave.append(head)
-                    wave_bytes += head.cost
-                    took_any = True
-                if queue:
-                    self._deficits[tenant] = deficit
-                else:
-                    self._retire(tenant)
-            if not took_any:
-                if deficit_blocked and not wave:
-                    # every head is waiting on credit; credit grows each
-                    # round, so keep cycling until one is affordable
-                    continue
-                break
-        return wave
+            if head.cost > self._deficits[tenant]:
+                self._active.rotate(-1)
+                self._turn = None
+                continue
+            heapq.heappop(queue)
+            self._depth -= 1
+            self._deficits[tenant] -= head.cost
+            if not queue:
+                self._retire(tenant)
+            return head
+        return None
 
     def drain(self) -> List["QueryTicket"]:
         """Remove and return everything queued (non-draining shutdown)."""
@@ -220,6 +199,8 @@ class AdmissionController:
         """Forget a tenant whose queue emptied (credit does not persist)."""
         self._queues.pop(tenant, None)
         self._deficits.pop(tenant, None)
+        if self._turn == tenant:
+            self._turn = None
         try:
             self._active.remove(tenant)
         except ValueError:

@@ -5,7 +5,7 @@ many tenants share::
 
     submit ──► result-cache probe ──► admission queue (bounded, per-tenant,
                                       deficit round-robin)
-                                            │ waves of <= max_concurrency
+                                            │ one query at a time
                                             ▼
                                       dispatcher thread ──► engine.execute
                                             │               on the service's
@@ -13,17 +13,17 @@ many tenants share::
                                   result cache + metrics + accounting + SLOs
 
 **Determinism.**  The service executes exactly like the standalone engine —
-per-query metric deltas, execute-lock serialization, stateless per-slot
-runtime — so a fixed workload replayed through the service produces
+per-query metric deltas, one query executing at a time on the dispatcher
+thread — so a fixed workload replayed through the service produces
 bit-identical outputs and identical modeled per-query seconds/bytes to
 running every query standalone through ``engine.execute()``.  Only
 wall-clock timing and observability counters depend on scheduling.
 
 **Robustness.**  Admission control (see :mod:`repro.serving.admission`)
 guarantees a query never starts unless its estimated footprint fits the
-service memory budget alongside the rest of its wave.  Over-budget queries
-wait in a bounded queue or are shed with
-:class:`~repro.errors.ServiceOverloadedError`; queued queries expire with
+service memory budget: an over-budget query, or one arriving at a full
+queue, is shed with :class:`~repro.errors.ServiceOverloadedError`; the
+rest wait in a bounded queue, and queued queries expire with
 :class:`~repro.errors.QueryTimeoutError` after the configured wait.
 """
 
@@ -38,7 +38,6 @@ from dataclasses import replace
 from typing import Dict, Mapping, Optional
 
 from repro.cluster.executor import SimulatedCluster
-from repro.cluster.parallel import parallel_map
 from repro.config import ServiceConfig
 from repro.core import FuseMEEngine
 from repro.errors import (
@@ -291,22 +290,15 @@ class MatrixService:
                 while not self._closed and self._admission.depth == 0:
                     self._cond.wait(poll)
                 expired = self._admission.expire(time.monotonic())
-                wave = self._admission.next_wave()
-                if (
-                    self._closed
-                    and not wave
-                    and not expired
-                    and self._admission.depth == 0
-                ):
+                ticket = self._admission.next_ticket()
+                if self._closed and ticket is None and not expired:
                     return
-                self._running += len(wave)
-            for ticket in expired:
-                self._expire_ticket(ticket)
-            if wave:
-                # the wave drains on the same thread-pool path queries use
-                # for intra-query parallelism; the engine's execute lock
-                # serializes cluster-stage accounting inside
-                parallel_map(self._run_one, wave, self.config.max_concurrency)
+                if ticket is not None:
+                    self._running += 1
+            for stale in expired:
+                self._expire_ticket(stale)
+            if ticket is not None:
+                self._run_one(ticket)
 
     def _run_one(self, ticket: QueryTicket) -> None:
         queue_seconds = time.monotonic() - ticket.enqueued_at

@@ -80,21 +80,20 @@ class TestBookkeeping:
         m.bump("plan_cache_hits")
         baseline = m.copy()
         m.bump("plan_cache_hits", 2)
-        m.bump("pool_tasks", 5)
+        m.bump("slice_cache_hits", 5)
         diff = m.diff_since(baseline)
-        assert diff.counters == {"plan_cache_hits": 2, "pool_tasks": 5}
+        assert diff.counters == {"plan_cache_hits": 2, "slice_cache_hits": 5}
 
     def test_snapshot_is_a_plain_dict(self):
         """snapshot() embeds totals + counters without private fields."""
         m = MetricsCollector()
         m.record(record(consolidation=100, tasks=3))
         m.bump("plan_cache_hits")
-        m.bump_max("pool_width_max", 4)
         snap = m.snapshot()
         assert isinstance(snap, dict)
         assert snap["num_stages"] == 1
         assert snap["consolidation_bytes"] == 100
-        assert snap["counters"] == {"plan_cache_hits": 1, "pool_width_max": 4}
+        assert snap["counters"] == {"plan_cache_hits": 1}
         # detached from the collector: later recording does not mutate it
         m.record(record())
         assert snap["num_stages"] == 1
@@ -113,10 +112,10 @@ class TestBookkeeping:
 
 
 class TestConcurrentReads:
-    """Regression: lock-consistent reads while pool threads mutate.
+    """Regression: lock-consistent reads while another thread mutates.
 
-    With ``local_parallelism > 1`` pool threads record stages and bump
-    counters while the driver reads totals.  Every read path must take a
+    A serving dispatcher thread records stages and bumps counters while
+    other threads read totals.  Every read path must take a
     snapshot under the lock — iterating a mutating list/dict, or summing a
     list that grows mid-sum, produces torn values (or raises).  Each stage
     below writes internally-consistent numbers, so any torn read shows up
@@ -143,8 +142,7 @@ class TestConcurrentReads:
                     peak_task_memory=50,
                     unit=i % 4,
                 ))
-                m.bump("pool_tasks", 2)
-                m.bump_max("pool_width_max", i % 8)
+                m.bump("slice_cache_hits", 2)
                 i += 1
 
         def reader():
@@ -159,7 +157,7 @@ class TestConcurrentReads:
                     )
                     assert m.comm_bytes % 110 == 0
                     snap = m.snapshot()
-                    assert snap["counters"].get("pool_tasks", 0) % 2 == 0
+                    assert snap["counters"].get("slice_cache_hits", 0) % 2 == 0
                     per_unit = m.per_unit_totals()
                     assert sum(
                         u["num_stages"] for u in per_unit.values()

@@ -3,7 +3,7 @@
 Three guarantees, across all five engines:
 
 * **bit-identity** — enabling the pass pipeline never changes any matrix
-  output, with and without task threads (``local_parallelism``);
+  output;
 * **off == seed** — with ``graph_passes="off"`` the modeled metrics are
   exactly what the engine produced before the pipeline existed;
 * **the rewrites pay** — on GNMF the merged plan has strictly fewer units
@@ -105,21 +105,18 @@ def test_golden_unit_counts_autoencoder():
             assert op.sources == tuple(m.index for m in op.members)
 
 
-# -- bit-identity: pass on == pass off, serial and task-threaded -----------
-# (the "wave" id predates the removal of unit-level wave dispatch; it now
-# means local_parallelism=4 task threads)
+# -- bit-identity: pass on == pass off ---------------------------------------
 
 
-@pytest.mark.parametrize("parallelism", [1, 4], ids=["sequential", "wave"])
 @pytest.mark.parametrize("engine_cls", ENGINES, ids=lambda c: c.name)
-def test_passes_are_bit_identical(engine_cls, parallelism, workload):
+def test_passes_are_bit_identical(engine_cls, workload):
     query, inputs = workload
-    off = engine_cls(make_config(
-        block_size=BS, graph_passes="off", local_parallelism=parallelism
-    )).execute(query, inputs)
-    on = engine_cls(make_config(
-        block_size=BS, graph_passes="all", local_parallelism=parallelism
-    )).execute(query, inputs)
+    off = engine_cls(
+        make_config(block_size=BS, graph_passes="off")
+    ).execute(query, inputs)
+    on = engine_cls(
+        make_config(block_size=BS, graph_passes="all")
+    ).execute(query, inputs)
     for root_off, root_on in zip(off.dag.roots, on.dag.roots):
         assert np.array_equal(
             off.outputs[root_off].to_numpy(), on.outputs[root_on].to_numpy()

@@ -211,9 +211,7 @@ def test_engine_bus_emits_profile_and_counters(workload):
 
 def test_span_tree_shape_and_clocks(workload):
     query, inputs = workload
-    profile = FuseMEEngine(
-        make_config(block_size=BS, local_parallelism=4)
-    ).profile(query, inputs)
+    profile = FuseMEEngine(make_config(block_size=BS)).profile(query, inputs)
     span = profile.span
     assert span.name == "query" and span.attrs["engine"] == "FuseME"
     assert [c.name for c in span.children] == ["plan", "execute"]

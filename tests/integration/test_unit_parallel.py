@@ -1,17 +1,13 @@
-"""Equivalence suite: task parallelism is invisible in results and records.
+"""Unit dispatch: order, per-unit attribution and intermediate release.
 
 Units always run one at a time in plan order
-(``repro.core.physical.run_physical_plan``); ``local_parallelism > 1`` only
-puts each operator's cuboid/block tasks on real threads.  These tests assert
-the contract that makes that safe to enable anywhere: across all five
-engines, outputs are bit-identical and the stage-record
-*list* — not just its totals — is equal at any parallelism level, in unit
-order by construction.
+(``repro.core.physical.run_physical_plan``), and each operator runs its
+tasks one after another on the same thread.  Across all five engines the
+stage records come out in unit order by construction, every stage is
+attributed to its unit, and dead intermediates are freed at their last
+consumer.
 """
 
-from dataclasses import replace
-
-import numpy as np
 import pytest
 
 from repro import (
@@ -50,50 +46,15 @@ def workload():
     return [q.u_update, q.v_update], inputs
 
 
-@pytest.mark.parametrize("engine_cls", ENGINES, ids=lambda c: c.name)
-def test_parallel_dispatch_is_bit_identical(engine_cls, workload):
-    query, inputs = workload
-    sequential = engine_cls(make_config(block_size=BS)).execute(query, inputs)
-    concurrent = engine_cls(
-        make_config(block_size=BS, local_parallelism=4)
-    ).execute(query, inputs)
-
-    roots_s = list(sequential.dag.roots)
-    roots_c = list(concurrent.dag.roots)
-    for root_s, root_c in zip(roots_s, roots_c):
-        a = sequential.outputs[root_s].to_numpy()
-        b = concurrent.outputs[root_c].to_numpy()
-        assert np.array_equal(a, b), "outputs must be bit-identical"
-
-    assert sequential.metrics.totals() == concurrent.metrics.totals()
-
-
-def stage_list(result):
-    """The stage records minus the one host-dependent field."""
-    return [replace(s, wall_seconds=0.0) for s in result.metrics.stages]
-
-
-@pytest.mark.parametrize("engine_cls", ENGINES, ids=lambda c: c.name)
-def test_stage_list_is_identical(engine_cls, workload):
-    """Task threads never touch the record list: same stages, same
-    per-stage modeled numbers, in the same order."""
-    query, inputs = workload
-    serial = engine_cls(make_config(block_size=BS)).execute(query, inputs)
-    threaded = engine_cls(
-        make_config(block_size=BS, local_parallelism=4)
-    ).execute(query, inputs)
-    assert stage_list(serial) == stage_list(threaded)
-
-
 @pytest.mark.parametrize("graph_passes", ["off", "all"])
 @pytest.mark.parametrize("engine_cls", ENGINES, ids=lambda c: c.name)
 def test_stage_records_are_in_unit_order(engine_cls, graph_passes, workload):
     """Records are appended by the driver as each unit finishes, so the
     unit column is non-decreasing — merged-unit plans included."""
     query, inputs = workload
-    result = engine_cls(make_config(
-        block_size=BS, graph_passes=graph_passes, local_parallelism=4
-    )).execute(query, inputs)
+    result = engine_cls(
+        make_config(block_size=BS, graph_passes=graph_passes)
+    ).execute(query, inputs)
     if engine_cls is FuseMEEngine and graph_passes == "all":
         assert any(op.members for op in result.physical_plan.ops)
     units = [s.unit for s in result.metrics.stages]
@@ -105,9 +66,7 @@ def test_per_unit_metrics_attribution(workload):
     """Every stage of a physical-plan run is attributed to its unit, and
     per-unit totals sum back to the query totals."""
     query, inputs = workload
-    result = FuseMEEngine(
-        make_config(block_size=BS, local_parallelism=4)
-    ).execute(query, inputs)
+    result = FuseMEEngine(make_config(block_size=BS)).execute(query, inputs)
     per_unit = result.metrics.per_unit_totals()
     assert set(per_unit) == {0, 1, 2, 3}
     assert sum(u["comm_bytes"] for u in per_unit.values()) == (
@@ -122,12 +81,9 @@ def test_intermediates_released_at_last_consumer(workload):
     """The lifetime model frees dead env keys (observability counter) while
     leaving results intact."""
     query, inputs = workload
-    for parallelism in (1, 4):
-        result = FuseMEEngine(
-            make_config(block_size=BS, local_parallelism=parallelism)
-        ).execute(query, inputs)
-        # 2 intermediates + 3 inputs die before end-of-query
-        assert result.metrics.counter("env_keys_released") == 5
-        assert result.output(0).shape == (20, 80)
-        assert result.output(1).shape == (100, 20)
+    result = FuseMEEngine(make_config(block_size=BS)).execute(query, inputs)
+    # 2 intermediates + 3 inputs die before end-of-query
+    assert result.metrics.counter("env_keys_released") == 5
+    assert result.output(0).shape == (20, 80)
+    assert result.output(1).shape == (100, 20)
 

@@ -23,7 +23,6 @@ class FakeTicket:
 
 def controller(budget=1000, **options):
     defaults = dict(
-        max_concurrency=8,
         max_queue_depth=16,
         drr_quantum_bytes=10,
         queue_timeout_seconds=1.0,
@@ -79,60 +78,62 @@ class TestShedding:
         assert c.depth == 1
 
 
-class TestWaves:
-    def test_respects_max_concurrency(self):
-        c = controller(max_concurrency=3)
-        for i in range(5):
-            c.offer(FakeTicket("a", 10, query_id=f"q{i}"))
-        wave = c.next_wave()
-        assert len(wave) == 3
-        assert c.depth == 2
+def picks(c):
+    """Drain *c* one :meth:`next_ticket` at a time, as the dispatcher does."""
+    out = []
+    while (ticket := c.next_ticket()) is not None:
+        out.append(ticket)
+    return out
 
-    def test_memory_budget_bounds_a_wave(self):
-        """Two queries that fit alone but not together run in two waves."""
-        c = controller(budget=100)
-        c.offer(FakeTicket("a", 60, query_id="q1"))
-        c.offer(FakeTicket("a", 60, query_id="q2"))
-        first = c.next_wave()
-        assert [t.query_id for t in first] == ["q1"]
-        second = c.next_wave()
-        assert [t.query_id for t in second] == ["q2"]
+
+class TestWaves:
+    """The order successive single picks dispatch queued queries in."""
 
     def test_deficit_round_robin_interleaves_tenants(self):
-        """A tenant that submitted first cannot monopolize the wave."""
+        """A tenant that submitted first cannot monopolize the dispatcher."""
         c = controller(drr_quantum_bytes=10)
         for i in range(4):
             c.offer(FakeTicket("alice", 10, query_id=f"a{i}"))
         for i in range(4):
             c.offer(FakeTicket("bob", 10, query_id=f"b{i}"))
-        wave = c.next_wave()
-        tenants = [t.tenant for t in wave]
+        tenants = [t.tenant for t in picks(c)]
         assert tenants == ["alice", "bob"] * 4
+        assert c.depth == 0
+
+    def test_turn_spans_picks_while_credit_lasts(self):
+        """A tenant keeps its turn across calls until its credit runs out."""
+        c = controller(drr_quantum_bytes=20)
+        for i in range(3):
+            c.offer(FakeTicket("alice", 10, query_id=f"a{i}"))
+            c.offer(FakeTicket("bob", 10, query_id=f"b{i}"))
+        assert [t.query_id for t in picks(c)] == [
+            "a0", "a1", "b0", "b1", "a2", "b2",
+        ]
 
     def test_large_query_accumulates_credit(self):
         """A query costing many quanta is admitted after banking credit,
         not starved forever."""
         c = controller(budget=1000, drr_quantum_bytes=10)
         c.offer(FakeTicket("a", 95, query_id="big"))
-        wave = c.next_wave()
-        assert [t.query_id for t in wave] == ["big"]
+        c.offer(FakeTicket("b", 10, query_id="small"))
+        # "small" goes first while "big" banks credit, then "big" runs
+        assert [t.query_id for t in picks(c)] == ["small", "big"]
 
     def test_priority_within_tenant(self):
-        c = controller(max_concurrency=3)
+        c = controller()
         c.offer(FakeTicket("a", 10, priority=0, query_id="low"))
         c.offer(FakeTicket("a", 10, priority=5, query_id="high"))
         c.offer(FakeTicket("a", 10, priority=1, query_id="mid"))
-        wave = c.next_wave()
-        assert [t.query_id for t in wave] == ["high", "mid", "low"]
+        assert [t.query_id for t in picks(c)] == ["high", "mid", "low"]
 
     def test_fifo_among_equal_priorities(self):
-        c = controller(max_concurrency=2)
+        c = controller()
         c.offer(FakeTicket("a", 10, query_id="first"))
         c.offer(FakeTicket("a", 10, query_id="second"))
-        assert [t.query_id for t in c.next_wave()] == ["first", "second"]
+        assert [t.query_id for t in picks(c)] == ["first", "second"]
 
-    def test_empty_controller_yields_empty_wave(self):
-        assert controller().next_wave() == []
+    def test_empty_controller_yields_none(self):
+        assert controller().next_ticket() is None
 
 
 class TestExpiry:
@@ -144,7 +145,7 @@ class TestExpiry:
         assert [t.query_id for t in expired] == ["old"]
         assert c.depth == 1
         assert c.num_expired == 1
-        assert [t.query_id for t in c.next_wave()] == ["fresh"]
+        assert [t.query_id for t in picks(c)] == ["fresh"]
 
     def test_no_timeout_configured(self):
         c = controller(queue_timeout_seconds=None)
@@ -158,4 +159,4 @@ class TestExpiry:
         c.offer(FakeTicket("b", 10))
         assert len(c.drain()) == 2
         assert c.depth == 0
-        assert c.next_wave() == []
+        assert c.next_ticket() is None

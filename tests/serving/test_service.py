@@ -135,8 +135,7 @@ class TestOverload:
     def test_full_queue_sheds(self):
         engine = StubEngine()
         engine.release.clear()  # park the first query in execute()
-        with make_service(engine, max_concurrency=1,
-                          max_queue_depth=1) as service:
+        with make_service(engine, max_queue_depth=1) as service:
             alice = service.open_session("alice").bind("X", x_matrix())
             blocker = alice.submit(QUERY)
             assert engine.started.wait(5.0)
@@ -168,8 +167,7 @@ class TestOverload:
     def test_queued_query_times_out(self):
         engine = StubEngine()
         engine.release.clear()
-        with make_service(engine, max_concurrency=1,
-                          queue_timeout_seconds=0.05) as service:
+        with make_service(engine, queue_timeout_seconds=0.05) as service:
             alice = service.open_session("alice").bind("X", x_matrix())
             blocker = alice.submit(QUERY)
             assert engine.started.wait(5.0)
@@ -212,7 +210,7 @@ class TestFailures:
 class TestLifecycle:
     def test_close_drains_queued_queries(self):
         engine = StubEngine()
-        with make_service(engine, max_concurrency=1) as service:
+        with make_service(engine) as service:
             alice = service.open_session("alice").bind("X", x_matrix())
             tickets = [
                 alice.submit(QUERY, inputs={"X": x_matrix(seed=s)})
@@ -225,7 +223,7 @@ class TestLifecycle:
     def test_close_without_drain_fails_leftovers(self):
         engine = StubEngine()
         engine.release.clear()
-        service = make_service(engine, max_concurrency=1)
+        service = make_service(engine)
         alice = service.open_session("alice").bind("X", x_matrix())
         blocker = alice.submit(QUERY)
         assert engine.started.wait(5.0)
