@@ -24,9 +24,6 @@ rules the paper's architecture depends on get called out explicitly:
 * ``core/calibration.py`` consumes plain floats only: it may import nothing
   above the config layer (in particular never ``serving``), even though the
   ``core`` layer as a whole is allowed more;
-* the observability plane (``obs/accounting.py``, ``obs/slo.py``) consumes
-  plain data only: beyond the ``obs`` package itself it may import nothing
-  but ``errors``, so ledgers and SLO math stay engine-free leaf modules;
 * the query handles (``serving/ticket.py``) are front-end plumbing:
   results reach them as constructed objects, so they never import the
   planning/execution stacks, even though the ``serving`` layer as a whole
@@ -95,17 +92,6 @@ CALIBRATION_ALLOWED = {"utils", "errors", "config"}
 SERVING_TICKET_FILES = ("serving/ticket.py",)
 SERVING_TICKET_ALLOWED = {"serving", "cluster", "obs", "utils", "errors",
                           "config"}
-
-#: The accounting ledger and SLO tracker are the service observability
-#: plane: the serving layer pushes plain dicts and floats *into* them and
-#: reads snapshots back out.  They must stay leaf modules — never importing
-#: the engine stacks (``core``, ``cluster``, ``serving``) nor even the
-#: lower utility layers — so a ledger can be unit-tested, reused, or
-#: replaced without dragging any engine machinery along.  (The layer-wide
-#: ``obs`` rule already forbids the engine stacks; this pins the plane's
-#: files to an explicit, tighter allowlist.)
-OBS_PLANE_FILES = ("obs/accounting.py", "obs/slo.py")
-OBS_PLANE_ALLOWED = {"obs", "errors"}
 
 #: ``core/passes`` is the graph-level rewrite pipeline over the physical
 #: IR: it sits strictly between lowering (``core/physical.py``) and engine
@@ -209,13 +195,6 @@ def main() -> int:
                     violations.append(
                         f"{rel}:{lineno}: query handles are front-end "
                         f"plumbing and must not import repro.{target}"
-                    )
-        if rel in OBS_PLANE_FILES:
-            for lineno, target in repro_imports(tree):
-                if target and target not in OBS_PLANE_ALLOWED:
-                    violations.append(
-                        f"{rel}:{lineno}: the observability plane consumes "
-                        f"plain data and must not import repro.{target}"
                     )
         if rel.startswith("core/passes/"):
             for lineno, target in repro_imports(tree):

@@ -63,7 +63,6 @@ from repro.obs import (
     JsonDumpSink,
     LoggingSink,
     MemorySink,
-    PrometheusSink,
     QueryProfile,
     Span,
     SpanTracer,
@@ -86,7 +85,6 @@ __all__ = [
     "JsonDumpSink",
     "LoggingSink",
     "MemorySink",
-    "PrometheusSink",
     "QueryProfile",
     "Span",
     "SpanTracer",

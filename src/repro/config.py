@@ -241,21 +241,8 @@ class ServiceConfig:
     log_every: int = 0
     #: Dispatcher poll interval (seconds) while waiting for work/timeouts.
     dispatch_poll_seconds: float = 0.02
-    #: Per-tenant resource accounting
-    #: (:class:`repro.obs.accounting.ResourceAccountant`): served queries
-    #: deposit modeled usage and wall time into per-tenant ledgers surfaced
-    #: via ``service.accounting()`` and ``repro_tenant_*`` metric families.
-    #: Strictly observational.
-    accounting: bool = True
-    #: Latency SLOs: a sequence of :class:`repro.obs.slo.SLOSpec`, one per
-    #: tenant to track.  Non-empty enables burn-rate tracking surfaced in
-    #: ``status()["slo"]``, ``repro_slo_*`` families and ``slo.burn_alert``
-    #: bus events.  Stored as a tuple (kept loosely typed here — the spec
-    #: class lives in :mod:`repro.obs`, which this module must not import).
-    slos: tuple = ()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "slos", tuple(self.slos))
         if self.max_queue_depth <= 0:
             raise ValueError("max_queue_depth must be positive")
         if self.queue_timeout_seconds is not None and self.queue_timeout_seconds <= 0:
@@ -272,16 +259,6 @@ class ServiceConfig:
             raise ValueError("log_every cannot be negative")
         if self.dispatch_poll_seconds <= 0:
             raise ValueError("dispatch_poll_seconds must be positive")
-        seen = set()
-        for spec in self.slos:
-            tenant = getattr(spec, "tenant", None)
-            if tenant is None:
-                raise ValueError(
-                    f"slos entries must be SLOSpec-like (got {spec!r})"
-                )
-            if tenant in seen:
-                raise ValueError(f"duplicate SLO for tenant {tenant!r}")
-            seen.add(tenant)
 
 
 def paper_cluster(num_nodes: int = 8) -> EngineConfig:

@@ -435,7 +435,7 @@ class CalibrationStore:
         return sum(errors) / len(errors)
 
     def stats(self) -> Dict[str, object]:
-        """Calibration state as one plain dict (status pages, Prometheus)."""
+        """Calibration state as one plain dict (``service.status()``)."""
         with self._lock:
             kernels: Dict[str, Dict[str, object]] = {}
             for (kind, bucket), window in sorted(self._observations.items()):

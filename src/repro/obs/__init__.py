@@ -11,15 +11,7 @@ The observability subsystem every layer above it reports into:
 * :mod:`repro.obs.bus` — a tiny event bus decoupling producers from
   exporters;
 * :mod:`repro.obs.sinks` — pluggable exporters (structured log, in-memory,
-  JSON dump for benchmarks);
-* :mod:`repro.obs.prometheus` — Prometheus text-exposition rendering plus
-  a line-format validator;
-* :mod:`repro.obs.accounting` — per-tenant resource ledgers and the
-  chargeback report;
-* :mod:`repro.obs.slo` — latency SLOs with multi-window error-budget
-  burn-rate alerts;
-* :mod:`repro.obs.httpd` — a stdlib HTTP endpoint serving ``/metrics``
-  and ``/status`` for pull-based scraping.
+  JSON dump for benchmarks).
 
 Layering: this package sits next to ``config``/``utils`` at the *bottom*
 of the stack.  It never imports ``repro.core``, ``repro.cluster`` or
@@ -28,20 +20,9 @@ strings), so any layer may attach a sink without creating an import cycle
 (enforced by ``scripts/check_layers.py``).
 """
 
-from repro.obs.accounting import ResourceAccountant, TenantLedger
 from repro.obs.bus import EventBus, Sink, TelemetryEvent
-from repro.obs.httpd import MetricsHTTPServer
 from repro.obs.profile import QueryProfile, UnitProfile, relative_error
-from repro.obs.prometheus import (
-    MetricFamily,
-    PrometheusSink,
-    render_exposition,
-    slo_families,
-    tenant_families,
-    validate_exposition,
-)
 from repro.obs.sinks import JsonDumpSink, LoggingSink, MemorySink
-from repro.obs.slo import SLOSpec, SLOTracker
 from repro.obs.span import Span, SpanTracer
 
 __all__ = [
@@ -49,22 +30,11 @@ __all__ = [
     "JsonDumpSink",
     "LoggingSink",
     "MemorySink",
-    "MetricFamily",
-    "MetricsHTTPServer",
-    "PrometheusSink",
     "QueryProfile",
-    "ResourceAccountant",
-    "SLOSpec",
-    "SLOTracker",
     "Sink",
     "Span",
     "SpanTracer",
     "TelemetryEvent",
-    "TenantLedger",
     "UnitProfile",
     "relative_error",
-    "render_exposition",
-    "slo_families",
-    "tenant_families",
-    "validate_exposition",
 ]

@@ -1,11 +1,12 @@
 """Service observability: per-tenant counters and latency histograms.
 
 Everything the operator of a long-lived service wants on one status page:
-how many queries each tenant submitted / was served / had shed, how deep
-the queue is, how long queries wait and run (p50/p95/p99), and how often
-the three cache layers hit.  All of it is *observability only* — nothing
-here feeds the modeled numbers, mirroring the counters convention of
-:class:`~repro.cluster.metrics.MetricsCollector`.
+how many queries each tenant submitted / was served / had shed, what its
+executions used (modeled seconds, shuffled bytes, flops, wall seconds), how
+deep the queue is, how long queries wait and run (p50/p95/p99), and how
+often the three cache layers hit.  All of it is *observability only* —
+nothing here feeds the modeled numbers, mirroring the counters convention
+of :class:`~repro.cluster.metrics.MetricsCollector`.
 
 Latencies are recorded into fixed geometric buckets (factor-2 bounds from
 ~1 microsecond to ~1.1 hours), so percentile snapshots are O(1) memory,
@@ -18,11 +19,29 @@ from __future__ import annotations
 import math
 import threading
 from bisect import bisect_left
-from dataclasses import dataclass
-from typing import Dict
+from dataclasses import dataclass, field
+from typing import Dict, Mapping, Optional
 
 #: Geometric bucket upper bounds: 2^-20 s (~1 us) .. 2^12 s (~1.1 h).
 _BUCKET_BOUNDS = tuple(2.0 ** e for e in range(-20, 13))
+
+#: Per-tenant outcome counters.
+OUTCOME_FIELDS = (
+    "submitted", "served", "cache_hits", "shed", "timed_out", "failed",
+)
+
+#: Per-tenant usage dimensions.  All but ``wall_seconds`` are modeled and
+#: copied from each execution's metric delta, so summed over tenants they
+#: equal the service cluster's :class:`~repro.cluster.metrics.MetricsCollector`
+#: totals; ``wall_seconds`` is the real submit-to-completion time.
+USAGE_FIELDS = (
+    "modeled_seconds",
+    "compute_seconds",
+    "network_seconds",
+    "shuffled_bytes",
+    "flops",
+    "wall_seconds",
+)
 
 
 class LatencyHistogram:
@@ -74,7 +93,7 @@ class LatencyHistogram:
 
 @dataclass
 class TenantStats:
-    """Lifetime counters for one tenant."""
+    """Lifetime counters and usage for one tenant."""
 
     submitted: int = 0
     served: int = 0
@@ -82,16 +101,15 @@ class TenantStats:
     shed: int = 0
     timed_out: int = 0
     failed: int = 0
+    #: Resources of the queries executed for this tenant (cache hits add
+    #: nothing: the execution that filled the cache was booked to its runner).
+    usage: Dict[str, float] = field(
+        default_factory=lambda: dict.fromkeys(USAGE_FIELDS, 0.0)
+    )
 
     def snapshot(self) -> Dict[str, int]:
-        return {
-            "submitted": self.submitted,
-            "served": self.served,
-            "cache_hits": self.cache_hits,
-            "shed": self.shed,
-            "timed_out": self.timed_out,
-            "failed": self.failed,
-        }
+        """The outcome counters (usage is read separately)."""
+        return {name: getattr(self, name) for name in OUTCOME_FIELDS}
 
 
 class ServiceMetrics:
@@ -134,12 +152,18 @@ class ServiceMetrics:
         from_cache: bool,
         queue_seconds: float,
         total_seconds: float,
+        usage: Optional[Mapping[str, float]] = None,
     ) -> None:
+        """Book one served query; *usage* maps :data:`USAGE_FIELDS` names
+        to amounts and is ``None`` for a result-cache hit."""
         with self._lock:
             stats = self._tenant(tenant)
             stats.served += 1
             if from_cache:
                 stats.cache_hits += 1
+            if usage is not None:
+                for name, amount in usage.items():
+                    stats.usage[name] += amount
             self.queue_wait.record(queue_seconds)
             self.latency.record(total_seconds)
             self._tenant_hist(tenant).record(total_seconds)
@@ -161,45 +185,47 @@ class ServiceMetrics:
 
     # -- reading ----------------------------------------------------------
 
-    def totals(self) -> Dict[str, int]:
-        """Counters summed across tenants (call under no particular lock)."""
-        with self._lock:
-            tenants = list(self._tenants.values())
-        result = {
-            "submitted": 0, "served": 0, "cache_hits": 0,
-            "shed": 0, "timed_out": 0, "failed": 0,
-        }
-        for stats in tenants:
-            for name, value in stats.snapshot().items():
-                result[name] += value
+    def _totals(self) -> Dict[str, int]:
+        """Counters summed across tenants; the caller holds ``_lock``."""
+        result = dict.fromkeys(OUTCOME_FIELDS, 0)
+        for stats in self._tenants.values():
+            for name in OUTCOME_FIELDS:
+                result[name] += getattr(stats, name)
         return result
 
+    def totals(self) -> Dict[str, int]:
+        """Counters summed across tenants."""
+        with self._lock:
+            return self._totals()
+
     def snapshot(self) -> Dict[str, object]:
-        """Everything observed, as one plain dict."""
+        """Everything observed, as one plain dict.
+
+        One critical section: the top-level counters are always the sum of
+        the per-tenant ones in the same snapshot.
+        """
         with self._lock:
             tenants: Dict[str, Dict[str, object]] = {}
             for name, stats in sorted(self._tenants.items()):
                 tenant_snap: Dict[str, object] = dict(stats.snapshot())
+                tenant_snap["usage"] = dict(stats.usage)
                 hist = self._tenant_latency.get(name)
                 if hist is not None:
                     tenant_snap["latency"] = hist.snapshot()
                 tenants[name] = tenant_snap
-            queue_wait = self.queue_wait.snapshot()
-            latency = self.latency.snapshot()
-            completed = self.completed
-        snap: Dict[str, object] = {
-            "tenants": tenants,
-            "queue_wait": queue_wait,
-            "latency": latency,
-            "completed": completed,
-        }
-        snap.update(self.totals())
+            snap: Dict[str, object] = {
+                "tenants": tenants,
+                "queue_wait": self.queue_wait.snapshot(),
+                "latency": self.latency.snapshot(),
+                "completed": self.completed,
+            }
+            snap.update(self._totals())
         return snap
 
     def log_line(self, queue_depth: int, running: int) -> str:
         """One-line service summary for the periodic log."""
-        totals = self.totals()
         with self._lock:
+            totals = self._totals()
             p50 = self.latency.percentile(0.50)
             p95 = self.latency.percentile(0.95)
         served = totals["served"]

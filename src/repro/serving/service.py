@@ -10,7 +10,7 @@ many tenants share::
                                       dispatcher thread ──► engine.execute
                                             │               on the service's
                                             ▼               one cluster
-                                  result cache + metrics + accounting + SLOs
+                                  result cache + metrics
 
 **Determinism.**  The service executes exactly like the standalone engine —
 per-query metric deltas, one query executing at a time on the dispatcher
@@ -30,7 +30,6 @@ rest wait in a bounded queue, and queued queries expire with
 from __future__ import annotations
 
 import itertools
-import json
 import logging
 import threading
 import time
@@ -49,18 +48,6 @@ from repro.errors import (
 from repro.execution import Engine, ExecutionResult, Query, as_dag
 from repro.matrix.distributed import BlockedMatrix
 from repro.obs import QueryProfile
-from repro.obs.accounting import ResourceAccountant
-from repro.obs.httpd import MetricsHTTPServer
-from repro.obs.prometheus import (
-    cache_families,
-    calibration_families,
-    engine_families,
-    render_exposition,
-    serving_families,
-    slo_families,
-    tenant_families,
-)
-from repro.obs.slo import SLOTracker
 from repro.serving.admission import AdmissionController, estimate_query_bytes
 from repro.serving.metrics import ServiceMetrics
 from repro.serving.result_cache import ResultCache, result_key
@@ -72,13 +59,15 @@ __all__ = ["MatrixService", "QueryTicket", "ServedResult"]
 logger = logging.getLogger("repro.serving")
 
 
-def _result_usage(result, cluster_config) -> Dict[str, float]:
-    """An execution's resource usage in ledger dimensions.
+def _result_usage(
+    result, cluster_config, wall_seconds: float
+) -> Dict[str, float]:
+    """An execution's usage in :data:`~repro.serving.metrics.USAGE_FIELDS`.
 
     Modeled seconds / shuffled bytes / flops are the per-query metric
-    delta verbatim (so ledgers sum to cluster totals); the compute and
-    network second splits derive from the configured bandwidths — the same
-    denominators the CFO cost model charges against.
+    delta verbatim (so per-tenant usage sums to cluster totals); the
+    compute and network second splits derive from the configured
+    bandwidths — the same denominators the CFO cost model charges against.
     """
     metrics = result.metrics
     comm = float(metrics.comm_bytes)
@@ -91,6 +80,7 @@ def _result_usage(result, cluster_config) -> Dict[str, float]:
         "network_seconds": comm / cluster_config.network_bandwidth,
         "shuffled_bytes": comm,
         "flops": flops,
+        "wall_seconds": wall_seconds,
     }
 
 
@@ -139,17 +129,6 @@ class MatrixService:
         #: Serializes close() against concurrent closers (not dispatch).
         self._close_lock = threading.Lock()
         self._last_logged = 0
-        # the observability plane: per-tenant chargeback ledgers and SLO
-        # burn-rate tracking — both strictly observational (nothing here is
-        # ever read back by admission, planning or execution)
-        self.accountant: Optional[ResourceAccountant] = (
-            ResourceAccountant() if self.config.accounting else None
-        )
-        self.slo: Optional[SLOTracker] = (
-            SLOTracker(self.config.slos, bus=self.engine.telemetry)
-            if self.config.slos else None
-        )
-        self._httpd: Optional[MetricsHTTPServer] = None
         self._dispatcher = threading.Thread(
             target=self._dispatch_loop,
             name="repro-serving-dispatch",
@@ -201,8 +180,6 @@ class MatrixService:
         cost = estimate_query_bytes(dag, bound)
         ticket = QueryTicket(query_id, tenant, dag, bound, cost, priority)
         self.metrics.record_submitted(tenant)
-        if self.accountant is not None:
-            self.accountant.record_submitted(tenant)
 
         cached = self.result_cache.get(
             result_key(self.engine.planning_signature(), dag, bound)
@@ -221,7 +198,7 @@ class MatrixService:
                 self._admission.offer(ticket)
                 self._cond.notify_all()
         except ServiceOverloadedError:
-            self._record_unserved(tenant, "shed")
+            self.metrics.record_shed(tenant)
             raise
         return ticket
 
@@ -318,7 +295,7 @@ class MatrixService:
                 self.result_cache.put(key, result, pins=ticket.bound)
             self._serve(ticket, result, from_cache, queue_seconds)
         except Exception as exc:  # noqa: BLE001 - failures belong to the ticket
-            self._record_unserved(ticket.tenant, "failed")
+            self.metrics.record_failed(ticket.tenant)
             ticket._fail(exc)
         finally:
             with self._cond:
@@ -336,21 +313,13 @@ class MatrixService:
         """Resolve *ticket* with *result* and book the served outcome."""
         tenant = ticket.tenant
         total = time.monotonic() - ticket.enqueued_at
+        usage = None if from_cache else _result_usage(
+            result, self.engine.config.cluster, total
+        )
         self.metrics.record_served(
             tenant, from_cache,
-            queue_seconds=queue_seconds, total_seconds=total,
+            queue_seconds=queue_seconds, total_seconds=total, usage=usage,
         )
-        if self.accountant is not None:
-            # a cache hit charges no usage: the execution that filled the
-            # cache was already charged to whoever ran it
-            usage = None if from_cache else _result_usage(
-                result, self.engine.config.cluster
-            )
-            self.accountant.charge_query(
-                tenant, usage=usage, wall_seconds=total, from_cache=from_cache,
-            )
-        if self.slo is not None:
-            self.slo.record(tenant, latency_seconds=total)
         ticket._resolve(ServedResult(
             query_id=ticket.query_id,
             tenant=tenant,
@@ -360,18 +329,9 @@ class MatrixService:
             service_seconds=total,
         ))
 
-    def _record_unserved(self, tenant: str, outcome: str) -> None:
-        """Book a query that got no result: *outcome* is ``"shed"``,
-        ``"timed_out"`` or ``"failed"``."""
-        getattr(self.metrics, f"record_{outcome}")(tenant)
-        if self.accountant is not None:
-            getattr(self.accountant, f"record_{outcome}")(tenant)
-        if self.slo is not None:
-            self.slo.record(tenant, ok=False)
-
     def _expire_ticket(self, ticket: QueryTicket) -> None:
         waited = time.monotonic() - ticket.enqueued_at
-        self._record_unserved(ticket.tenant, "timed_out")
+        self.metrics.record_timed_out(ticket.tenant)
         ticket._fail(QueryTimeoutError(
             ticket.query_id, waited, self.config.queue_timeout_seconds
         ))
@@ -401,71 +361,7 @@ class MatrixService:
             calibration=self.engine.calibration.stats(),
             cluster=self.cluster.metrics.snapshot(),
         )
-        if self.accountant is not None:
-            snap["accounting"] = self.accountant.snapshot()
-        if self.slo is not None:
-            snap["slo"] = self.slo.snapshot()
         return snap
-
-    def accounting(self) -> str:
-        """The per-tenant chargeback report (see
-        :meth:`repro.obs.accounting.ResourceAccountant.render_chargeback`).
-        Raises when accounting is disabled
-        (``ServiceConfig(accounting=False)``)."""
-        if self.accountant is None:
-            raise RuntimeError(
-                "accounting is disabled; enable it with "
-                "ServiceConfig(accounting=True)"
-            )
-        return self.accountant.render_chargeback()
-
-    def prometheus(self) -> str:
-        """The whole service as one Prometheus text exposition page:
-        engine stage totals and counters, all three cache layers,
-        per-tenant query outcomes + latency quantiles, and — when enabled —
-        the per-tenant accounting ledgers and SLO burn rates."""
-        status = self.status()
-        families = engine_families(status["cluster"])
-        families += cache_families({
-            "plan": status["plan_cache"],
-            "slice": status["slice_cache"],
-            "result": status["result_cache"],
-        })
-        families += calibration_families(status["calibration"])
-        families += serving_families(status)
-        if "accounting" in status:
-            families += tenant_families(status["accounting"])
-        if "slo" in status:
-            families += slo_families(status["slo"])
-        return render_exposition(families)
-
-    def serve_metrics(
-        self, port: int = 0, host: str = "127.0.0.1"
-    ) -> MetricsHTTPServer:
-        """Expose ``/metrics`` (Prometheus scrape) and ``/status`` (JSON)
-        over HTTP on a daemon thread.  ``port=0`` picks an ephemeral port
-        (``server.port``/``server.url`` tell you which); the endpoint stops
-        with :meth:`close`, or earlier via ``server.close()``.  Idempotent
-        per service: a live endpoint is returned as-is."""
-        with self._lock:
-            if self._closed:
-                raise ServingError("service is closed")
-            if self._httpd is None:
-                self._httpd = MetricsHTTPServer(
-                    {
-                        "/metrics": lambda: (
-                            "text/plain; version=0.0.4; charset=utf-8",
-                            self.prometheus(),
-                        ),
-                        "/status": lambda: (
-                            "application/json",
-                            json.dumps(self.status(), default=str),
-                        ),
-                    },
-                    host=host,
-                    port=port,
-                )
-            return self._httpd
 
     def _maybe_log(self) -> None:
         every = self.config.log_every
@@ -499,13 +395,10 @@ class MatrixService:
         with self._close_lock:
             with self._cond:
                 self._closed = True
-                httpd, self._httpd = self._httpd, None
                 leftovers = [] if drain else self._admission.drain()
                 self._cond.notify_all()
-            if httpd is not None:
-                httpd.close()
             for ticket in leftovers:
-                self._record_unserved(ticket.tenant, "shed")
+                self.metrics.record_shed(ticket.tenant)
                 ticket._fail(ServiceOverloadedError(
                     f"query {ticket.query_id} dropped: service shutting down"
                 ))

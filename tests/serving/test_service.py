@@ -251,7 +251,7 @@ class TestLifecycle:
         assert service.closed
         after = service.status()
         for key in ("served", "cache_hits", "shed", "failed", "tenants",
-                    "accounting", "queue_depth"):
+                    "queue_depth"):
             assert after[key] == before[key], key
 
     def test_close_is_idempotent(self):
@@ -361,8 +361,7 @@ class TestStatus:
 
 class TestCacheStatus:
     def test_each_cache_reports_a_stats_sub_dict(self):
-        """status() embeds one stats dict per cache layer — the shape the
-        Prometheus builders consume."""
+        """status() embeds one stats dict per cache layer."""
         with make_service() as service:
             alice = service.open_session("alice").bind("X", x_matrix())
             alice.execute(QUERY, timeout=10.0)
@@ -379,7 +378,7 @@ class TestCacheStatus:
 
 
 class TestServingTelemetry:
-    """session.profile() and the Prometheus endpoint, on a real engine."""
+    """session.profile() and service.status(), on a real engine."""
 
     def _real_service(self, **engine_options):
         from repro import FuseMEEngine
@@ -403,30 +402,25 @@ class TestServingTelemetry:
             with pytest.raises(RuntimeError, match="telemetry"):
                 alice.profile(QUERY, timeout=10.0)
 
-    def test_prometheus_endpoint_parses_and_covers_layers(self):
-        from repro.obs.prometheus import validate_exposition
-
+    def test_status_covers_layers(self):
         with self._real_service() as service:
             alice = service.open_session("alice").bind("X", x_matrix())
             alice.execute(QUERY, timeout=10.0)
             alice.execute(QUERY, timeout=10.0)  # result-cache hit
             bob = service.open_session("bob").bind("X", x_matrix(seed=2))
             bob.execute(QUERY, timeout=10.0)
-            text = service.prometheus()
-        assert validate_exposition(text) > 0
+            status = service.status()
         # engine stage totals (modeled numbers from the shared cluster)
-        assert "repro_engine_stages_total" in text
-        assert "repro_engine_elapsed_modeled_seconds_total" in text
+        assert status["cluster"]["num_stages"] > 0
+        assert status["cluster"]["elapsed_seconds"] > 0.0
         # cache counters for all three layers
-        for cache in ("plan", "slice", "result"):
-            assert f'repro_cache_hits_total{{cache="{cache}"}}' in text
-        # per-tenant latency summary quantiles
-        assert (
-            'repro_serving_latency_seconds{quantile="0.99",tenant="alice"}'
-            in text
+        for cache in ("plan_cache", "slice_cache", "result_cache"):
+            assert "hits" in status[cache], cache
+        # per-tenant outcomes, latency and usage
+        alice_status, bob_status = (
+            status["tenants"]["alice"], status["tenants"]["bob"]
         )
-        assert 'repro_serving_latency_seconds_count{tenant="bob"} 1' in text
-        assert (
-            'repro_serving_queries_total{outcome="served",tenant="alice"} 2'
-            in text
-        )
+        assert alice_status["served"] == 2 and alice_status["cache_hits"] == 1
+        assert alice_status["latency"]["p99"] > 0.0
+        assert bob_status["latency"]["count"] == 1
+        assert bob_status["usage"]["modeled_seconds"] > 0.0

@@ -1,6 +1,21 @@
 """Service metrics: latency histograms, tenant counters, snapshots."""
 
-from repro.serving.metrics import LatencyHistogram, ServiceMetrics, TenantStats
+import sys
+import threading
+
+import pytest
+
+from repro.serving.metrics import (
+    OUTCOME_FIELDS,
+    USAGE_FIELDS,
+    LatencyHistogram,
+    ServiceMetrics,
+    TenantStats,
+)
+
+
+def usage(modeled=1.0):
+    return {name: modeled for name in USAGE_FIELDS}
 
 
 class TestLatencyHistogram:
@@ -99,6 +114,76 @@ class TestServiceMetrics:
         assert "queued=2" in line
         assert "running=1" in line
         assert "result_cache_hit_rate=1.00" in line
+
+
+class TestUsage:
+    def test_executions_book_usage_and_cache_hits_do_not(self):
+        m = ServiceMetrics()
+        m.record_served("alice", False, 0.0, 0.5, usage=usage(2.0))
+        m.record_served("alice", True, 0.0, 0.001)
+        m.record_shed("bob")
+        snap = m.snapshot()
+        assert snap["tenants"]["alice"]["usage"] == usage(2.0)
+        assert snap["tenants"]["alice"]["cache_hits"] == 1
+        assert snap["tenants"]["bob"]["usage"] == usage(0.0)
+
+    def test_conservation_under_concurrency(self):
+        m = ServiceMetrics()
+
+        def worker(tenant):
+            for _ in range(50):
+                m.record_served(tenant, False, 0.0, 0.0, usage=usage())
+                m.record_served("shared", False, 0.0, 0.0, usage=usage())
+
+        threads = [
+            threading.Thread(target=worker, args=(f"t{i}",)) for i in range(4)
+        ]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        snap = m.snapshot()
+        assert snap["served"] == 4 * 50 * 2
+        assert snap["tenants"]["shared"]["usage"] == usage(200.0)
+        for name in USAGE_FIELDS:
+            assert sum(
+                t["usage"][name] for t in snap["tenants"].values()
+            ) == pytest.approx(400.0)
+
+
+class TestSnapshotConsistency:
+    def test_totals_match_tenants_under_concurrent_recording(self):
+        """Top-level counters and per-tenant counters come from the same
+        critical section, so no recorder can land between the two reads."""
+        m = ServiceMetrics()
+        stop = threading.Event()
+
+        def recorder(tenant):
+            while not stop.is_set():
+                m.record_submitted(tenant)
+                m.record_served(tenant, False, 0.0, 0.001, usage=usage())
+                m.record_shed(tenant)
+
+        threads = [
+            threading.Thread(target=recorder, args=(f"t{i}",))
+            for i in range(3)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as possible
+        try:
+            for t in threads:
+                t.start()
+            for _ in range(2000):
+                snap = m.snapshot()
+                for name in OUTCOME_FIELDS:
+                    assert snap[name] == sum(
+                        t[name] for t in snap["tenants"].values()
+                    ), name
+        finally:
+            stop.set()
+            for t in threads:
+                t.join()
+            sys.setswitchinterval(interval)
 
 
 class TestLatencyBucketEdges:
