@@ -20,7 +20,6 @@ Quickstart::
     print(result.metrics.summary())
 """
 
-from repro.cluster.trace import TraceRecorder
 from repro.config import ClusterConfig, EngineConfig, ServiceConfig, paper_cluster
 from repro.core import FuseMEEngine
 from repro.baselines import (
@@ -58,16 +57,7 @@ from repro.matrix import (
     zeros,
 )
 from repro.matrix.io import load_matrix, save_matrix
-from repro.obs import (
-    EventBus,
-    JsonDumpSink,
-    LoggingSink,
-    MemorySink,
-    QueryProfile,
-    Span,
-    SpanTracer,
-    UnitProfile,
-)
+from repro.obs import QueryProfile, Span, SpanTracer, UnitProfile
 from repro.serving import MatrixService, ServedResult, Session
 
 __version__ = "1.0.0"
@@ -80,11 +70,6 @@ __all__ = [
     "MatrixService",
     "ServedResult",
     "Session",
-    "TraceRecorder",
-    "EventBus",
-    "JsonDumpSink",
-    "LoggingSink",
-    "MemorySink",
     "QueryProfile",
     "Span",
     "SpanTracer",

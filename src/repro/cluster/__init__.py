@@ -17,7 +17,6 @@ from repro.cluster.slice_cache import SliceCache
 from repro.cluster.task import TaskContext, TransferKind
 from repro.cluster.executor import SimulatedCluster, Stage
 from repro.cluster.simulation import stage_seconds
-from repro.cluster.trace import TraceRecorder
 
 __all__ = [
     "MetricsCollector",
@@ -28,5 +27,4 @@ __all__ = [
     "SimulatedCluster",
     "Stage",
     "stage_seconds",
-    "TraceRecorder",
 ]

@@ -34,7 +34,6 @@ from repro.cluster.metrics import MetricsCollector, MetricsMark, StageRecord
 from repro.cluster.simulation import stage_seconds
 from repro.cluster.slice_cache import SliceCache
 from repro.cluster.task import TaskContext
-from repro.cluster.trace import TraceRecorder
 from repro.errors import SimulatedTimeoutError
 
 
@@ -124,48 +123,24 @@ class Stage:
             flops=flops,
             overlap=config.overlap_comm_compute,
         )
-        trace = self._cluster.trace
-        if trace is not None:
-            # where the stage sits on the run's modeled clock; it only ever
-            # positions trace events — no modeled number is derived from it
-            start = self._cluster.metrics.clock
         record = self._record(seconds=seconds)
-        if trace is not None:
-            trace.stage(
-                self.name, start, start + seconds, num_tasks=len(self.tasks)
-            )
-            trace.transfer(self.name, start + seconds, consolidation, aggregation)
         self._cluster._check_timeout()
         return record
 
 
 class SimulatedCluster:
-    """The distributed substrate shared by FuseME and every baseline engine.
+    """The distributed substrate shared by FuseME and every baseline engine."""
 
-    Pass ``trace=`` a :class:`~repro.cluster.trace.TraceRecorder` to record
-    each stage's span and transfer totals on the modeled clock; without
-    one, nothing is recorded.
-    """
-
-    def __init__(
-        self,
-        config: Optional[EngineConfig] = None,
-        trace: Optional[TraceRecorder] = None,
-    ):
+    def __init__(self, config: Optional[EngineConfig] = None):
         self.config = config or EngineConfig()
         self.metrics = MetricsCollector()
         #: Shared consolidation slabs, reset by the engine per execute.
         self.slice_cache = SliceCache()
-        self.trace = trace
         # the collector position at the start of the current query; the
         # simulated timeout budget applies per query, not per cluster
         # lifetime, so a long-lived (serving) cluster never times out a
         # query for the time its predecessors spent
         self._query_mark = self.metrics.mark()
-        # index into the trace's event list at the start of the current
-        # query; Engine._execute slices from here so each result's trace
-        # holds only its own query's events
-        self._trace_epoch = 0
         # per-thread physical-plan unit index: stages opened on a thread
         # inherit it, attributing their StageRecords to the unit
         self._unit_scope = threading.local()
@@ -229,28 +204,11 @@ class SimulatedCluster:
         the collector mark the query's metrics delta is taken from.
         """
         self._query_mark = self.metrics.mark()
-        if self.trace is not None:
-            self._trace_epoch = len(self.trace)
         return self._query_mark
-
-    def query_trace(self) -> Optional[TraceRecorder]:
-        """A recorder holding only the current query's events.
-
-        On a long-lived (serving) cluster the live recorder accumulates
-        every tenant's stages; results must not alias it, so this copies
-        the slice recorded since :meth:`begin_query`.  Timestamps stay on
-        the cluster's absolute modeled clock.
-        """
-        if self.trace is None:
-            return None
-        return self.trace.slice_from(self._trace_epoch)
 
     def reset_metrics(self) -> None:
         self.metrics.reset()
         self._query_mark = self.metrics.mark()
-        self._trace_epoch = 0
-        if self.trace is not None:
-            self.trace.clear()
 
     def _check_timeout(self) -> None:
         elapsed = self.metrics.elapsed_since(self._query_mark)

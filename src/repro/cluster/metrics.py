@@ -84,7 +84,7 @@ class MetricsCollector:
     def clock(self) -> float:
         """Where the collector stands on the modeled clock, in O(1).
 
-        A *position* (trace offsets, span epochs) for long-lived clusters
+        A *position* (a query's span epoch) for long-lived clusters
         whose stage list only grows; every reported duration is still a sum
         over stage records (:attr:`elapsed_seconds`, :meth:`elapsed_since`).
         """

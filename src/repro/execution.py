@@ -7,9 +7,13 @@ parameters, cost estimates, dependency edges, materialization lifetimes),
 then run the unit graph on the simulated cluster in plan order.  Engines
 differ only in *how they plan* (which operators fuse) and *which physical
 operator runs a unit* — exactly the axes the paper's evaluation compares.
+The single-node baseline plans without a fusion plan: it overrides
+:meth:`Engine.lower_dag` to lower the whole DAG to one synthetic unit.
 
 The physical plan is also the introspection surface: :meth:`Engine.explain`
-plans and lowers a query without opening a single cluster stage.
+plans and lowers a query without opening a single cluster stage.  A query's
+telemetry is one record, its span tree, assembled into ``result.profile``
+by :mod:`repro.core.profiling`.
 """
 
 from __future__ import annotations
@@ -23,16 +27,8 @@ from typing import Any, Dict, Mapping, Optional, Sequence, Tuple, Union
 from repro.cluster.executor import SimulatedCluster
 from repro.cluster.metrics import MetricsCollector
 from repro.cluster.slice_cache import SliceCache
-from repro.cluster.trace import TraceRecorder
 from repro.config import EngineConfig
-from repro.obs import (
-    EventBus,
-    QueryProfile,
-    Span,
-    SpanTracer,
-    TelemetryEvent,
-    UnitProfile,
-)
+from repro.obs import QueryProfile, Span, SpanTracer
 from repro.core.calibration import (
     CalibrationStore,
     KernelCalibration,
@@ -50,6 +46,7 @@ from repro.core.physical import (
 from repro.core.passes import run_graph_passes
 from repro.core.plan import FusionPlan, MultiAggPlan, PlanUnit
 from repro.core.plan_cache import PlanCache, PlanCacheEntry, dag_fingerprint
+from repro.core.profiling import build_profile, optimizer_counters
 from repro.errors import PlanError
 from repro.lang.builder import Expr
 from repro.lang.dag import DAG, InputNode, Node
@@ -75,18 +72,14 @@ class ExecutionResult:
     metrics: MetricsCollector
     fusion_plan: Optional[FusionPlan]
     dag: Optional[DAG] = None
-    #: Modeled-clock trace, present only when the cluster was built with an
-    #: explicit ``SimulatedCluster(config, trace=TraceRecorder())``; a
-    #: per-query slice — on a shared cluster it holds only this query's
-    #: events.  Export with ``result.trace.write_chrome_trace("run.json")``.
-    trace: Optional[TraceRecorder] = None
     #: The lowered unit graph this query executed through (None only for
     #: hand-built results).
     physical_plan: Optional[PhysicalPlan] = None
-    #: Cost-model accountability report + span tree (None when
-    #: ``EngineConfig.telemetry`` is off).  ``profile.render()`` is the
-    #: engine's EXPLAIN ANALYZE.  Its ``result`` is None: a result and its
-    #: profile form no reference cycle, so dropping the result frees its
+    #: The query's telemetry record: the cost-model accountability report
+    #: and its span tree (None when ``EngineConfig.telemetry`` is off).
+    #: ``profile.render()`` is the engine's EXPLAIN ANALYZE; ``profile.span``
+    #: holds every phase on both clocks.  Its ``result`` is None: a result
+    #: and its profile form no reference cycle, so dropping the result frees its
     #: outputs (and the slabs they pinned) by refcount, without waiting for
     #: the cyclic collector.  ``engine.profile()`` returns a copy that
     #: holds the result instead.
@@ -140,10 +133,6 @@ class Engine(ABC):
         #: and cluster-stage accounting are per-engine mutable state, so
         #: concurrent submitters take turns; a query runs on one thread.
         self._execute_lock = threading.RLock()
-        #: Telemetry fan-out: attach sinks (``repro.obs``) to receive query
-        #: profiles, span trees and counters.  With no sinks attached the
-        #: emit path is a single attribute check.
-        self.telemetry = EventBus()
         #: The most recent query's :class:`QueryProfile` (None before the
         #: first execute or with ``config.telemetry=False``).
         self.last_profile: Optional[QueryProfile] = None
@@ -175,9 +164,11 @@ class Engine(ABC):
 
     # -- subclass hooks --------------------------------------------------------
 
-    @abstractmethod
     def plan_query(self, dag: DAG) -> FusionPlan:
-        """Decide which operators fuse and which run alone."""
+        """Decide which operators fuse and which run alone (called by the
+        default :meth:`lower_dag`; an engine overriding that need not
+        implement it)."""
+        raise NotImplementedError(f"{type(self).__name__} has no fusion planner")
 
     @abstractmethod
     def run_unit(
@@ -311,12 +302,10 @@ class Engine(ABC):
         calibration feedback loop find (and possibly evict) the entry this
         query executed.
 
-        Lowering yields the *raw* plan; the graph-pass pipeline
-        (:func:`repro.core.passes.run_graph_passes`) rewrites it before
-        anything caches or runs it, so the cache always stores the
-        *optimized* plan (the pass spec is part of the planning signature,
-        so toggling passes can never reuse the other mode's entry).
-        *tracer* rides along so each pass gets its own planning span.
+        A miss caches what :meth:`lower_dag` returns — the plan *after* the
+        graph passes (the pass spec is part of the planning signature, so
+        toggling passes can never reuse the other mode's entry).  *tracer*
+        rides along so each pass gets its own planning span.
         """
         cache_key = None
         if self.plan_cache.enabled:
@@ -324,14 +313,7 @@ class Engine(ABC):
             entry = self.plan_cache.get(cache_key)
             if entry is not None and entry.physical is not None:
                 return entry.dag, entry.physical, True, cache_key
-        fusion_plan = self.plan_query(dag)
-        physical = lower_plan(
-            dag,
-            fusion_plan,
-            self.annotate_unit,
-            engine_name=self.name,
-        )
-        physical = run_graph_passes(self, physical, tracer=tracer)
+        physical = self.lower_dag(dag, tracer=tracer)
         if cache_key is not None:
             # hints stay keyed by *raw* lowering indices (merged members
             # keep theirs), matching how lower_plan consumes them
@@ -344,7 +326,7 @@ class Engine(ABC):
                 cache_key,
                 PlanCacheEntry(
                     dag,
-                    fusion_plan,
+                    physical.fusion_plan,
                     hints,
                     physical=physical,
                     fit_generation=(
@@ -354,6 +336,18 @@ class Engine(ABC):
                 ),
             )
         return dag, physical, False, cache_key
+
+    def lower_dag(self, dag: DAG, tracer=None) -> PhysicalPlan:
+        """Plan and lower *dag* (uncached): :meth:`plan_query`, then
+        :func:`~repro.core.physical.lower_plan` with :meth:`annotate_unit`,
+        then the graph passes."""
+        physical = lower_plan(
+            dag,
+            self.plan_query(dag),
+            self.annotate_unit,
+            engine_name=self.name,
+        )
+        return run_graph_passes(self, physical, tracer=tracer)
 
     def explain(
         self,
@@ -468,21 +462,13 @@ class Engine(ABC):
                 cluster.metrics.bump(
                     "plan_cache_hits" if cache_hit else "plan_cache_misses"
                 )
-                if cluster.trace is not None:
-                    cluster.trace.instant(
-                        "plan_cache:" + ("hit" if cache_hit else "miss"),
-                        "cache",
-                        ts=modeled_epoch,
-                        engine=self.name,
-                        units=len(physical.ops),
-                    )
-            optimizer_counters = _optimizer_counters(physical)
+            search_counters = optimizer_counters(physical)
             if plan_span is not None:
                 plan_span.attrs.update(
                     cache_hit=cache_hit,
                     units=len(physical.ops),
                     waves=len(physical.waves()),
-                    **optimizer_counters,
+                    **search_counters,
                     **self.planning_attrs(),
                 )
 
@@ -507,14 +493,6 @@ class Engine(ABC):
                     if hit_delta or miss_delta:
                         cluster.metrics.bump("slice_cache_hits", hit_delta)
                         cluster.metrics.bump("slice_cache_misses", miss_delta)
-                        if cluster.trace is not None:
-                            cluster.trace.instant(
-                                "slice_cache",
-                                "cache",
-                                ts=cluster.metrics.clock,
-                                hits=hit_delta,
-                                misses=miss_delta,
-                            )
 
         outputs = {root: self._root_value(root, env, inputs) for root in dag.roots}
         if self.config.calibration != "off":
@@ -526,36 +504,18 @@ class Engine(ABC):
             )
         metrics = cluster.metrics.diff_since(baseline)
 
-        span = None
-        if tracer is not None:
-            span = tracer.root
-            _attach_unit_spans(
-                exec_span, physical, metrics, unit_walls, modeled_epoch
-            )
-            modeled_end = modeled_epoch + metrics.elapsed_seconds
-            span.modeled_start = modeled_epoch
-            span.modeled_end = modeled_end
-            exec_span.modeled_start = modeled_epoch
-            exec_span.modeled_end = modeled_end
-            if cluster.trace is not None:
-                # planner/unit spans join the stage events on the driver's
-                # span row — must happen before query_trace() slices
-                cluster.trace.span_tree(span, epoch=modeled_epoch)
-
         result = ExecutionResult(
             outputs=outputs,
             metrics=metrics,
             fusion_plan=physical.fusion_plan,
-            trace=cluster.query_trace(),
+            dag=dag,
             physical_plan=physical,
         )
         if tracer is not None:
-            profile = self._build_profile(
-                physical, metrics, optimizer_counters, span
+            result.profile = self.last_profile = build_profile(
+                self.name, physical, metrics, search_counters,
+                tracer.root, exec_span, unit_walls, modeled_epoch,
             )
-            result.profile = profile
-            self.last_profile = profile
-            self._emit_telemetry(profile)
         return result
 
     def _calibration_feedback(
@@ -641,78 +601,6 @@ class Engine(ABC):
         if mean_error > self.config.calibration_replan_threshold and stale:
             if self.plan_cache.invalidate(cache_key):
                 cluster.metrics.bump("plan_cache_calibration_evictions")
-                if cluster.trace is not None:
-                    cluster.trace.instant(
-                        "plan_cache:invalidate",
-                        "cache",
-                        ts=cluster.metrics.clock,
-                        engine=self.name,
-                        mean_error=round(mean_error, 6),
-                        generation=generation,
-                    )
-                if self.telemetry.active:
-                    self.telemetry.emit(TelemetryEvent(
-                        name="plan_cache.invalidate",
-                        kind="event",
-                        value=mean_error,
-                        attrs={
-                            "engine": self.name,
-                            "generation": generation,
-                        },
-                    ))
-
-    def _build_profile(
-        self,
-        physical: PhysicalPlan,
-        metrics: MetricsCollector,
-        optimizer_counters: Mapping[str, int],
-        span: Span,
-    ) -> QueryProfile:
-        per_unit = metrics.per_unit_totals()
-        units = []
-        for op in physical.ops:
-            totals = per_unit.get(op.index, {})
-            est = op.estimate
-            units.append(UnitProfile(
-                index=op.index,
-                kind=op.kind,
-                label=op.label(),
-                pqr=op.pqr,
-                sources=op.source_indices,
-                predicted_seconds=(
-                    est.seconds if est is not None else None
-                ),
-                predicted_net_bytes=(
-                    est.net_bytes if est is not None else None
-                ),
-                predicted_flops=est.flops if est is not None else None,
-                predicted_mem_bytes=(
-                    est.mem_bytes_per_task if est is not None else None
-                ),
-                measured_seconds=float(totals.get("elapsed_seconds", 0.0)),
-                measured_comm_bytes=float(totals.get("comm_bytes", 0)),
-                measured_flops=float(totals.get("flops", 0)),
-                num_stages=int(totals.get("num_stages", 0)),
-                num_tasks=int(totals.get("num_tasks", 0)),
-                measured_wall_seconds=(
-                    float(totals["wall_seconds"])
-                    if "wall_seconds" in totals else None
-                ),
-            ))
-        counters = dict(metrics.counters)
-        counters.update(optimizer_counters)
-        return QueryProfile(
-            engine=self.name,
-            units=tuple(units),
-            totals=metrics.totals(),
-            counters=counters,
-            span=span,
-            wall_seconds=span.wall_seconds,
-        )
-
-    def _emit_telemetry(self, profile: QueryProfile) -> None:
-        """Fan the finished query's telemetry out to attached sinks."""
-        emit_profile_telemetry(self.telemetry, profile)
 
     @staticmethod
     def _root_value(
@@ -755,93 +643,3 @@ class Engine(ABC):
                     f"the query declared {leaf.meta.block_size}"
                 )
 
-
-def emit_profile_telemetry(bus: EventBus, profile: QueryProfile) -> None:
-    """Emit a finished query's profile to *bus*: one counter event per
-    total and per fast-path counter, plus the full profile document.
-
-    Shared by every engine (including baselines that don't subclass
-    :class:`Engine`), so sinks see one uniform event vocabulary.
-    """
-    if not bus.active:
-        return
-    engine = profile.engine
-    bus.emit_counters("engine.totals", profile.totals, engine=engine)
-    bus.emit_counters("engine.counters", profile.counters, engine=engine)
-    bus.emit(TelemetryEvent(
-        name="query.profile",
-        kind="profile",
-        value=profile.measured_seconds,
-        attrs={"engine": engine, "profile": profile.to_dict()},
-    ))
-
-
-def _optimizer_counters(physical: PhysicalPlan) -> Dict[str, int]:
-    """Cuboid-search totals summed over the plan's units.
-
-    ``cuboids_enumerated`` is the size of the full candidate spaces,
-    ``cuboids_evaluated`` what the searches actually costed out, and
-    ``cuboids_pruned`` their difference — the Figure 13(d) story as
-    counters.  Empty for plans that ran no parameter search.
-    """
-    results = [
-        source.optimizer_result
-        for op in physical.ops
-        for source in (op.members if op.members else (op,))
-        if source.optimizer_result is not None
-    ]
-    if not results:
-        return {}
-    return {
-        "cuboids_enumerated": sum(r.candidates for r in results),
-        "cuboids_evaluated": sum(r.evaluations for r in results),
-        "cuboids_pruned": sum(r.pruned for r in results),
-    }
-
-
-def _attach_unit_spans(
-    exec_span: Span,
-    physical: PhysicalPlan,
-    metrics: MetricsCollector,
-    unit_walls: Mapping[int, Tuple[float, float]],
-    modeled_epoch: float,
-) -> None:
-    """Grow the execute span: one child per unit, one grandchild per stage.
-
-    Stage records are sequential on the modeled clock and appended in unit
-    order, so walking them while accumulating seconds reconstructs each
-    stage's modeled ``[start, end]`` window.  Wall times come from the unit
-    observer; stages carry modeled time only.
-    """
-    clock = modeled_epoch
-    windows: Dict[int, list] = {}
-    for record in metrics.stages:
-        start, clock = clock, clock + record.seconds
-        if record.unit is not None:
-            windows.setdefault(record.unit, []).append((record, start, clock))
-
-    for op in physical.ops:
-        unit_span = exec_span.child(
-            f"unit[{op.index}]", "unit", kind=op.kind, label=op.label()
-        )
-        if op.pqr is not None:
-            unit_span.attrs["pqr"] = op.pqr
-        if op.members:
-            unit_span.attrs["sources"] = list(op.source_indices)
-        wall = unit_walls.get(op.index)
-        if wall is not None:
-            unit_span.wall_start, unit_span.wall_end = wall
-        stage_windows = windows.get(op.index, [])
-        if stage_windows:
-            unit_span.modeled_start = stage_windows[0][1]
-            unit_span.modeled_end = stage_windows[-1][2]
-        for record, start, end in stage_windows:
-            stage_span = unit_span.child(
-                record.name,
-                "stage",
-                num_tasks=record.num_tasks,
-                comm_bytes=record.comm_bytes,
-                flops=record.flops,
-            )
-            stage_span.modeled_start = start
-            stage_span.modeled_end = end

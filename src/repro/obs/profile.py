@@ -10,7 +10,7 @@ being invisible.
 
 Everything here is plain data: the execution layer extracts floats from its
 ``UnitOp`` estimates and ``MetricsCollector`` per-unit totals and builds
-these dataclasses; sinks and tests consume them without importing any
+these dataclasses; callers and tests read them without importing any
 engine machinery.  :meth:`QueryProfile.render` is the engine's
 "EXPLAIN ANALYZE": a deterministic text table (wall-clock values are
 excluded unless asked for, so golden tests can pin the report).

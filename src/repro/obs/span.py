@@ -10,9 +10,8 @@ a tree rooted at the query span.  Spans carry two clocks:
   deterministic clock, filled in for phases that ran cluster stages.
 
 Free-form ``attrs`` hold per-phase counters (cuboids enumerated/pruned,
-plan-cache hit, stage task counts).  Everything here is plain data: span
-trees are handed to sinks and trace exporters as-is, and ``to_dict()``
-round-trips through JSON.
+plan-cache hit, stage task counts).  Everything here is plain data, and
+``to_dict()`` round-trips through JSON.
 
 :class:`SpanTracer` builds the tree with nested context managers.  The
 clock is injectable so tests pin wall timestamps deterministically.

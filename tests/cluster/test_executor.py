@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cluster import SimulatedCluster, TraceRecorder
+from repro.cluster import SimulatedCluster
 from repro.errors import SimulatedTimeoutError
 
 from tests.conftest import make_config
@@ -10,10 +10,6 @@ from tests.conftest import make_config
 
 def cluster(**kwargs) -> SimulatedCluster:
     return SimulatedCluster(make_config(**kwargs))
-
-
-def traced_cluster(**kwargs) -> SimulatedCluster:
-    return SimulatedCluster(make_config(**kwargs), trace=TraceRecorder())
 
 
 class TestStageLifecycle:
@@ -109,30 +105,24 @@ class TestTiming:
         assert c.total_tasks == 15
 
 
-class TestStageTrace:
-    def test_trace_places_the_stage_on_the_run_clock(self):
-        """An attached recorder positions each stage at the run's modeled
-        clock when it closes: its span starts where the previous ones end
-        and its transfer instant sits at the span's end."""
-        c = traced_cluster()
+class TestStageClock:
+    def test_clock_places_the_stage_on_the_run_clock(self):
+        """The collector's modeled clock positions each stage when it
+        closes: a stage starts where the previous ones end (the span tree's
+        unit and stage windows are read off this clock)."""
+        c = cluster()
         with c.stage("filler") as stage:
             stage.task().receive(5_000_000)
         offset = c.metrics.elapsed_seconds
+        assert c.metrics.clock == offset
         with c.stage("probe") as stage:
             for size in (1_000_003, 777_777, 31_337):
                 task = stage.task()
                 task.receive(size)
                 task.add_flops(7 * size)
-        seconds = c.metrics.stages[-1].seconds
-        [probe_stage] = [
-            e for e in c.trace.events
-            if e.category == "stage" and e.name == "probe"
-        ]
-        assert probe_stage.ts == offset
-        assert probe_stage.duration == pytest.approx(seconds)
-        assert probe_stage.args == {"num_tasks": 3}
-        [transfer] = [e for e in c.trace.events if e.name == "transfer:probe"]
-        assert transfer.ts == offset + seconds
+        probe = c.metrics.stages[-1]
+        assert probe.name == "probe" and probe.num_tasks == 3
+        assert c.metrics.clock == pytest.approx(offset + probe.seconds)
 
 
 class TestUnitScope:
@@ -155,29 +145,20 @@ class TestUnitScope:
         assert c.current_unit is None
 
 
-class TestQueryTrace:
-    def test_query_trace_is_isolated_slice(self):
-        """Each query's trace holds only its own events, independent of the
-        live recorder (per-query trace isolation on shared clusters)."""
-        c = traced_cluster()
-        c.begin_query()
+class TestBeginQuery:
+    def test_query_delta_holds_only_its_stages(self):
+        """Each query's metrics delta holds only the stages recorded since
+        its ``begin_query`` mark (per-query isolation on shared clusters)."""
+        c = cluster()
+        first_mark = c.begin_query()
         with c.stage("q1") as stage:
             stage.task().add_flops(10)
-        first = c.query_trace()
-        c.begin_query()
+        first = c.metrics.diff_since(first_mark)
+        second_mark = c.begin_query()
         with c.stage("q2") as stage:
             stage.task().add_flops(10)
-        second = c.query_trace()
+        second = c.metrics.diff_since(second_mark)
 
-        assert first is not c.trace and second is not c.trace
-        first_names = {e.name for e in first.events}
-        second_names = {e.name for e in second.events}
-        assert any("q1" in n for n in first_names)
-        assert not any("q2" in n for n in first_names)
-        assert not any("q1" in n for n in second_names)
-        assert len(first) + len(second) == len(c.trace)
-
-    def test_query_trace_none_without_recorder(self):
-        c = cluster()  # no trace attached
-        c.begin_query()
-        assert c.query_trace() is None
+        assert [s.name for s in first] == ["q1"]
+        assert [s.name for s in second] == ["q2"]
+        assert first.num_stages + second.num_stages == c.metrics.num_stages

@@ -10,10 +10,9 @@ Two contracts:
 
 import pytest
 
-from repro import FuseMEEngine, MatrixService
+from repro import FuseMEEngine, LocalXLAEngine, MatrixService
 from repro.lang import matrix_input, sq, sum_of
 from repro.matrix import rand_dense, rand_sparse
-from repro.obs import MemorySink
 from repro.serving.metrics import USAGE_FIELDS
 from repro.workloads.gnmf import gnmf_updates
 
@@ -58,7 +57,6 @@ class TestObservational:
         )
 
         engine = FuseMEEngine(make_config(block_size=BS))
-        engine.telemetry.attach(MemorySink())
         with MatrixService(engine) as service:
             session = service.open_session("alice")
             for name, matrix in inputs.items():
@@ -117,3 +115,21 @@ class TestConservation:
         assert total("flops") == metrics.flops
         # cache hits were counted but booked no usage
         assert status["cache_hits"] == 3 and status["served"] == 6
+
+    def test_single_node_engine_charges_the_shared_cluster(self):
+        """The single-node baseline runs its stage on the service's cluster
+        like every distributed engine, so the conservation holds for it
+        too (it used to record into a private collector)."""
+        with MatrixService(LocalXLAEngine(make_config(block_size=BS))) as service:
+            for i, tenant in enumerate(("alice", "bob")):
+                query, inputs = tenant_query(i)
+                session = service.open_session(tenant).bind_many(inputs)
+                session.execute(query, timeout=60)
+            tenants = service.status()["tenants"]
+            metrics = service.cluster.metrics
+
+        assert metrics.num_stages == 2
+        assert sum(
+            t["usage"]["modeled_seconds"] for t in tenants.values()
+        ) == pytest.approx(metrics.elapsed_seconds)
+        assert sum(t["usage"]["flops"] for t in tenants.values()) == metrics.flops

@@ -1,4 +1,4 @@
-"""Full-stack telemetry: profiles, span trees, trace export, invariance.
+"""Full-stack telemetry: profiles, span trees, invariance.
 
 The observability contract has two halves tested here.  Accountability:
 ``engine.profile()`` joins every unit's cost-model prediction with its
@@ -10,6 +10,7 @@ counters and spans observe the run, they never steer it.
 """
 
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -22,9 +23,7 @@ from repro import (
     MatFastLikeEngine,
     SystemDSLikeEngine,
 )
-from repro.cluster import SimulatedCluster, TraceRecorder
-from repro.cluster.trace import validate_chrome_trace
-from repro.obs import MemorySink
+from repro.cluster import SimulatedCluster
 from repro.workloads.gnmf import gnmf_updates
 
 from tests.conftest import make_config
@@ -173,12 +172,9 @@ def test_perturbed_cost_model_surfaces_nonzero_error(workload):
 
 @pytest.mark.parametrize("engine_cls", ENGINES, ids=lambda c: c.name)
 def test_telemetry_is_bit_identical_noop(engine_cls, workload):
-    """Outputs and every modeled total are unchanged by telemetry — with a
-    sink attached and without."""
+    """Outputs and every modeled total are unchanged by telemetry."""
     query, inputs = workload
-    on_engine = engine_cls(make_config(block_size=BS))
-    on_engine.telemetry.attach(MemorySink())
-    on = on_engine.execute(query, inputs)
+    on = engine_cls(make_config(block_size=BS)).execute(query, inputs)
     off = engine_cls(
         make_config(block_size=BS, telemetry=False)
     ).execute(query, inputs)
@@ -192,21 +188,20 @@ def test_telemetry_is_bit_identical_noop(engine_cls, workload):
     assert off.profile is None
 
 
-def test_engine_bus_emits_profile_and_counters(workload):
+def test_profile_document_carries_totals_and_counters(workload):
+    """``profile.to_dict()`` is the query's whole telemetry record as plain
+    JSON: totals, counters, every unit and the span tree."""
     query, inputs = workload
-    engine = FuseMEEngine(make_config(block_size=BS))
-    sink = engine.telemetry.attach(MemorySink())
-    engine.execute(query, inputs)
-    profiles = sink.named("query.profile")
-    assert len(profiles) == 1
-    assert profiles[0].attrs["engine"] == "FuseME"
-    assert profiles[0].attrs["profile"]["units"]
-    totals = sink.named("engine.totals.elapsed_seconds")
-    assert len(totals) == 1 and totals[0].value > 0.0
-    assert sink.named("engine.counters.cuboids_enumerated")
+    profile = FuseMEEngine(make_config(block_size=BS)).profile(query, inputs)
+    document = json.loads(json.dumps(profile.to_dict()))
+    assert document["engine"] == "FuseME"
+    assert len(document["units"]) == len(profile.units)
+    assert document["totals"]["elapsed_seconds"] > 0.0
+    assert document["counters"]["cuboids_enumerated"] > 0
+    assert document["span"]["name"] == "query"
 
 
-# -- span trees + trace export ---------------------------------------------
+# -- span trees -------------------------------------------------------------
 
 
 def test_span_tree_shape_and_clocks(workload):
@@ -255,44 +250,25 @@ def test_plan_cache_hit_span_attrs(workload):
     )
 
 
-def test_trace_carries_spans_and_cache_instants(workload):
-    """With a recorder attached, the per-query trace interleaves stage
-    events with span events and cache instant markers, and the Chrome
-    export stays loadable."""
+def test_span_tree_carries_cache_outcomes(workload):
+    """On one shared cluster, the first run's profile records the plan-cache
+    miss and the rerun's records the slice-cache reuse."""
     query, inputs = workload
     config = make_config(block_size=BS)
     engine = FuseMEEngine(config)
-    cluster = SimulatedCluster(config, trace=TraceRecorder())
-    first = engine.execute(query, inputs, cluster=cluster)
-    second = engine.execute(query, inputs, cluster=cluster)
+    cluster = SimulatedCluster(config)
+    first = engine.execute(query, inputs, cluster=cluster).profile
+    second = engine.execute(query, inputs, cluster=cluster).profile
 
-    def names(trace, category):
-        return [e.name for e in trace.events if e.category == category]
-
-    spans = names(first.trace, "span")
-    assert spans[:3] == ["query", "plan", "execute"]
-    assert "unit[0]" in spans
-    assert "plan_cache:miss" in names(first.trace, "cache")
-    assert "plan_cache:hit" in names(second.trace, "cache")
-    # slice reuse across executes emits the delta marker on the rerun
-    assert any(
-        e.name == "slice_cache" and e.args.get("hits", 0) > 0
-        for e in second.trace.events if e.category == "cache"
-    )
-    # span rows live on the driver's span thread, apart from stage events
-    for event in first.trace.events:
-        if event.category == "span":
-            assert event.pid == 0 and event.tid == 1
-    validate_chrome_trace(first.trace.to_chrome_trace())
-    validate_chrome_trace(second.trace.to_chrome_trace())
+    assert first.counters["plan_cache_misses"] == 1
+    assert second.span.find("plan").attrs["cache_hit"] is True
+    assert second.counters["slice_cache_hits"] > 0
 
 
 def test_spans_without_scheduled_trace_still_profile(workload):
-    """The default cluster has no TraceRecorder; profiles and span trees
-    must work regardless."""
+    """A plain execute on the default cluster carries the span tree."""
     query, inputs = workload
     result = FuseMEEngine(make_config(block_size=BS)).execute(query, inputs)
-    assert result.trace is None
     assert result.profile is not None
     assert result.profile.span.find("unit[0]") is not None
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro import FuseMEEngine
-from repro.cluster import MetricsCollector, SimulatedCluster, TraceRecorder
+from repro.cluster import MetricsCollector, SimulatedCluster
 from repro.execution import ExecutionResult, as_dag
 from repro.lang import DAG, matrix_input
 from repro.matrix import rand_dense
@@ -176,21 +176,28 @@ class TestRootResolution:
         assert result.output(-1) is result.output(1)
 
 
-class TestTraceIsolation:
-    def test_result_trace_is_per_query_slice(self, simple):
-        """On a shared traced cluster, each result's trace contains only its
-        own query's events and never aliases the live recorder."""
+class TestProfileIsolation:
+    def test_result_profile_is_per_query(self, simple):
+        """On a shared cluster, each result's span tree holds only its own
+        query's stages, placed on the cluster's running modeled clock."""
         x, inputs = simple
         config = make_config()
-        cluster = SimulatedCluster(config, trace=TraceRecorder())
+        cluster = SimulatedCluster(config)
         engine = FuseMEEngine(config)
         a = engine.execute(x * 2.0, inputs, cluster=cluster)
         b = engine.execute(x + 1.0, inputs, cluster=cluster)
-        assert a.trace is not cluster.trace
-        assert b.trace is not cluster.trace
-        assert len(a.trace) + len(b.trace) == len(cluster.trace)
-        # a's slice was taken before b ran and is frozen: b's events are not in it
-        a_names = {e.name for e in a.trace.events}
-        b_names = {e.name for e in b.trace.events}
-        assert not (a_names & b_names) or a.trace.events != b.trace.events
-        assert len(a.trace) > 0 and len(b.trace) > 0
+
+        def stage_spans(result):
+            return [s for s in result.profile.span.walk() if s.category == "stage"]
+
+        assert len(stage_spans(a)) == a.metrics.num_stages > 0
+        assert len(stage_spans(b)) == b.metrics.num_stages > 0
+        assert (
+            len(stage_spans(a)) + len(stage_spans(b))
+            == cluster.metrics.num_stages
+        )
+        # b's tree starts where a's ended on the shared modeled clock
+        assert a.profile.span.modeled_start == 0.0
+        assert b.profile.span.modeled_start == pytest.approx(
+            a.profile.span.modeled_end
+        )
