@@ -40,6 +40,11 @@ def bench_config(
     The per-task budget and input split are scaled so the ratios that drive
     the paper's qualitative behaviour (side matrices vs theta_t, partitions
     of X vs grid extents) fall in the same regimes.
+
+    Paper mode is written down here: ``graph_passes="off"``.  The paper's
+    CFG plans every fusion unit on its own, with no sharing of an input
+    across units, so the tables reproduce that planner and not the
+    engine's default.
     """
     cluster = ClusterConfig(
         num_nodes=num_nodes,
@@ -47,7 +52,9 @@ def bench_config(
         task_memory_budget=task_memory_budget,
         input_split_bytes=input_split_bytes,
     )
-    return EngineConfig(cluster=cluster, block_size=BLOCK_SIZE, **options)
+    return EngineConfig(
+        cluster=cluster, block_size=BLOCK_SIZE, graph_passes="off", **options
+    )
 
 
 @dataclass

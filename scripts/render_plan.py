@@ -91,9 +91,8 @@ def main() -> int:
         help="diagram dialect (default: mermaid)",
     )
     parser.add_argument(
-        "--passes", default="all",
-        help='graph-pass spec: "all", "off", or a comma list '
-             '(default: all)',
+        "--passes", choices=("all", "off"), default="all",
+        help='graph passes: "all" or "off" (default: all)',
     )
     parser.add_argument(
         "-o", "--output", default=None,

@@ -56,7 +56,6 @@ from repro.matrix import (
     rand_sparse,
     zeros,
 )
-from repro.matrix.io import load_matrix, save_matrix
 from repro.obs import QueryProfile, Span, SpanTracer, UnitProfile
 from repro.serving import MatrixService, ServedResult, Session
 
@@ -105,6 +104,4 @@ __all__ = [
     "zeros",
     "rand_dense",
     "rand_sparse",
-    "load_matrix",
-    "save_matrix",
 ]

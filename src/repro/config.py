@@ -16,10 +16,8 @@ from typing import Optional
 #: Valid values for :attr:`EngineConfig.calibration`.
 CALIBRATION_MODES = ("off", "observe", "active")
 
-#: Graph-level optimizer passes (``repro.core.passes``) in pipeline order.
-#: Defined here (not in ``core``) so the config layer can validate the
-#: :attr:`EngineConfig.graph_passes` spec without importing upward.
-GRAPH_PASSES = ("merge_units", "dedup_consolidations")
+#: Valid values for :attr:`EngineConfig.graph_passes`.
+GRAPH_PASS_MODES = ("off", "all")
 
 GBPS = 1e9 / 8  # bytes per second in one gigabit per second
 GFLOPS = 1e9
@@ -95,26 +93,6 @@ class ClusterConfig:
         return self.total_tasks * self.task_memory_budget
 
 
-def enabled_graph_passes(spec: str) -> tuple:
-    """Pass names a ``graph_passes`` spec enables, in pipeline order.
-
-    ``"off"`` (or empty) enables none, ``"all"`` enables every pass in
-    :data:`GRAPH_PASSES`, and a comma-separated list enables that subset —
-    always re-ordered to the canonical pipeline order, never the spec's.
-    Unknown names are preserved so ``EngineConfig.__post_init__`` can
-    reject them.
-    """
-    spec = (spec or "").strip()
-    if spec in ("", "off"):
-        return ()
-    if spec == "all":
-        return GRAPH_PASSES
-    requested = {part.strip() for part in spec.split(",") if part.strip()}
-    ordered = tuple(name for name in GRAPH_PASSES if name in requested)
-    unknown = tuple(sorted(requested - set(GRAPH_PASSES)))
-    return ordered + unknown
-
-
 @dataclass(frozen=True)
 class EngineConfig:
     """Full engine configuration: cluster shape plus planner knobs."""
@@ -164,13 +142,12 @@ class EngineConfig:
     #: evicts a cached plan and re-plans it with the latest coefficients.
     calibration_replan_threshold: float = 0.5
     #: Graph-level optimizer passes run over the raw physical plan before
-    #: execution (:mod:`repro.core.passes`).  ``"off"`` (default) skips the
-    #: pipeline entirely — outputs *and* modeled metrics bit-identical to
-    #: the seed.  ``"all"`` runs every registered pass in pipeline order;
-    #: a comma-separated subset of :data:`GRAPH_PASSES` (e.g.
-    #: ``"dedup_consolidations"``) runs just those passes.  Passes never
-    #: change matrix outputs — only modeled cost and unit structure.
-    graph_passes: str = "off"
+    #: execution (:mod:`repro.core.passes`).  ``"all"`` (default) merges
+    #: independent units that share an input and consolidates each shared
+    #: matrix once per query.  ``"off"`` is the paper's CFG, which plans
+    #: every fusion unit on its own.  Passes never change matrix outputs —
+    #: only modeled cost and unit structure.
+    graph_passes: str = "all"
 
     def __post_init__(self) -> None:
         if self.block_size <= 0:
@@ -192,12 +169,11 @@ class EngineConfig:
             raise ValueError("calibration_min_samples must be at least 2")
         if self.calibration_replan_threshold <= 0:
             raise ValueError("calibration_replan_threshold must be positive")
-        for name in enabled_graph_passes(self.graph_passes):
-            if name not in GRAPH_PASSES:
-                raise ValueError(
-                    f"graph_passes must be 'off', 'all', or a comma-separated "
-                    f"subset of {GRAPH_PASSES}, got {self.graph_passes!r}"
-                )
+        if self.graph_passes not in GRAPH_PASS_MODES:
+            raise ValueError(
+                f"graph_passes must be one of {GRAPH_PASS_MODES}, "
+                f"got {self.graph_passes!r}"
+            )
 
     def with_cluster(self, **kwargs) -> "EngineConfig":
         """Return a copy with cluster fields replaced (e.g. ``num_nodes=2``)."""

@@ -1,21 +1,17 @@
 """Graph-level optimizer passes over the physical IR.
 
 :func:`run_graph_passes` is the pipeline entry point the engine calls
-between :func:`~repro.core.physical.lower_plan` and the plan cache: it
-resolves the ``EngineConfig.graph_passes`` spec to an ordered list of
-registered passes, runs each, threads the accumulated
+between :func:`~repro.core.physical.lower_plan` and the plan cache: with
+``EngineConfig.graph_passes="all"`` (the default) it runs every pass of
+:data:`PIPELINE` in order, threads the accumulated
 :class:`~repro.core.passes.base.PassReport` objects onto the resulting
 plan (EXPLAIN renders them), and opens one telemetry span per pass when a
 tracer is attached.
 
-Registering a new pass (DESIGN.md §15):
-
-1. subclass :class:`~repro.core.passes.base.GraphPass` in a new module
-   under ``repro/core/passes/``;
-2. add its ``name`` to :data:`repro.config.GRAPH_PASSES` at its pipeline
-   position (the config layer validates specs against that tuple, and
-   canonical order is defined there — never by the user's spec string);
-3. add the class to :data:`REGISTRY` below.
+Registering a new pass (DESIGN.md §15): subclass
+:class:`~repro.core.passes.base.GraphPass` in a new module under
+``repro/core/passes/`` and add the class to :data:`PIPELINE` at its
+position.
 
 Passes must keep matrix outputs bit-identical — they may only change unit
 structure, charging annotations, and modeled cost.
@@ -25,35 +21,32 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.config import enabled_graph_passes
 from repro.core.passes.base import GraphPass, PassReport
 from repro.core.passes.dedup_consolidations import DedupConsolidationsPass
 from repro.core.passes.merge_units import MergeUnitsPass
 from repro.core.physical import PhysicalPlan
 
-#: name -> pass class, every registered rewrite.
-REGISTRY = {
-    MergeUnitsPass.name: MergeUnitsPass,
-    DedupConsolidationsPass.name: DedupConsolidationsPass,
-}
+#: Every rewrite, in pipeline order: structural passes (unit merging) run
+#: before annotation passes (consolidation dedup), so the dedup walk sees
+#: the final unit order and never marks a key the merge already shares.
+PIPELINE = (MergeUnitsPass, DedupConsolidationsPass)
 
 
 def run_graph_passes(
     engine, physical: PhysicalPlan, tracer: Optional[object] = None
 ) -> PhysicalPlan:
-    """Run the engine's enabled passes over *physical*, in canonical order.
+    """Run every pass of :data:`PIPELINE` over *physical*, in order.
 
     With ``graph_passes="off"`` this returns *physical* untouched — not a
-    copy — so the seed path allocates and computes nothing extra.
+    copy — so the paper's plan allocates and computes nothing extra.
     """
-    names = enabled_graph_passes(engine.config.graph_passes)
-    if not names:
+    if engine.config.graph_passes == "off":
         return physical
     reports = list(physical.pass_reports)
-    for name in names:
-        graph_pass = REGISTRY[name]()
+    for pass_cls in PIPELINE:
+        graph_pass = pass_cls()
         if tracer is not None:
-            with tracer.span(f"pass:{name}", "planning") as span:
+            with tracer.span(f"pass:{graph_pass.name}", "planning") as span:
                 physical, report = graph_pass.run(engine, physical)
                 span.attrs.update(report.to_dict())
         else:
@@ -66,7 +59,7 @@ def run_graph_passes(
 __all__ = [
     "GraphPass",
     "PassReport",
-    "REGISTRY",
+    "PIPELINE",
     "run_graph_passes",
     "MergeUnitsPass",
     "DedupConsolidationsPass",

@@ -7,12 +7,8 @@ outputs (only unit structure and modeled cost).  Passes are pure plan ->
 plan functions that also return a :class:`PassReport`, which EXPLAIN and
 the per-pass telemetry spans surface.
 
-Ordering contract (see DESIGN.md §15): passes run in the canonical order
-of :data:`repro.config.GRAPH_PASSES`, regardless of how the
-``EngineConfig.graph_passes`` spec lists them.  Structural passes (unit
-merging) run before annotation passes (consolidation dedup) so the dedup
-walk sees the final unit order and never marks a key the merge pass
-already shares intra-group.
+Ordering contract (see DESIGN.md §15): passes run in the order of
+:data:`repro.core.passes.PIPELINE`.
 """
 
 from __future__ import annotations
@@ -39,10 +35,6 @@ class PassReport:
     net_bytes_saved: float = 0.0
     #: Modeled seconds the rewrite saves (planner estimate).
     seconds_saved: float = 0.0
-    #: Merged units whose re-run cuboid search would have picked a
-    #: different ``(P, Q, R)`` — execution pins the original parameters
-    #: (bit-identity), so this is surfaced as a counter instead.
-    pqr_changes: int = 0
     #: Wall-clock the pass itself took (planning overhead, not modeled).
     elapsed_seconds: float = 0.0
 
@@ -67,8 +59,6 @@ class PassReport:
             parts.append(f"saved net={format_bytes(int(self.net_bytes_saved))}")
         if self.seconds_saved > 0:
             parts.append(f"sec={self.seconds_saved:.4g}")
-        if self.pqr_changes:
-            parts.append(f"pqr_would_change={self.pqr_changes}")
         return " ".join(parts)
 
     def to_dict(self) -> dict:
@@ -81,7 +71,6 @@ class PassReport:
             "shared_keys": self.shared_keys,
             "net_bytes_saved": self.net_bytes_saved,
             "seconds_saved": self.seconds_saved,
-            "pqr_changes": self.pqr_changes,
             "elapsed_seconds": self.elapsed_seconds,
         }
 
@@ -89,8 +78,8 @@ class PassReport:
 class GraphPass:
     """One rewrite over the physical IR.
 
-    Subclasses set :attr:`name` (the registry key, also the
-    ``EngineConfig.graph_passes`` token) and implement :meth:`run`.
+    Subclasses set :attr:`name` (the report and span name) and implement
+    :meth:`run`.
     *engine* is the engine that lowered the plan — passes use its config,
     optimizer method, and calibration hooks, never its execution state.
     """

@@ -5,8 +5,9 @@ consolidation traffic in the seed plan.  This pass walks the final unit
 order (and member order inside merged units) with a seen-set of consumed
 environment keys: the first consumer keeps paying, every later consumer
 gets the key in its ``shared_inputs`` annotation so operators charge those
-blocks as local reads.  One materialization feeds all consumers; lifetimes
-(``releases``) are recomputed for the final last consumer.
+blocks as local reads.  One materialization feeds all consumers.  Unit
+order and each unit's reads are unchanged, so lifetimes (``releases``)
+stay as they are.
 
 The annotation is *static* — first consumer is defined by final plan
 order, which is also the execution order.  Keys the merge pass already
@@ -17,9 +18,9 @@ from __future__ import annotations
 
 import time
 from dataclasses import replace
-from typing import Dict, List, Set, Tuple
+from typing import List, Set, Tuple
 
-from repro.core.physical import PhysicalPlan, UnitOp, env_key_of, recompute_releases
+from repro.core.physical import PhysicalPlan, UnitOp, env_key_of
 from repro.lang.dag import InputNode
 
 from repro.core.passes.base import GraphPass, PassReport
@@ -59,7 +60,6 @@ class DedupConsolidationsPass(GraphPass):
         if not changed_any:
             report.elapsed_seconds = time.perf_counter() - started
             return physical, report
-        new_ops = recompute_releases(physical.dag, new_ops)
         rebuilt = PhysicalPlan(
             physical.dag,
             new_ops,
@@ -73,22 +73,19 @@ class DedupConsolidationsPass(GraphPass):
     @staticmethod
     def _mark(op: UnitOp, seen: Set[object], report: PassReport) -> UnitOp:
         """Mark *op*'s already-consolidated keys shared; grow *seen*."""
-        if op.unit is None:
-            for key in op.consumes:
-                seen.add(key)
+        fresh = [
+            key for key in op.consumes
+            if key in seen and key not in op.shared_inputs
+        ]
+        seen.update(op.consumes)
+        if op.unit is None or not fresh:
             return op
-        already = set(op.shared_inputs)
-        key_bytes: Dict[object, float] = {}
-        for dep in op.unit.dependencies():
-            if isinstance(dep, InputNode) or dep.is_operator:
-                key_bytes[env_key_of(dep)] = float(dep.meta.estimated_bytes)
-        fresh: List[object] = []
-        for key in op.consumes:
-            if key in seen and key not in already:
-                fresh.append(key)
-                report.net_bytes_saved += key_bytes.get(key, 0.0)
-            seen.add(key)
-        if not fresh:
-            return op
+        key_bytes = {
+            env_key_of(dep): float(dep.meta.estimated_bytes)
+            for dep in op.unit.dependencies()
+            if isinstance(dep, InputNode) or dep.is_operator
+        }
+        for key in fresh:
+            report.net_bytes_saved += key_bytes.get(key, 0.0)
         report.shared_keys += len(fresh)
         return replace(op, shared_inputs=op.shared_inputs + tuple(fresh))

@@ -12,11 +12,9 @@ Bit-identity contract: a merged unit executes its members back-to-back in
 original unit order, each with its **original** ``(P, Q, R)`` and
 annotations — changing ``R`` would change the k-chunk partial-sum order
 and changing ``P, Q`` the sorted-``(p, q)`` combine order, either of which
-perturbs floating-point results.  The cuboid search *is* re-run on the
-merged unit (with the shared inputs free) as the paper's plan-generation
-story asks, but its result only informs the merge decision; when it would
-pick different parameters the pass counts it (``pqr_changes``) instead of
-adopting them.
+perturbs floating-point results.  So the merged estimate prices each
+member at its own ``(P, Q, R)`` with the shared inputs free; no cuboid
+search runs here.
 """
 
 from __future__ import annotations
@@ -26,13 +24,12 @@ from dataclasses import replace
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from repro.core.cost import CostModel
-from repro.core.optimizer import optimize_parameters
 from repro.core.physical import (
     PhysicalPlan,
     UnitEstimate,
     UnitOp,
     env_key_of,
-    recompute_releases,
+    release_schedule,
 )
 from repro.core.spaces import plan_layout
 from repro.lang.dag import InputNode
@@ -53,9 +50,9 @@ def _price(config, calibration, net: float, flops: float) -> float:
     return net_time + com_time
 
 
-def _group_topo(ops: Sequence[UnitOp], group_of: Dict[int, int]) -> Optional[List[int]]:
-    """Kahn order of the quotient graph's group leaders (deps first),
-    min-original-index tie-break; ``None`` when the grouping is cyclic."""
+def _group_topo(ops: Sequence[UnitOp], group_of: Dict[int, int]) -> List[int]:
+    """Kahn order of the (acyclic) quotient graph's group leaders, deps
+    first, min-original-index tie-break."""
     edges: Dict[int, Set[int]] = {}
     indegree: Dict[int, int] = {leader: 0 for leader in set(group_of.values())}
     for op in ops:
@@ -76,9 +73,35 @@ def _group_topo(ops: Sequence[UnitOp], group_of: Dict[int, int]) -> Optional[Lis
                 # keep the ready set sorted so the final order is stable
                 ready.append(succ)
                 ready.sort()
-    if len(order) != len(indegree):
-        return None
     return order
+
+
+def _linked(
+    successors: Dict[int, List[int]],
+    group_of: Dict[int, int],
+    members: Dict[int, List[int]],
+    leader_a: int,
+    leader_b: int,
+) -> bool:
+    """Whether a dependency path joins groups *a* and *b* (either way).
+
+    The quotient graph is acyclic, so fusing two groups keeps it acyclic
+    exactly when neither reaches the other; a direct edge counts too (the
+    members would be ordered, not independent).
+    """
+    for src, dst in ((leader_a, leader_b), (leader_b, leader_a)):
+        seen = {src}
+        stack = [src]
+        while stack:
+            for index in members[stack.pop()]:
+                for succ in successors.get(index, ()):
+                    leader = group_of[succ]
+                    if leader == dst:
+                        return True
+                    if leader not in seen:
+                        seen.add(leader)
+                        stack.append(leader)
+    return False
 
 
 class MergeUnitsPass(GraphPass):
@@ -126,37 +149,40 @@ class MergeUnitsPass(GraphPass):
             return physical, report
 
         # greedy deterministic union: largest shared bytes first, then the
-        # pair's indices; a union is only kept when the quotient graph
-        # stays acyclic AND the modeled merged cost is strictly cheaper
+        # pair's indices; a union is only kept when no dependency path joins
+        # the two groups AND the modeled merged cost is strictly cheaper
         group_of = {op.index: op.index for op in ops}
         members: Dict[int, List[int]] = {op.index: [op.index] for op in ops}
-        estimates: Dict[FrozenSet[int], Optional[Tuple[float, float, float, int]]] = {}
+        successors: Dict[int, List[int]] = {}
+        for op in ops:
+            for dep in op.deps:
+                successors.setdefault(dep, []).append(op.index)
+        consumes = [frozenset(op.consumes) for op in ops]
+        estimates: Dict[FrozenSet[int], Optional[Tuple[float, float, float]]] = {}
 
         def group_estimate(group: Sequence[int]):
-            """(net, flops, seconds, pqr_changes) of the group executing
-            as one unit with intra-group consolidation sharing; ``None``
-            when any member cannot be costed (never merge blindly)."""
+            """(net, flops, seconds) of the group executing as one unit
+            with intra-group consolidation sharing; ``None`` when any
+            member cannot be costed (never merge blindly)."""
             cache_key = frozenset(group)
             if cache_key in estimates:
                 return estimates[cache_key]
-            seen: Set[object] = set()
+            seen: FrozenSet[object] = frozenset()
             total_net = total_flops = total_sec = 0.0
-            changes = 0
             result = None
             for index in sorted(group):
                 member = self._member_estimate(
-                    engine, ops[index], seen & set(ops[index].consumes)
+                    engine, ops[index], seen & consumes[index]
                 )
                 if member is None:
                     break
-                net, flops, seconds, changed = member
+                net, flops, seconds = member
                 total_net += net
                 total_flops += flops
                 total_sec += seconds
-                changes += int(changed)
-                seen |= set(ops[index].consumes)
+                seen |= consumes[index]
             else:
-                result = (total_net, total_flops, total_sec, changes)
+                result = (total_net, total_flops, total_sec)
             estimates[cache_key] = result
             return result
 
@@ -166,20 +192,8 @@ class MergeUnitsPass(GraphPass):
             leader_i, leader_j = group_of[i], group_of[j]
             if leader_i == leader_j:
                 continue
-            # direct dependency edges between the groups make the members
-            # ordered, not independent — the quotient-topo check cannot see
-            # them (intra-group edges vanish in the quotient), so reject here
-            set_i, set_j = set(members[leader_i]), set(members[leader_j])
-            if any(d in set_i for m in set_j for d in ops[m].deps) or any(
-                d in set_j for m in set_i for d in ops[m].deps
-            ):
+            if _linked(successors, group_of, members, leader_i, leader_j):
                 continue
-            keep, drop = sorted((leader_i, leader_j))
-            trial = dict(group_of)
-            for index in members[drop]:
-                trial[index] = keep
-            if _group_topo(ops, trial) is None:
-                continue  # the union would create a quotient cycle
             separate_i = group_estimate(members[leader_i])
             separate_j = group_estimate(members[leader_j])
             combined = group_estimate(members[leader_i] + members[leader_j])
@@ -187,7 +201,9 @@ class MergeUnitsPass(GraphPass):
                 continue
             if not combined[2] < separate_i[2] + separate_j[2]:
                 continue
-            group_of = trial
+            keep, drop = sorted((leader_i, leader_j))
+            for index in members[drop]:
+                group_of[index] = keep
             members[keep] = sorted(members[keep] + members[drop])
             del members[drop]
             merged_any = True
@@ -197,27 +213,40 @@ class MergeUnitsPass(GraphPass):
             return physical, report
 
         # rebuild: topo-order the quotient graph, renumber, remap deps,
-        # annotate intra-group sharing, recompute lifetimes
-        topo = _group_topo(ops, group_of)
-        assert topo is not None  # every committed union preserved acyclicity
-        old_to_new = {}
-        for new_index, leader in enumerate(topo):
-            for index in members[leader]:
-                old_to_new[index] = new_index
+        # annotate intra-group sharing, derive lifetimes
+        groups = [members[leader] for leader in _group_topo(ops, group_of)]
+        old_to_new = {
+            index: new_index
+            for new_index, group in enumerate(groups)
+            for index in group
+        }
+        group_consumes = [
+            tuple(dict.fromkeys(
+                key for index in group for key in ops[index].consumes
+            ))
+            for group in groups
+        ]
+        releases = release_schedule(physical.dag, group_consumes)
 
         new_ops: List[UnitOp] = []
-        for new_index, leader in enumerate(topo):
-            group = members[leader]
+        for new_index, group in enumerate(groups):
+            deps = tuple(sorted({
+                old_to_new[d] for index in group for d in ops[index].deps
+            }))
             if len(group) == 1:
                 op = ops[group[0]]
-                new_ops.append(replace(
-                    op,
-                    index=new_index,
-                    deps=tuple(sorted({old_to_new[d] for d in op.deps})),
-                    sources=op.source_indices,
-                ))
+                if (op.index, op.deps, op.releases) != (
+                    new_index, deps, releases[new_index]
+                ):
+                    op = replace(
+                        op,
+                        index=new_index,
+                        deps=deps,
+                        releases=releases[new_index],
+                        sources=op.source_indices,
+                    )
+                new_ops.append(op)
                 continue
-            merged_groups_est = group_estimate(group)
             separate_sec = 0.0
             separate_net = 0.0
             for index in group:
@@ -235,24 +264,18 @@ class MergeUnitsPass(GraphPass):
                     sources=op.source_indices,
                     shared_inputs=free,
                 ))
-                seen |= set(op.consumes)
-            deps = tuple(sorted({
-                old_to_new[d]
-                for index in group
-                for d in ops[index].deps
-            }))
+                seen |= consumes[index]
             mems = [
                 float(ops[index].estimate.mem_bytes_per_task)
                 for index in group
                 if ops[index].estimate is not None
                 and ops[index].estimate.mem_bytes_per_task is not None
             ]
-            net, flops, seconds, changes = merged_groups_est
+            net, flops, seconds = group_estimate(group)
             report.merged_groups += 1
             report.shared_keys += sum(len(m.shared_inputs) for m in member_ops)
             report.net_bytes_saved += max(0.0, separate_net - net)
             report.seconds_saved += max(0.0, separate_sec - seconds)
-            report.pqr_changes += changes
             new_ops.append(UnitOp(
                 index=new_index,
                 unit=None,
@@ -261,10 +284,8 @@ class MergeUnitsPass(GraphPass):
                 outputs=tuple(
                     node for index in group for node in ops[index].outputs
                 ),
-                releases=(),
-                consumes=tuple(dict.fromkeys(
-                    key for index in group for key in ops[index].consumes
-                )),
+                releases=releases[new_index],
+                consumes=group_consumes[new_index],
                 estimate=UnitEstimate(
                     net_bytes=net,
                     flops=flops,
@@ -276,7 +297,6 @@ class MergeUnitsPass(GraphPass):
                 sources=tuple(group),
             ))
 
-        new_ops = recompute_releases(physical.dag, new_ops)
         rebuilt = PhysicalPlan(
             physical.dag,
             new_ops,
@@ -289,10 +309,10 @@ class MergeUnitsPass(GraphPass):
         return rebuilt, report
 
     @staticmethod
-    def _member_estimate(engine, op: UnitOp, free: Set[object]):
-        """(net, flops, seconds, pqr_changed) of *op* with the *free*
-        consolidations discounted; ``None`` when the unit cannot be costed
-        or the discounted plan would be memory-infeasible."""
+    def _member_estimate(engine, op: UnitOp, free: FrozenSet[object]):
+        """(net, flops, seconds) of *op* with the *free* consolidations
+        discounted; ``None`` when the unit cannot be costed or the
+        discounted plan would be memory-infeasible."""
         est = op.estimate
         if est is None or op.unit is None:
             return None
@@ -306,32 +326,21 @@ class MergeUnitsPass(GraphPass):
                     engine.calibration_for(op.kind, plan),
                     net, flops,
                 )
-            return net, flops, float(seconds), False
+            return net, flops, float(seconds)
         if op.pqr is not None and getattr(plan, "contains_matmul", False):
-            calibration = engine.calibration_for("cfo", plan)
-            searched = optimize_parameters(
-                plan,
+            # execution pins the member's own (P, Q, R) (bit-identity), so
+            # the merged estimate prices exactly that, discounted
+            model = CostModel(
                 engine.config,
-                method=getattr(engine, "optimizer_method", "pruned"),
-                calibration=calibration,
+                calibration=engine.calibration_for("cfo", plan),
                 free_sources=free,
             )
-            changed = searched.pqr != op.pqr
-            if changed:
-                # execution pins the original parameters (bit-identity),
-                # so the honest merged estimate prices those, discounted
-                tree = plan_layout(plan).tree
-                model = CostModel(
-                    engine.config, calibration=calibration, free_sources=free
-                )
-                cost = model.evaluate(plan, tree, op.pqr)
-            else:
-                cost = searched.cost
+            cost = model.evaluate(plan, plan_layout(plan).tree, op.pqr)
             if not cost.feasible:
                 return None
             return (
                 float(cost.net_bytes), float(cost.com_flops),
-                float(cost.cost_seconds), changed,
+                float(cost.cost_seconds),
             )
         free_bytes = 0.0
         for dep in op.unit.dependencies():
@@ -344,4 +353,4 @@ class MergeUnitsPass(GraphPass):
         seconds = _price(
             engine.config, engine.calibration_for(op.kind, plan), net, flops
         )
-        return net, flops, seconds, False
+        return net, flops, seconds

@@ -34,7 +34,7 @@ dispatches by them.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.optimizer import OptimizerResult
@@ -452,27 +452,26 @@ def _root_keys(dag: DAG) -> set:
     return keys
 
 
-def recompute_releases(dag: DAG, ops: Sequence[UnitOp]) -> List[UnitOp]:
-    """Re-derive every op's ``releases`` from the final op order.
+def release_schedule(
+    dag: DAG, consumes: Sequence[Tuple[EnvKey, ...]]
+) -> List[Tuple[EnvKey, ...]]:
+    """Per unit in plan order, the environment keys it releases.
 
-    Graph passes that move, merge, or renumber units invalidate the
-    last-consumer lifetimes :func:`lower_plan` computed; this recomputes
-    them with the same rules (last consumer in final order releases the
-    key, keys a DAG root still needs are never released).
+    *consumes* lists each unit's read keys in final plan order.  A key is
+    released by its last consumer, and a key a DAG root still needs is never
+    released.  :func:`lower_plan` and the graph passes that merge or
+    renumber units derive lifetimes with this one rule.
     """
     last_consumer: Dict[EnvKey, int] = {}
-    for op in ops:
-        for key in op.consumes:
-            last_consumer[key] = op.index
+    for index, keys in enumerate(consumes):
+        for key in keys:
+            last_consumer[key] = index
     keep_alive = _root_keys(dag)
-    releases_at: Dict[int, List[EnvKey]] = {}
+    releases_at: List[List[EnvKey]] = [[] for _ in consumes]
     for key, index in last_consumer.items():
         if key not in keep_alive:
-            releases_at.setdefault(index, []).append(key)
-    return [
-        replace(op, releases=tuple(sorted(releases_at.get(op.index, ()), key=str)))
-        for op in ops
-    ]
+            releases_at[index].append(key)
+    return [tuple(sorted(keys, key=str)) for keys in releases_at]
 
 
 def execute_unit(engine, op: UnitOp, cluster, env: Mapping[EnvKey, object]):
@@ -518,19 +517,10 @@ def lower_plan(
     plan-cache hit skips the parameter search.
     """
     producer: Dict[Node, int] = {}
-    last_consumer: Dict[EnvKey, int] = {}
     ops: List[UnitOp] = []
-
     units = list(fusion_plan)
-    for index, unit in enumerate(units):
-        for key in _consumed_keys(unit):
-            last_consumer[key] = index
-
-    keep_alive = _root_keys(dag)
-    releases_at: Dict[int, List[EnvKey]] = {}
-    for key, index in last_consumer.items():
-        if key not in keep_alive:
-            releases_at.setdefault(index, []).append(key)
+    consumes = [tuple(dict.fromkeys(_consumed_keys(unit))) for unit in units]
+    releases = release_schedule(dag, consumes)
 
     for index, unit in enumerate(units):
         deps = sorted({
@@ -547,8 +537,8 @@ def lower_plan(
                 kind=note.kind,
                 deps=tuple(deps),
                 outputs=unit.outputs,
-                releases=tuple(sorted(releases_at.get(index, ()), key=str)),
-                consumes=tuple(dict.fromkeys(_consumed_keys(unit))),
+                releases=releases[index],
+                consumes=consumes[index],
                 pqr=note.pqr,
                 optimizer_result=note.optimizer_result,
                 estimate=note.estimate,

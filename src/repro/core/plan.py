@@ -71,12 +71,12 @@ class PartialFusionPlan:
         These are either :class:`InputNode` leaves or outputs of other plan
         units — in both cases materialized matrices.
         """
-        seen: list[Node] = []
-        for node in self.topo_nodes():
-            for child in node.inputs:
-                if child not in self.nodes and child not in seen:
-                    seen.append(child)
-        return tuple(seen)
+        return self.derived("frontier", lambda: tuple(dict.fromkeys(
+            child
+            for node in self.topo_nodes()
+            for child in node.inputs
+            if child not in self.nodes
+        )))
 
     def topo_nodes(self) -> tuple[Node, ...]:
         """Plan operators in topological order (children first)."""

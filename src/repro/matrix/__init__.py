@@ -1,4 +1,4 @@
-"""Blocked matrix layer: metadata, the block grid, generators and IO.
+"""Blocked matrix layer: metadata, the block grid and generators.
 
 A :class:`~repro.matrix.distributed.BlockedMatrix` is the logical matrix the
 engine computes on — a grid of :class:`~repro.blocks.Block` tiles keyed by

@@ -24,14 +24,19 @@ def _consumed_names(unit):
     }
 
 
+def _gnmf_lowering(graph_passes: str) -> PhysicalPlan:
+    q = gnmf_updates(100, 80, 20, density=0.1, block_size=BS)
+    engine = FuseMEEngine(make_config(block_size=BS, graph_passes=graph_passes))
+    return engine.lower_query([q.u_update, q.v_update])
+
+
 class TestGNMFLowering:
-    """The two-root GNMF update DAG (Eq. 6): the canonical multi-unit plan."""
+    """The two-root GNMF update DAG (Eq. 6) under the paper's CFG
+    (``graph_passes="off"``): the canonical multi-unit plan."""
 
     @pytest.fixture
     def physical(self) -> PhysicalPlan:
-        q = gnmf_updates(100, 80, 20, density=0.1, block_size=BS)
-        engine = FuseMEEngine(make_config(block_size=BS))
-        return engine.lower_query([q.u_update, q.v_update])
+        return _gnmf_lowering("off")
 
     def test_unit_graph_shape(self, physical):
         """Four CFO units in two dependency waves: each root's division
@@ -85,6 +90,43 @@ class TestGNMFLowering:
         for op in physical.ops:
             assert f"[{op.index}] {op.kind}" in text
             assert f"pqr={op.pqr}" in text
+
+
+class TestGNMFSharedLowering:
+    """The same DAG at the default: each wave's two independent units read
+    the same inputs, so they merge, and every later reader of an input
+    reads it as local blocks."""
+
+    @pytest.fixture
+    def physical(self) -> PhysicalPlan:
+        return _gnmf_lowering("all")
+
+    def test_one_merged_unit_per_wave(self, physical):
+        assert [op.kind for op in physical.ops] == ["merged", "merged"]
+        assert [op.sources for op in physical.ops] == [(0, 1), (2, 3)]
+        assert [op.deps for op in physical.ops] == [(), (0,)]
+        # members keep the raw lowering's (P, Q, R) and search result
+        raw = _gnmf_lowering("off")
+        members = [m for op in physical.ops for m in op.members]
+        assert [m.pqr for m in members] == [op.pqr for op in raw.ops]
+        assert [m.optimizer_result.cost for m in members] == [
+            op.optimizer_result.cost for op in raw.ops
+        ]
+
+    def test_each_input_consolidated_once(self, physical):
+        """Only the first reader of X, U and V pays its shuffle."""
+        shared = [m.shared_inputs for op in physical.ops for m in op.members]
+        assert shared == [(), ("V",), ("V", "U"), ("U", "X", "V")]
+
+    def test_lifetimes_end_at_the_last_merged_unit(self, physical):
+        """Members release nothing themselves; the second merged unit
+        releases both wave-0 intermediates and every input."""
+        assert all(not m.releases for op in physical.ops for m in op.members)
+        assert physical.ops[0].releases == ()
+        wave0_ids = {
+            m.unit.output.node_id for m in physical.ops[0].members
+        }
+        assert set(physical.ops[1].releases) == wave0_ids | {"U", "V", "X"}
 
 
 class TestALSLowering:

@@ -3,8 +3,11 @@
 The golden file was captured on the commit *before* the search was moved
 onto the ``(Q, R)`` grid and must pass on both sides byte for byte: per
 unit the chosen ``pqr``, the ``evaluations`` tally, the candidate-space size
-and the ``repr()`` of every float ``PlanCost`` field.  Re-capture (only when
-the cost formula itself is meant to change) with::
+and the ``repr()`` of every float ``PlanCost`` field.  The graph passes only
+regroup units (a merged unit's members keep their own search), so the
+default plan, flattened to its members in raw-lowering order, and the
+paper's plan (``graph_passes="off"``) match the same file.  Re-capture
+(only when the cost formula itself is meant to change) with::
 
     PYTHONPATH=src python tests/core/test_pqr_golden.py
 """
@@ -59,12 +62,15 @@ QUERIES = {
 }
 
 
-def snapshot(name: str) -> list[dict]:
-    """One record per searched unit of query *name*, in plan order."""
-    engine = FuseMEEngine(EngineConfig(cluster=ClusterConfig(), block_size=BLOCK))
+def snapshot(name: str, graph_passes: str = "all") -> list[dict]:
+    """One record per searched unit of query *name*, in raw-lowering order."""
+    engine = FuseMEEngine(EngineConfig(
+        cluster=ClusterConfig(), block_size=BLOCK, graph_passes=graph_passes
+    ))
     plan = engine.lower_query(QUERIES[name]())
+    ops = [member for op in plan.ops for member in (op.members or (op,))]
     units = []
-    for op in plan.ops:
+    for op in sorted(ops, key=lambda op: op.source_indices):
         result = op.optimizer_result
         if result is None:
             continue
@@ -87,6 +93,12 @@ def test_chosen_parameters_match_parent_golden(name):
     assert snapshot(name) == golden[name]
 
 
+@pytest.mark.parametrize("name", sorted(QUERIES))
+def test_paper_mode_matches_the_same_golden(name):
+    golden = json.loads(GOLDEN.read_text())
+    assert snapshot(name, graph_passes="off") == golden[name]
+
+
 def test_golden_covers_every_query_and_searches_something():
     golden = json.loads(GOLDEN.read_text())
     assert sorted(golden) == sorted(QUERIES)
@@ -95,6 +107,7 @@ def test_golden_covers_every_query_and_searches_something():
 
 if __name__ == "__main__":
     GOLDEN.write_text(
-        json.dumps({name: snapshot(name) for name in QUERIES}, indent=1) + "\n"
+        json.dumps({name: snapshot(name, "off") for name in QUERIES}, indent=1)
+        + "\n"
     )
     print(f"wrote {GOLDEN}")

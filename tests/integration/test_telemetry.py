@@ -63,14 +63,26 @@ unit  kind  pqr        sec(pred)  sec(meas)  sec err  net(pred)  net(meas)  net 
 [3]   cfo   (4, 1, 2)  0.0006016  0.1007     -99.4%   1.504e+05  1.515e+05  -0.7%    8.24e+04     7.932e+04    +3.9%      F[r(T),ba(x),b(mul),b(add:,s1e-09),b(div)]
 counters: cuboids_enumerated=65, cuboids_evaluated=52, cuboids_pruned=13, env_keys_released=5, plan_cache_misses=1, slice_cache_hits=91, slice_cache_misses=35"""
 
+#: The same iteration at the default: each wave's two units run as one
+#: merged unit, and X, U and V are shuffled once.
+GOLDEN_GNMF_SHARED_REPORT = """\
+QueryProfile[FuseME]: 2 unit(s), 8 stage(s); measured 0.4014s, predicted 0.001792s (err -99.6%)
+unit      kind    pqr  sec(pred)  sec(meas)  sec err  net(pred)  net(meas)  net err  flops(pred)  flops(meas)  flops err  label
+[0<-0,1]  merged  -    0.0009088  0.2008     -99.5%   2.272e+05  9.6e+04    +136.7%  7.284e+05    7.32e+05     -0.5%      merged(0,1)
+[1<-2,3]  merged  -    0.0008832  0.2005     -99.6%   2.208e+05  1.075e+05  +105.4%  2.92e+05     2.226e+05    +31.2%     merged(2,3)
+counters: cuboids_enumerated=65, cuboids_evaluated=52, cuboids_pruned=13, env_keys_released=5, plan_cache_misses=1, slice_cache_hits=91, slice_cache_misses=35"""
+
 
 def test_golden_gnmf_profile_report(workload):
-    """The GNMF-iteration EXPLAIN ANALYZE is pinned byte-for-byte: any
-    change to the cost model, the lowering, or the modeled execution shows
-    up as a diff of this report."""
+    """The GNMF-iteration EXPLAIN ANALYZE is pinned byte-for-byte, under
+    the paper's CFG and at the default: any change to the cost model, the
+    lowering, the graph passes or the modeled execution shows up as a diff
+    of one of these reports."""
     query, inputs = workload
+    paper = FuseMEEngine(make_config(block_size=BS, graph_passes="off"))
+    assert paper.profile(query, inputs).render() == GOLDEN_GNMF_REPORT
     profile = FuseMEEngine(make_config(block_size=BS)).profile(query, inputs)
-    assert profile.render() == GOLDEN_GNMF_REPORT
+    assert profile.render() == GOLDEN_GNMF_SHARED_REPORT
 
 
 @pytest.mark.parametrize("engine_cls", ENGINES, ids=lambda c: c.name)
@@ -146,11 +158,12 @@ class MiscalibratedFuseME(FuseMEEngine):
 
 
 def test_perturbed_cost_model_surfaces_nonzero_error(workload):
+    # paper mode: the merge pass re-prices members that read a shared input
+    # from the cost model, so it would drop part of the inflation
+    config = make_config(block_size=BS, graph_passes="off")
     query, inputs = workload
-    honest = FuseMEEngine(make_config(block_size=BS)).profile(query, inputs)
-    skewed = MiscalibratedFuseME(make_config(block_size=BS)).profile(
-        query, inputs
-    )
+    honest = FuseMEEngine(config).profile(query, inputs)
+    skewed = MiscalibratedFuseME(config).profile(query, inputs)
     # execution is identical: predictions never feed the modeled run
     assert skewed.totals == honest.totals
     # ...but accountability sees straight through the inflation: the honest
@@ -205,22 +218,34 @@ def test_profile_document_carries_totals_and_counters(workload):
 
 
 def test_span_tree_shape_and_clocks(workload):
+    """Paper mode plans 4 units; the default merges them into 2 and opens
+    one planning span per graph pass."""
+    for graph_passes, units in (("off", 4), ("all", 2)):
+        check_span_tree(workload, graph_passes, units)
+
+
+def check_span_tree(workload, graph_passes, units):
     query, inputs = workload
-    profile = FuseMEEngine(make_config(block_size=BS)).profile(query, inputs)
+    engine = FuseMEEngine(make_config(block_size=BS, graph_passes=graph_passes))
+    profile = engine.profile(query, inputs)
     span = profile.span
     assert span.name == "query" and span.attrs["engine"] == "FuseME"
     assert [c.name for c in span.children] == ["plan", "execute"]
 
     plan = span.find("plan")
     assert plan.attrs["cache_hit"] is False
-    assert plan.attrs["units"] == 4
+    assert plan.attrs["units"] == units
     assert plan.attrs["optimizer_method"] == "pruned"
     assert plan.attrs["cuboids_enumerated"] > 0
     assert plan.attrs["exploitation_splits"] >= 0
+    passes = [] if graph_passes == "off" else [
+        "pass:merge_units", "pass:dedup_consolidations"
+    ]
+    assert [c.name for c in plan.children] == passes
 
     execute = span.find("execute")
     unit_spans = [c for c in execute.children if c.category == "unit"]
-    assert [u.name for u in unit_spans] == [f"unit[{i}]" for i in range(4)]
+    assert [u.name for u in unit_spans] == [f"unit[{i}]" for i in range(units)]
     total_stage_spans = 0
     for unit in unit_spans:
         assert unit.wall_seconds >= 0.0

@@ -66,15 +66,20 @@ def test_per_unit_metrics_attribution(workload):
     """Every stage of a physical-plan run is attributed to its unit, and
     per-unit totals sum back to the query totals."""
     query, inputs = workload
-    result = FuseMEEngine(make_config(block_size=BS)).execute(query, inputs)
-    per_unit = result.metrics.per_unit_totals()
-    assert set(per_unit) == {0, 1, 2, 3}
-    assert sum(u["comm_bytes"] for u in per_unit.values()) == (
-        result.metrics.comm_bytes
-    )
-    assert sum(u["num_stages"] for u in per_unit.values()) == (
-        result.metrics.num_stages
-    )
+    # paper mode runs 4 units; the default merges each wave's two into one
+    for graph_passes, units in (("off", {0, 1, 2, 3}), ("all", {0, 1})):
+        engine = FuseMEEngine(
+            make_config(block_size=BS, graph_passes=graph_passes)
+        )
+        result = engine.execute(query, inputs)
+        per_unit = result.metrics.per_unit_totals()
+        assert set(per_unit) == units
+        assert sum(u["comm_bytes"] for u in per_unit.values()) == (
+            result.metrics.comm_bytes
+        )
+        assert sum(u["num_stages"] for u in per_unit.values()) == (
+            result.metrics.num_stages
+        )
 
 
 def test_intermediates_released_at_last_consumer(workload):
