@@ -9,7 +9,7 @@ construction so the optimizer can cost plans without touching data.
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from repro.blocks.kernels import (
     AGGREGATION_KERNELS,
@@ -248,6 +248,48 @@ class TransposeNode(Node):
         return child.meta.num_elements
 
 
+def post_order(
+    roots: Iterable[Node], stop: Optional[Callable[[Node], bool]] = None
+) -> list[Node]:
+    """Every node reachable from *roots*, each once, children before parents.
+
+    The order is a depth-first post-order that visits operands in operand
+    order and roots in the order given.  A node for which ``stop(node)`` is
+    true is emitted without visiting its inputs (the interpreter's bound
+    frontier).  The walk keeps an explicit stack, so a plan's depth is not
+    bounded by the interpreter's recursion limit, and it leaves no
+    reference cycle behind.
+    """
+    order: list[Node] = []
+    done: set[Node] = set()
+    path: set[Node] = set()
+
+    def operands(node: Node) -> Iterator[Node]:
+        return iter(()) if stop is not None and stop(node) else iter(node.inputs)
+
+    for root in roots:
+        if root in done:
+            continue
+        path.add(root)
+        stack = [(root, operands(root))]
+        while stack:
+            node, pending = stack[-1]
+            for child in pending:
+                if child in done:
+                    continue
+                if child in path:
+                    raise PlanError("query plan contains a cycle")
+                path.add(child)
+                stack.append((child, operands(child)))
+                break
+            else:
+                stack.pop()
+                path.discard(node)
+                done.add(node)
+                order.append(node)
+    return order
+
+
 class DAG:
     """A query plan: one or more root nodes over shared inputs."""
 
@@ -263,24 +305,7 @@ class DAG:
     # -- traversal -------------------------------------------------------------
 
     def _toposort(self) -> tuple[Node, ...]:
-        order: list[Node] = []
-        seen: set[Node] = set()
-
-        def visit(node: Node, stack: set[Node]) -> None:
-            if node in seen:
-                return
-            if node in stack:
-                raise PlanError("query plan contains a cycle")
-            stack.add(node)
-            for child in node.inputs:
-                visit(child, stack)
-            stack.remove(node)
-            seen.add(node)
-            order.append(node)
-
-        for root in self.roots:
-            visit(root, set())
-        return tuple(order)
+        return tuple(post_order(self.roots))
 
     def _count_consumers(self) -> dict[Node, int]:
         counts: dict[Node, int] = {node: 0 for node in self._topo}

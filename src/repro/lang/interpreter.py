@@ -23,6 +23,7 @@ from repro.lang.dag import (
     Node,
     TransposeNode,
     UnaryNode,
+    post_order,
 )
 
 Bindings = Mapping[Union[str, int], np.ndarray]
@@ -48,40 +49,30 @@ def evaluate(root: Node, env: Bindings) -> np.ndarray:
         Bindings from input name (or node id for arbitrary frontier nodes)
         to dense arrays.
     """
-    memo: Dict[int, np.ndarray] = {}
-
-    def rec(node: Node) -> np.ndarray:
-        cached = memo.get(node.node_id)
-        if cached is not None:
-            return cached
-        bound = _lookup(node, env)
-        if bound is not None:
-            memo[node.node_id] = bound
-            return bound
-        result = _apply(node, [rec(child) for child in node.inputs])
-        memo[node.node_id] = result
-        return result
-
-    return rec(root)
+    return evaluate_many((root,), env)[0]
 
 
 def evaluate_many(roots: Sequence[Node], env: Bindings) -> list[np.ndarray]:
-    """Evaluate several roots sharing one memo table (multi-output plans)."""
+    """Evaluate several roots sharing one memo table (multi-output plans).
+
+    One iterative post-order walk that stops at bound nodes: the memo of
+    dense intermediates is freed by refcount when this returns, and a
+    plan's depth is not limited by the recursion limit.
+    """
     memo: Dict[int, np.ndarray] = {}
 
-    def rec(node: Node) -> np.ndarray:
-        cached = memo.get(node.node_id)
-        if cached is not None:
-            return cached
-        bound = _lookup(node, env)
-        if bound is not None:
-            memo[node.node_id] = bound
-            return bound
-        result = _apply(node, [rec(child) for child in node.inputs])
-        memo[node.node_id] = result
-        return result
+    def bound(node: Node) -> bool:
+        value = _lookup(node, env)
+        if value is not None:
+            memo[node.node_id] = value
+        return value is not None
 
-    return [rec(root) for root in roots]
+    for node in post_order(roots, stop=bound):
+        if node.node_id not in memo:
+            memo[node.node_id] = _apply(
+                node, [memo[child.node_id] for child in node.inputs]
+            )
+    return [memo[root.node_id] for root in roots]
 
 
 def _apply(node: Node, args: list[np.ndarray]) -> np.ndarray:

@@ -41,37 +41,24 @@ def refresh_leaf_metas(dag: DAG, metas) -> DAG:
     unknown names keep their declared meta.
     """
     rebuilt: Dict[int, Node] = {}
-
-    def rebuild(node: Node) -> Node:
-        cached = rebuilt.get(node.node_id)
-        if cached is not None:
-            return cached
+    for node in dag.nodes():
         if isinstance(node, InputNode):
             meta = metas.get(node.name)
-            result: Node = InputNode(node.name, meta) if meta is not None else node
+            result = InputNode(node.name, meta) if meta is not None else node
         else:
-            children = [rebuild(c) for c in node.inputs]
-            result = _rewrite(node, children)
+            result = _rewrite(node, [rebuilt[c.node_id] for c in node.inputs])
         rebuilt[node.node_id] = result
-        return result
-
-    return DAG([rebuild(root) for root in dag.roots])
+    return DAG([rebuilt[root.node_id] for root in dag.roots])
 
 
 def simplify_dag(dag: DAG) -> DAG:
     """Return an equivalent DAG with the standard cleanups applied."""
     rebuilt: Dict[int, Node] = {}
-
-    def rebuild(node: Node) -> Node:
-        cached = rebuilt.get(node.node_id)
-        if cached is not None:
-            return cached
-        children = [rebuild(c) for c in node.inputs]
-        result = _rewrite(node, children)
-        rebuilt[node.node_id] = result
-        return result
-
-    return DAG([rebuild(root) for root in dag.roots])
+    for node in dag.nodes():
+        rebuilt[node.node_id] = _rewrite(
+            node, [rebuilt[c.node_id] for c in node.inputs]
+        )
+    return DAG([rebuilt[root.node_id] for root in dag.roots])
 
 
 def _rewrite(node: Node, children: list[Node]) -> Node:

@@ -24,7 +24,11 @@ guarantees a query never starts unless its estimated footprint fits the
 service memory budget: an over-budget query, or one arriving at a full
 queue, is shed with :class:`~repro.errors.ServiceOverloadedError`; the
 rest wait in a bounded queue, and queued queries expire with
-:class:`~repro.errors.QueryTimeoutError` after the configured wait.
+:class:`~repro.errors.QueryTimeoutError` after the configured wait.  If
+anything escapes the dispatcher thread, the service is *broken*: every
+queued ticket fails with a :class:`~repro.errors.ServingError` chained to
+the cause, later submits raise it, ``status()["broken"]`` names it, and
+``close()`` still returns.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ import logging
 import threading
 import time
 from dataclasses import replace
-from typing import Dict, Mapping, Optional
+from typing import Dict, List, Mapping, Optional
 
 from repro.cluster.executor import SimulatedCluster
 from repro.config import ServiceConfig
@@ -126,6 +130,8 @@ class MatrixService:
         self._query_seq = itertools.count(1)
         self._running = 0
         self._closed = False
+        #: What killed the dispatcher thread; None while it is healthy.
+        self._broken: Optional[BaseException] = None
         #: Serializes close() against concurrent closers (not dispatch).
         self._close_lock = threading.Lock()
         self._last_logged = 0
@@ -141,8 +147,7 @@ class MatrixService:
     def open_session(self, tenant: str) -> Session:
         """A new session for *tenant* (fair-share groups by tenant name)."""
         with self._lock:
-            if self._closed:
-                raise ServingError("service is closed")
+            self._check_accepting()
             session_id = f"{tenant}/s{next(self._session_seq)}"
             session = Session(self, tenant, session_id)
             self._sessions[session_id] = session
@@ -168,8 +173,7 @@ class MatrixService:
         memory budget, and propagates binding errors eagerly so a doomed
         query never occupies queue space.
         """
-        if self._closed:
-            raise ServingError("service is closed")
+        self._check_accepting()
         if session.closed:
             raise SessionClosedError(f"session {session.session_id} is closed")
         dag = as_dag(query)
@@ -191,10 +195,9 @@ class MatrixService:
 
         try:
             with self._cond:
-                # re-checked under the lock: once closed, the dispatcher
-                # may already have exited and nothing would drain the ticket
-                if self._closed:
-                    raise ServingError("service is closed")
+                # re-checked under the lock: once closed or broken, the
+                # dispatcher may have exited and nothing would drain the ticket
+                self._check_accepting()
                 self._admission.offer(ticket)
                 self._cond.notify_all()
         except ServiceOverloadedError:
@@ -258,24 +261,58 @@ class MatrixService:
         assert profile is not None
         return replace(profile, result=served.result)
 
+    def _check_accepting(self) -> None:
+        """Raise unless the service can still take work."""
+        if self._broken is not None:
+            raise ServingError(
+                f"service is broken: its dispatcher died ({self._broken!r})"
+            ) from self._broken
+        if self._closed:
+            raise ServingError("service is closed")
+
     # -- dispatch ---------------------------------------------------------
 
     def _dispatch_loop(self) -> None:
         poll = self.config.dispatch_poll_seconds
-        while True:
-            with self._cond:
-                while not self._closed and self._admission.depth == 0:
-                    self._cond.wait(poll)
-                expired = self._admission.expire(time.monotonic())
-                ticket = self._admission.next_ticket()
-                if self._closed and ticket is None and not expired:
-                    return
+        # tickets taken off the queue and not yet resolved by this loop
+        expired: List[QueryTicket] = []
+        try:
+            while True:
+                with self._cond:
+                    while not self._closed and self._admission.depth == 0:
+                        self._cond.wait(poll)
+                    expired = self._admission.expire(time.monotonic())
+                    ticket = self._admission.next_ticket()
+                    if self._closed and ticket is None and not expired:
+                        return
+                    if ticket is not None:
+                        self._running += 1
+                for stale in expired:
+                    self._expire_ticket(stale)
+                expired = []
                 if ticket is not None:
-                    self._running += 1
-            for stale in expired:
-                self._expire_ticket(stale)
-            if ticket is not None:
-                self._run_one(ticket)
+                    self._run_one(ticket)
+        except BaseException as exc:  # noqa: BLE001 - the service must say so
+            self._break(exc, expired)
+
+    def _break(self, cause: BaseException, in_hand: List[QueryTicket]) -> None:
+        """The dispatcher is dying of *cause*: fail every ticket it would
+        have resolved and refuse new work."""
+        logger.error("serving dispatcher died; the service is broken",
+                     exc_info=cause)
+        with self._cond:
+            self._broken = cause
+            orphans = [t for t in in_hand if not t.done()]
+            orphans += self._admission.drain()
+            self._cond.notify_all()
+        for ticket in orphans:
+            self.metrics.record_failed(ticket.tenant)
+            error = ServingError(
+                f"query {ticket.query_id} failed: the service's dispatcher "
+                f"died ({cause!r})"
+            )
+            error.__cause__ = cause
+            ticket._fail(error)
 
     def _run_one(self, ticket: QueryTicket) -> None:
         queue_seconds = time.monotonic() - ticket.enqueued_at
@@ -292,11 +329,13 @@ class MatrixService:
                 result = self.engine.execute(
                     ticket.dag, ticket.bound, cluster=self.cluster
                 )
-                self.result_cache.put(key, result, pins=ticket.bound)
+                self.result_cache.put(key, result, ticket.bound)
             self._serve(ticket, result, from_cache, queue_seconds)
-        except Exception as exc:  # noqa: BLE001 - failures belong to the ticket
+        except BaseException as exc:  # noqa: BLE001 - failures belong to the ticket
             self.metrics.record_failed(ticket.tenant)
             ticket._fail(exc)
+            if not isinstance(exc, Exception):
+                raise  # the ticket is resolved; now the dispatcher dies
         finally:
             with self._cond:
                 self._running -= 1
@@ -346,10 +385,12 @@ class MatrixService:
             running = self._running
             sessions = len(self._sessions)
             closed = self._closed
+            broken = self._broken
             memory_budget = self._admission.memory_budget
         snap = self.metrics.snapshot()
         snap.update(
             closed=closed,
+            broken=None if broken is None else repr(broken),
             queue_depth=queue_depth,
             running=running,
             sessions=sessions,

@@ -21,6 +21,7 @@ from repro import FuseMEEngine
 from repro.blocks.block import Block
 from repro.core.fused_eval import SliceEnv
 from repro.execution import ExecutionResult
+from repro.lang import evaluate_many
 from repro.matrix.distributed import BlockedMatrix
 from repro.obs import QueryProfile
 
@@ -73,6 +74,27 @@ def test_dropped_result_is_freed_without_the_collector(build, collector_off):
         type(obj).__name__ for obj in gc.garbage if isinstance(obj, DATA_PLANE)
     )
     assert not leaked, f"left to the cyclic collector: {dict(leaked)}"
+
+
+def test_a_query_and_its_reference_check_leave_no_cyclic_garbage(
+    collector_off,
+):
+    """Not one cycle, of any type: planning's DAG walks, the engine and the
+    reference interpreter all free what they built by refcount.  (A
+    recursive closure refers to itself through its own cell, so every call
+    of one used to leave a cycle — the interpreter's holding its memo of
+    dense intermediates until the next collector pass.)"""
+    query, inputs, _ = gnmf_step()
+    engine = FuseMEEngine(fig14_config())
+    roots = [expr.node for expr in query]
+    dense = {name: matrix.to_numpy() for name, matrix in inputs.items()}
+    engine.execute(query, inputs)  # warm-up: the plan is cached after this
+    evaluate_many(roots, dense)
+    gc.collect()
+
+    engine.execute(query, inputs)
+    evaluate_many(roots, dense)
+    assert gc.collect() == 0
 
 
 def test_profile_copy_carries_the_result(collector_off):

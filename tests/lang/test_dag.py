@@ -1,5 +1,6 @@
 """Unit tests for DAG nodes and the query-plan container."""
 
+import numpy as np
 import pytest
 
 from repro.errors import PlanError
@@ -11,9 +12,12 @@ from repro.lang import (
     MatMulNode,
     TransposeNode,
     UnaryNode,
+    evaluate_many,
     matrix_input,
+    simplify_dag,
     sum_of,
 )
+from repro.lang.dag import post_order
 from repro.matrix import MatrixMeta
 
 
@@ -145,3 +149,43 @@ class TestDAG:
         dag, *_ = self.build()
         dump = dag.dump()
         assert "ba(x)" in dump and "b(mul)" in dump
+
+
+class TestPostOrder:
+    def build(self):
+        x = matrix_input("X", 10, 10, 25)
+        y = matrix_input("Y", 10, 10, 25)
+        shared = x * 2.0
+        inner = y + shared
+        return x, y, shared, inner, shared + inner
+
+    def test_operands_in_order_each_node_once(self):
+        x, y, shared, inner, root = self.build()
+        assert post_order([root.node]) == [
+            x.node, shared.node, y.node, inner.node, root.node
+        ]
+
+    def test_stop_emits_a_node_without_its_operands(self):
+        x, y, shared, inner, root = self.build()
+        order = post_order([root.node], stop=lambda node: node is inner.node)
+        assert order == [x.node, shared.node, inner.node, root.node]
+
+    def test_a_cycle_is_reported(self):
+        x, y, shared, inner, root = self.build()
+        shared.node.inputs = (root.node,)  # a hand-made back edge
+        with pytest.raises(PlanError, match="cycle"):
+            DAG(root.node)
+
+    def test_a_2000_operator_chain_needs_no_recursion(self):
+        """Construction, simplification and the reference interpreter walk
+        a plan with an explicit stack: depth is not capped by the
+        interpreter's recursion limit (1000 by default)."""
+        x = matrix_input("X", 4, 3, 2)
+        chain = x
+        for _ in range(2000):
+            chain = chain + x
+        dag = DAG(chain.node)
+        assert len(dag) == 2001
+        simplified = simplify_dag(dag)
+        (out,) = evaluate_many(simplified.roots, {"X": np.ones((4, 3))})
+        np.testing.assert_array_equal(out, np.full((4, 3), 2001.0))

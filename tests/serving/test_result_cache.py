@@ -1,4 +1,7 @@
-"""Result-cache keying: versions, re-binding, LRU eviction."""
+"""Result-cache keying: versions, re-binding, liveness, LRU eviction."""
+
+import gc
+import weakref
 
 import numpy as np
 
@@ -62,7 +65,7 @@ class TestCache:
         key = result_key(SIG, dag, {"X": matrix})
         assert cache.get(key) is None
         result = make_result(dag, matrix)
-        cache.put(key, result, pins={"X": matrix})
+        cache.put(key, result, {"X": matrix})
         assert cache.get(key) is result
         assert cache.hits == 1 and cache.misses == 1
 
@@ -71,7 +74,7 @@ class TestCache:
         dag = query()
         matrix = rand_dense(50, 50, 25, seed=1)
         key = result_key(SIG, dag, {"X": matrix})
-        cache.put(key, make_result(dag, matrix), pins={"X": matrix})
+        cache.put(key, make_result(dag, matrix), {"X": matrix})
         matrix.set_block(0, 0, Block(np.ones((25, 25))))
         assert cache.get(result_key(SIG, dag, {"X": matrix})) is None
 
@@ -83,7 +86,7 @@ class TestCache:
             matrix = rand_dense(50, 50, 25, seed=seed)
             key = result_key(SIG, dag, {"X": matrix})
             keys.append((key, matrix))
-            cache.put(key, make_result(dag, matrix), pins={"X": matrix})
+            cache.put(key, make_result(dag, matrix), {"X": matrix})
         assert cache.num_entries == 2
         assert cache.get(keys[0][0]) is None  # oldest evicted
         assert cache.get(keys[2][0]) is not None
@@ -95,7 +98,7 @@ class TestCache:
         for seed in range(3):
             m = rand_dense(50, 50, 25, seed=seed)
             key = result_key(SIG, dag, {"X": m})
-            cache.put(key, make_result(dag, m), pins={"X": m})
+            cache.put(key, make_result(dag, m), {"X": m})
         assert cache.num_entries == 1
         assert cache.cached_bytes <= int(matrix.nbytes * 1.5)
 
@@ -104,7 +107,7 @@ class TestCache:
         dag = query()
         cache = ResultCache(max_entries=8, max_bytes=matrix.nbytes - 1)
         key = result_key(SIG, dag, {"X": matrix})
-        cache.put(key, make_result(dag, matrix), pins={"X": matrix})
+        cache.put(key, make_result(dag, matrix), {"X": matrix})
         assert cache.num_entries == 0
 
     def test_disabled_cache(self):
@@ -112,7 +115,7 @@ class TestCache:
         dag = query()
         matrix = rand_dense(50, 50, 25, seed=1)
         key = result_key(SIG, dag, {"X": matrix})
-        cache.put(key, make_result(dag, matrix), pins={"X": matrix})
+        cache.put(key, make_result(dag, matrix), {"X": matrix})
         assert cache.get(key) is None
         assert not cache.enabled
 
@@ -122,9 +125,51 @@ class TestCache:
         matrix = rand_dense(50, 50, 25, seed=1)
         key = result_key(SIG, dag, {"X": matrix})
         cache.get(key)
-        cache.put(key, make_result(dag, matrix), pins={"X": matrix})
+        cache.put(key, make_result(dag, matrix), {"X": matrix})
         cache.get(key)
         stats = cache.stats()
         assert stats["hits"] == 1 and stats["misses"] == 1
         assert stats["entries"] == 1
         assert stats["hit_rate"] == 0.5
+
+
+class TestLiveness:
+    """An entry lives only as long as a lookup can still hit it."""
+
+    def put_one(self, cache, matrix, dag=None):
+        dag = dag or query()
+        key = result_key(SIG, dag, {"X": matrix})
+        # the cached outputs must not be the input, or they would pin it
+        cache.put(key, make_result(dag, rand_dense(50, 50, 25, seed=99)),
+                  {"X": matrix})
+        return key
+
+    def test_entries_do_not_pin_their_inputs(self):
+        cache = ResultCache(max_entries=4)
+        matrix = rand_dense(50, 50, 25, seed=1)
+        self.put_one(cache, matrix)
+        alive = weakref.ref(matrix)
+        del matrix
+        gc.collect()
+        assert alive() is None
+        assert cache.stats()["entries"] == 0 and cache.cached_bytes == 0
+
+    def test_an_older_version_is_dropped_when_a_newer_one_is_stored(self):
+        cache = ResultCache(max_entries=4)
+        matrix = rand_dense(50, 50, 25, seed=1)
+        old = self.put_one(cache, matrix)
+        matrix.set_block(0, 0, Block(np.ones((25, 25))))
+        assert cache.num_entries == 1  # nothing has seen the new version yet
+        new = self.put_one(cache, matrix)
+        assert cache.num_entries == 1
+        assert cache.get(new) is not None and cache.get(old) is None
+
+    def test_one_finalizer_per_matrix_however_many_puts(self):
+        cache = ResultCache(max_entries=8)
+        matrix = rand_dense(50, 50, 25, seed=1)
+        before = len(weakref.finalize._registry)
+        for scale in (2.0, 3.0, 4.0):
+            dag = as_dag(matrix_input("X", 50, 50, 25) * scale)
+            self.put_one(cache, matrix, dag)
+        assert cache.num_entries == 3
+        assert len(weakref.finalize._registry) == before + 1

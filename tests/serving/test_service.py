@@ -207,6 +207,45 @@ class TestFailures:
         assert status["tenants"]["alice"]["failed"] == 1
 
 
+class TestBrokenDispatcher:
+    """Anything escaping the dispatcher thread breaks the service loudly:
+    no caller is left waiting on a ticket nothing will resolve."""
+
+    def test_an_escaping_exception_fails_tickets_and_refuses_work(self):
+        service = make_service()
+        cause = RuntimeError("injected admission fault")
+
+        def broken_next_ticket():
+            raise cause
+
+        service._admission.next_ticket = broken_next_ticket
+        alice = service.open_session("alice").bind("X", x_matrix())
+        ticket = alice.submit(QUERY)
+        with pytest.raises(ServingError) as failed:
+            ticket.result(timeout=10.0)
+        assert failed.value.__cause__ is cause
+        with pytest.raises(ServingError, match="broken") as refused:
+            alice.submit(QUERY)
+        assert refused.value.__cause__ is cause
+        status = service.status()
+        assert "injected admission fault" in status["broken"]
+        assert status["failed"] == 1 and status["queue_depth"] == 0
+        service.close(timeout=10.0)
+        assert not service._dispatcher.is_alive()
+
+    def test_a_base_exception_from_the_engine_fails_its_ticket(self):
+        engine = StubEngine(fail_with=KeyboardInterrupt())
+        service = make_service(engine)
+        ticket = service.open_session("alice").bind("X", x_matrix()).submit(
+            QUERY
+        )
+        with pytest.raises(KeyboardInterrupt):
+            ticket.result(timeout=10.0)
+        service._dispatcher.join(timeout=10.0)
+        assert service.status()["broken"] is not None
+        service.close(timeout=10.0)
+
+
 class TestLifecycle:
     def test_close_drains_queued_queries(self):
         engine = StubEngine()
@@ -342,9 +381,10 @@ class TestStatus:
             "queue_depth", "running", "sessions", "memory_budget_bytes",
             "tenants", "latency", "queue_wait", "served", "shed",
             "timed_out", "failed", "cache_hits", "result_cache",
-            "plan_cache", "slice_cache", "cluster", "closed",
+            "plan_cache", "slice_cache", "cluster", "closed", "broken",
         ):
             assert key in status, key
+        assert status["broken"] is None
         assert status["served"] == 2
         assert status["cache_hits"] == 1
         assert status["result_cache"]["hits"] >= 1
