@@ -29,7 +29,6 @@ from repro.lang.dag import DAG, InputNode, Node
 from repro.matrix.distributed import BlockedMatrix
 from repro.operators.bfo import BroadcastFusedOperator
 from repro.operators.cell import FusedCellOperator
-from repro.operators.multi_agg import MultiAggregationOperator
 from repro.operators.rfo import ReplicationFusedOperator
 
 #: mapmm is chosen when the broadcast operand uses at most this fraction of
@@ -83,9 +82,6 @@ class SystemDSLikeEngine(Engine):
         env: Mapping[object, BlockedMatrix],
     ):
         plan = op.unit.plan
-        if isinstance(plan, MultiAggPlan):
-            self._choices[op.index] = f"multi-agg:{plan.label()}"
-            return MultiAggregationOperator(plan, self.config).execute(cluster, env)
         if not plan.contains_matmul:
             self._choices[op.index] = f"cell:{plan.label()}"
             return FusedCellOperator(plan, self.config).execute(cluster, env)

@@ -112,8 +112,6 @@ class EngineConfig:
     #: Replace declared input densities with measured densities before
     #: planning (sharpens the optimizer's size estimates).
     refine_input_metas: bool = False
-    #: RNG seed used by dataset generators unless overridden.
-    seed: int = 0
     #: Fusion-plan cache capacity (entries) per engine; 0 disables caching.
     #: Iterative workloads re-executing a structurally identical DAG skip
     #: CFG planning and the (P, Q, R) search entirely on a hit.

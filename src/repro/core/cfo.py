@@ -17,10 +17,10 @@ A CFO executes one partial fusion plan end-to-end on the simulated cluster:
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, NamedTuple, Optional
+from typing import Dict, NamedTuple, Optional
 
 from repro.blocks import Block
-from repro.blocks.kernels import AGGREGATION_KERNELS, aggregate_combine
+from repro.blocks.kernels import AGGREGATION_KERNELS
 from repro.cluster.executor import SimulatedCluster
 from repro.cluster.slice_cache import SliceCache
 from repro.cluster.task import TaskContext, TransferKind
@@ -35,7 +35,6 @@ from repro.core.fused_eval import (
     masked_product,
 )
 from repro.core.optimizer import OptimizerResult, optimize_parameters
-from repro.core.physical import env_key_of
 from repro.core.plan import PartialFusionPlan
 from repro.core.spaces import (
     Axis,
@@ -44,12 +43,16 @@ from repro.core.spaces import (
     find_sparsity_mask,
     plan_layout,
 )
-from repro.errors import BlockLayoutError, ExecutionError, PlanError
-from repro.lang.dag import AggNode, InputNode, Node
+from repro.core.stages import (
+    Env,
+    agg_offset,
+    final_aggregation,
+    resolve_frontier,
+    shared_sources,
+)
+from repro.errors import BlockLayoutError, PlanError
+from repro.lang.dag import AggNode, Node
 from repro.matrix.distributed import BlockedMatrix
-
-#: Engine-level environment: materialized values by node id or input name.
-Env = Mapping[object, BlockedMatrix]
 
 
 class _SlabBinding(NamedTuple):
@@ -58,8 +61,6 @@ class _SlabBinding(NamedTuple):
     source: Node
     row_range: tuple[int, int]
     col_range: tuple[int, int]
-    #: environment key of *source* (graph passes mark shared inputs by key)
-    env_key: object
     edges: tuple[tuple[Node, int], ...]
 
 
@@ -99,9 +100,9 @@ class CuboidFusedOperator:
         # keeps standalone operator use (tests constructing a CFO directly)
         # working with fresh copies
         self._slices = SliceCache(enabled=False)
-        # env keys whose consolidation an earlier consumer already paid
-        # (graph-pass annotation); captured from the cluster in execute()
-        self._shared_inputs: frozenset = frozenset()
+        # frontier sources an earlier consumer already paid to consolidate;
+        # captured from the cluster in execute()
+        self._shared: frozenset = frozenset()
 
     # -- public API -------------------------------------------------------------
 
@@ -112,39 +113,16 @@ class CuboidFusedOperator:
     def execute(self, cluster: SimulatedCluster, env: Env) -> BlockedMatrix:
         """Run the CFO and return the materialized plan output."""
         self._slices = cluster.slice_cache
-        # graph-pass sharing annotation, captured once per execute
-        self._shared_inputs = cluster.shared_inputs
-        values = self._resolve_frontier(env)
+        self._shared = shared_sources(self.plan, cluster)
+        values = resolve_frontier(self.plan, env)
+        outputs = self._compute(cluster, values)
         if self.partitioning.r == 1:
-            tiles = self._run_single_pass(cluster, values)
+            tiles = {pq: tile for pq, (tile,) in outputs.items()}
         else:
-            tiles = self._run_with_aggregation(cluster, values)
+            tiles = self._aggregate(cluster, values, outputs)
         if isinstance(self.plan.root, AggNode):
             return self._combine_aggregates(cluster, tiles)
         return self._assemble_output(tiles)
-
-    # -- frontier resolution -------------------------------------------------------
-
-    def _resolve_frontier(self, env: Env) -> Dict[Node, BlockedMatrix]:
-        values: Dict[Node, BlockedMatrix] = {}
-        for node in self.plan.frontier():
-            value = env.get(node.node_id)
-            if value is None and isinstance(node, InputNode):
-                value = env.get(node.name)
-            if value is None:
-                raise ExecutionError(f"no binding for frontier node {node!r}")
-            if value.shape != node.meta.shape:
-                raise BlockLayoutError(
-                    f"binding for {node!r} has shape {value.shape}, "
-                    f"expected {node.meta.shape}"
-                )
-            if value.block_size != node.meta.block_size:
-                raise BlockLayoutError(
-                    f"binding for {node!r} uses block size {value.block_size}, "
-                    f"expected {node.meta.block_size}"
-                )
-            values[node] = value
-        return values
 
     # -- slicing ------------------------------------------------------------------------
 
@@ -172,7 +150,7 @@ class CuboidFusedOperator:
         for edge, tag in self.tags.frontier_tags.items():
             consumer, index = edge
             source = consumer.inputs[index]
-            # _resolve_frontier holds every binding to its node's shape and
+            # resolve_frontier holds every binding to its node's shape and
             # block size, so the node's grid is the bound matrix's grid
             rows, cols = (
                 by_kind.get(axis.kind, (((0, extent),), 3))
@@ -188,7 +166,7 @@ class CuboidFusedOperator:
                 slab = (source, row_ranges[at[row_at]], col_ranges[at[col_at]])
                 slabs.setdefault(slab, []).append(edge)
             table[pqr] = tuple(
-                _SlabBinding(*slab, env_key_of(slab[0]), tuple(bound))
+                _SlabBinding(*slab, tuple(bound))
                 for slab, bound in slabs.items()
             )
         return table
@@ -210,12 +188,12 @@ class CuboidFusedOperator:
         task, however many frontier edges consume it.
         """
         frontier: Dict[tuple[Node, int], Block] = {}
-        slices, shared = self._slices, self._shared_inputs
+        slices, shared = self._slices, self._shared
         for binding in self._slice_table[(p, q, r)]:
             block = slices.get(
                 values[binding.source], binding.row_range, binding.col_range
             )
-            if charge_network and binding.env_key not in shared:
+            if charge_network and binding.source not in shared:
                 task.receive(block)
             else:
                 task.receive_local(block)
@@ -223,50 +201,50 @@ class CuboidFusedOperator:
                 frontier[edge] = block
         return SliceEnv(frontier=frontier)
 
-    # -- execution: R == 1 ---------------------------------------------------------------
+    # -- execution ------------------------------------------------------------------------
 
-    def _run_single_pass(
+    def _compute(
         self, cluster: SimulatedCluster, values: Dict[Node, BlockedMatrix]
-    ) -> Dict[tuple[int, int], Block]:
-        tiles: Dict[tuple[int, int], Block] = {}
+    ) -> Dict[tuple[int, int], list[Block]]:
+        """Consolidation and local operation, one task per cuboid.
+
+        With ``R == 1`` a task finishes its ``(p, q)`` tile; otherwise it
+        stops at its partial main product, which :meth:`_aggregate` sums.
+        """
+        finish = self.partitioning.r == 1
+        outputs: Dict[tuple[int, int], list[Block]] = {}
         with cluster.stage(f"cfo[{self.pqr}]:compute") as stage:
             # every task is allocated before any runs, so an aborted stage
             # still records the stage's full width
             work = [(pqr, stage.task()) for pqr in self.partitioning.cuboids()]
             for (p, q, r), task in work:
                 env = self._bind_slices(values, task, p, q, r)
-                if self.mask is not None:
-                    tile = evaluate_masked_slice(
+                if finish and self.mask is not None:
+                    out = evaluate_masked_slice(
                         self.plan, env, self.mm, self.mask,
                         self._tile_shape(p, q),
                     )
-                else:
-                    tile = evaluate_slice(self.plan, env)
-                task.add_flops(env.flops)
-                task.hold_output(tile)
-                tiles[(p, q)] = tile
-        return tiles
-
-    # -- execution: R > 1 ------------------------------------------------------------------
-
-    def _run_with_aggregation(
-        self, cluster: SimulatedCluster, values: Dict[Node, BlockedMatrix]
-    ) -> Dict[tuple[int, int], Block]:
-        partials: Dict[tuple[int, int], list[Block]] = {}
-        with cluster.stage(f"cfo[{self.pqr}]:compute") as stage:
-            work = [(pqr, stage.task()) for pqr in self.partitioning.cuboids()]
-            for (p, q, r), task in work:
-                env = self._bind_slices(values, task, p, q, r)
-                if self.mask is not None:
+                elif finish:
+                    out = evaluate_slice(self.plan, env)
+                elif self.mask is not None:
                     rows, cols = mask_positions(self.plan, env, self.mask)
-                    partial = masked_product(self.plan, env, self.mm, rows, cols)
+                    out = masked_product(self.plan, env, self.mm, rows, cols)
                 else:
-                    partial = evaluate_slice(self.plan, env, root=self.mm)
+                    out = evaluate_slice(self.plan, env, root=self.mm)
                 task.add_flops(env.flops)
-                task.hold_output(partial)
+                task.hold_output(out)
                 # cuboid order, so each (p, q) list is in r-order
-                partials.setdefault((p, q), []).append(partial)
+                outputs.setdefault((p, q), []).append(out)
+        return outputs
 
+    def _aggregate(
+        self,
+        cluster: SimulatedCluster,
+        values: Dict[Node, BlockedMatrix],
+        partials: Dict[tuple[int, int], list[Block]],
+    ) -> Dict[tuple[int, int], Block]:
+        """Matrix aggregation: sum each ``(p, q)``'s partials along the k
+        axis at the owner task ``(p, q, 0)``, then finish the O-space chain."""
         tiles: Dict[tuple[int, int], Block] = {}
         with cluster.stage(f"cfo[{self.pqr}]:aggregate") as stage:
             work = [
@@ -329,14 +307,8 @@ class CuboidFusedOperator:
         extent = self._axis_element_extent(axis)
         return (b0 * block_size, min(b1 * block_size, extent))
 
-    def _root_tag(self) -> tuple[Axis, Axis]:
-        root = self.plan.root
-        if isinstance(root, AggNode):
-            return self.tags.tag_of_operand(root, 0)
-        return self.tags.operator_tags[root]
-
     def _tile_shape(self, p: int, q: int) -> tuple[int, int]:
-        tag = self._root_tag()
+        tag = self.tags.output_tag(self.plan.root)
         r0, r1 = self._axis_element_range(tag[0], p, q)
         c0, c1 = self._axis_element_range(tag[1], p, q)
         return (r1 - r0, c1 - c0)
@@ -344,7 +316,7 @@ class CuboidFusedOperator:
     def _assemble_output(self, tiles: Dict[tuple[int, int], Block]) -> BlockedMatrix:
         meta = self.plan.root.meta
         result = BlockedMatrix(meta)
-        tag = self._root_tag()
+        tag = self.tags.output_tag(self.plan.root)
         for (p, q), tile in tiles.items():
             r0, _ = self._axis_element_range(tag[0], p, q)
             c0, _ = self._axis_element_range(tag[1], p, q)
@@ -358,39 +330,29 @@ class CuboidFusedOperator:
         """Final shuffle combining per-task aggregation partials."""
         root = self.plan.root
         assert isinstance(root, AggNode)
-        kernel = AGGREGATION_KERNELS[root.kernel]
-        child_tag = self.tags.tag_of_operand(root, 0)
-        meta = root.meta
-        result = BlockedMatrix(meta)
+        axis = AGGREGATION_KERNELS[root.kernel].axis
+        row_tag, col_tag = self.tags.output_tag(root)
+        element_range = self._axis_element_range
+        # only the kept axis is located: the other may be private
+        partials = (
+            (
+                agg_offset(
+                    axis,
+                    element_range(row_tag, p, q)[0] if axis == "row" else 0,
+                    element_range(col_tag, p, q)[0] if axis == "col" else 0,
+                ),
+                root.kernel,
+                tile,
+            )
+            for (p, q), tile in sorted(tiles.items())
+        )
+        result = BlockedMatrix(root.meta)
         with cluster.stage(f"cfo[{self.pqr}]:final-agg") as stage:
-            task = stage.task()
-            groups: Dict[tuple[int, int], Block] = {}
-            for (p, q), tile in sorted(tiles.items()):
-                task.receive(tile, kind=TransferKind.AGGREGATION)
-                key = self._agg_group(kernel.axis, child_tag, p, q)
-                if key in groups:
-                    groups[key] = aggregate_combine(root.kernel, groups[key], tile)
-                    task.add_flops(tile.shape[0] * tile.shape[1])
-                else:
-                    groups[key] = tile
+            groups = final_aggregation(stage.task(), partials)
             for (r_off, c_off), tile in groups.items():
-                task.hold_output(tile)
                 _scatter_tile(result, tile, r_off, c_off)
         result.meta = result.refreshed_meta()
         return result
-
-    def _agg_group(
-        self, axis: str, child_tag: tuple[Axis, Axis], p: int, q: int
-    ) -> tuple[int, int]:
-        """Output element offsets a partial aggregate lands at."""
-        if axis == "all":
-            return (0, 0)
-        if axis == "row":
-            r0, _ = self._axis_element_range(child_tag[0], p, q)
-            return (r0, 0)
-        # axis == "col"
-        c0, _ = self._axis_element_range(child_tag[1], p, q)
-        return (0, c0)
 
 
 def _add_blocks(a: Block, b: Block) -> Block:

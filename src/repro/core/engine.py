@@ -29,7 +29,6 @@ from repro.lang.dag import DAG
 from repro.lang.rewrites import refresh_leaf_metas, simplify_dag
 from repro.matrix.distributed import BlockedMatrix
 from repro.operators.cell import FusedCellOperator
-from repro.operators.multi_agg import MultiAggregationOperator
 
 
 class FuseMEEngine(Engine):
@@ -136,8 +135,6 @@ class FuseMEEngine(Engine):
         env: Mapping[object, BlockedMatrix],
     ):
         plan = op.unit.plan
-        if isinstance(plan, MultiAggPlan):
-            return MultiAggregationOperator(plan, self.config).execute(cluster, env)
         if plan.contains_matmul:
             operator = CuboidFusedOperator(plan, self.config, pqr=op.pqr)
             operator.optimizer_result = op.optimizer_result

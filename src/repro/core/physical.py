@@ -196,21 +196,6 @@ class PhysicalPlan:
             waves[depth].append(op)
         return waves
 
-    def critical_path_seconds(self) -> Optional[float]:
-        """Sum over waves of the slowest estimated unit, when every unit has
-        a modeled-seconds estimate; ``None`` otherwise."""
-        total = 0.0
-        for wave in self.waves():
-            secs = [
-                op.estimate.seconds
-                for op in wave
-                if op.estimate is not None and op.estimate.seconds is not None
-            ]
-            if len(secs) != len(wave):
-                return None
-            total += max(secs)
-        return total
-
     # -- rendering ---------------------------------------------------------
 
     def render(self) -> str:

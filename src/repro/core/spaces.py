@@ -91,6 +91,13 @@ class AxisTags:
             return self.operator_tags[child]
         return self.frontier_tags[(consumer, index)]
 
+    def output_tag(self, root: Node) -> Tag:
+        """Tag of the tile a plan rooted at *root* assembles: an
+        aggregation's operand, else the root itself."""
+        if isinstance(root, AggNode):
+            return self.tag_of_operand(root, 0)
+        return self.operator_tags[root]
+
 
 def assign_axis_tags(plan: PartialFusionPlan, mm: MatMulNode) -> AxisTags:
     """Tag every plan node / frontier edge with model-space axes.
@@ -324,11 +331,7 @@ def _choose_layout(plan: PartialFusionPlan) -> PlanLayout:
 
 def _root_grounded(plan: PartialFusionPlan, tags: AxisTags) -> bool:
     """Whether the plan output tile lies on model axes the CFO can assemble."""
-    root = plan.root
-    if isinstance(root, AggNode):
-        tag = tags.tag_of_operand(root, 0)
-    else:
-        tag = tags.operator_tags[root]
+    tag = tags.output_tag(plan.root)
     allowed = {AxisKind.I, AxisKind.J}
     return tag[0].kind in allowed and tag[1].kind in allowed
 

@@ -15,17 +15,15 @@ the cluster — the effect the paper's "overall analysis" calls out.
 from __future__ import annotations
 
 import math
-from typing import Dict, Mapping, Optional
+from typing import Dict, Optional
 
 from repro.blocks import Block
-from repro.blocks.kernels import aggregate_combine, AGGREGATION_KERNELS
+from repro.blocks.kernels import AGGREGATION_KERNELS
 from repro.cluster.executor import SimulatedCluster
 from repro.cluster.slice_cache import SliceCache
-from repro.cluster.task import TransferKind
 from repro.config import EngineConfig
 from repro.core.cfo import _scatter_tile
 from repro.core.fused_eval import SliceEnv, evaluate_masked_slice, evaluate_slice
-from repro.core.physical import env_key_of
 from repro.core.plan import PartialFusionPlan
 from repro.core.spaces import (
     Axis,
@@ -34,11 +32,17 @@ from repro.core.spaces import (
     find_sparsity_mask,
     plan_layout,
 )
-from repro.errors import ExecutionError
-from repro.lang.dag import AggNode, InputNode, Node
+from repro.core.stages import (
+    Env,
+    agg_offset,
+    combine_into,
+    final_aggregation,
+    resolve_frontier,
+    shared_sources,
+)
+from repro.lang.dag import AggNode, Node
 from repro.matrix.distributed import BlockedMatrix
 
-Env = Mapping[object, BlockedMatrix]
 Edge = tuple[Node, int]
 
 
@@ -60,9 +64,6 @@ class BroadcastFusedOperator:
 
     # -- main-matrix selection ----------------------------------------------------
 
-    def _frontier_sources(self) -> list[Node]:
-        return list(self.plan.frontier())
-
     def main_source(self, values: Dict[Node, BlockedMatrix]) -> Node:
         """The largest frontier matrix: the one that gets repartitioned."""
         return max(
@@ -78,13 +79,8 @@ class BroadcastFusedOperator:
 
     def execute(self, cluster: SimulatedCluster, env: Env) -> BlockedMatrix:
         self._slices = cluster.slice_cache
-        values = self._resolve_frontier(env)
-        # graph-pass sharing annotation, captured once per execute
-        shared = {
-            node.node_id
-            for node in self.plan.frontier()
-            if env_key_of(node) in cluster.shared_inputs
-        }
+        values = resolve_frontier(self.plan, env)
+        shared = shared_sources(self.plan, cluster)
         main = self.main_source(values)
         num_tasks = self.num_partitions(values)
 
@@ -93,8 +89,10 @@ class BroadcastFusedOperator:
         owner = self._ownership(values, main, grid_keys, num_tasks)
 
         main_tag = self._main_tag(main)
-        is_agg = isinstance(self.plan.root, AggNode)
-        result = BlockedMatrix(self.plan.root.meta)
+        root = self.plan.root
+        is_agg = isinstance(root, AggNode)
+        axis = AGGREGATION_KERNELS[root.kernel].axis if is_agg else None
+        result = BlockedMatrix(root.meta)
         task_partials: list[Dict[tuple[int, int], Block]] = []
 
         with cluster.stage("bfo:compute") as stage:
@@ -102,28 +100,20 @@ class BroadcastFusedOperator:
             for t, task in work:
                 # broadcast: full copies of every non-main frontier source
                 for source, matrix in values.items():
-                    if source is main:
-                        continue
-                    if source.node_id in shared:
-                        task.receive_local(matrix.nbytes)
-                    else:
-                        task.receive(matrix.nbytes)
+                    if source is not main:
+                        receive = task.receive_local if source in shared else task.receive
+                        receive(matrix.nbytes)
                 # repartition: this task's main blocks
                 owned = [key for key in grid_keys if owner[key] == t]
-                main_shared = main.node_id in shared
+                receive = task.receive_local if main in shared else task.receive
                 if main_tag is not None:
                     for key in owned:
                         fetch = key if main_tag[0].kind is AxisKind.I else (key[1], key[0])
                         block = values[main].blocks.get(fetch)
                         if block is not None:
-                            if main_shared:
-                                task.receive_local(block)
-                            else:
-                                task.receive(block)
-                elif main_shared:
-                    task.receive_local(values[main].nbytes // num_tasks)
+                            receive(block)
                 else:
-                    task.receive(values[main].nbytes // num_tasks)
+                    receive(values[main].nbytes // num_tasks)
 
                 partials: Dict[tuple[int, int], Block] = {}
                 for i, j in owned:
@@ -137,24 +127,26 @@ class BroadcastFusedOperator:
                         out = evaluate_slice(self.plan, slice_env)
                     task.add_flops(slice_env.flops)
                     if is_agg:
-                        group = self._agg_group(i, j)
-                        if group in partials:
-                            partials[group] = aggregate_combine(
-                                self.plan.root.kernel, partials[group], out
-                            )
-                        else:
-                            partials[group] = out
-                    else:
-                        if out.nnz:
-                            task.hold_output(out)
-                            self._place(result, out, i, j)
+                        group = agg_offset(axis, *self._oriented(i, j))
+                        combine_into(task, partials, group, out, root.kernel)
+                    elif out.nnz:
+                        task.hold_output(out)
+                        self._place(result, out, i, j)
                 if is_agg:
                     for block in partials.values():
                         task.hold_output(block)
                     task_partials.append(partials)
 
         if is_agg:
-            result = self._combine_aggregates(cluster, task_partials)
+            with cluster.stage("bfo:final-agg") as stage:
+                groups = final_aggregation(stage.task(), (
+                    (key, root.kernel, block)
+                    for partials in task_partials
+                    for key, block in sorted(partials.items())
+                ))
+                for key, block in groups.items():
+                    if block.nnz:
+                        result.set_block(key[0], key[1], block)
         # every block was shape-checked when it was placed
         result.meta = result.refreshed_meta()
         return result
@@ -220,68 +212,18 @@ class BroadcastFusedOperator:
                 counter += 1
         return owner
 
-    def _root_tag(self) -> tuple[Axis, Axis]:
-        root = self.plan.root
-        if isinstance(root, AggNode):
-            return self.tags.tag_of_operand(root, 0)
-        return self.tags.operator_tags[root]
+    def _oriented(self, i: int, j: int) -> tuple[int, int]:
+        """Output-grid block key of the model-space cell ``(i, j)``."""
+        tag = self.tags.output_tag(self.plan.root)
+        return (i, j) if tag[0].kind is AxisKind.I else (j, i)
 
     def _tile_shape(self, i: int, j: int) -> tuple[int, int]:
-        tag = self._root_tag()
         meta = self.plan.root.meta
         if isinstance(self.plan.root, AggNode):
             meta = self.plan.root.inputs[0].meta
-        bi, bj = (i, j) if tag[0].kind is AxisKind.I else (j, i)
-        return meta.block_dims(bi, bj)
+        return meta.block_dims(*self._oriented(i, j))
 
     def _place(self, result: BlockedMatrix, tile: Block, i: int, j: int) -> None:
-        tag = self._root_tag()
-        bi, bj = (i, j) if tag[0].kind is AxisKind.I else (j, i)
+        bi, bj = self._oriented(i, j)
         block_size = result.meta.block_size
         _scatter_tile(result, tile, bi * block_size, bj * block_size)
-
-    def _agg_group(self, i: int, j: int) -> tuple[int, int]:
-        assert isinstance(self.plan.root, AggNode)
-        axis = AGGREGATION_KERNELS[self.plan.root.kernel].axis
-        tag = self._root_tag()
-        bi, bj = (i, j) if tag[0].kind is AxisKind.I else (j, i)
-        if axis == "all":
-            return (0, 0)
-        if axis == "row":
-            return (bi, 0)
-        return (0, bj)
-
-    def _combine_aggregates(
-        self,
-        cluster: SimulatedCluster,
-        task_partials: list[Dict[tuple[int, int], Block]],
-    ) -> BlockedMatrix:
-        root = self.plan.root
-        assert isinstance(root, AggNode)
-        result = BlockedMatrix(root.meta)
-        with cluster.stage("bfo:final-agg") as stage:
-            task = stage.task()
-            groups: Dict[tuple[int, int], Block] = {}
-            for partials in task_partials:
-                for key, block in sorted(partials.items()):
-                    task.receive(block, kind=TransferKind.AGGREGATION)
-                    if key in groups:
-                        groups[key] = aggregate_combine(root.kernel, groups[key], block)
-                    else:
-                        groups[key] = block
-            for key, block in groups.items():
-                task.hold_output(block)
-                if block.nnz:
-                    result.set_block(key[0], key[1], block)
-        return result
-
-    def _resolve_frontier(self, env: Env) -> Dict[Node, BlockedMatrix]:
-        values: Dict[Node, BlockedMatrix] = {}
-        for node in self.plan.frontier():
-            value = env.get(node.node_id)
-            if value is None and isinstance(node, InputNode):
-                value = env.get(node.name)
-            if value is None:
-                raise ExecutionError(f"no binding for frontier node {node!r}")
-            values[node] = value
-        return values

@@ -11,6 +11,7 @@ import pytest
 
 from repro.cluster import SimulatedCluster
 from repro.core.plan import PartialFusionPlan
+from repro.core.stages import resolve_frontier
 from repro.errors import TaskOutOfMemoryError
 from repro.lang import DAG, evaluate, log, matrix_input, sum_of
 from repro.matrix import rand_dense, rand_sparse
@@ -54,7 +55,7 @@ class TestBFO:
     def test_main_source_is_largest(self):
         plan, inputs, _ = nmf_setting(density=0.8)
         op = BroadcastFusedOperator(plan, make_config())
-        values = op._resolve_frontier(inputs)
+        values = resolve_frontier(plan, inputs)
         assert op.main_source(values).name == "X"
 
     def test_sparse_main_yields_few_partitions(self):
@@ -62,7 +63,7 @@ class TestBFO:
         plan, inputs, _ = nmf_setting(density=0.005)
         config = make_config(input_split_bytes=64 * 1024)
         op = BroadcastFusedOperator(plan, config)
-        values = op._resolve_frontier(inputs)
+        values = resolve_frontier(plan, inputs)
         assert op.num_partitions(values) <= 2
 
     def test_comm_scales_with_tasks(self):
@@ -75,7 +76,7 @@ class TestBFO:
             op = BroadcastFusedOperator(plan, config)
             cluster = SimulatedCluster(config)
             op.execute(cluster, inputs)
-            values = op._resolve_frontier(inputs)
+            values = resolve_frontier(plan, inputs)
             got[name] = (
                 cluster.metrics.consolidation_bytes,
                 op.num_partitions(values),

@@ -9,7 +9,7 @@ from repro.core.plan import MultiAggPlan, PartialFusionPlan
 from repro.errors import PlanError
 from repro.lang import DAG, colsum, matrix_input, rowsum, sum_of
 from repro.matrix import rand_dense, rand_sparse
-from repro.operators.multi_agg import MultiAggregationOperator
+from repro.operators.cell import FusedCellOperator
 
 from tests.conftest import make_config
 
@@ -58,7 +58,7 @@ class TestOperator:
     def run(self, dag, data, config=None):
         config = config or make_config()
         plan = MultiAggPlan({n for n in dag.nodes() if n.is_operator}, dag)
-        op = MultiAggregationOperator(plan, config)
+        op = FusedCellOperator(plan, config)
         cluster = SimulatedCluster(config)
         outputs = op.execute(cluster, data)
         return plan, outputs, cluster
@@ -100,8 +100,6 @@ class TestOperator:
         for expr in (sum_of(u * x), sum_of(x * v)):
             sub = DAG(expr.node)
             plan = PartialFusionPlan(set(sub.operators()), sub)
-            from repro.operators.cell import FusedCellOperator
-
             FusedCellOperator(plan, config).execute(separate, data)
         saved = (
             separate.metrics.consolidation_bytes
@@ -116,7 +114,7 @@ class TestOperator:
         nodes = {n for n in dag.nodes() if n.is_operator}
         plan = MultiAggPlan(nodes, dag)
         with pytest.raises(PlanError, match="element-wise"):
-            MultiAggregationOperator(plan, make_config())
+            FusedCellOperator(plan, make_config())
 
 
 class TestEngineIntegration:
