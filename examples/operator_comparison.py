@@ -67,7 +67,7 @@ def main() -> None:
     ):
         operator, metrics, failure = run(op_cls, plan, inputs, config)
         detail = ""
-        if isinstance(operator, CuboidFusedOperator):
+        if op_cls is not BroadcastFusedOperator:
             detail = f"(P,Q,R)={operator.pqr}"
         rows.append([
             name,

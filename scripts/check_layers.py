@@ -18,9 +18,11 @@ rules the paper's architecture depends on get called out explicitly:
 
 * ``blocks`` and ``matrix`` never import ``cluster`` (the data plane stays
   runtime-free), and nothing below ``serving`` imports ``serving``;
-* only the physical layer (``core/cfo.py``, ``core/physical.py``) and
-  ``operators/`` may open cluster stages (``.stage(...)``) — engines and
-  everything above talk to the cluster through the physical plan;
+* only the fused operators (``core/cfo.py``, ``operators/bfo.py``,
+  ``operators/cell.py``) and their shared output sink (``core/stages.py``,
+  which runs the final-aggregation stage) may open cluster stages
+  (``.stage(...)``) — engines and everything above talk to the cluster
+  through the physical plan;
 * ``core/calibration.py`` consumes plain floats only: it may import nothing
   above the config layer (in particular never ``serving``), even though the
   ``core`` layer as a whole is allowed more;
@@ -73,9 +75,14 @@ ALLOWED = {
 }
 
 #: Files allowed to call ``<something>.stage(...)``: the cluster package
-#: (which defines it) plus the physical operators that execute units.
-STAGE_ALLOWED_DIRS = ("cluster", "operators")
-STAGE_ALLOWED_FILES = ("core/cfo.py", "core/physical.py")
+#: (which defines it) plus the fused operators and their output sink.
+STAGE_ALLOWED_DIRS = ("cluster",)
+STAGE_ALLOWED_FILES = (
+    "core/cfo.py",
+    "core/stages.py",
+    "operators/bfo.py",
+    "operators/cell.py",
+)
 
 #: ``core/calibration.py`` is the shared store the serving layer publishes
 #: and ``scripts/calibrate.py`` round-trips to disk.  It consumes plain
@@ -207,8 +214,8 @@ def main() -> int:
         if not stage_allowed(rel):
             for lineno in stage_calls(tree):
                 violations.append(
-                    f"{rel}:{lineno}: only operators and the physical layer "
-                    f"may open cluster stages (.stage(...))"
+                    f"{rel}:{lineno}: only the fused operators and their "
+                    f"output sink may open cluster stages (.stage(...))"
                 )
     if violations:
         print(f"check_layers: {len(violations)} violation(s)")

@@ -14,6 +14,7 @@ from typing import Mapping, Optional
 from repro.cluster.executor import SimulatedCluster
 from repro.config import EngineConfig
 from repro.core.cfg import _order_units
+from repro.core.cfo import CuboidFusedOperator
 from repro.core.optimizer import OptimizerResult, optimize_parameters
 from repro.core.physical import (
     UnitAnnotation,
@@ -25,7 +26,6 @@ from repro.execution import Engine
 from repro.lang.dag import DAG
 from repro.matrix.distributed import BlockedMatrix
 from repro.operators.cell import FusedCellOperator
-from repro.operators.matmul_ops import CuboidMatMul
 
 
 class DistMELikeEngine(Engine):
@@ -53,9 +53,8 @@ class DistMELikeEngine(Engine):
     ) -> UnitAnnotation:
         plan = unit.plan
         if plan.contains_matmul:
-            # the unit's plan *is* the single-node plan CuboidMatMul builds,
-            # so searching it here yields the same (P, Q, R) the operator's
-            # constructor used to find on the execution path
+            # the unit's plan is the multiplication's one-node plan, which
+            # the CFO runs at the (P, Q, R) searched here
             result = hint or optimize_parameters(
                 plan,
                 self.config,
@@ -85,9 +84,7 @@ class DistMELikeEngine(Engine):
     ) -> BlockedMatrix:
         plan = op.unit.plan
         if plan.contains_matmul:
-            operator = CuboidMatMul(
-                plan.main_matmul(), plan.dag, self.config, pqr=op.pqr
-            )
+            operator = CuboidFusedOperator(plan, self.config, pqr=op.pqr)
             operator.optimizer_result = op.optimizer_result
             return operator.execute(cluster, env)
         return FusedCellOperator(plan, self.config).execute(cluster, env)

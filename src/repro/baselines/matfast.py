@@ -21,7 +21,7 @@ from repro.execution import Engine
 from repro.lang.dag import DAG, MatMulNode, TransposeNode
 from repro.matrix.distributed import BlockedMatrix
 from repro.operators.cell import FusedCellOperator
-from repro.operators.matmul_ops import BroadcastMatMul
+from repro.operators.bfo import BroadcastFusedOperator
 
 
 class MatFastLikeEngine(Engine):
@@ -65,6 +65,5 @@ class MatFastLikeEngine(Engine):
     ) -> BlockedMatrix:
         plan = op.unit.plan
         if plan.contains_matmul:
-            node = plan.main_matmul()
-            return BroadcastMatMul(node, plan.dag, self.config).execute(cluster, env)
+            return BroadcastFusedOperator(plan, self.config).execute(cluster, env)
         return FusedCellOperator(plan, self.config).execute(cluster, env)

@@ -45,12 +45,12 @@ from repro.core.spaces import (
 )
 from repro.core.stages import (
     Env,
-    agg_offset,
-    final_aggregation,
+    OutputSink,
+    add_blocks,
     resolve_frontier,
     shared_sources,
 )
-from repro.errors import BlockLayoutError, PlanError
+from repro.errors import PlanError
 from repro.lang.dag import AggNode, Node
 from repro.matrix.distributed import BlockedMatrix
 
@@ -96,6 +96,14 @@ class CuboidFusedOperator:
         self._slice_table = plan.derived(
             ("slice_table", self.partitioning.pqr), self._compile_slice_table
         )
+        # which output axes a tile's offset locates: an aggregation root
+        # keeps at most one, and the other may be private
+        root = plan.root
+        axis = (
+            AGGREGATION_KERNELS[root.kernel].axis
+            if isinstance(root, AggNode) else None
+        )
+        self._kept = (axis in (None, "row"), axis in (None, "col"))
         # bound to the cluster's per-execute cache in execute(); the default
         # keeps standalone operator use (tests constructing a CFO directly)
         # working with fresh copies
@@ -115,14 +123,12 @@ class CuboidFusedOperator:
         self._slices = cluster.slice_cache
         self._shared = shared_sources(self.plan, cluster)
         values = resolve_frontier(self.plan, env)
-        outputs = self._compute(cluster, values)
-        if self.partitioning.r == 1:
-            tiles = {pq: tile for pq, (tile,) in outputs.items()}
-        else:
-            tiles = self._aggregate(cluster, values, outputs)
-        if isinstance(self.plan.root, AggNode):
-            return self._combine_aggregates(cluster, tiles)
-        return self._assemble_output(tiles)
+        sink = OutputSink((self.plan.root,), f"cfo[{self.pqr}]:final-agg")
+        partials = self._compute(cluster, values, sink)
+        if partials:
+            self._aggregate(cluster, values, partials, sink)
+        (result,) = sink.finish(cluster)
+        return result
 
     # -- slicing ------------------------------------------------------------------------
 
@@ -174,29 +180,30 @@ class CuboidFusedOperator:
     def _bind_slices(
         self,
         values: Dict[Node, BlockedMatrix],
-        task: TaskContext,
-        p: int,
-        q: int,
-        r: int,
-        charge_network: bool = True,
+        cuboid: tuple[int, int, int],
+        task: Optional[TaskContext] = None,
+        local: bool = False,
     ) -> SliceEnv:
-        """Consolidate every frontier slice this cuboid's task needs.
+        """Consolidate every frontier slice *cuboid*'s task needs.
 
         Materialized slabs come from the cluster's
         :class:`~repro.cluster.slice_cache.SliceCache` — tasks sharing a
-        slab share one real copy.  Each distinct slab is *charged* once per
-        task, however many frontier edges consume it.
+        slab share one real copy.  Each distinct slab is charged to *task*
+        once, however many frontier edges consume it: over the network,
+        or as a *local* read (a shared source is always local).  With no
+        *task* the slabs are bound uncharged.
         """
         frontier: Dict[tuple[Node, int], Block] = {}
         slices, shared = self._slices, self._shared
-        for binding in self._slice_table[(p, q, r)]:
+        for binding in self._slice_table[cuboid]:
             block = slices.get(
                 values[binding.source], binding.row_range, binding.col_range
             )
-            if charge_network and binding.source not in shared:
-                task.receive(block)
-            else:
-                task.receive_local(block)
+            if task is not None:
+                if local or binding.source in shared:
+                    task.receive_local(block)
+                else:
+                    task.receive(block)
             for edge in binding.edges:
                 frontier[edge] = block
         return SliceEnv(frontier=frontier)
@@ -204,54 +211,52 @@ class CuboidFusedOperator:
     # -- execution ------------------------------------------------------------------------
 
     def _compute(
-        self, cluster: SimulatedCluster, values: Dict[Node, BlockedMatrix]
+        self,
+        cluster: SimulatedCluster,
+        values: Dict[Node, BlockedMatrix],
+        sink: OutputSink,
     ) -> Dict[tuple[int, int], list[Block]]:
         """Consolidation and local operation, one task per cuboid.
 
-        With ``R == 1`` a task finishes its ``(p, q)`` tile; otherwise it
-        stops at its partial main product, which :meth:`_aggregate` sums.
+        With ``R == 1`` a task finishes its ``(p, q)`` tile into *sink*;
+        otherwise it stops at its partial main product, returned per
+        ``(p, q)`` in r-order for :meth:`_aggregate` to sum.
         """
         finish = self.partitioning.r == 1
-        outputs: Dict[tuple[int, int], list[Block]] = {}
+        partials: Dict[tuple[int, int], list[Block]] = {}
         with cluster.stage(f"cfo[{self.pqr}]:compute") as stage:
             # every task is allocated before any runs, so an aborted stage
             # still records the stage's full width
             work = [(pqr, stage.task()) for pqr in self.partitioning.cuboids()]
             for (p, q, r), task in work:
-                env = self._bind_slices(values, task, p, q, r)
-                if finish and self.mask is not None:
-                    out = evaluate_masked_slice(
-                        self.plan, env, self.mm, self.mask,
-                        self._tile_shape(p, q),
-                    )
-                elif finish:
-                    out = evaluate_slice(self.plan, env)
-                elif self.mask is not None:
+                env = self._bind_slices(values, (p, q, r), task)
+                if finish:
+                    tile = self._finish(env, p, q)
+                    task.add_flops(env.flops)
+                    sink.emit(task, tile, *self._origin(p, q))
+                    sink.end_task(task)
+                    continue
+                if self.mask is not None:
                     rows, cols = mask_positions(self.plan, env, self.mask)
                     out = masked_product(self.plan, env, self.mm, rows, cols)
                 else:
                     out = evaluate_slice(self.plan, env, root=self.mm)
                 task.add_flops(env.flops)
                 task.hold_output(out)
-                # cuboid order, so each (p, q) list is in r-order
-                outputs.setdefault((p, q), []).append(out)
-        return outputs
+                partials.setdefault((p, q), []).append(out)
+        return partials
 
     def _aggregate(
         self,
         cluster: SimulatedCluster,
         values: Dict[Node, BlockedMatrix],
         partials: Dict[tuple[int, int], list[Block]],
-    ) -> Dict[tuple[int, int], Block]:
+        sink: OutputSink,
+    ) -> None:
         """Matrix aggregation: sum each ``(p, q)``'s partials along the k
         axis at the owner task ``(p, q, 0)``, then finish the O-space chain."""
-        tiles: Dict[tuple[int, int], Block] = {}
         with cluster.stage(f"cfo[{self.pqr}]:aggregate") as stage:
-            work = [
-                ((p, q), stage.task())
-                for p in range(self.partitioning.p)
-                for q in range(self.partitioning.q)
-            ]
+            work = [(pq, stage.task()) for pq in partials]
             for (p, q), task in work:
                 parts = partials[(p, q)]
                 # the owner task (p, q, 0) holds its own partial; others
@@ -260,7 +265,7 @@ class CuboidFusedOperator:
                 summed = parts[0]
                 for part in parts[1:]:
                     task.receive(part, kind=TransferKind.AGGREGATION)
-                    merged = _add_blocks(summed, part)
+                    merged = add_blocks(summed, part)
                     task.add_flops(part.nnz if part.is_sparse else
                                    part.shape[0] * part.shape[1])
                     # partials merge as they stream in; the consumed
@@ -269,42 +274,42 @@ class CuboidFusedOperator:
                     task.release(summed)
                     task.receive_local(merged)
                     summed = merged
-                env = self._bind_slices(
-                    values, task, p, q, 0, charge_network=False
-                )
-                env.bind_node(self.mm, summed)
-                if self.mask is not None:
-                    tile = finish_masked(
-                        self.plan, env, self.mm, self.mask, summed,
-                        self._tile_shape(p, q),
-                    )
-                else:
-                    tile = evaluate_slice(self.plan, env)
+                env = self._bind_slices(values, (p, q, 0), task, local=True)
+                tile = self._finish(env, p, q, summed)
                 task.add_flops(env.flops)
-                task.hold_output(tile)
-                tiles[(p, q)] = tile
-        return tiles
+                sink.emit(task, tile, *self._origin(p, q))
+                sink.end_task(task)
 
-    # -- output handling --------------------------------------------------------------------
+    def _finish(
+        self, env: SliceEnv, p: int, q: int, product: Optional[Block] = None
+    ) -> Block:
+        """The ``(p, q)`` output tile: in one pass over the task's slabs, or
+        over the k-aggregated main *product*; masked cells only when a
+        sparsity mask covers the product."""
+        if product is not None:
+            env.bind_node(self.mm, product)
+        if self.mask is None:
+            return evaluate_slice(self.plan, env)
+        if product is None:
+            return evaluate_masked_slice(
+                self.plan, env, self.mm, self.mask, self._tile_shape(p, q)
+            )
+        return finish_masked(
+            self.plan, env, self.mm, self.mask, product, self._tile_shape(p, q)
+        )
 
-    def _axis_element_extent(self, axis: Axis) -> int:
-        if axis.kind is AxisKind.I:
-            return self.mm.inputs[0].meta.rows
-        if axis.kind is AxisKind.J:
-            return self.mm.inputs[1].meta.cols
-        if axis.kind is AxisKind.K:
-            return self.mm.common_dim
-        raise PlanError("plan output cannot live on a private axis")
+    # -- output geometry --------------------------------------------------------------------
 
     def _axis_element_range(self, axis: Axis, p: int, q: int) -> tuple[int, int]:
-        block_size = self.plan.root.meta.block_size
         if axis.kind is AxisKind.I:
             b0, b1 = self.partitioning.i_ranges()[p]
+            extent = self.mm.inputs[0].meta.rows
         elif axis.kind is AxisKind.J:
             b0, b1 = self.partitioning.j_ranges()[q]
+            extent = self.mm.inputs[1].meta.cols
         else:
-            raise PlanError("plan output cannot span the k axis")
-        extent = self._axis_element_extent(axis)
+            raise PlanError("plan output must lie on the i and j axes")
+        block_size = self.plan.root.meta.block_size
         return (b0 * block_size, min(b1 * block_size, extent))
 
     def _tile_shape(self, p: int, q: int) -> tuple[int, int]:
@@ -313,93 +318,11 @@ class CuboidFusedOperator:
         c0, c1 = self._axis_element_range(tag[1], p, q)
         return (r1 - r0, c1 - c0)
 
-    def _assemble_output(self, tiles: Dict[tuple[int, int], Block]) -> BlockedMatrix:
-        meta = self.plan.root.meta
-        result = BlockedMatrix(meta)
+    def _origin(self, p: int, q: int) -> tuple[int, int]:
+        """Element offset of the ``(p, q)`` tile on the axes the root keeps."""
         tag = self.tags.output_tag(self.plan.root)
-        for (p, q), tile in tiles.items():
-            r0, _ = self._axis_element_range(tag[0], p, q)
-            c0, _ = self._axis_element_range(tag[1], p, q)
-            _scatter_tile(result, tile, r0, c0)
-        result.meta = result.refreshed_meta()
-        return result
-
-    def _combine_aggregates(
-        self, cluster: SimulatedCluster, tiles: Dict[tuple[int, int], Block]
-    ) -> BlockedMatrix:
-        """Final shuffle combining per-task aggregation partials."""
-        root = self.plan.root
-        assert isinstance(root, AggNode)
-        axis = AGGREGATION_KERNELS[root.kernel].axis
-        row_tag, col_tag = self.tags.output_tag(root)
-        element_range = self._axis_element_range
-        # only the kept axis is located: the other may be private
-        partials = (
-            (
-                agg_offset(
-                    axis,
-                    element_range(row_tag, p, q)[0] if axis == "row" else 0,
-                    element_range(col_tag, p, q)[0] if axis == "col" else 0,
-                ),
-                root.kernel,
-                tile,
-            )
-            for (p, q), tile in sorted(tiles.items())
+        row, col = (
+            self._axis_element_range(axis, p, q)[0] if kept else 0
+            for axis, kept in zip(tag, self._kept)
         )
-        result = BlockedMatrix(root.meta)
-        with cluster.stage(f"cfo[{self.pqr}]:final-agg") as stage:
-            groups = final_aggregation(stage.task(), partials)
-            for (r_off, c_off), tile in groups.items():
-                _scatter_tile(result, tile, r_off, c_off)
-        result.meta = result.refreshed_meta()
-        return result
-
-
-def _add_blocks(a: Block, b: Block) -> Block:
-    """Sum two partial-product tiles (sparse-friendly)."""
-    if a.is_sparse and b.is_sparse:
-        return Block((a.data + b.data).tocsr())
-    return Block(a.dense_view() + b.dense_view())
-
-
-def _scatter_tile(result: BlockedMatrix, tile: Block, row_off: int, col_off: int) -> None:
-    """Split a task's output tile back into grid blocks of *result*.
-
-    All-zero pieces stay implicit; a piece landing on a stored block adds
-    to it.  The tile is checked against the grid once, which fixes every
-    piece's shape — pieces are then written without a per-block check.
-    """
-    meta = result.meta
-    block_size = meta.block_size
-    tile_rows, tile_cols = tile.shape
-    if row_off % block_size or col_off % block_size:
-        raise BlockLayoutError(
-            f"tile offset ({row_off}, {col_off}) not block aligned"
-        )
-    for extent, offset, limit in (
-        (tile_rows, row_off, meta.rows), (tile_cols, col_off, meta.cols)
-    ):
-        # a tile must end on a block boundary or at the matrix edge, or its
-        # last pieces would not be whole grid blocks
-        end = offset + extent
-        if end > limit or (end < limit and extent % block_size):
-            raise BlockLayoutError(
-                f"a {tile_rows}x{tile_cols} tile at ({row_off}, {col_off}) "
-                f"does not cover whole blocks of a {meta.rows}x{meta.cols} "
-                f"matrix with block size {block_size}"
-            )
-    bi0 = row_off // block_size
-    bj0 = col_off // block_size
-    data = tile.data
-    blocks = result.blocks
-    for r0 in range(0, tile_rows, block_size):
-        bi = bi0 + r0 // block_size
-        rows = data[r0:r0 + block_size]
-        for c0 in range(0, tile_cols, block_size):
-            piece = Block(rows[:, c0:c0 + block_size])
-            if piece.nnz == 0:
-                continue
-            key = (bi, bj0 + c0 // block_size)
-            stored = blocks.get(key)
-            blocks[key] = piece if stored is None else _add_blocks(stored, piece)
-    result.version += 1
+        return row, col

@@ -18,25 +18,16 @@ from __future__ import annotations
 from typing import Dict, Union
 
 from repro.blocks import Block
-from repro.blocks.kernels import AGGREGATION_KERNELS
 from repro.cluster.executor import SimulatedCluster
 from repro.config import EngineConfig
 from repro.core.fused_eval import SliceEnv, evaluate_slice
 from repro.core.plan import MultiAggPlan, PartialFusionPlan
-from repro.core.stages import (
-    Env,
-    agg_offset,
-    combine_into,
-    final_aggregation,
-    resolve_frontier,
-    shared_sources,
-)
+from repro.core.stages import Env, OutputSink, resolve_frontier, shared_sources
 from repro.errors import PlanError
 from repro.lang.dag import AggNode, Node, TransposeNode
 from repro.matrix.distributed import BlockedMatrix
 
 Edge = tuple[Node, int]
-GroupKey = tuple[int, tuple[int, int]]  # (root index, output block key)
 
 
 class FusedCellOperator:
@@ -98,22 +89,18 @@ class FusedCellOperator:
         keys = [(bi, bj) for bi in range(grid_rows) for bj in range(grid_cols)]
         num_tasks = min(cluster.total_tasks, len(keys))
 
-        axes = [
-            AGGREGATION_KERNELS[root.kernel].axis if self.is_agg else None
-            for root in self.roots
-        ]
-        results = [BlockedMatrix(root.meta) for root in self.roots]
-        task_partials: list[Dict[GroupKey, Block]] = []
-
         if self.multi:
             name = f"multi-agg:{len(self.roots)}-outputs"
+            final = "multi-agg:final"
         else:
             name = f"cell:{self.plan.label()[:40]}"
+            final = "cell:final-agg"
+        sink = OutputSink(self.roots, final)
+        block_size = self.roots[0].meta.block_size
         with cluster.stage(name) as stage:
             work = [(t, stage.task()) for t in range(num_tasks)]
             for t, task in work:
                 received: Dict[tuple[int, tuple], Block] = {}
-                partials: Dict[GroupKey, Block] = {}
                 for key in keys[t::num_tasks]:
                     frontier: Dict[Edge, Block] = {}
                     for edge, flipped in self._flips.items():
@@ -130,34 +117,13 @@ class FusedCellOperator:
                             received[cache_key] = block
                         frontier[edge] = block
                     slice_env = SliceEnv(frontier=frontier)
+                    row, col = key[0] * block_size, key[1] * block_size
                     for index, root in enumerate(self.roots):
                         out = evaluate_slice(self.plan, slice_env, root=root)
-                        if self.is_agg:
-                            group = (index, agg_offset(axes[index], *key))
-                            combine_into(task, partials, group, out, root.kernel)
-                        elif out.nnz:
-                            task.hold_output(out)
-                            results[index].set_block(key[0], key[1], out)
+                        sink.emit(task, out, row, col, index)
                     task.add_flops(slice_env.flops)
-                if self.is_agg:
-                    for block in partials.values():
-                        task.hold_output(block)
-                    task_partials.append(partials)
-
-        if self.is_agg:
-            final = "multi-agg:final" if self.multi else "cell:final-agg"
-            with cluster.stage(final) as stage:
-                groups = final_aggregation(stage.task(), (
-                    (group, self.roots[group[0]].kernel, block)
-                    for partials in task_partials
-                    for group, block in sorted(partials.items())
-                ))
-                for (index, key), block in groups.items():
-                    if block.nnz:
-                        results[index].set_block(key[0], key[1], block)
-        # every block was shape-checked when it was placed
-        for result in results:
-            result.meta = result.refreshed_meta()
+                sink.end_task(task)
+        results = sink.finish(cluster)
         if self.multi:
             return dict(zip(self.roots, results))
         return results[0]

@@ -12,7 +12,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from repro.blocks import Block
-from repro.core.cfo import _scatter_tile
+from repro.core.stages import _scatter_tile
 from repro.matrix import BlockedMatrix, MatrixMeta
 
 
