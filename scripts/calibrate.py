@@ -49,7 +49,6 @@ def build_config(args: argparse.Namespace) -> EngineConfig:
         cluster=cluster,
         block_size=BLOCK_SIZE,
         calibration="active",
-        calibration_replan_threshold=args.replan_threshold,
     )
 
 
@@ -113,7 +112,6 @@ def main() -> int:
                         help="existing calibration JSON to warm-start from")
     parser.add_argument("--nodes", type=int, default=8)
     parser.add_argument("--tasks-per-node", type=int, default=12)
-    parser.add_argument("--replan-threshold", type=float, default=0.5)
     args = parser.parse_args()
 
     engine = FuseMEEngine(build_config(args))

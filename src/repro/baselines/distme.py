@@ -84,7 +84,7 @@ class DistMELikeEngine(Engine):
     ) -> BlockedMatrix:
         plan = op.unit.plan
         if plan.contains_matmul:
-            operator = CuboidFusedOperator(plan, self.config, pqr=op.pqr)
-            operator.optimizer_result = op.optimizer_result
-            return operator.execute(cluster, env)
+            return CuboidFusedOperator(plan, self.config, pqr=op.pqr).execute(
+                cluster, env
+            )
         return FusedCellOperator(plan, self.config).execute(cluster, env)

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.config import EngineConfig
 from repro.core.cfg import (
     _cell_fuse_leftovers,
     _order_units,
@@ -34,12 +33,13 @@ from repro.lang.dag import (
     UnaryNode,
 )
 
+#: Density at or below which a multiplication operand counts as sparse
+#: enough to mask its product (the Outer template's trigger).
+OUTER_MAX_DENSITY = 0.4
+
 
 class GenPlanner:
     """Template-based fusion plan generation (SystemDS' GEN)."""
-
-    def __init__(self, config: EngineConfig):
-        self.config = config
 
     def plan(self, dag: DAG) -> FusionPlan:
         covered: set[Node] = set()
@@ -69,7 +69,6 @@ class GenPlanner:
 
     def _outer_templates(self, dag: DAG) -> list[PartialFusionPlan]:
         """Multiplications fused only because a sparse mask covers them."""
-        threshold = self.config.sparse_threshold
         plans: list[PartialFusionPlan] = []
         claimed: set[Node] = set()
         for node in dag.nodes():
@@ -82,7 +81,7 @@ class GenPlanner:
             for idx in (0, 1):
                 sparse_side = node.inputs[idx]
                 dense_side = node.inputs[1 - idx]
-                if sparse_side.meta.density > threshold:
+                if sparse_side.meta.density > OUTER_MAX_DENSITY:
                     continue
                 chain = self._matmul_chain(dag, dense_side)
                 if chain is None:

@@ -43,7 +43,7 @@ class SystemDSLikeEngine(Engine):
 
     def __init__(self, config: Optional[EngineConfig] = None):
         super().__init__(config)
-        self._planner = GenPlanner(self.config)
+        self._planner = GenPlanner()
         # keyed by unit index; read through the last_choices property
         self._choices: Dict[int, str] = {}
 
@@ -52,7 +52,7 @@ class SystemDSLikeEngine(Engine):
         """Operator decisions of the last run, in unit order."""
         return [self._choices[i] for i in sorted(self._choices)]
 
-    def prepare_dag(self, dag: DAG, inputs=None) -> DAG:
+    def prepare_dag(self, dag: DAG) -> DAG:
         self._choices = {}
         return dag
 

@@ -114,14 +114,12 @@ class Stage:
         """Finalize: compute modeled time, record metrics, check timeout."""
         if self._closed:
             raise RuntimeError(f"stage {self.name!r} is already closed")
-        config = self._cluster.config
         consolidation, aggregation, flops, _ = self._totals()
         seconds = stage_seconds(
-            config.cluster,
+            self._cluster.config.cluster,
             num_tasks=len(self.tasks),
             net_bytes=consolidation + aggregation,
             flops=flops,
-            overlap=config.overlap_comm_compute,
         )
         record = self._record(seconds=seconds)
         self._cluster._check_timeout()

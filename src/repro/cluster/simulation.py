@@ -6,8 +6,11 @@ and computation at block granularity::
 
     Cost(c, F) = max(NetEst / (N * Bn), ComEst / (N * Bc))        (Eq. 2)
 
-We apply the same shape to *measured* traffic and flops, with one refinement
-the paper discusses qualitatively in its "overall analysis" of Section 6.2: a
+:func:`eq2` is the one place that formula is written: the planner prices
+estimates with it (:func:`repro.core.cost.price`), the simulator prices
+measured traffic and flops with it (:func:`stage_seconds`), and the serving
+layer splits a query's usage with it.  The simulator adds one refinement the
+paper discusses qualitatively in its "overall analysis" of Section 6.2: a
 stage that runs fewer tasks than the cluster has slots cannot use the whole
 cluster, so its effective bandwidths scale with utilization (this is why the
 paper's BFO is slow on very sparse inputs: X repartitions into only ~13
@@ -18,7 +21,30 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from repro.config import ClusterConfig
+
+
+def eq2(cluster: ClusterConfig, net_bytes, flops, utilization: float = 1.0):
+    """Eq. 2: ``(network seconds, compute seconds, their max)``.
+
+    *net_bytes* and *flops* are cluster-wide totals, each a number or a
+    float64 array broadcastable against the other (the planner prices a
+    whole ``(Q, R)`` grid in one call).  The max is a Python float for
+    scalar input and an array otherwise.  *utilization* scales both
+    bandwidths; at the default ``1.0`` the denominators are exactly
+    ``N * Bn`` and ``N * Bc``.
+    """
+    net_seconds = net_bytes / (
+        cluster.num_nodes * cluster.network_bandwidth * utilization
+    )
+    com_seconds = flops / (
+        cluster.num_nodes * cluster.compute_bandwidth * utilization
+    )
+    if isinstance(net_seconds, np.ndarray) or isinstance(com_seconds, np.ndarray):
+        return net_seconds, com_seconds, np.maximum(net_seconds, com_seconds)
+    return net_seconds, com_seconds, float(max(net_seconds, com_seconds))
 
 
 def stage_seconds(
@@ -26,9 +52,9 @@ def stage_seconds(
     num_tasks: int,
     net_bytes: int,
     flops: int,
-    overlap: bool = True,
 ) -> float:
-    """Modeled wall-clock seconds for one stage.
+    """Modeled wall-clock seconds for one stage: Eq. 2 at the stage's
+    slot utilization, plus one launch overhead per wave of tasks.
 
     Parameters
     ----------
@@ -40,18 +66,11 @@ def stage_seconds(
         Bytes moved during the stage (consolidation + aggregation).
     flops:
         Floating point operations executed by the stage.
-    overlap:
-        Model communication/computation overlap (Eq. 2's ``max``); when
-        False the two terms add, an ablation of the overlap assumption.
     """
     if num_tasks <= 0:
         return 0.0
     slots = cluster.total_tasks
     utilization = min(num_tasks, slots) / slots
-    effective_net = cluster.num_nodes * cluster.network_bandwidth * utilization
-    effective_comp = cluster.num_nodes * cluster.compute_bandwidth * utilization
-    net_time = net_bytes / effective_net
-    comp_time = flops / effective_comp
-    busy = max(net_time, comp_time) if overlap else net_time + comp_time
+    busy = eq2(cluster, net_bytes, flops, utilization)[2]
     waves = math.ceil(num_tasks / slots)
     return busy + waves * cluster.task_launch_overhead

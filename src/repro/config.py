@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 from typing import Optional
 
 #: Valid values for :attr:`EngineConfig.calibration`.
-CALIBRATION_MODES = ("off", "observe", "active")
+CALIBRATION_MODES = ("off", "active")
 
 #: Valid values for :attr:`EngineConfig.graph_passes`.
 GRAPH_PASS_MODES = ("off", "all")
@@ -105,13 +105,6 @@ class EngineConfig:
     sparsity_exploitation: bool = True
     #: Enable the CFG exploitation phase (plan splitting, Algorithm 3).
     exploitation_phase: bool = True
-    #: Model communication/computation overlap (Eq. 2 uses max; False -> sum).
-    overlap_comm_compute: bool = True
-    #: Density below which generated blocks are stored sparse (CSR).
-    sparse_threshold: float = 0.4
-    #: Replace declared input densities with measured densities before
-    #: planning (sharpens the optimizer's size estimates).
-    refine_input_metas: bool = False
     #: Fusion-plan cache capacity (entries) per engine; 0 disables caching.
     #: Iterative workloads re-executing a structurally identical DAG skip
     #: CFG planning and the (P, Q, R) search entirely on a hit.
@@ -121,24 +114,15 @@ class EngineConfig:
     #: outputs are bit-identical at either setting; False removes even the
     #: bookkeeping wall-clock for overhead A/B runs.
     telemetry: bool = True
-    #: Cost-model calibration state machine (:mod:`repro.core.calibration`).
-    #: ``"off"`` (default): paper constants only — every number bit-identical
-    #: to the uncalibrated engine.  ``"observe"``: executions feed the
-    #: per-kernel throughput store but planning is unchanged.  ``"active"``:
-    #: the ``(P, Q, R)`` search and CFG plan costing price with the fitted
-    #: effective throughputs, and cached plans whose observed seconds-error
-    #: crosses :attr:`calibration_replan_threshold` are evicted and
+    #: Cost-model calibration (:mod:`repro.core.calibration`).  ``"off"``
+    #: (default): paper constants only — every number bit-identical to the
+    #: uncalibrated engine.  ``"active"``: executions feed the per-kernel
+    #: throughput store, the ``(P, Q, R)`` search and CFG plan costing
+    #: price with the fitted effective throughputs, and cached plans whose
+    #: observed seconds-error crosses
+    #: :data:`~repro.core.calibration.REPLAN_THRESHOLD` are evicted and
     #: re-planned with the latest coefficients.
     calibration: str = "off"
-    #: Observations retained per (kernel kind, sparsity bucket) window.
-    calibration_window: int = 256
-    #: Minimum observations before a kernel's fit is trusted; below it the
-    #: cost model falls back to the pooled kind-wide fit, then to the paper
-    #: constants.
-    calibration_min_samples: int = 3
-    #: Mean abs relative seconds-error above which an ``"active"`` engine
-    #: evicts a cached plan and re-plans it with the latest coefficients.
-    calibration_replan_threshold: float = 0.5
     #: Graph-level optimizer passes run over the raw physical plan before
     #: execution (:mod:`repro.core.passes`).  ``"all"`` (default) merges
     #: independent units that share an input and consolidates each shared
@@ -152,8 +136,6 @@ class EngineConfig:
             raise ValueError("block_size must be positive")
         if self.timeout_seconds <= 0:
             raise ValueError("timeout_seconds must be positive")
-        if not 0.0 <= self.sparse_threshold <= 1.0:
-            raise ValueError("sparse_threshold must be within [0, 1]")
         if self.plan_cache_size < 0:
             raise ValueError("plan_cache_size cannot be negative")
         if self.calibration not in CALIBRATION_MODES:
@@ -161,12 +143,6 @@ class EngineConfig:
                 f"calibration must be one of {CALIBRATION_MODES}, "
                 f"got {self.calibration!r}"
             )
-        if self.calibration_window <= 0:
-            raise ValueError("calibration_window must be positive")
-        if self.calibration_min_samples < 2:
-            raise ValueError("calibration_min_samples must be at least 2")
-        if self.calibration_replan_threshold <= 0:
-            raise ValueError("calibration_replan_threshold must be positive")
         if self.graph_passes not in GRAPH_PASS_MODES:
             raise ValueError(
                 f"graph_passes must be one of {GRAPH_PASS_MODES}, "

@@ -63,6 +63,10 @@ SPARSE_THRESHOLD = 0.05
 #: Pooled-fit pseudo bucket: all observations of a kind, any sparsity.
 ANY_BUCKET = "*"
 
+#: Mean abs relative seconds-error above which an ``"active"`` engine
+#: evicts a cached plan and re-plans it with the latest coefficients.
+REPLAN_THRESHOLD = 0.5
+
 KernelKey = Tuple[str, str]
 
 

@@ -28,6 +28,7 @@ from typing import Callable, Dict, Optional
 
 from repro.config import EngineConfig
 from repro.core.calibration import KernelCalibration
+from repro.core.cost import price
 from repro.core.optimizer import optimize_parameters
 from repro.core.plan import FusionPlan, MultiAggPlan, PartialFusionPlan, PlanUnit
 from repro.errors import PlanError
@@ -236,7 +237,6 @@ def _cell_cost(
     calibration: Optional[CalibrationProvider] = None,
 ) -> float:
     """Cost of a matmul-free plan: one pass over its frontier inputs."""
-    cluster = config.cluster
     total_bytes = sum(
         consumer.inputs[idx].meta.estimated_bytes
         for consumer in plan.topo_nodes()
@@ -244,15 +244,8 @@ def _cell_cost(
         if child not in plan.nodes
     )
     total_flops = sum(n.estimated_flops() for n in plan.topo_nodes())
-    if calibration is not None:
-        fit = calibration("cell", plan)
-        if fit is not None:
-            return fit.predict_seconds(total_bytes, total_flops)
-    net_time = total_bytes / (cluster.num_nodes * cluster.network_bandwidth)
-    com_time = total_flops / (cluster.num_nodes * cluster.compute_bandwidth)
-    if config.overlap_comm_compute:
-        return max(net_time, com_time)
-    return net_time + com_time
+    fit = calibration("cell", plan) if calibration is not None else None
+    return price(config, total_bytes, total_flops, fit)
 
 
 # ---------------------------------------------------------------------------

@@ -72,7 +72,6 @@ class CuboidFusedOperator:
         plan: PartialFusionPlan,
         config: EngineConfig,
         pqr: Optional[tuple[int, int, int]] = None,
-        optimizer_method: str = "pruned",
     ):
         self.plan = plan
         self.config = config
@@ -83,7 +82,7 @@ class CuboidFusedOperator:
         self.optimizer_result: Optional[OptimizerResult] = None
         if pqr is None:
             self.optimizer_result = optimize_parameters(
-                plan, config, tree=self.tree, method=optimizer_method
+                plan, config, tree=self.tree
             )
             pqr = self.optimizer_result.pqr
         extent_i, extent_j, extent_k = self.mm.mm_dims()

@@ -11,7 +11,8 @@ Implements Section 3.3 faithfully:
 * Eq. 5 — computation: operators in L-, R-, O-space are recomputed ``Q``,
   ``P``, ``R`` times respectively; the main multiplication exactly once.
 * Eq. 2 — ``Cost = max(NetEst / (N*Bn), ComEst / (N*Bc))``, communication and
-  computation overlapping at block granularity.
+  computation overlapping at block granularity: :func:`price`, which calls
+  the simulator's own :func:`repro.cluster.simulation.eq2`.
 * Algorithm 1 — nested multiplications recurse with the confined parameters
   ``(P,1,R)`` / ``(1,Q,R)`` / ``(P,Q,1)``; their network and computation
   contributions additionally scale with the replication factor of the space
@@ -36,8 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
+from repro.cluster.simulation import eq2
 from repro.config import EngineConfig
 from repro.core.calibration import KernelCalibration
 from repro.core.plan import PartialFusionPlan
@@ -57,6 +57,21 @@ INFEASIBLE = float("inf")
 #: ``(P, Q, R)``: each an int, or a float64 array broadcastable against the
 #: other two.  Results are floats for all-int input, arrays otherwise.
 Pqr = tuple
+
+
+def price(
+    config: EngineConfig,
+    net,
+    flops,
+    calibration: Optional[KernelCalibration] = None,
+):
+    """Seconds for cluster-wide *net* bytes and *flops*: Eq. 2
+    (:func:`repro.cluster.simulation.eq2`) with the paper constants, or
+    the fitted throughputs when *calibration* is given.  Array-polymorphic
+    like the estimates it prices."""
+    if calibration is not None:
+        return calibration.predict_seconds(net, flops)
+    return eq2(config.cluster, net, flops)[2]
 
 
 @dataclass(frozen=True)
@@ -122,16 +137,21 @@ class CostModel:
             mem_bytes_per_task=mem,
             net_bytes=net,
             com_flops=com,
-            # ``np.maximum`` hands back a numpy scalar; PlanCost holds floats
-            cost_seconds=float(self._price(net, com)) if feasible else INFEASIBLE,
+            cost_seconds=(
+                float(price(self.config, net, com, self.calibration))
+                if feasible else INFEASIBLE
+            ),
             feasible=feasible,
         )
 
     def full_seconds(self, plan: PartialFusionPlan, tree: SpaceTree, pqr: Pqr):
         """Cost with the aggregation shuffle, ignoring memory feasibility:
         ``evaluate(...).cost_seconds`` of every feasible candidate in *pqr*."""
-        return self._price(
-            self._full_net(plan, tree, pqr), self.com_est(tree, pqr)
+        return price(
+            self.config,
+            self._full_net(plan, tree, pqr),
+            self.com_est(tree, pqr),
+            self.calibration,
         )
 
     def raw_seconds(self, tree: SpaceTree, pqr: Pqr):
@@ -141,19 +161,12 @@ class CostModel:
         full evaluation under either pricing, since both are non-decreasing
         in net and com.
         """
-        return self._price(self.net_est(tree, pqr), self.com_est(tree, pqr))
-
-    def _price(self, net, com):
-        """Seconds for cluster-wide *net* bytes and *com* flops — Eq. 2 with
-        the paper constants, or the fitted throughputs when calibrated."""
-        if self.calibration is not None:
-            return self.calibration.predict_seconds(net, com)
-        cluster = self.config.cluster
-        net_time = net / (cluster.num_nodes * cluster.network_bandwidth)
-        com_time = com / (cluster.num_nodes * cluster.compute_bandwidth)
-        if self.config.overlap_comm_compute:
-            return np.maximum(net_time, com_time)
-        return net_time + com_time
+        return price(
+            self.config,
+            self.net_est(tree, pqr),
+            self.com_est(tree, pqr),
+            self.calibration,
+        )
 
     # -- MemEst (Algorithm 1) --------------------------------------------------
 

@@ -26,7 +26,7 @@ from repro.core.physical import (
 from repro.core.plan import FusionPlan, MultiAggPlan, PlanUnit
 from repro.execution import Engine
 from repro.lang.dag import DAG
-from repro.lang.rewrites import refresh_leaf_metas, simplify_dag
+from repro.lang.rewrites import simplify_dag
 from repro.matrix.distributed import BlockedMatrix
 from repro.operators.cell import FusedCellOperator
 
@@ -45,25 +45,15 @@ class FuseMEEngine(Engine):
         self.optimizer_method = optimizer_method
         self.last_report: Optional[ExploitationReport] = None
 
-    def prepare_dag(self, dag: DAG, inputs=None) -> DAG:
+    def prepare_dag(self, dag: DAG) -> DAG:
         """Simplify the DAG (double-transpose and scalar-chain cleanups)
-        before planning.  With ``config.refine_input_metas`` and bound
-        inputs, the declared leaf densities are also replaced by the
-        matrices' measured densities, sharpening the optimizer's size
-        estimates."""
+        before planning."""
         # clear per-query planner state up front: on a plan-cache hit
         # plan_query never runs, and a stale report from an earlier query
         # (possibly another tenant's, under the serving layer) must not
         # leak into this one
         self.last_report = None
-        dag = simplify_dag(dag)
-        if inputs is not None and self.config.refine_input_metas:
-            metas = {
-                name: matrix.refreshed_meta()
-                for name, matrix in inputs.items()
-            }
-            dag = refresh_leaf_metas(dag, metas)
-        return dag
+        return simplify_dag(dag)
 
     def planning_signature(self) -> tuple:
         return super().planning_signature() + (self.optimizer_method,)
@@ -136,7 +126,7 @@ class FuseMEEngine(Engine):
     ):
         plan = op.unit.plan
         if plan.contains_matmul:
-            operator = CuboidFusedOperator(plan, self.config, pqr=op.pqr)
-            operator.optimizer_result = op.optimizer_result
-            return operator.execute(cluster, env)
+            return CuboidFusedOperator(plan, self.config, pqr=op.pqr).execute(
+                cluster, env
+            )
         return FusedCellOperator(plan, self.config).execute(cluster, env)

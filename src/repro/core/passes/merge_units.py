@@ -23,7 +23,7 @@ import time
 from dataclasses import replace
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
-from repro.core.cost import CostModel
+from repro.core.cost import CostModel, price
 from repro.core.physical import (
     PhysicalPlan,
     UnitEstimate,
@@ -35,19 +35,6 @@ from repro.core.spaces import plan_layout
 from repro.lang.dag import InputNode
 
 from repro.core.passes.base import GraphPass, PassReport
-
-
-def _price(config, calibration, net: float, flops: float) -> float:
-    """Seconds for *net* bytes + *flops* — Eq. 2 or the fitted throughputs
-    (mirrors :meth:`CostModel._price` for units without a space tree)."""
-    if calibration is not None:
-        return calibration.predict_seconds(net, flops)
-    cluster = config.cluster
-    net_time = net / (cluster.num_nodes * cluster.network_bandwidth)
-    com_time = flops / (cluster.num_nodes * cluster.compute_bandwidth)
-    if config.overlap_comm_compute:
-        return max(net_time, com_time)
-    return net_time + com_time
 
 
 def _group_topo(ops: Sequence[UnitOp], group_of: Dict[int, int]) -> List[int]:
@@ -321,10 +308,9 @@ class MergeUnitsPass(GraphPass):
             net, flops = float(est.net_bytes), float(est.flops)
             seconds = est.seconds
             if seconds is None:
-                seconds = _price(
-                    engine.config,
+                seconds = price(
+                    engine.config, net, flops,
                     engine.calibration_for(op.kind, plan),
-                    net, flops,
                 )
             return net, flops, float(seconds)
         if op.pqr is not None and getattr(plan, "contains_matmul", False):
@@ -350,7 +336,7 @@ class MergeUnitsPass(GraphPass):
                 free_bytes += float(dep.meta.estimated_bytes)
         net = max(0.0, float(est.net_bytes) - free_bytes)
         flops = float(est.flops)
-        seconds = _price(
-            engine.config, engine.calibration_for(op.kind, plan), net, flops
+        seconds = price(
+            engine.config, net, flops, engine.calibration_for(op.kind, plan)
         )
         return net, flops, seconds

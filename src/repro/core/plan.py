@@ -275,10 +275,6 @@ class FusionPlan:
                     )
             produced.update(unit.outputs)
 
-    @property
-    def fused_units(self) -> tuple[PlanUnit, ...]:
-        return tuple(u for u in self.units if u.is_fused)
-
     def dump(self) -> str:
         lines = []
         for i, unit in enumerate(self.units):

@@ -56,8 +56,8 @@ def dag_fingerprint(dag: DAG) -> tuple:
     """A canonical, hashable description of the DAG's planning-relevant
     structure.  Node identity is positional (topological ordinals), so two
     independently built DAGs with the same shape fingerprint identically.
-    Densities enter the key exactly: with ``refine_input_metas`` the measured
-    densities drift between iterations and correctly force a re-plan.
+    Densities enter the key exactly: a query declaring other densities
+    is planned afresh.
     """
     ordinals: Dict[Node, int] = {}
     entries = []

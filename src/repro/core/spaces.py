@@ -231,9 +231,6 @@ class Space:
     #: Nested model spaces opened by matmuls inside this space.
     nested: list["SpaceTree"] = field(default_factory=list)
 
-    def is_empty(self) -> bool:
-        return not (self.operators or self.materialized or self.nested)
-
 
 @dataclass
 class SpaceTree:

@@ -30,6 +30,7 @@ from repro.cluster.slice_cache import SliceCache
 from repro.config import EngineConfig
 from repro.obs import QueryProfile, Span, SpanTracer
 from repro.core.calibration import (
+    REPLAN_THRESHOLD,
     CalibrationStore,
     KernelCalibration,
     sparsity_bucket,
@@ -139,15 +140,11 @@ class Engine(ABC):
         #: Per-kernel throughput observations + fits
         #: (:mod:`repro.core.calibration`).  Always constructed — it is
         #: inert (never read, never written) while
-        #: ``config.calibration == "off"``; ``"observe"`` feeds it after
-        #: each execute; ``"active"`` additionally prices planning with its
-        #: fits and re-plans cached entries whose error crossed the
-        #: threshold.  The serving layer shares one engine, hence one store,
-        #: across tenants.
-        self.calibration = CalibrationStore(
-            window=self.config.calibration_window,
-            min_samples=self.config.calibration_min_samples,
-        )
+        #: ``config.calibration == "off"``; ``"active"`` feeds it after each
+        #: execute, prices planning with its fits and re-plans cached
+        #: entries whose error crossed the threshold.  The serving layer
+        #: shares one engine, hence one store, across tenants.
+        self.calibration = CalibrationStore()
 
     def close(self) -> None:
         """Release engine-owned runtime resources (idempotent).
@@ -185,10 +182,8 @@ class Engine(ABC):
         kind, cuboid parameters), so this must not mutate engine state.
         """
 
-    def prepare_dag(self, dag: DAG, inputs: Optional[Mapping[str, BlockedMatrix]] = None) -> DAG:
-        """Engine-specific query normalization before planning (rewrites,
-        metadata refinement).  *inputs* is None when called from
-        :meth:`explain` without bound matrices."""
+    def prepare_dag(self, dag: DAG) -> DAG:
+        """Engine-specific query normalization (rewrites) before planning."""
         return dag
 
     def annotate_unit(
@@ -259,22 +254,13 @@ class Engine(ABC):
         state (e.g. the FuseME optimizer method) append to this tuple.
         """
         config = self.config
-        cluster = config.cluster
         return (
             type(self).__name__,
             self.name,
-            cluster.num_nodes,
-            cluster.tasks_per_node,
-            cluster.task_memory_budget,
-            cluster.network_bandwidth,
-            cluster.compute_bandwidth,
-            cluster.task_launch_overhead,
-            cluster.input_split_bytes,
+            config.cluster,
             config.block_size,
             config.sparsity_exploitation,
             config.exploitation_phase,
-            config.overlap_comm_compute,
-            config.sparse_threshold,
             config.calibration,
             config.graph_passes,
         )
@@ -349,27 +335,18 @@ class Engine(ABC):
         )
         return run_graph_passes(self, physical, tracer=tracer)
 
-    def explain(
-        self,
-        query: Query,
-        inputs: Optional[Mapping[str, BlockedMatrix]] = None,
-    ) -> str:
+    def explain(self, query: Query) -> str:
         """Render the physical plan for *query* without executing it.
 
         Plans and lowers exactly the way :meth:`execute` would (sharing the
         plan cache, so a later execute of the same query reuses the work)
-        but never opens a cluster stage.  *inputs* is optional — when given
-        it feeds the same metadata refinement execute would apply.
+        but never opens a cluster stage.
         """
-        return self.lower_query(query, inputs).render()
+        return self.lower_query(query).render()
 
-    def lower_query(
-        self,
-        query: Query,
-        inputs: Optional[Mapping[str, BlockedMatrix]] = None,
-    ) -> PhysicalPlan:
+    def lower_query(self, query: Query) -> PhysicalPlan:
         """Plan + lower *query* to its :class:`PhysicalPlan` (no execution)."""
-        dag = self.prepare_dag(as_dag(query), inputs)
+        dag = self.prepare_dag(as_dag(query))
         with self._execute_lock:
             _, physical, _, _ = self._plan_physical(dag)
         return physical
@@ -390,7 +367,7 @@ class Engine(ABC):
         queries sharing one long-lived cluster report independent per-query
         numbers while the cluster's own collector keeps whole-job totals.
         """
-        dag = self.prepare_dag(as_dag(query), inputs)
+        dag = self.prepare_dag(as_dag(query))
         dag.validate_inputs(inputs.keys())
         self._check_bindings(dag, inputs)
         if cluster is None:
@@ -495,7 +472,7 @@ class Engine(ABC):
                         cluster.metrics.bump("slice_cache_misses", miss_delta)
 
         outputs = {root: self._root_value(root, env, inputs) for root in dag.roots}
-        if self.config.calibration != "off":
+        if self.calibration_active:
             # feed the store (and maybe evict the plan) before the final
             # diff, so the calibration counters land in this query's delta
             self._calibration_feedback(
@@ -525,12 +502,12 @@ class Engine(ABC):
         delta: MetricsCollector,
         cluster: SimulatedCluster,
     ) -> None:
-        """Close the loop after one execute (``observe`` and ``active``).
+        """Close the loop after one ``active`` execute.
 
         Every unit's measured per-unit totals become one
         :class:`~repro.core.calibration.Observation` under its operator
-        kind + sparsity bucket.  In ``active`` mode, a cached plan whose
-        mean abs seconds error crossed the replan threshold — while the
+        kind + sparsity bucket.  A cached plan whose mean abs seconds error
+        crossed :data:`~repro.core.calibration.REPLAN_THRESHOLD` — while the
         store learned something since the plan was made — is evicted, so
         the next structurally identical query re-plans with the latest
         coefficients (adaptive re-planning).  Counters are observability
@@ -591,14 +568,14 @@ class Engine(ABC):
         if observed:
             cluster.metrics.bump("calibration_observations", observed)
 
-        if not (self.calibration_active and cache_key is not None and errors):
+        if cache_key is None or not errors:
             return
         entry = self.plan_cache.peek(cache_key)
         if entry is None:
             return
         mean_error = sum(errors) / len(errors)
         stale = entry.fit_generation is None or entry.fit_generation < generation
-        if mean_error > self.config.calibration_replan_threshold and stale:
+        if mean_error > REPLAN_THRESHOLD and stale:
             if self.plan_cache.invalidate(cache_key):
                 cluster.metrics.bump("plan_cache_calibration_evictions")
 
@@ -609,9 +586,8 @@ class Engine(ABC):
         inputs: Optional[Mapping[str, BlockedMatrix]] = None,
     ) -> BlockedMatrix:
         # a bare-input root resolves by name, never by node id: in a
-        # multi-root DAG the leaf object may have been rebuilt by rewrites
-        # (meta refresh) or belong to a cached plan's DAG, and the name is
-        # the stable binding key
+        # multi-root DAG the leaf object may belong to a cached plan's DAG,
+        # and the name is the stable binding key
         if isinstance(root, InputNode):
             value = env.get(root.name)
             if value is None and inputs is not None:

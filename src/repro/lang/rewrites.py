@@ -28,29 +28,6 @@ from repro.lang.dag import (
 _FOLDABLE = {"add": lambda a, b: a + b, "mul": lambda a, b: a * b}
 
 
-def refresh_leaf_metas(dag: DAG, metas) -> DAG:
-    """Rebuild *dag* with leaf metadata replaced by measured metadata.
-
-    Queries declare input densities up front; once the actual matrices are
-    bound, their measured density (and exact shape) can differ from the
-    declaration.  This rewrite swaps each :class:`InputNode`'s meta for the
-    measured one and re-derives every downstream estimate, which sharpens
-    the optimizer's ``size(v)`` terms (Eqs. 3-4) before planning.
-
-    ``metas`` maps input names to :class:`~repro.matrix.meta.MatrixMeta`;
-    unknown names keep their declared meta.
-    """
-    rebuilt: Dict[int, Node] = {}
-    for node in dag.nodes():
-        if isinstance(node, InputNode):
-            meta = metas.get(node.name)
-            result = InputNode(node.name, meta) if meta is not None else node
-        else:
-            result = _rewrite(node, [rebuilt[c.node_id] for c in node.inputs])
-        rebuilt[node.node_id] = result
-    return DAG([rebuilt[root.node_id] for root in dag.roots])
-
-
 def simplify_dag(dag: DAG) -> DAG:
     """Return an equivalent DAG with the standard cleanups applied."""
     rebuilt: Dict[int, Node] = {}

@@ -9,12 +9,6 @@ one record, exactly like the paper's RDD records keyed by block indices.
 
 from repro.matrix.meta import MatrixMeta
 from repro.matrix.distributed import BlockedMatrix
-from repro.matrix.partitioner import (
-    ColumnPartitioner,
-    GridPartitioner,
-    Partitioner,
-    RowPartitioner,
-)
 from repro.matrix.generators import (
     from_numpy,
     from_scipy,
@@ -28,10 +22,6 @@ from repro.matrix.generators import (
 __all__ = [
     "MatrixMeta",
     "BlockedMatrix",
-    "Partitioner",
-    "RowPartitioner",
-    "ColumnPartitioner",
-    "GridPartitioner",
     "from_numpy",
     "from_scipy",
     "identity",

@@ -15,7 +15,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.blocks.block import Block
-from repro.errors import BlockLayoutError, MatrixShapeError
+from repro.errors import BlockLayoutError
 from repro.matrix.meta import MatrixMeta
 
 BlockKey = Tuple[int, int]
@@ -300,14 +300,3 @@ class BlockedMatrix:
             f"stored_blocks={len(self.blocks)}/{self.meta.num_blocks}, "
             f"nnz={self.nnz})"
         )
-
-
-def vstack_metas(top: MatrixMeta, bottom: MatrixMeta) -> MatrixMeta:
-    """Meta of vertically concatenated matrices (used by dataset builders)."""
-    if top.cols != bottom.cols:
-        raise MatrixShapeError("vstack operands must share column count")
-    if top.block_size != bottom.block_size:
-        raise MatrixShapeError("vstack operands must share block size")
-    total = top.rows + bottom.rows
-    density = (top.estimated_nnz + bottom.estimated_nnz) / (total * top.cols)
-    return MatrixMeta(total, top.cols, top.block_size, density)

@@ -41,6 +41,7 @@ from dataclasses import replace
 from typing import Dict, List, Mapping, Optional
 
 from repro.cluster.executor import SimulatedCluster
+from repro.cluster.simulation import eq2
 from repro.config import ServiceConfig
 from repro.core import FuseMEEngine
 from repro.errors import (
@@ -70,18 +71,18 @@ def _result_usage(
 
     Modeled seconds / shuffled bytes / flops are the per-query metric
     delta verbatim (so per-tenant usage sums to cluster totals); the
-    compute and network second splits derive from the configured
-    bandwidths — the same denominators the CFO cost model charges against.
+    compute and network second splits are the two terms of Eq. 2
+    (:func:`~repro.cluster.simulation.eq2`), the same denominators the
+    cost model charges against.
     """
     metrics = result.metrics
     comm = float(metrics.comm_bytes)
     flops = float(metrics.flops)
+    network_seconds, compute_seconds, _ = eq2(cluster_config, comm, flops)
     return {
         "modeled_seconds": float(metrics.elapsed_seconds),
-        "compute_seconds": flops / (
-            cluster_config.compute_bandwidth * cluster_config.num_nodes
-        ),
-        "network_seconds": comm / cluster_config.network_bandwidth,
+        "compute_seconds": compute_seconds,
+        "network_seconds": network_seconds,
         "shuffled_bytes": comm,
         "flops": flops,
         "wall_seconds": wall_seconds,
@@ -224,8 +225,8 @@ class MatrixService:
     ) -> str:
         """Render *query*'s physical plan without executing it.
 
-        Resolves bindings exactly like :meth:`submit` (so the plan reflects
-        this session's inputs), plans and lowers on the shared engine —
+        Resolves and validates bindings exactly like :meth:`submit`, plans
+        and lowers on the shared engine —
         warming the plan cache a later execute will hit — and never opens
         a cluster stage, bypasses admission, and touches no result cache.
         """
@@ -234,7 +235,7 @@ class MatrixService:
         dag = as_dag(query)
         bound = session.resolve_inputs(inputs)
         dag.validate_inputs(bound.keys())
-        return self.engine.explain(dag, bound)
+        return self.engine.explain(dag)
 
     def profile(
         self,

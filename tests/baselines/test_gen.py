@@ -4,13 +4,11 @@
 from repro.baselines.gen import GenPlanner
 from repro.lang import DAG, log, matrix_input, nnz_mask, sq, sum_of
 
-from tests.conftest import make_config
-
 BS = 25
 
 
 def plan_units(dag):
-    return GenPlanner(make_config()).plan(dag)
+    return GenPlanner().plan(dag)
 
 
 class TestOuterTemplate:

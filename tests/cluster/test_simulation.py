@@ -2,8 +2,13 @@
 
 import pytest
 
-from repro.cluster.simulation import stage_seconds
-from repro.config import ClusterConfig
+from repro.cluster.simulation import eq2, stage_seconds
+from repro.config import ClusterConfig, EngineConfig
+from repro.core.cfg import _cell_cost
+from repro.core.cost import CostModel
+from repro.core.plan import PartialFusionPlan
+from repro.core.spaces import plan_layout
+from repro.lang import DAG, log, matrix_input
 
 
 def cluster(**kwargs) -> ClusterConfig:
@@ -38,12 +43,6 @@ class TestShape:
         both = stage_seconds(c, 40, net_bytes=4 * 10**9, flops=4 * 10**12)
         assert both == pytest.approx(1.0)
 
-    def test_no_overlap_adds(self):
-        c = cluster()
-        both = stage_seconds(c, 40, net_bytes=4 * 10**9, flops=4 * 10**12,
-                             overlap=False)
-        assert both == pytest.approx(2.0)
-
     def test_underutilized_stage_is_slower(self):
         """Few tasks cannot use the whole cluster (the paper's BFO effect)."""
         c = cluster()
@@ -61,3 +60,44 @@ class TestShape:
         slow = stage_seconds(cluster(num_nodes=2), 20, net_bytes=10**9, flops=0)
         fast = stage_seconds(cluster(num_nodes=8), 80, net_bytes=10**9, flops=0)
         assert slow == pytest.approx(4 * fast)
+
+
+def _fused(expr) -> PartialFusionPlan:
+    dag = DAG(expr.node)
+    return PartialFusionPlan(set(dag.operators()), dag)
+
+
+def test_planner_and_simulator_price_with_one_eq2():
+    """The cost model, CFG's cell pricing and the stage model all reduce to
+    the one :func:`eq2` — ``==``, not approx, on the same bytes and flops."""
+    bs = 25
+    config = EngineConfig(cluster=cluster(task_launch_overhead=0.05),
+                          block_size=bs)
+    c = config.cluster
+    x = matrix_input("X", 8 * bs, 6 * bs, bs, density=0.05)
+    u = matrix_input("U", 8 * bs, 2 * bs, bs)
+    v = matrix_input("V", 6 * bs, 2 * bs, bs)
+
+    plan = _fused(x * log(u @ v.T + 1e-8))
+    cost = CostModel(config).evaluate(plan, plan_layout(plan).tree, (2, 2, 1))
+    assert cost.feasible
+    net, flops = cost.net_bytes, cost.com_flops
+    assert net > 0 and flops > 0
+    assert type(cost.cost_seconds) is float
+    assert cost.cost_seconds == eq2(c, net, flops)[2]
+
+    stage = stage_seconds(c, c.total_tasks, net_bytes=net, flops=flops)
+    assert type(stage) is float
+    assert stage == eq2(c, net, flops)[2] + c.task_launch_overhead
+
+    cell = _fused(x * 2.0 + x)
+    cell_bytes = sum(
+        consumer.inputs[idx].meta.estimated_bytes
+        for consumer in cell.topo_nodes()
+        for idx, child in enumerate(consumer.inputs)
+        if child not in cell.nodes
+    )
+    cell_flops = sum(n.estimated_flops() for n in cell.topo_nodes())
+    seconds = _cell_cost(cell, config)
+    assert type(seconds) is float
+    assert seconds == eq2(c, cell_bytes, cell_flops)[2]

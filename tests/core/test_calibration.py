@@ -259,12 +259,18 @@ class TestConfigValidation:
             make_config(calibration="sometimes")
 
     def test_rejects_bad_knobs(self):
+        """``"observe"`` is no longer a mode, and the window, sample and
+        re-plan knobs are fixed: the store's defaults and
+        ``REPLAN_THRESHOLD``."""
         with pytest.raises(ValueError):
-            make_config(calibration_window=0)
-        with pytest.raises(ValueError):
-            make_config(calibration_min_samples=1)
-        with pytest.raises(ValueError):
-            make_config(calibration_replan_threshold=0.0)
+            make_config(calibration="observe")
+        for removed in (
+            "calibration_window",
+            "calibration_min_samples",
+            "calibration_replan_threshold",
+        ):
+            with pytest.raises(TypeError):
+                make_config(**{removed: 1})
 
     def test_default_is_off(self):
         assert EngineConfig().calibration == "off"

@@ -171,7 +171,7 @@ class TestGenerateFusionPlan:
 
         dag = gnmf_dag()
         cfg_plan = generate_fusion_plan(dag, make_config())
-        gen_plan = GenPlanner(make_config()).plan(dag)
+        gen_plan = GenPlanner().plan(dag)
         cfg_largest = max(len(u.plan) for u in cfg_plan)
         gen_largest = max(len(u.plan) for u in gen_plan)
         assert gen_largest == 2

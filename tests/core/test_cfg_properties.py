@@ -92,7 +92,7 @@ def test_cfg_plans_are_always_valid(dag):
 @settings(max_examples=25, deadline=None)
 @given(random_dags())
 def test_gen_plans_are_always_valid(dag):
-    fusion_plan = GenPlanner(make_config()).plan(dag)
+    fusion_plan = GenPlanner().plan(dag)
     assert_valid_plan(dag, fusion_plan)
 
 

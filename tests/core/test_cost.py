@@ -135,14 +135,6 @@ class TestCost:
         assert cost.feasible
         assert 0 < cost.cost_seconds < float("inf")
 
-    def test_overlap_vs_sum(self, setting):
-        plan, layout, _, _ = setting
-        overlap = CostModel(make_config(block_size=BS))
-        serial = CostModel(make_config(block_size=BS, overlap_comm_compute=False))
-        c_overlap = overlap.evaluate(plan, layout.tree, (2, 2, 1))
-        c_serial = serial.evaluate(plan, layout.tree, (2, 2, 1))
-        assert c_serial.cost_seconds >= c_overlap.cost_seconds
-
     def test_cost_ordering(self, setting):
         plan, layout, model, _ = setting
         cheap = model.evaluate(plan, layout.tree, (2, 2, 1))
@@ -166,11 +158,10 @@ class TestCost:
             inv_com_rate=1.3e-10, overhead_seconds=0.05, samples=8,
         ),
     ]),
-    st.booleans(),
     st.randoms(use_true_random=False),
 )
 def test_grid_estimates_equal_scalar_calls_at_every_cell(
-    shape, i_b, j_b, k_b, density, free, calibration, overlap, rng
+    shape, i_b, j_b, k_b, density, free, calibration, rng
 ):
     """One array-polymorphic formula: each estimate on a ``(q, r)`` grid —
     with ``p`` a constant or its own per-cell array — is ``==`` (not approx)
@@ -180,7 +171,7 @@ def test_grid_estimates_equal_scalar_calls_at_every_cell(
     tree = plan_layout(plan).tree
     extent_i, extent_j, extent_k = tree.mm.mm_dims()
     model = CostModel(
-        make_config(block_size=BS, overlap_comm_compute=overlap),
+        make_config(block_size=BS),
         calibration=calibration, free_sources=free,
     )
     q = np.arange(1, extent_j + 1, dtype=np.float64)[np.newaxis, :]

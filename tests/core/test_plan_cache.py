@@ -63,12 +63,12 @@ def test_fingerprint_changes_with_mask():
 def test_signature_changes_with_config():
     base = FuseMEEngine(make_config())
     more_nodes = FuseMEEngine(make_config(num_nodes=4))
-    other_threshold = FuseMEEngine(make_config(sparse_threshold=0.5))
+    no_sparsity = FuseMEEngine(make_config(sparsity_exploitation=False))
     exhaustive = FuseMEEngine(make_config(), optimizer_method="exhaustive")
     signatures = {
         base.planning_signature(),
         more_nodes.planning_signature(),
-        other_threshold.planning_signature(),
+        no_sparsity.planning_signature(),
         exhaustive.planning_signature(),
     }
     assert len(signatures) == 4

@@ -1,12 +1,10 @@
 """The closed calibration loop, end to end.
 
-Three contracts:
+Two contracts:
 
 * ``calibration="off"`` (the default) is inert — every engine's outputs and
   modeled metrics are bit-identical to a default-config run, and the store
   stays empty;
-* ``calibration="observe"`` feeds the store without touching planning —
-  outputs and modeled elapsed/comm stay identical, observations accumulate;
 * ``calibration="active"`` converges — the first execute runs on paper
   constants, its error evicts the cached plan, the re-plan prices with
   fitted coefficients, prediction error collapses under the re-plan
@@ -93,26 +91,6 @@ class TestOffIsInert:
         assert engine.calibration_for("cfo", None) is None
 
 
-class TestObserveIsNonInvasive:
-    @pytest.mark.parametrize(
-        "engine_cls", DISTRIBUTED, ids=lambda cls: cls.name
-    )
-    def test_observe_leaves_numbers_identical(self, engine_cls):
-        _, off_result, off_outputs = run(engine_cls, calibration="off")
-        engine, obs_result, obs_outputs = run(
-            engine_cls, calibration="observe"
-        )
-        for got, expected in zip(obs_outputs, off_outputs):
-            assert np.array_equal(got, expected)
-        assert obs_result.metrics.elapsed_seconds == \
-            off_result.metrics.elapsed_seconds
-        assert obs_result.metrics.comm_bytes == off_result.metrics.comm_bytes
-        assert engine.calibration.num_observations > 0
-        assert engine.calibration.generation == 1
-        # observing never re-plans
-        assert engine.plan_cache.stats()["invalidations"] == 0
-
-
 class TestActiveLoopConverges:
     def test_error_collapses_and_cache_settles(self):
         engine = FuseMEEngine(bench_like_config(calibration="active"))
@@ -155,7 +133,7 @@ class TestActiveLoopConverges:
 
 class TestServingExposure:
     def test_status_carries_calibration(self):
-        engine = FuseMEEngine(make_config(calibration="observe"))
+        engine = FuseMEEngine(make_config(calibration="active"))
         with MatrixService(engine=engine) as service:
             with service.open_session("alice") as session:
                 for name, matrix in inputs().items():

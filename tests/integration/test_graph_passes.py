@@ -158,8 +158,8 @@ def test_gnmf_fewer_units_and_lower_modeled_cost(workload):
     off = off_engine.execute(query, inputs)
     on = on_engine.execute(query, inputs)
 
-    raw_units = len(off_engine.lower_query(query, inputs).ops)
-    opt_units = len(on_engine.lower_query(query, inputs).ops)
+    raw_units = len(off_engine.lower_query(query).ops)
+    opt_units = len(on_engine.lower_query(query).ops)
     assert opt_units < raw_units
 
     off_totals = off.metrics.totals()
@@ -196,10 +196,10 @@ def test_pass_spec_in_planning_signature():
 
 
 def test_plan_cache_stores_optimized_plan(workload):
-    query, inputs = workload
+    query, _ = workload
     engine = FuseMEEngine(make_config(block_size=BS, graph_passes="all"))
-    first = engine.lower_query(query, inputs)
-    again = engine.lower_query(query, inputs)  # served from the plan cache
+    first = engine.lower_query(query)
+    again = engine.lower_query(query)  # served from the plan cache
     assert again is first
     assert any(op.members for op in again.ops)
     assert engine.plan_cache.stats()["hits"] >= 1
@@ -209,9 +209,9 @@ def test_plan_cache_stores_optimized_plan(workload):
 
 
 def test_visualize_mermaid_and_dot(workload):
-    query, inputs = workload
+    query, _ = workload
     engine = FuseMEEngine(make_config(block_size=BS, graph_passes="all"))
-    physical = engine.lower_query(query, inputs)
+    physical = engine.lower_query(query)
     mermaid = physical.visualize()
     assert mermaid.startswith("flowchart TD")
     assert "subgraph" in mermaid and "class " in mermaid  # merged highlight

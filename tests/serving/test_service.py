@@ -464,3 +464,20 @@ class TestServingTelemetry:
         assert alice_status["latency"]["p99"] > 0.0
         assert bob_status["latency"]["count"] == 1
         assert bob_status["usage"]["modeled_seconds"] > 0.0
+
+    def test_usage_splits_seconds_with_eq2_denominators(self):
+        """Both usage terms divide by the whole cluster: ``N * Bn`` and
+        ``N * Bc``, the denominators Eq. 2 prices a plan with."""
+        x = matrix_input("X", 50, 50, 25)
+        with self._real_service() as service:
+            alice = service.open_session("alice").bind("X", x_matrix())
+            alice.execute(x @ x.T, timeout=10.0)
+            usage = service.status()["tenants"]["alice"]["usage"]
+            cluster = service.engine.config.cluster
+        assert usage["shuffled_bytes"] > 0 and usage["flops"] > 0
+        assert usage["network_seconds"] == usage["shuffled_bytes"] / (
+            cluster.num_nodes * cluster.network_bandwidth
+        )
+        assert usage["compute_seconds"] == usage["flops"] / (
+            cluster.num_nodes * cluster.compute_bandwidth
+        )

@@ -85,7 +85,7 @@ class TestConfig:
         with pytest.raises(ValueError):
             EngineConfig(block_size=0)
         with pytest.raises(ValueError):
-            EngineConfig(sparse_threshold=2.0)
+            EngineConfig(timeout_seconds=0.0)
 
     def test_with_cluster_returns_copy(self):
         base = EngineConfig()
