@@ -12,6 +12,7 @@ cost without instrumenting the math itself, mirroring ``numOp(v)`` in Eq. 5.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from typing import Callable, Mapping, Union
 
@@ -133,8 +134,8 @@ BINARY_KERNELS: Mapping[str, BinaryKernel] = {
     )
 }
 
-#: Kernels whose output at zero-left is zero even for scalar right operands,
-#: so comparing a sparse matrix against a scalar can stay sparse.
+#: Kernels a sparse left operand and a scalar right one may keep sparse: for
+#: those scalars ``r`` where ``fn(0, r) == 0`` the implicit zeros stay zero.
 _SPARSE_SCALAR_OK = {"mul", "div", "pow", "neq", "gt"}
 
 
@@ -164,17 +165,14 @@ def binary(name: str, a: Operand, b: Operand) -> Block:
             return Block(kernel.fn(left, b.dense_view()))
     if not isinstance(b, Block):
         right = float(b)
-        if a.is_sparse and name in _SPARSE_SCALAR_OK and right != 0.0:
-            result = a.data.copy()
-            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                result.data = kernel.fn(result.data, right)
-            return Block(result)
-        if a.is_sparse and name == "neq" and right == 0.0:
-            # the paper's (X != 0) mask: ones at the sparsity pattern of X
-            result = a.data.copy()
-            result.data = np.ones_like(result.data)
-            return Block(result)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            if (a.is_sparse and name in _SPARSE_SCALAR_OK
+                    and kernel.fn(np.float64(0.0), right) == 0.0):
+                # only the stored values change; (X != 0) maps an explicitly
+                # stored zero to a stored zero
+                result = a.data.copy()
+                result.data = kernel.fn(result.data, right)
+                return Block(result)
             return Block(kernel.fn(a.dense_view(), right))
 
     # matrix-matrix case -------------------------------------------------------
@@ -189,11 +187,9 @@ def binary(name: str, a: Operand, b: Operand) -> Block:
             with np.errstate(divide="ignore", invalid="ignore"):
                 return Block(a.data.multiply(1.0 / b.dense_view()).tocsr())
         # pow with a sparse left: operate at the stored pattern
-        rows, cols = a.data.nonzero()
-        dense_b = b.dense_view()
         result = a.data.copy()
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            result.data = kernel.fn(result.data, dense_b[rows, cols])
+            result.data = kernel.fn(result.data, values_on(b, a.data))
         return Block(result)
     if b.is_sparse and name == "mul":
         return Block(b.data.multiply(a.dense_view()).tocsr())
@@ -331,7 +327,8 @@ def sddmm(mask: Block, a: Block, b: Block) -> Block:
     Computes ``(a @ b)`` only at the non-zero positions of the sparse *mask*
     and returns a CSR block with those values — the kernel behind the paper's
     sparsity exploitation (Figure 1(a) / Outer fusion): for ``(U x V) * X``
-    only the cells where ``X`` is non-zero are ever computed.
+    only the cells where ``X`` is non-zero are ever computed.  The result
+    shares the index arrays of the mask's :func:`nonzero_pattern`.
     """
     if not mask.is_sparse:
         raise SparsityError("sddmm mask must be a sparse block")
@@ -344,17 +341,79 @@ def sddmm(mask: Block, a: Block, b: Block) -> Block:
             f"mask shape {mask.shape} does not match product shape "
             f"{(a.shape[0], b.shape[1])}"
         )
-    csr = mask.data
-    rows, cols = csr.nonzero()
-    if rows.size == 0:
-        return Block(sp.csr_matrix(mask.shape, dtype=np.float64))
-    dense_a = a.dense_view()
-    dense_b = b.dense_view()
-    values = np.einsum("ij,ji->i", dense_a[rows, :], dense_b[:, cols])
-    result = sp.csr_matrix((values, (rows, cols)), shape=mask.shape)
-    return Block(result)
+    pattern = nonzero_pattern(mask.data)
+    # C-ordered (nnz, K) gathers, as a[rows, :] and b[:, cols].T are: einsum
+    # sums in an order its operands' layout sets, so each sum matches theirs
+    values = np.einsum(
+        "ij,ij->i",
+        np.repeat(a.dense_view(), np.diff(pattern.indptr), axis=0),
+        np.take(b.dense_view().T, pattern.indices, axis=0),
+    )
+    return Block(on_pattern(pattern, values))
 
 
 def sddmm_flops(mask: Block, a: Block, b: Block) -> int:
     """Multiply-add count for SDDMM: ``2 * nnz(mask) * K``."""
     return 2 * mask.nnz * a.shape[1]
+
+
+def nonzero_pattern(csr: sp.csr_matrix) -> sp.csr_matrix:
+    """*csr* with sorted indices, no duplicates and no explicit zeros: *csr*
+    itself when it already is, else a canonicalised copy."""
+    if csr.has_canonical_format and csr.data.all():
+        return csr
+    csr = csr.copy()
+    csr.sum_duplicates()
+    csr.eliminate_zeros()
+    return csr
+
+
+def pattern_rows(pattern: sp.csr_matrix) -> np.ndarray:
+    """The row of each stored entry of *pattern*."""
+    return np.repeat(np.arange(pattern.shape[0]), np.diff(pattern.indptr))
+
+
+def on_pattern(pattern: sp.csr_matrix, values: np.ndarray) -> sp.csr_matrix:
+    """*values*, one per entry, stored on canonical *pattern*: a shallow copy
+    sharing its index arrays and format flags (blocks are immutable)."""
+    csr = copy.copy(pattern)
+    csr.data = values
+    return csr
+
+
+def nonzero_on_pattern(pattern: sp.csr_matrix, values: np.ndarray) -> Block:
+    """:func:`on_pattern` with the exact zeros dropped, as scipy's sparse
+    arithmetic drops them (from a copy owning its index arrays)."""
+    csr = on_pattern(pattern, values)
+    if not values.all():
+        csr = csr.copy()
+        csr.eliminate_zeros()
+    return Block(csr)
+
+
+def values_on(block: Block, pattern: sp.csr_matrix) -> np.ndarray:
+    """*block*'s values at *pattern*'s stored entries, in storage order.  A
+    sparse block on another pattern is gathered by one ``searchsorted`` over
+    its row-major entry keys, reading 0 where it stores nothing."""
+    if block.is_sparse and same_pattern(block.data, pattern):
+        return block.data.data
+    rows = pattern_rows(pattern)
+    if not block.is_sparse:
+        return block.data[rows, pattern.indices]
+    csr = block.data
+    if not csr.has_canonical_format:
+        csr = csr.copy()
+        csr.sum_duplicates()
+    if csr.nnz == 0:
+        return np.zeros(rows.size)
+    cols = csr.shape[1]
+    stored = pattern_rows(csr) * cols + csr.indices
+    wanted = rows * cols + pattern.indices
+    at = np.minimum(np.searchsorted(stored, wanted), stored.size - 1)
+    return np.where(stored[at] == wanted, csr.data[at], 0.0)
+
+
+def same_pattern(a: sp.csr_matrix, b: sp.csr_matrix) -> bool:
+    """Whether *a* and *b* store their entries at the same positions."""
+    return all(x is y or np.array_equal(x, y)
+               for x, y in ((a.indptr, b.indptr), (a.indices, b.indices)))

@@ -31,7 +31,7 @@ from repro.core.fused_eval import (
     evaluate_masked_slice,
     evaluate_slice,
     finish_masked,
-    mask_positions,
+    mask_pattern,
     masked_product,
 )
 from repro.core.optimizer import OptimizerResult, optimize_parameters
@@ -110,6 +110,8 @@ class CuboidFusedOperator:
         # frontier sources an earlier consumer already paid to consolidate;
         # captured from the cluster in execute()
         self._shared: frozenset = frozenset()
+        # each masked (p, q) tile's mask pattern, reset by execute()
+        self._patterns: dict = {}
 
     # -- public API -------------------------------------------------------------
 
@@ -123,6 +125,7 @@ class CuboidFusedOperator:
         self._shared = shared_sources(self.plan, cluster)
         values = resolve_frontier(self.plan, env)
         sink = OutputSink((self.plan.root,), f"cfo[{self.pqr}]:final-agg")
+        self._patterns = {}
         partials = self._compute(cluster, values, sink)
         if partials:
             self._aggregate(cluster, values, partials, sink)
@@ -236,8 +239,9 @@ class CuboidFusedOperator:
                     sink.end_task(task)
                     continue
                 if self.mask is not None:
-                    rows, cols = mask_positions(self.plan, env, self.mask)
-                    out = masked_product(self.plan, env, self.mm, rows, cols)
+                    out = masked_product(
+                        self.plan, env, self.mm, self._pattern(env, p, q)
+                    )
                 else:
                     out = evaluate_slice(self.plan, env, root=self.mm)
                 task.add_flops(env.flops)
@@ -290,12 +294,20 @@ class CuboidFusedOperator:
         if self.mask is None:
             return evaluate_slice(self.plan, env)
         if product is None:
-            return evaluate_masked_slice(
-                self.plan, env, self.mm, self.mask, self._tile_shape(p, q)
-            )
+            return evaluate_masked_slice(self.plan, env, self.mm, self.mask)
         return finish_masked(
-            self.plan, env, self.mm, self.mask, product, self._tile_shape(p, q)
+            self.plan, env, self.mm, product, self._pattern(env, p, q)
         )
+
+    def _pattern(self, env: SliceEnv, p: int, q: int):
+        """The ``(p, q)`` tile's mask pattern, computed by its first task;
+        each later task is charged the flops of evaluating the mask."""
+        pattern = self._patterns.get((p, q))
+        if pattern is None:
+            pattern = mask_pattern(self.plan, env, self.mask)
+            return self._patterns.setdefault((p, q), pattern)
+        env.flops += pattern.flops
+        return pattern
 
     # -- output geometry --------------------------------------------------------------------
 
@@ -310,12 +322,6 @@ class CuboidFusedOperator:
             raise PlanError("plan output must lie on the i and j axes")
         block_size = self.plan.root.meta.block_size
         return (b0 * block_size, min(b1 * block_size, extent))
-
-    def _tile_shape(self, p: int, q: int) -> tuple[int, int]:
-        tag = self.tags.output_tag(self.plan.root)
-        r0, r1 = self._axis_element_range(tag[0], p, q)
-        c0, c1 = self._axis_element_range(tag[1], p, q)
-        return (r1 - r0, c1 - c0)
 
     def _origin(self, p: int, q: int) -> tuple[int, int]:
         """Element offset of the ``(p, q)`` tile on the axes the root keeps."""

@@ -18,8 +18,10 @@ by refcount.
 
 The masked (SDDMM) path realises the paper's sparsity exploitation: when a
 sparse element-wise multiplication masks the main product, only the masked
-cells are ever computed, and the O-space chain runs as the same program over
-1-D vectors gathered at the mask positions.
+cells are ever computed.  A masked task works on one canonical CSR pattern of
+its mask: the product, its k-partials and every O-space operand are data
+vectors aligned with the pattern, and the O-space chain runs as the same
+program over those vectors.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ from functools import partial
 from typing import Callable, Dict, FrozenSet, NamedTuple, Optional, Tuple
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro.blocks import (
     Block, aggregate, binary, binary_flops, matmul, matmul_flops, sddmm,
@@ -37,6 +38,7 @@ from repro.blocks import (
 )
 from repro.blocks.kernels import (
     AGGREGATION_KERNELS, BINARY_KERNELS, UNARY_KERNELS, aggregate_flops,
+    nonzero_on_pattern, nonzero_pattern, on_pattern, values_on,
 )
 from repro.core.plan import PartialFusionPlan
 from repro.core.spaces import SparsityMask
@@ -272,66 +274,59 @@ def evaluate_slice(
 # ---------------------------------------------------------------------------
 
 
-def mask_positions(
+class MaskPattern(NamedTuple):
+    """A task's mask on its canonical CSR pattern, and the flops it cost."""
+
+    mask: Block
+    flops: int
+
+
+def mask_pattern(
     plan: PartialFusionPlan, env: SliceEnv, mask: SparsityMask
-) -> tuple[np.ndarray, np.ndarray]:
-    """Non-zero positions of the mask-side expression on this task's slices.
+) -> MaskPattern:
+    """The non-zeros of the mask-side expression on this task's slices.
 
     These are the only output cells of the main product that can survive the
     masking multiplication — everything else is skipped entirely.
     """
-    mask_block = _eval_operand(plan, env, mask.mask_mul, mask.mask_operand_index)
-    mask_csr = mask_block.to_sparse().data
-    return mask_csr.nonzero()
+    before = env.flops
+    block = _eval_operand(plan, env, mask.mask_mul, mask.mask_operand_index).to_sparse()
+    csr = nonzero_pattern(block.data)
+    return MaskPattern(block if csr is block.data else Block(csr), env.flops - before)
 
 
 def masked_product(
-    plan: PartialFusionPlan,
-    env: SliceEnv,
-    mm: MatMulNode,
-    rows: np.ndarray,
-    cols: np.ndarray,
+    plan: PartialFusionPlan, env: SliceEnv, mm: MatMulNode, pattern: MaskPattern
 ) -> Block:
     """The main product computed only at the masked cells, via SDDMM.
 
     L- and R-space (everything under ``mm``) evaluate as usual on this task's
-    slices; the multiplication itself touches only ``len(rows)`` cells.
+    slices; the multiplication itself touches only the pattern's cells and
+    stores its values on the pattern.
     """
     left = _eval_operand(plan, env, mm, 0)
     right = _eval_operand(plan, env, mm, 1)
-    shape = (left.shape[0], right.shape[1])
-    if rows.size == 0:
-        return Block(sp.csr_matrix(shape))
-    pattern = Block(sp.csr_matrix((np.ones(rows.size), (rows, cols)), shape=shape))
-    env.flops += sddmm_flops(pattern, left, right)
-    return sddmm(pattern, left, right)
+    env.flops += sddmm_flops(pattern.mask, left, right)
+    return sddmm(pattern.mask, left, right)
 
 
 def finish_masked(
     plan: PartialFusionPlan,
     env: SliceEnv,
     mm: MatMulNode,
-    mask: SparsityMask,
     product: Block,
-    tile_shape: tuple[int, int],
-    positions: Optional[tuple[np.ndarray, np.ndarray]] = None,
+    pattern: MaskPattern,
 ) -> Block:
     """Apply the O-space operator chain at the masked cells only.
 
-    ``product`` is the (possibly k-aggregated) masked main product.  Values
-    are gathered to 1-D vectors at the mask positions and the element-wise
-    O-space chain runs positionally: it is the chain's slab program with the
-    main product bound, run over gathered vectors instead of slices.  The
-    result scatters into a sparse output tile (or aggregates, when the plan
-    root is an aggregation).
+    ``product`` is the (possibly k-aggregated) masked main product.  It and
+    every frontier slice are read as vectors aligned with the mask's pattern
+    (:func:`~repro.blocks.kernels.values_on`), and the element-wise O-space
+    chain runs over them: it is the chain's slab program with the main
+    product bound.  The result is a sparse tile on the pattern with its
+    zeros dropped, or its aggregate when the plan root is an aggregation.
     """
-    rows, cols = positions if positions is not None else mask_positions(plan, env, mask)
-    if rows.size == 0:
-        empty = Block(sp.csr_matrix(tile_shape))
-        if isinstance(plan.root, AggNode):
-            return aggregate(plan.root.kernel, empty)
-        return empty
-    product_vals = np.asarray(product.to_sparse().data[rows, cols]).ravel()
+    csr = pattern.mask.data
     is_agg = isinstance(plan.root, AggNode)
     chain = plan.root.inputs[0] if is_agg else plan.root
     program = _program(plan, chain, frozenset((mm.node_id,)))
@@ -341,34 +336,24 @@ def finish_masked(
                             f"{type(step.node).__name__} in O-space")
     slots = list(program.slots)
     for slot, _ in program.bound_loads:
-        slots[slot] = product_vals
+        slots[slot] = values_on(product, csr)
     for slot, edge in program.edge_loads:
-        block = env.frontier[edge]
-        gathered = block.data[rows, cols]
-        slots[slot] = np.asarray(gathered).ravel() if block.is_sparse else gathered
+        slots[slot] = values_on(env.frontier[edge], csr)
     out_vals, flops = _run(program, slots)
     env.flops += flops
-    result = sp.csr_matrix((out_vals, (rows, cols)), shape=tile_shape)
-    result.eliminate_zeros()
-    if is_agg:
-        env.flops += rows.size
-        return aggregate(plan.root.kernel, Block(result))
-    return Block(result)
+    if not is_agg:
+        return nonzero_on_pattern(csr, out_vals)
+    env.flops += csr.nnz
+    return aggregate(plan.root.kernel, Block(on_pattern(csr, out_vals)))
 
 
 def evaluate_masked_slice(
-    plan: PartialFusionPlan,
-    env: SliceEnv,
-    mm: MatMulNode,
-    mask: SparsityMask,
-    tile_shape: tuple[int, int],
+    plan: PartialFusionPlan, env: SliceEnv, mm: MatMulNode, mask: SparsityMask
 ) -> Block:
     """Single-pass sparsity-exploiting evaluation (used when ``R == 1``)."""
-    rows, cols = mask_positions(plan, env, mask)
-    product = masked_product(plan, env, mm, rows, cols)
-    return finish_masked(
-        plan, env, mm, mask, product, tile_shape, positions=(rows, cols)
-    )
+    pattern = mask_pattern(plan, env, mask)
+    product = masked_product(plan, env, mm, pattern)
+    return finish_masked(plan, env, mm, product, pattern)
 
 
 def _eval_operand(

@@ -14,7 +14,9 @@ from __future__ import annotations
 from typing import Dict, Mapping, Sequence
 
 from repro.blocks import Block
-from repro.blocks.kernels import AGGREGATION_KERNELS, aggregate_combine
+from repro.blocks.kernels import (
+    AGGREGATION_KERNELS, aggregate_combine, nonzero_on_pattern, same_pattern,
+)
 from repro.cluster.executor import SimulatedCluster
 from repro.cluster.task import TaskContext, TransferKind
 from repro.core.physical import env_key_of
@@ -151,9 +153,13 @@ class OutputSink:
 
 
 def add_blocks(a: Block, b: Block) -> Block:
-    """Sum two partial-product tiles (sparse-friendly)."""
+    """Sum two partial-product tiles (sparse-friendly); sparse tiles on one
+    pattern, a masked tile's k-partials, add their data vectors."""
     if a.is_sparse and b.is_sparse:
-        return Block((a.data + b.data).tocsr())
+        x, y = a.data, b.data
+        if x.has_canonical_format and same_pattern(x, y):
+            return nonzero_on_pattern(x, x.data + y.data)
+        return Block((x + y).tocsr())
     return Block(a.dense_view() + b.dense_view())
 
 

@@ -146,6 +146,23 @@ class TestBinary:
         assert out.is_sparse
         np.testing.assert_allclose(out.to_numpy(), a.to_numpy() / b.to_numpy())
 
+    @pytest.mark.parametrize("b_sparse", [False, True])
+    def test_sparse_pow_reads_the_exponent_at_every_stored_entry(self, b_sparse):
+        """An explicitly stored zero on the sparse left is a stored entry
+        too: the exponent is read there (it was skipped, and the stored
+        values and the exponents no longer lined up)."""
+        a = Block(sp.csr_matrix(
+            (np.array([2.0, 0.0, 3.0]), np.array([0, 1, 2]), np.array([0, 2, 3])),
+            shape=(2, 3),
+        ))
+        exponents = np.array([[2.0, 3.0, 1.0], [1.0, 2.0, 0.5]])
+        b = Block(sp.csr_matrix(exponents) if b_sparse else exponents)
+        out = binary("pow", a, b)
+        assert out.is_sparse and out.nnz == 3
+        np.testing.assert_array_equal(
+            out.to_numpy(), [[4.0, 0.0, 0.0], [0.0, 0.0, np.sqrt(3.0)]]
+        )
+
     def test_dense_mul_sparse_stays_sparse(self):
         a, b = dense(), sparse()
         out = binary("mul", a, b)

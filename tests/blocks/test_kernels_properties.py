@@ -197,3 +197,32 @@ def test_kernels_never_write_to_their_operands(arr):
             check(matmul, a, b)
             mask = Block(sp.csr_matrix(sparsify(np.ones((arr.shape[0],) * 2))))
             check(sddmm, mask, a, b)
+
+
+def _with_explicit_zeros(arr: np.ndarray) -> sp.csr_matrix:
+    """*arr* as CSR that also stores a zero at every other empty cell."""
+    stored = arr != 0
+    stored.flat[::2] = True
+    rows, cols = np.nonzero(stored)
+    return sp.csr_matrix((arr[rows, cols], (rows, cols)), shape=arr.shape)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    small_matrix(),
+    st.sampled_from(sorted(BINARY_KERNELS)),
+    st.sampled_from([0.0, 0.5, 2.0, -1.5]),
+    st.booleans(),
+)
+def test_binary_scalar_on_sparse_matches_dense_kernel(arr, name, scalar, left):
+    """Every binary kernel with a scalar, on a sparse operand holding
+    explicit zeros, gives the dense kernel's values: the sparse fast path
+    may only touch stored values where ``fn(0, scalar) == 0``."""
+    sparse = Block(_with_explicit_zeros(sparsify(arr)))
+    dense = Block(sparse.to_numpy())  # what the sparse block stands for
+    operands = (scalar, sparse) if left else (sparse, scalar)
+    dense_operands = (scalar, dense) if left else (dense, scalar)
+    np.testing.assert_array_equal(
+        binary(name, *operands).to_numpy(),
+        binary(name, *dense_operands).to_numpy(),
+    )

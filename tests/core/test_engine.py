@@ -112,3 +112,27 @@ class TestExecute:
         result = FuseMEEngine(make_config()).execute([xe * 1.0, xe], inputs)
         roots = list(result.dag.roots)
         assert result.outputs[roots[1]] is inputs["X"]
+
+
+class TestSparseScalarComparisons:
+    """A comparison of a sparse matrix against a scalar is dense wherever
+    ``fn(0, scalar) != 0``, and ``X != 0`` ignores explicitly stored zeros."""
+
+    def test_neq_nonzero_scalar_matches_interpreter(self):
+        x = rand_sparse(100, 75, 0.05, BS, seed=1)
+        expr = matrix_input("X", 100, 75, BS, density=0.05) != 2
+        result = FuseMEEngine(make_config()).execute(expr, {"X": x})
+        got = result.output().to_numpy()
+        np.testing.assert_array_equal(
+            got, evaluate(DAG(expr.node).roots[0], {"X": x.to_numpy()})
+        )
+        assert np.count_nonzero(got) == 100 * 75
+
+    def test_nnz_mask_skips_explicit_zeros(self):
+        x = rand_sparse(100, 75, 0.05, BS, seed=1)
+        block = x.blocks[(0, 0)].data.copy()
+        block.data[::2] = 0.0  # stored, but zero
+        x.blocks[(0, 0)] = type(x.blocks[(0, 0)])(block)
+        expr = nnz_mask(matrix_input("X", 100, 75, BS, density=0.05))
+        result = FuseMEEngine(make_config()).execute(expr, {"X": x})
+        assert result.output().to_numpy().sum() == np.count_nonzero(x.to_numpy())

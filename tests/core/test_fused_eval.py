@@ -9,7 +9,7 @@ from repro.core.fused_eval import (
     evaluate_masked_slice,
     evaluate_slice,
     finish_masked,
-    mask_positions,
+    mask_pattern,
     masked_product,
 )
 from repro.core.plan import PartialFusionPlan
@@ -85,9 +85,7 @@ class TestMaskedPath:
         mask = find_sparsity_mask(plan, layout.mm, layout.tree)
         assert mask is not None
         dense_out = evaluate_slice(plan, SliceEnv(frontier=dict(env.frontier)))
-        masked_out = evaluate_masked_slice(
-            plan, env, layout.mm, mask, (50, 75)
-        )
+        masked_out = evaluate_masked_slice(plan, env, layout.mm, mask)
         np.testing.assert_allclose(
             masked_out.to_numpy(), dense_out.to_numpy(), atol=1e-10
         )
@@ -98,29 +96,29 @@ class TestMaskedPath:
         mask = find_sparsity_mask(plan, layout.mm, layout.tree)
         dense_env = SliceEnv(frontier=dict(env.frontier))
         evaluate_slice(plan, dense_env)
-        evaluate_masked_slice(plan, env, layout.mm, mask, (50, 75))
+        evaluate_masked_slice(plan, env, layout.mm, mask)
         assert env.flops < dense_env.flops / 2
 
     def test_mask_positions_match_pattern(self):
         plan, layout, env, values = nmf_setting(density=0.05)
         mask = find_sparsity_mask(plan, layout.mm, layout.tree)
-        rows, cols = mask_positions(plan, env, mask)
+        pattern = mask_pattern(plan, env, mask)
         expected = np.count_nonzero(values["X"])
-        assert rows.size == expected
+        assert pattern.mask.nnz == expected
 
     def test_empty_mask_yields_empty_tile(self):
         plan, layout, env, values = nmf_setting(density=0.05)
         zero = np.zeros_like(values["X"])
         env = SliceEnv(frontier=_bind_all(plan, {**values, "X": zero}))
         mask = find_sparsity_mask(plan, layout.mm, layout.tree)
-        out = evaluate_masked_slice(plan, env, layout.mm, mask, (50, 75))
+        out = evaluate_masked_slice(plan, env, layout.mm, mask)
         assert out.nnz == 0
 
     def test_two_phase_masked_aggregation(self):
         """masked_product partials summed over k then finished == one shot."""
         plan, layout, env, values = nmf_setting(density=0.1)
         mask = find_sparsity_mask(plan, layout.mm, layout.tree)
-        rows, cols = mask_positions(plan, env, mask)
+        pattern = mask_pattern(plan, env, mask)
 
         # split U/V along k into two halves and sum the masked partials
         u, v = values["U"], values["V"]
@@ -129,13 +127,13 @@ class TestMaskedPath:
             half = SliceEnv(frontier=_bind_all(
                 plan, {**values, "U": u[:, lo:hi], "V": v[:, lo:hi]}
             ))
-            part = masked_product(plan, half, layout.mm, rows, cols)
+            part = masked_product(plan, half, layout.mm, pattern)
             total = part if total is None else Block(
                 (total.data + part.data).tocsr()
             )
-        out = finish_masked(plan, env, layout.mm, mask, total, (50, 75))
+        out = finish_masked(plan, env, layout.mm, total, pattern)
         one_shot = evaluate_masked_slice(
-            plan, SliceEnv(frontier=dict(env.frontier)), layout.mm, mask, (50, 75)
+            plan, SliceEnv(frontier=dict(env.frontier)), layout.mm, mask
         )
         np.testing.assert_allclose(
             out.to_numpy(), one_shot.to_numpy(), atol=1e-10
@@ -156,6 +154,6 @@ class TestMaskedPath:
         mask = find_sparsity_mask(plan, layout.mm, layout.tree)
         assert mask is not None
         env = SliceEnv(frontier=_bind_all(plan, {"X": x, "U": u, "V": v}))
-        out = evaluate_masked_slice(plan, env, layout.mm, mask, (50, 75))
+        out = evaluate_masked_slice(plan, env, layout.mm, mask)
         expected = np.sum((x != 0) * (x - u @ v) ** 2)
         assert out.to_numpy()[0, 0] == pytest.approx(expected)

@@ -9,13 +9,16 @@ transpose and aggregation:
   masked path.  On every generated plan, root and bound-node set, with each
   slice bound dense or sparse, the compiled program must return the same
   representation with bit-identical values and charge exactly the same
-  flops.
+  flops.  The masked task as a whole (mask, SDDMM, k-aggregation, O-space
+  finish) is held the same way to the COO-based path it replaced, copied
+  below too.
 * **End to end.**  All five engines, with graph passes off and on, execute
   the random DAG and must match :mod:`repro.lang.interpreter`.
 """
 
 from __future__ import annotations
 
+from functools import reduce
 from typing import Dict
 
 import numpy as np
@@ -45,14 +48,23 @@ from repro.blocks.kernels import (
     BINARY_KERNELS,
     UNARY_KERNELS,
     aggregate_flops,
+    on_pattern,
+    pattern_rows,
+    sddmm,
 )
 from repro.core.fused_eval import (
+    _ELEMENTWISE,
     SliceEnv,
+    _eval_operand,
+    _program,
+    _run,
+    evaluate_masked_slice,
     evaluate_slice,
     finish_masked,
-    mask_positions,
+    mask_pattern,
     masked_product,
 )
+from repro.core.stages import add_blocks
 from repro.core.plan import PartialFusionPlan
 from repro.core.spaces import find_sparsity_mask, plan_layout
 from repro.errors import ExecutionError, PlanError
@@ -449,20 +461,254 @@ def test_gathered_program_matches_gathered_walker(root):
     }
     with np.errstate(all="ignore"):
         env = SliceEnv(frontier=dict(frontier))
-        rows, cols = mask_positions(plan, env, mask)
+        pattern = mask_pattern(plan, env, mask)
+        rows, cols = pattern_rows(pattern.mask.data), pattern.mask.data.indices
         assume(rows.size > 0)
-        product = masked_product(plan, env, layout.mm, rows, cols)
+        product = masked_product(plan, env, layout.mm, pattern)
         want_env = SliceEnv(frontier=dict(frontier))
         want = reference_finish(
             plan, want_env, layout.mm, rows, cols, product, (M, N)
         )
         got_env = SliceEnv(frontier=dict(frontier))
-        got = finish_masked(
-            plan, got_env, layout.mm, mask, product, (M, N),
-            positions=(rows, cols),
-        )
+        got = finish_masked(plan, got_env, layout.mm, product, pattern)
     assert_same_block(got, want)
     assert got_env.flops == want_env.flops
+
+
+# ---------------------------------------------------------------------------
+# oracle: the whole masked task against the COO path it replaced
+# ---------------------------------------------------------------------------
+
+
+def coo_mask_positions(plan, env, mask):
+    mask_block = _eval_operand(plan, env, mask.mask_mul, mask.mask_operand_index)
+    mask_csr = mask_block.to_sparse().data
+    return mask_csr.nonzero()
+
+
+def coo_sddmm(mask, a, b):
+    csr = mask.data
+    rows, cols = csr.nonzero()
+    if rows.size == 0:
+        return Block(sp.csr_matrix(mask.shape, dtype=np.float64))
+    dense_a = a.dense_view()
+    dense_b = b.dense_view()
+    values = np.einsum("ij,ji->i", dense_a[rows, :], dense_b[:, cols])
+    result = sp.csr_matrix((values, (rows, cols)), shape=mask.shape)
+    return Block(result)
+
+
+def coo_masked_product(plan, env, mm, rows, cols):
+    left = _eval_operand(plan, env, mm, 0)
+    right = _eval_operand(plan, env, mm, 1)
+    shape = (left.shape[0], right.shape[1])
+    if rows.size == 0:
+        return Block(sp.csr_matrix(shape))
+    pattern = Block(sp.csr_matrix((np.ones(rows.size), (rows, cols)), shape=shape))
+    env.flops += 2 * pattern.nnz * left.shape[1]
+    return coo_sddmm(pattern, left, right)
+
+
+def coo_add_blocks(a, b):
+    if a.is_sparse and b.is_sparse:
+        return Block((a.data + b.data).tocsr())
+    return Block(a.dense_view() + b.dense_view())
+
+
+def coo_finish_masked(plan, env, mm, mask, product, tile_shape, positions=None):
+    rows, cols = (positions if positions is not None
+                  else coo_mask_positions(plan, env, mask))
+    if rows.size == 0:
+        empty = Block(sp.csr_matrix(tile_shape))
+        if isinstance(plan.root, AggNode):
+            return aggregate(plan.root.kernel, empty)
+        return empty
+    product_vals = np.asarray(product.to_sparse().data[rows, cols]).ravel()
+    is_agg = isinstance(plan.root, AggNode)
+    chain = plan.root.inputs[0] if is_agg else plan.root
+    program = _program(plan, chain, frozenset((mm.node_id,)))
+    for step in program.steps:
+        if step.op not in _ELEMENTWISE:
+            raise PlanError(f"masked evaluation cannot handle "
+                            f"{type(step.node).__name__} in O-space")
+    slots = list(program.slots)
+    for slot, _ in program.bound_loads:
+        slots[slot] = product_vals
+    for slot, edge in program.edge_loads:
+        block = env.frontier[edge]
+        gathered = block.data[rows, cols]
+        slots[slot] = np.asarray(gathered).ravel() if block.is_sparse else gathered
+    out_vals, flops = _run(program, slots)
+    env.flops += flops
+    result = sp.csr_matrix((out_vals, (rows, cols)), shape=tile_shape)
+    result.eliminate_zeros()
+    if is_agg:
+        env.flops += rows.size
+        return aggregate(plan.root.kernel, Block(result))
+    return Block(result)
+
+
+def x_stored_as(form: str) -> Block:
+    """The sparse input X in one of the storage forms a mask may arrive in."""
+    x = DENSE["X"]
+    if form == "dense":
+        return Block(x.copy())
+    if form == "empty":
+        return Block(sp.csr_matrix(x.shape))
+    csr = sp.csr_matrix(x)
+    if form == "zeros_only":
+        return Block(sp.csr_matrix(
+            (np.zeros(csr.nnz), csr.indices, csr.indptr), shape=x.shape
+        ))
+    if form == "explicit_zeros":
+        # a third of the stored values zeroed, plus stored zeros at empty cells
+        rows, cols = csr.nonzero()
+        values = csr.data.copy()
+        values[::3] = 0.0
+        empty_rows, empty_cols = np.nonzero(x == 0)
+        rows = np.concatenate([rows, empty_rows[::7]])
+        cols = np.concatenate([cols, empty_cols[::7]])
+        values = np.concatenate([values, np.zeros(empty_rows[::7].size)])
+        csr = sp.csr_matrix((values, (rows, cols)), shape=x.shape)
+        assert np.count_nonzero(csr.data) < csr.nnz
+        return Block(csr)
+    if form == "unsorted":
+        order = np.concatenate([
+            np.arange(lo, hi)[::-1] for lo, hi in zip(csr.indptr, csr.indptr[1:])
+        ])
+        csr = sp.csr_matrix(
+            (csr.data[order], csr.indices[order], csr.indptr), shape=x.shape
+        )
+        assert not csr.has_sorted_indices
+        return Block(csr)
+    assert form == "canonical"
+    return Block(csr)
+
+
+def assert_same_stored(got: Block, want: Block) -> None:
+    """Same representation, shape, stored entries and bits; same nnz and
+    nbytes (what the memory ledger charges)."""
+    assert (got.is_sparse, got.shape, got.nnz, got.nbytes) == (
+        want.is_sparse, want.shape, want.nnz, want.nbytes
+    )
+    if not got.is_sparse:
+        assert got.data.tobytes() == want.data.tobytes()
+        return
+    for block in (got, want):
+        assert block.data.has_canonical_format
+    assert np.array_equal(got.data.indptr, want.data.indptr)
+    assert np.array_equal(got.data.indices, want.data.indices)
+    assert got.data.data.tobytes() == want.data.data.tobytes()
+
+
+@pytest.mark.parametrize(
+    "form",
+    ["canonical", "explicit_zeros", "unsorted", "zeros_only", "empty", "dense"],
+)
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(root=masked_plans(), r=st.sampled_from([1, 2, 3]), y_sparse=st.booleans())
+def test_masked_task_matches_coo_path(form, root, r, y_sparse):
+    """One ``(p, q)`` tile's masked task, its k axis split into *r*
+    partials: each partial product, their sum and the finished tile match
+    the COO path bit for bit, with equal flops on every task.  Y, holding
+    zeros at cells the mask keeps, is bound dense or on a CSR pattern of
+    its own."""
+    dag = DAG(root)
+    plan = PartialFusionPlan(set(dag.operators()), dag)
+    layout = plan_layout(plan)
+    mask = find_sparsity_mask(plan, layout.mm, layout.tree)
+    assume(mask is not None)
+    x = x_stored_as(form)
+    y = DENSE["Y"].copy()
+    y.flat[::3] = 0.0
+    y = as_block(y, y_sparse)
+
+    def task_env(lo, hi):
+        frontier = {}
+        for node in plan.nodes:
+            for index, child in enumerate(node.inputs):
+                if child in plan.nodes:
+                    continue
+                if child.name == "X":
+                    frontier[(node, index)] = x
+                elif child.name in ("U", "V"):
+                    frontier[(node, index)] = Block(DENSE[child.name][:, lo:hi].copy())
+                else:
+                    frontier[(node, index)] = y
+        return SliceEnv(frontier=frontier)
+
+    splits = [(int(c[0]), int(c[-1]) + 1) for c in np.array_split(np.arange(K), r)]
+    with np.errstate(all="ignore"):
+        if r == 1:
+            want_env, got_env = task_env(0, K), task_env(0, K)
+            rows, cols = coo_mask_positions(plan, want_env, mask)
+            product = coo_masked_product(plan, want_env, layout.mm, rows, cols)
+            want = coo_finish_masked(plan, want_env, layout.mm, mask, product,
+                                     (M, N), positions=(rows, cols))
+            got = evaluate_masked_slice(plan, got_env, layout.mm, mask)
+            assert_same_stored(got, want)
+            assert got_env.flops == want_env.flops
+            return
+
+        want_parts, got_parts, pattern = [], [], None
+        for lo, hi in splits:
+            want_env, got_env = task_env(lo, hi), task_env(lo, hi)
+            rows, cols = coo_mask_positions(plan, want_env, mask)
+            want_parts.append(
+                coo_masked_product(plan, want_env, layout.mm, rows, cols)
+            )
+            # every task of the tile reads one pattern and pays for the mask
+            if pattern is None:
+                pattern = mask_pattern(plan, got_env, mask)
+            else:
+                got_env.flops += pattern.flops
+            got_parts.append(masked_product(plan, got_env, layout.mm, pattern))
+            assert_same_stored(got_parts[-1], want_parts[-1])
+            assert got_env.flops == want_env.flops
+        want_sum = reduce(coo_add_blocks, want_parts)
+        got_sum = reduce(add_blocks, got_parts)
+        assert_same_stored(got_sum, want_sum)
+
+        want_env, got_env = task_env(0, K), task_env(0, K)
+        want = coo_finish_masked(plan, want_env, layout.mm, mask, want_sum, (M, N))
+        got_env.flops += pattern.flops
+        got = finish_masked(plan, got_env, layout.mm, got_sum, pattern)
+    assert_same_stored(got, want)
+    assert got_env.flops == want_env.flops
+
+
+@pytest.mark.parametrize("k", [64, 100, 257])
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_sddmm_matches_coo_sddmm_at_long_k(k, order):
+    """At K long enough for numpy's vectorised summation loops, the SDDMM
+    on the mask's pattern still sums each cell bit for bit as the COO
+    kernel did, whatever the operands' memory order."""
+    rng = np.random.default_rng(k)
+    mask = Block(sp.random(60, 40, density=0.15, random_state=k, format="csr"))
+    assert mask.nnz >= 300
+    a = Block(np.asarray(rng.standard_normal((60, k)), order=order))
+    b = Block(np.asarray(rng.standard_normal((k, 40)), order=order))
+    got, want = sddmm(mask, a, b), coo_sddmm(mask, a, b)
+    assert_same_stored(got, want)
+
+
+def test_partials_on_one_pattern_add_as_scipy_does():
+    """Partials on one pattern add their data vectors: an exactly-zero sum
+    (-0.0 too) is dropped as scipy's sparse sum drops it, and a sum with
+    no zero keeps the shared pattern."""
+    pattern = sp.csr_matrix(DENSE["X"])
+    values = pattern.data.copy()
+    values[1] = -0.0
+    other = -values
+    other[::2] = 1.0
+    a = Block(on_pattern(pattern, values))
+    b = Block(on_pattern(pattern, other))
+    summed = add_blocks(a, b)
+    assert summed.nnz < a.nnz
+    assert_same_stored(summed, coo_add_blocks(a, b))
+    kept = add_blocks(a, Block(on_pattern(pattern, np.abs(values) + 1.0)))
+    assert np.shares_memory(kept.data.indices, pattern.indices)
 
 
 # ---------------------------------------------------------------------------

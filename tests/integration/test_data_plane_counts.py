@@ -1,9 +1,11 @@
 """Count gate for the execute path's per-block bookkeeping.
 
-One GNMF iteration and one autoencoder step on the Figure-14 cluster (the
-ledger's ``gnmf_iter`` / ``autoencoder_dense`` shapes), measured in steady
-state: the plan is cached and the factors / weights are the previous step's
-outputs, so their slabs miss the slice cache as they do in a training loop.
+One GNMF iteration, one autoencoder step and one ALS loss query on the
+Figure-14 cluster (the ledger's ``gnmf_iter`` / ``autoencoder_dense`` shapes
+and ``served_mix``'s ALS tenant), measured in steady state: the plan is
+cached and the factors / weights are the previous step's outputs (fresh
+factors for the ALS loss), so their slabs miss the slice cache as they do in
+a training loop or a served re-bind.
 
 Two kinds of assertion, neither reads a clock:
 
@@ -13,9 +15,13 @@ Two kinds of assertion, neither reads a clock:
   shuffled bytes and seconds.  A data-plane change may make the Python
   faster; it may not move a single modeled number;
 * the Python-side work per query is bounded — ``Block`` constructions,
-  defensive payload copies (``Block.to_numpy`` / ``Block.copy``) and
-  ``chunk_ranges`` evaluations.  The bounds are the measured values, so
-  re-introducing a per-block or per-task tax fails here on any runner.
+  defensive payload copies (``Block.to_numpy`` / ``Block.copy``),
+  ``chunk_ranges`` evaluations, COO matrices built (by ``tocoo`` or on the
+  way from coordinates to CSR) and fancy-index gathers from a CSR matrix.
+  The bounds are the measured values, so re-introducing a per-block or
+  per-task tax fails here on any runner.  The ALS loss runs the masked
+  path, whose tasks stay on their mask's CSR pattern: it builds no COO
+  matrix and gathers nothing by fancy indexing.
 
 The oldest pin rides along: the conftest cluster's two GNMF iterations
 reproduce the seed commit's elapsed and communication numbers exactly under
@@ -23,12 +29,13 @@ the seed's planner, the paper's CFG.
 """
 
 import pytest
+import scipy.sparse as sp
 
 from repro import ClusterConfig, EngineConfig, FuseMEEngine
 from repro.blocks.block import Block
 from repro.core import cuboid
 from repro.matrix.generators import rand_dense, rand_sparse
-from repro.workloads import GNMF, AutoEncoder, AutoEncoderShapes
+from repro.workloads import GNMF, AutoEncoder, AutoEncoderShapes, als_loss_query
 
 from tests.conftest import make_config
 
@@ -63,6 +70,21 @@ def gnmf_step():
     return query, {"X": x, "U": u, "V": v}, ("U", "V")
 
 
+def als_step():
+    """``served_mix``'s ALS tenant; step 2 binds fresh factors, as a served
+    re-bind does."""
+    query = als_loss_query(600, 400, 50, 0.05, BLOCK)
+    x = rand_sparse(600, 400, 0.05, BLOCK, seed=2)
+
+    def factors(seed):
+        return {
+            "U": rand_dense(600, 50, BLOCK, seed=seed, low=0.1, high=1.0),
+            "V": rand_dense(50, 400, BLOCK, seed=seed + 1, low=0.1, high=1.0),
+        }
+
+    return [query.expr], {"X": x, **factors(0)}, factors(2)
+
+
 def autoencoder_step():
     model = AutoEncoder(AutoEncoderShapes(500, 250, 25), 250, block_size=BLOCK)
     batch = rand_dense(250, 500, BLOCK, seed=1)
@@ -71,6 +93,20 @@ def autoencoder_step():
 
 
 WORKLOADS = {
+    "als": (
+        als_step,
+        {
+            "num_tasks": 37,
+            "num_stages": 3,
+            "flops": 2002293,
+            "comm_bytes": 1817332,
+            "elapsed_seconds": 0.15394390400000002,
+            "slice_cache_hits": 94,
+            "slice_cache_misses": 14,
+        },
+        # with COO round trips per masked task: 145 / 120 / 36
+        {"block_init": 97, "coo_builds": 0, "fancy_gathers": 0},
+    ),
     "gnmf": (
         gnmf_step,
         {
@@ -83,7 +119,8 @@ WORKLOADS = {
             "slice_cache_misses": 99,
         },
         # before the data-plane PR: 652 / 794 / 758
-        {"block_init": 652, "payload_copies": 0, "chunk_ranges": 12},
+        {"block_init": 652, "payload_copies": 0, "chunk_ranges": 12,
+         "coo_builds": 0, "fancy_gathers": 0},
     ),
     "autoencoder": (
         autoencoder_step,
@@ -98,7 +135,8 @@ WORKLOADS = {
         },
         # before the data-plane PR: 2956 / 4458 / 2296; the slab program
         # wraps only a task's output in a Block (measured 1952, was 2956)
-        {"block_init": 2000, "payload_copies": 0, "chunk_ranges": 33},
+        {"block_init": 2000, "payload_copies": 0, "chunk_ranges": 33,
+         "coo_builds": 0, "fancy_gathers": 0},
     ),
 }
 
@@ -106,6 +144,7 @@ WORKLOADS = {
 #: What the paper's CFG (``graph_passes="off"``) moves in the same steady
 #: state: every unit shuffles each input it reads.
 PAPER_MODE = {
+    "als": {},  # one unit: nothing is shared
     "gnmf": {"comm_bytes": 16304008, "elapsed_seconds": 0.355688016},
     "autoencoder": {"comm_bytes": 46400000, "elapsed_seconds": 1.1089000000000002},
 }
@@ -114,21 +153,31 @@ PAPER_MODE = {
 @pytest.fixture
 def tally(monkeypatch):
     """Call counts of the per-block primitives, by monkeypatched wrappers."""
-    counts = {"block_init": 0, "payload_copies": 0, "chunk_ranges": 0}
+    counts = {
+        "block_init": 0, "payload_copies": 0, "chunk_ranges": 0,
+        "coo_builds": 0, "fancy_gathers": 0,
+    }
 
-    def counted(owner, name, key):
+    def counted(owner, name, key, when=lambda *args: True):
         original = getattr(owner, name)
 
         def wrapper(*args, **kwargs):
-            counts[key] += 1
+            counts[key] += when(*args)
             return original(*args, **kwargs)
 
         monkeypatch.setattr(owner, name, wrapper)
+
+    def fancy(matrix, key):
+        keys = key if isinstance(key, tuple) else (key,)
+        return any(not isinstance(k, (slice, int)) for k in keys)
 
     counted(Block, "__init__", "block_init")
     counted(Block, "to_numpy", "payload_copies")
     counted(Block, "copy", "payload_copies")
     counted(cuboid, "chunk_ranges", "chunk_ranges")
+    # every tocoo and every coordinates -> CSR conversion builds a COO matrix
+    counted(sp.coo_matrix, "__init__", "coo_builds")
+    counted(sp.csr_matrix, "__getitem__", "fancy_gathers", fancy)
     return counts
 
 
@@ -138,10 +187,14 @@ def steady_state(name, tally, **options):
     query, inputs, updated = build()
     engine = FuseMEEngine(fig14_config(**options))
 
-    # step 1 plans the query and produces the state step 2 re-binds
+    # step 1 plans the query and produces the state step 2 re-binds (or
+    # step 2 binds the fresh inputs *updated* maps)
     first = engine.execute(query, inputs)
-    for key, root in zip(updated, first.dag.roots):
-        inputs[key] = first.outputs[root]
+    if isinstance(updated, dict):
+        inputs.update(updated)
+    else:
+        for key, root in zip(updated, first.dag.roots):
+            inputs[key] = first.outputs[root]
     for key in tally:
         tally[key] = 0
 
