@@ -15,7 +15,6 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.config import ELEMENT_BYTES
-from repro.errors import SparsityError
 
 ArrayLike = Union[np.ndarray, sp.spmatrix]
 
@@ -139,12 +138,6 @@ class Block:
         """
         if self.is_sparse:
             return self.data.toarray()
-        return self.data
-
-    def require_sparse(self) -> sp.csr_matrix:
-        """Return the CSR payload or raise :class:`SparsityError`."""
-        if not self.is_sparse:
-            raise SparsityError("expected a sparse block")
         return self.data
 
     # -- structural helpers -------------------------------------------------

@@ -204,10 +204,6 @@ class SimulatedCluster:
         self._query_mark = self.metrics.mark()
         return self._query_mark
 
-    def reset_metrics(self) -> None:
-        self.metrics.reset()
-        self._query_mark = self.metrics.mark()
-
     def _check_timeout(self) -> None:
         elapsed = self.metrics.elapsed_since(self._query_mark)
         if elapsed > self.config.timeout_seconds:

@@ -179,15 +179,6 @@ class KernelCalibration:
             + self.overhead_seconds
         )
 
-    def effective_network_bandwidth(self) -> float:
-        """Aggregate effective ``N * Bn`` in bytes/second (inf if the fit
-        attributes nothing to the network)."""
-        return 1.0 / self.inv_net_rate if self.inv_net_rate > 0 else math.inf
-
-    def effective_compute_bandwidth(self) -> float:
-        """Aggregate effective ``N * Bc`` in flops/second."""
-        return 1.0 / self.inv_com_rate if self.inv_com_rate > 0 else math.inf
-
     def to_dict(self) -> Dict[str, object]:
         return {
             "kind": self.kind,

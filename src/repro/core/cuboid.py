@@ -75,10 +75,6 @@ class CuboidPartitioning:
         return (self.p, self.q, self.r)
 
     @property
-    def num_cuboids(self) -> int:
-        return self.p * self.q * self.r
-
-    @property
     def voxels(self) -> int:
         return self.extent_i * self.extent_j * self.extent_k
 
@@ -97,12 +93,6 @@ class CuboidPartitioning:
             for q in range(self.q):
                 for r in range(self.r):
                     yield (p, q, r)
-
-    def cuboid_ranges(
-        self, p: int, q: int, r: int
-    ) -> tuple[BlockRange, BlockRange, BlockRange]:
-        """Block ranges ``(i, j, k)`` covered by cuboid ``D[p,q,r]``."""
-        return (self._i_ranges[p], self._j_ranges[q], self._k_ranges[r])
 
     def __repr__(self) -> str:
         return (

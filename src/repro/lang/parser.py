@@ -147,13 +147,14 @@ class _Parser:
         return left
 
     def unary(self) -> Value:
-        if self.peek() == "-":
+        signs = 0
+        while self.peek() == "-":
             self.advance()
-            value = self.unary()
-            if isinstance(value, float):
-                return -value
-            return -value
-        return self.atom()
+            signs += 1
+        value = self.atom()
+        for _ in range(signs):
+            value = -value
+        return value
 
     def atom(self) -> Value:
         token = self.advance()

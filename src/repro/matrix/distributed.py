@@ -209,25 +209,40 @@ class BlockedMatrix:
 
     def _assemble_csr(
         self,
-        tiles: Iterable[tuple[BlockKey, Block]],
+        tiles: list[tuple[BlockKey, Block]],
         origin: BlockKey,
         shape: tuple[int, int],
     ) -> sp.csr_matrix:
-        """*tiles* (in key order) as one CSR matrix based at block *origin*."""
-        size = self.block_size
-        row0, col0 = origin[0] * size, origin[1] * size
-        parts = []
-        for (bi, bj), block in tiles:
-            coo = block.to_sparse().data.tocoo()
-            parts.append(
-                (coo.row + (bi * size - row0), coo.col + (bj * size - col0), coo.data)
-            )
-        if not parts:
+        """*tiles* (in key order) as one CSR matrix based at block *origin*.
+
+        Joined straight from the tiles' CSR arrays: every tile row is one run
+        of entries, and one stable ordering by slab row puts the runs of a
+        slab row side by side in key order.  Canonical tiles (sorted columns,
+        in disjoint column ranges) therefore give sorted rows, and
+        ``sum_duplicates`` only confirms it; a non-canonical tile is sorted
+        and summed there, as scipy's coordinate constructor would.
+        """
+        if not tiles:
             return sp.csr_matrix(shape)
-        rows = np.concatenate([p[0] for p in parts])
-        cols = np.concatenate([p[1] for p in parts])
-        data = np.concatenate([p[2] for p in parts])
-        return sp.csr_matrix((data, (rows, cols)), shape=shape)
+        csrs = [block.to_sparse().data for _, block in tiles]
+        heights = np.array([csr.shape[0] for csr in csrs])
+        offsets = (np.array([key for key, _ in tiles]) - origin) * self.block_size
+        # per tile row: its run length (dropping the differences that straddle
+        # two tiles' pointer arrays), and the slab row it lands in
+        ptrs = np.concatenate([csr.indptr for csr in csrs])
+        runs = np.delete(np.diff(ptrs), np.cumsum(heights + 1)[:-1] - 1)
+        firsts = np.cumsum(heights) - heights
+        slab_rows = np.arange(len(runs)) + np.repeat(offsets[:, 0] - firsts, heights)
+        entry_rows = np.repeat(slab_rows, runs)
+        order = np.argsort(entry_rows, kind="stable")
+        indices = np.concatenate([csr.indices for csr in csrs])
+        indices = indices + np.repeat(np.repeat(offsets[:, 1], heights), runs)
+        data = np.concatenate([csr.data for csr in csrs])
+        indptr = np.zeros(shape[0] + 1, dtype=np.int64)
+        np.cumsum(np.bincount(entry_rows, minlength=shape[0]), out=indptr[1:])
+        joined = sp.csr_matrix((data[order], indices[order], indptr), shape=shape)
+        joined.sum_duplicates()
+        return joined
 
     def to_numpy(self) -> np.ndarray:
         """Materialize the full matrix as a dense ndarray (tests/small data)."""
@@ -235,7 +250,7 @@ class BlockedMatrix:
 
     def to_scipy(self) -> sp.csr_matrix:
         """Materialize as one CSR matrix."""
-        return self._assemble_csr(self.iter_blocks(), (0, 0), self.meta.shape)
+        return self._assemble_csr(list(self.iter_blocks()), (0, 0), self.meta.shape)
 
     def slab(
         self,

@@ -175,14 +175,6 @@ class QueryProfile:
         ]
         return sum(errors) / len(errors) if errors else None
 
-    @property
-    def max_abs_seconds_error(self) -> Optional[float]:
-        errors = [
-            abs(u.seconds_error) for u in self.units
-            if u.seconds_error is not None and math.isfinite(u.seconds_error)
-        ]
-        return max(errors) if errors else None
-
     def to_dict(self) -> Dict[str, Any]:
         return {
             "engine": self.engine,

@@ -62,11 +62,6 @@ class Session:
             self.bind(name, matrix)
         return self
 
-    def unbind(self, name: str) -> None:
-        with self._lock:
-            self._check_open()
-            self._bindings.pop(name, None)
-
     @property
     def bindings(self) -> Dict[str, BlockedMatrix]:
         """A copy of the current bindings."""

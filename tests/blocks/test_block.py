@@ -5,7 +5,6 @@ import pytest
 import scipy.sparse as sp
 
 from repro.blocks import Block
-from repro.errors import SparsityError
 
 
 class TestConstruction:
@@ -76,14 +75,6 @@ class TestConversions:
         out = b.to_numpy()
         out[0, 0] = 99.0
         assert b.data[0, 0] == 1.0
-
-    def test_require_sparse_raises_on_dense(self):
-        with pytest.raises(SparsityError):
-            Block(np.ones((2, 2))).require_sparse()
-
-    def test_require_sparse_returns_csr(self):
-        b = Block(sp.eye(3, format="csr"))
-        assert b.require_sparse().shape == (3, 3)
 
 
 class TestStructural:

@@ -93,13 +93,6 @@ class TestTiming:
             with c.stage("slow") as stage:
                 stage.task().receive(10_000_000)
 
-    def test_reset_metrics(self):
-        c = cluster()
-        with c.stage("a") as stage:
-            stage.task().receive(10)
-        c.reset_metrics()
-        assert c.metrics.num_stages == 0
-
     def test_total_tasks(self):
         c = cluster(num_nodes=3, tasks_per_node=5)
         assert c.total_tasks == 15

@@ -90,16 +90,6 @@ class TestFitThroughput:
         )
 
 
-class TestKernelCalibration:
-    def test_effective_bandwidths_are_reciprocals(self):
-        fit = KernelCalibration(
-            kind="cfo", bucket="dense", inv_net_rate=2e-8, inv_com_rate=0.0,
-            overhead_seconds=0.1, samples=5,
-        )
-        assert fit.effective_network_bandwidth() == pytest.approx(5e7)
-        assert fit.effective_compute_bandwidth() == math.inf
-
-
 class TestCalibrationStore:
     def test_observe_rejects_unusable_rows(self):
         store = CalibrationStore()

@@ -41,7 +41,7 @@ class TestChunkRanges:
 class TestCuboidPartitioning:
     def test_counts(self):
         c = CuboidPartitioning(8, 6, 4, 2, 3, 2)
-        assert c.num_cuboids == 12
+        assert len(list(c.cuboids())) == 12
         assert c.voxels == 8 * 6 * 4
 
     def test_cuboid_enumeration(self):
@@ -53,16 +53,15 @@ class TestCuboidPartitioning:
 
     def test_cuboid_ranges(self):
         c = CuboidPartitioning(8, 6, 4, 2, 3, 2)
-        i_range, j_range, k_range = c.cuboid_ranges(1, 2, 0)
-        assert i_range == (4, 8)
-        assert j_range == (4, 6)
-        assert k_range == (0, 2)
+        assert c.i_ranges()[1] == (4, 8)
+        assert c.j_ranges()[2] == (4, 6)
+        assert c.k_ranges()[0] == (0, 2)
 
     def test_paper_figure4_example(self):
         """(P=4, Q=2, R=1) over a 4x4x4 space: 8 cuboids of 1x2x4 voxels."""
         c = CuboidPartitioning(4, 4, 4, 4, 2, 1)
-        assert c.num_cuboids == 8
-        i_range, j_range, k_range = c.cuboid_ranges(0, 0, 0)
+        assert len(list(c.cuboids())) == 8
+        i_range, j_range, k_range = c.i_ranges()[0], c.j_ranges()[0], c.k_ranges()[0]
         assert (i_range[1] - i_range[0]) == 1
         assert (j_range[1] - j_range[0]) == 2
         assert (k_range[1] - k_range[0]) == 4

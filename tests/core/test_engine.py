@@ -1,11 +1,15 @@
 """End-to-end tests for the FuseME engine."""
 
+import sys
+
 import numpy as np
 import pytest
 
 from repro import FuseMEEngine
 from repro.errors import PlanError
-from repro.lang import DAG, evaluate, log, matrix_input, nnz_mask, sq, sum_of
+from repro.lang import (
+    DAG, evaluate, log, matrix_input, nnz_mask, parse_expression, sq, sum_of,
+)
 from repro.matrix import rand_dense, rand_sparse
 
 from tests.conftest import make_config
@@ -112,6 +116,24 @@ class TestExecute:
         result = FuseMEEngine(make_config()).execute([xe * 1.0, xe], inputs)
         roots = list(result.dag.roots)
         assert result.outputs[roots[1]] is inputs["X"]
+
+
+def test_a_2000_level_query_explains_at_a_recursion_limit_of_120():
+    """Parsing, simplification, CFG, lowering and the (P,Q,R) search hold no
+    stack frame per level of the query."""
+    x = matrix_input("X", 100, 80, 25)
+    w = matrix_input("W", 80, 60, 25)
+    engine = FuseMEEngine(make_config())
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(120)
+    try:
+        query = parse_expression("X %*% W" + " + 1" * 2000, {"X": x, "W": w})
+        rendered = engine.explain(query)
+    finally:
+        sys.setrecursionlimit(limit)
+    # the 2,000 scalar additions fold into one, fused into the one CFO unit
+    assert "1 unit(s)" in rendered
+    assert "b(add:,s2000)" in rendered
 
 
 class TestSparseScalarComparisons:

@@ -23,6 +23,10 @@ Two kinds of assertion, neither reads a clock:
   path, whose tasks stay on their mask's CSR pattern: it builds no COO
   matrix and gathers nothing by fancy indexing.
 
+``served_mix``'s write op gets the same two assertions: after one tile of X
+is replaced, both tenants re-cut X's slabs straight from the tiles' CSR
+arrays, again without a COO matrix.
+
 The oldest pin rides along: the conftest cluster's two GNMF iterations
 reproduce the seed commit's elapsed and communication numbers exactly under
 the seed's planner, the paper's CFG.
@@ -83,6 +87,16 @@ def als_step():
         }
 
     return [query.expr], {"X": x, **factors(0)}, factors(2)
+
+
+def served_tenants():
+    """``served_mix``'s two tenants: their query, inputs and rating matrix."""
+    gnmf = GNMF(500, 500, 50, 0.05, BLOCK)
+    u, v = gnmf.initial_factors(seed=0)
+    x = rand_sparse(500, 500, 0.05, BLOCK, seed=1)
+    yield "gnmf", [gnmf.query.u_update, gnmf.query.v_update], {"X": x, "U": u, "V": v}
+    query, inputs, _ = als_step()
+    yield "als", query, inputs
 
 
 def autoencoder_step():
@@ -201,7 +215,12 @@ def steady_state(name, tally, **options):
     result = engine.execute(query, inputs)
     metrics = result.metrics
     assert metrics.counters.get("plan_cache_hits") == 1
-    measured = {
+    return result, modeled_counts(metrics)
+
+
+def modeled_counts(metrics) -> dict:
+    """The modeled numbers a data-plane change may not move."""
+    return {
         "num_tasks": metrics.num_tasks,
         "num_stages": metrics.num_stages,
         "flops": metrics.flops,
@@ -210,7 +229,6 @@ def steady_state(name, tally, **options):
         "slice_cache_hits": metrics.counters.get("slice_cache_hits", 0),
         "slice_cache_misses": metrics.counters.get("slice_cache_misses", 0),
     }
-    return result, measured
 
 
 @pytest.mark.parametrize("name", sorted(WORKLOADS))
@@ -238,6 +256,51 @@ def test_paper_mode_query_counts(name, tally):
     assert measured == {**modeled, **PAPER_MODE[name]}
     for key, ceiling in ceilings.items():
         assert tally[key] <= ceiling, (key, tally[key], ceiling)
+
+
+#: A served write: the query re-runs on the same factors after one tile of X
+#: is replaced, so only X's slabs miss the slice cache.  The parent commit,
+#: which joined sparse slabs through one COO matrix per tile and a
+#: coordinates -> CSR build, built 824 / 396 COO matrices here.
+WRITE_STEP = {
+    "gnmf": {
+        "num_tasks": 134,
+        "num_stages": 8,
+        "flops": 58379900,
+        "comm_bytes": 4784384,
+        "elapsed_seconds": 0.4156087680000001,
+        "slice_cache_hits": 410,
+        "slice_cache_misses": 38,
+    },
+    "als": {
+        "num_tasks": 37,
+        "num_stages": 3,
+        "flops": 2002293,
+        "comm_bytes": 1817332,
+        "elapsed_seconds": 0.15394390400000002,
+        "slice_cache_hits": 96,
+        "slice_cache_misses": 12,
+    },
+}
+
+
+def test_served_write_then_execute_counts(tally):
+    """``served_mix``'s write op: the X slabs are re-cut from the tiles'
+    CSR arrays, with no COO matrix built, and every modeled number is the
+    one the COO join gave."""
+    for name, query, inputs in served_tenants():
+        engine = FuseMEEngine(fig14_config())
+        engine.execute(query, inputs)
+        x = inputs["X"]
+        keys = x.block_keys()
+        bi, bj = keys[len(keys) // 2]
+        x.set_block(bi, bj, Block(x.get_block(bi, bj).data * 1.03125))
+        for key in tally:
+            tally[key] = 0
+        metrics = engine.execute(query, inputs).metrics
+        assert metrics.counters.get("plan_cache_hits") == 1
+        assert modeled_counts(metrics) == WRITE_STEP[name], name
+        assert tally["coo_builds"] == 0, (name, tally["coo_builds"])
 
 
 def test_default_config_reproduces_seed_numbers_exactly():

@@ -117,7 +117,6 @@ def test_profile_aggregates_and_last_profile(workload):
     assert profile.wall_seconds is not None and profile.wall_seconds > 0.0
     assert profile.seconds_error is not None
     assert profile.mean_abs_seconds_error is not None
-    assert profile.max_abs_seconds_error >= profile.mean_abs_seconds_error
     assert profile.counters["cuboids_enumerated"] > 0
     assert (
         profile.counters["cuboids_evaluated"]

@@ -14,6 +14,7 @@ from repro.lang import (
     UnaryNode,
     evaluate_many,
     matrix_input,
+    parse_expression,
     simplify_dag,
     sum_of,
 )
@@ -177,15 +178,21 @@ class TestPostOrder:
             DAG(root.node)
 
     def test_a_2000_operator_chain_needs_no_recursion(self):
-        """Construction, simplification and the reference interpreter walk
-        a plan with an explicit stack: depth is not capped by the
-        interpreter's recursion limit (1000 by default)."""
+        """Parsing, construction, simplification and the reference
+        interpreter walk a plan with loops or an explicit stack: depth is not
+        capped by the interpreter's recursion limit (1000 by default)."""
         x = matrix_input("X", 4, 3, 2)
         chain = x
         for _ in range(2000):
             chain = chain + x
-        dag = DAG(chain.node)
-        assert len(dag) == 2001
-        simplified = simplify_dag(dag)
-        (out,) = evaluate_many(simplified.roots, {"X": np.ones((4, 3))})
-        np.testing.assert_array_equal(out, np.full((4, 3), 2001.0))
+        parsed = parse_expression("X" + " + X" * 2000, {"X": x})
+        negated = parse_expression("-" * 2000 + "X", {"X": x})
+        for expr, kernel, value in (
+            (chain, "add", 2001.0), (parsed, "add", 2001.0), (negated, "neg", 1.0)
+        ):
+            dag = DAG(expr.node)
+            assert len(dag) == 2001
+            assert {node.kernel for node in dag.operators()} == {kernel}
+            simplified = simplify_dag(dag)
+            (out,) = evaluate_many(simplified.roots, {"X": np.ones((4, 3))})
+            np.testing.assert_array_equal(out, np.full((4, 3), value))

@@ -5,6 +5,11 @@ tile.  It is held, bit for bit, to the two-step path it replaced —
 ``block_slice`` (an intermediate matrix with re-based keys) followed by a
 whole-matrix consolidation written here as the reference loop: per-block
 offsets from the meta, per-block copies, CSR through a COO round trip.
+
+The sparse join itself (``_assemble_csr``, behind ``slab`` and ``to_scipy``)
+is held to the COO join it replaced, kept here as :class:`CooJoined`, on
+tiles the engine's own kernels rarely make: explicit zeros, unsorted and
+duplicate column indices, empty CSR tiles, and dense tiles in a CSR slab.
 """
 
 import numpy as np
@@ -98,6 +103,114 @@ def assert_same_block(got: Block, want: Block) -> None:
             assert got_part.tobytes() == want_part.tobytes()
     else:
         assert got.data.tobytes() == want.data.tobytes()
+
+
+class CooJoined(BlockedMatrix):
+    """The same tiles, joined into CSR the old way: one COO matrix per tile,
+    then a coordinates -> CSR build over all of them."""
+
+    __slots__ = ()
+
+    def _assemble_csr(self, tiles, origin, shape):
+        size = self.block_size
+        row0, col0 = origin[0] * size, origin[1] * size
+        parts = []
+        for (bi, bj), block in tiles:
+            coo = block.to_sparse().data.tocoo()
+            parts.append(
+                (coo.row + (bi * size - row0), coo.col + (bj * size - col0), coo.data)
+            )
+        if not parts:
+            return sp.csr_matrix(shape)
+        rows = np.concatenate([p[0] for p in parts])
+        cols = np.concatenate([p[1] for p in parts])
+        data = np.concatenate([p[2] for p in parts])
+        return sp.csr_matrix((data, (rows, cols)), shape=shape)
+
+
+def raw_csr(rng, values, kind):
+    """*values* as a CSR payload adopted as is: canonical, with explicit
+    zeros, with each row's entries shuffled, with duplicate entries, or empty."""
+    if kind == "empty":
+        return sp.csr_matrix(values.shape)
+    keep = values != 0 if kind != "zeros" else rng.random(values.shape) < 0.7
+    indptr = np.concatenate([[0], np.cumsum(keep.sum(axis=1))])
+    indices = np.nonzero(keep)[1]
+    data = values[keep]
+    if kind == "unsorted":
+        for r in range(values.shape[0]):
+            run = slice(indptr[r], indptr[r + 1])
+            perm = rng.permutation(indptr[r + 1] - indptr[r])
+            indices[run], data[run] = indices[run][perm], data[run][perm]
+    if kind == "duplicates" and len(data):
+        # two entries that cancel go in front of the first stored one, so
+        # the stored sum depends on the order the duplicates are added in
+        indices = np.concatenate([indices[:1], indices[:1], indices])
+        data = np.concatenate([data[:1] * 1e8, data[:1] * -1e8, data])
+        indptr = indptr + 2 * (indptr > 0)
+    return sp.csr_matrix((data, indices, indptr), shape=values.shape)
+
+
+@st.composite
+def raw_tile_matrices(draw):
+    """A ragged-edged matrix whose tiles are any mix of the above, dense
+    tiles and missing tiles, with a block range to cut."""
+    size = draw(st.integers(1, 5))
+    meta = MatrixMeta(
+        draw(st.integers(1, 4 * size + 3)), draw(st.integers(1, 4 * size + 3)), size
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**31)))
+    density = draw(st.sampled_from([0.05, 0.3, 1.0]))
+    kinds = ["missing", "dense", "csr", "zeros", "unsorted", "duplicates", "empty"]
+    matrix = BlockedMatrix(meta)
+    grid_rows, grid_cols = meta.block_grid
+    for bi in range(grid_rows):
+        for bj in range(grid_cols):
+            kind = draw(st.sampled_from(kinds))
+            if kind == "missing":
+                continue
+            values = rng.normal(size=meta.block_dims(bi, bj))
+            values = np.where(rng.random(values.shape) < density, values, 0.0)
+            payload = values if kind == "dense" else raw_csr(rng, values, kind)
+            matrix.set_block(bi, bj, Block(payload))
+    r0 = draw(st.integers(0, grid_rows - 1))
+    c0 = draw(st.integers(0, grid_cols - 1))
+    rows = (r0, draw(st.integers(r0 + 1, grid_rows)))
+    cols = (c0, draw(st.integers(c0 + 1, grid_cols)))
+    return matrix, rows, cols
+
+
+def assert_same_csr(got, want) -> None:
+    """Bit-identical CSR arrays, dtypes included."""
+    assert type(got) is type(want) is sp.csr_matrix
+    assert got.shape == want.shape
+    for part in ("data", "indices", "indptr"):
+        got_part, want_part = getattr(got, part), getattr(want, part)
+        assert got_part.dtype == want_part.dtype, part
+        assert got_part.tobytes() == want_part.tobytes(), part
+
+
+@settings(max_examples=300, deadline=None)
+@given(raw_tile_matrices())
+def test_csr_join_equals_the_coo_join(case):
+    matrix, row_range, col_range = case
+    oracle = CooJoined(matrix.meta, matrix.blocks)
+    assert_same_block(
+        matrix.slab(row_range, col_range), oracle.slab(row_range, col_range)
+    )
+    assert_same_csr(matrix.to_scipy(), oracle.to_scipy())
+    assert_same_block(matrix.as_single_block(), oracle.as_single_block())
+
+
+def test_csr_join_of_empty_ranges_and_matrices():
+    meta = MatrixMeta(7, 9, 3)
+    matrix = BlockedMatrix(meta, {(2, 1): Block(sp.csr_matrix((1, 3)))})
+    oracle = CooJoined(meta, matrix.blocks)
+    # a range with no stored tile, one with only an empty CSR tile
+    for rows, cols in (((0, 2), (0, 3)), ((1, 3), (1, 2)), ((0, 3), (0, 3))):
+        assert_same_block(matrix.slab(rows, cols), oracle.slab(rows, cols))
+    assert_same_csr(matrix.to_scipy(), oracle.to_scipy())
+    assert_same_csr(BlockedMatrix(meta).to_scipy(), CooJoined(meta).to_scipy())
 
 
 @settings(max_examples=150, deadline=None)

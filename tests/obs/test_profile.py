@@ -82,7 +82,6 @@ class TestQueryProfile:
         # (1+3) vs (2+2)
         assert profile.seconds_error == 0.0
         assert profile.mean_abs_seconds_error == 0.5
-        assert profile.max_abs_seconds_error == 0.5
 
     def test_no_estimates_means_no_error_claim(self):
         profile = QueryProfile(

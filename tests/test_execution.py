@@ -111,15 +111,16 @@ class TestSharedCluster:
             == a.metrics.num_stages + b.metrics.num_stages
         )
 
-    def test_reset_metrics_does_not_corrupt_prior_results(self, simple):
+    def test_later_queries_do_not_corrupt_prior_results(self, simple):
         x, inputs = simple
         config = make_config()
         cluster = SimulatedCluster(config)
-        result = FuseMEEngine(config).execute(x * 2.0, inputs, cluster=cluster)
+        engine = FuseMEEngine(config)
+        result = engine.execute(x * 2.0, inputs, cluster=cluster)
         totals = result.metrics.totals()
-        cluster.reset_metrics()
+        engine.execute(x * 3.0, inputs, cluster=cluster)
         assert result.metrics.totals() == totals
-        assert cluster.metrics.num_stages == 0
+        assert cluster.metrics.num_stages == 2 * result.metrics.num_stages
 
     def test_simulated_timeout_budget_is_per_query(self, simple):
         """The paper's T.O. applies to one query, not the cluster's whole
