@@ -204,12 +204,6 @@ class MetricsCollector:
             "num_aborted_stages": sum(1 for s in stages if s.aborted),
         }
 
-    def reset(self) -> None:
-        with self._lock:
-            self.stages.clear()
-            self.counters.clear()
-            self._clock = 0.0
-
     def mark(self) -> MetricsMark:
         """The current position, for a later :meth:`diff_since` /
         :meth:`elapsed_since` — the per-query baseline on a shared cluster."""

@@ -218,16 +218,19 @@ def _distance(plan: PartialFusionPlan, a: Node, b: Node) -> int:
             if child in plan.nodes:
                 neighbours[node].add(child)
                 neighbours[child].add(node)
+    # level by level, so the work done does not depend on set order
     seen = {a}
-    frontier = deque([(a, 0)])
-    while frontier:
-        current, dist = frontier.popleft()
-        if current is b:
+    level = {a}
+    dist = 0
+    while level:
+        if b in level:
             return dist
-        for nxt in neighbours[current]:
-            if nxt not in seen:
-                seen.add(nxt)
-                frontier.append((nxt, dist + 1))
+        level = {
+            nxt for current in level for nxt in neighbours[current]
+            if nxt not in seen
+        }
+        seen |= level
+        dist += 1
     raise PlanError(f"{a!r} and {b!r} are not connected within the plan")
 
 
@@ -377,7 +380,14 @@ def _ensure_layouts(partials: list[PartialFusionPlan]) -> list[PartialFusionPlan
 
 
 def _cell_fuse_leftovers(dag: DAG, leftovers: list[Node]) -> list[set[Node]]:
-    """Greedy Cell fusion over operators no candidate plan absorbed."""
+    """Greedy Cell fusion over operators no candidate plan absorbed.
+
+    A group grows from a worklist of its newly added members, each visited
+    once: element-wise children join, and so does a member's one parent.
+    Every member that grows upward has exactly one parent, so a group is a
+    tree with at most one termination operator (its top), and the order of
+    the visits cannot change which operators it ends up with.
+    """
     remaining = set(leftovers)
     groups: list[set[Node]] = []
     for node in [n for n in dag.nodes() if n in remaining]:
@@ -389,42 +399,39 @@ def _cell_fuse_leftovers(dag: DAG, leftovers: list[Node]) -> list[set[Node]]:
             groups.append(group)  # multiplications never Cell-fuse
             continue
         top_taken = is_termination(dag, node)
-        changed = True
-        while changed:
-            changed = False
-            for member in list(group):
-                for child in member.inputs:
-                    if (
-                        child in remaining
-                        and not is_termination(dag, child)
-                        and not isinstance(child, MatMulNode)
-                    ):
-                        group.add(child)
-                        remaining.discard(child)
-                        changed = True
-                # a termination member is the group's top: nothing fuses
-                # above it (an aggregation's block partials must be combined
-                # before any parent reads them)
+        work = [node]
+        while work:
+            member = work.pop()
+            for child in member.inputs:
                 if (
-                    dag.consumers(member) == 1
-                    and member not in dag.roots
-                    and not is_termination(dag, member)
+                    child in remaining
+                    and not is_termination(dag, child)
+                    and not isinstance(child, MatMulNode)
                 ):
-                    for parent in dag.parents(member):
-                        if parent not in remaining or isinstance(parent, MatMulNode):
-                            continue
-                        if not is_termination(dag, parent):
-                            group.add(parent)
-                            remaining.discard(parent)
-                            changed = True
-                        elif not top_taken:
-                            # a termination operator may cap the group as
-                            # its top (Algorithm 2's rule), ending upward
-                            # growth
-                            group.add(parent)
-                            remaining.discard(parent)
-                            top_taken = True
-                            changed = True
+                    group.add(child)
+                    remaining.discard(child)
+                    work.append(child)
+            # a termination member is the group's top: nothing fuses above
+            # it (an aggregation's block partials must be combined before
+            # any parent reads them)
+            if (
+                dag.consumers(member) != 1
+                or member in dag.roots
+                or is_termination(dag, member)
+            ):
+                continue
+            for parent in dag.parents(member):
+                if parent not in remaining or isinstance(parent, MatMulNode):
+                    continue
+                if is_termination(dag, parent):
+                    if top_taken:
+                        continue
+                    # a termination operator may cap the group as its top
+                    # (Algorithm 2's rule), ending upward growth
+                    top_taken = True
+                group.add(parent)
+                remaining.discard(parent)
+                work.append(parent)
         groups.append(group)
     return groups
 

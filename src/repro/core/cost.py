@@ -92,11 +92,14 @@ class PlanCost:
 class CostModel:
     """Evaluates Mem/Net/Com/Cost for a partial fusion plan's space tree.
 
-    Stateless between calls: every estimate is a fresh walk of the tree.
-    ``pqr`` components are ints for one candidate or broadcastable float64
-    arrays for many (see the module docstring for why the two agree bit
-    for bit); :meth:`evaluate` is the scalar-only entry point that packs
-    one candidate into a :class:`PlanCost`.
+    Stateless between calls.  A tree's Eq. 3/4/5 walks are compiled once
+    into term lists (:class:`TreeTerms`, kept on the tree, which the plan
+    keeps through its layout), so an estimate is a pass over a few dozen
+    ``(monomial, size)`` pairs.  ``pqr`` components are ints for one
+    candidate or broadcastable float64 arrays for many (see the module
+    docstring for why the two agree bit for bit); :meth:`evaluate` is the
+    scalar-only entry point that packs one candidate into a
+    :class:`PlanCost`.
 
     With a *calibration* (a fitted :class:`~repro.core.calibration.
     KernelCalibration` for this plan's kernel class), ``cost_seconds``
@@ -129,8 +132,7 @@ class CostModel:
     ) -> PlanCost:
         """Full cost of executing *plan* with one integer partitioning."""
         mem = self.mem_est(plan, tree, pqr)
-        net = self._full_net(plan, tree, pqr)
-        com = self.com_est(tree, pqr)
+        net, com = self._net_com(plan, tree, pqr)
         feasible = mem <= self.config.cluster.task_memory_budget
         return PlanCost(
             pqr=pqr,
@@ -148,10 +150,7 @@ class CostModel:
         """Cost with the aggregation shuffle, ignoring memory feasibility:
         ``evaluate(...).cost_seconds`` of every feasible candidate in *pqr*."""
         return price(
-            self.config,
-            self._full_net(plan, tree, pqr),
-            self.com_est(tree, pqr),
-            self.calibration,
+            self.config, *self._net_com(plan, tree, pqr), self.calibration
         )
 
     def raw_seconds(self, tree: SpaceTree, pqr: Pqr):
@@ -168,38 +167,33 @@ class CostModel:
             self.calibration,
         )
 
+    def _net_com(self, plan: PartialFusionPlan, tree: SpaceTree, pqr: Pqr):
+        """Eq. 4 plus the aggregation shuffle of *plan*'s partial product
+        tiles (sparse under a sparsity mask), and Eq. 5: what
+        :meth:`evaluate` charges."""
+        terms = tree_terms(tree)
+        mono = _monomials(pqr, terms.masks)
+        net = _net_sum(
+            terms.net, mono, pqr[2] - 1, self.free_sources,
+            float(self._aggregated_tile_bytes(plan, tree)),
+        )
+        return net, _com_sum(terms.com, mono)
+
     # -- MemEst (Algorithm 1) --------------------------------------------------
 
     def mem_est(self, plan: PartialFusionPlan, tree: SpaceTree, pqr: Pqr):
         """Estimated memory per task, Algorithm 1 + the plan output tile."""
-        total = self._mem_tree(tree, pqr)
+        terms = tree_terms(tree)
+        total = _mem_sum(terms.mem, _monomials(pqr, terms.masks))
         if tree.produces_output:
             p, q, _ = pqr
             total = total + plan.root.meta.estimated_bytes / (p * q)
         return total
 
-    def _mem_tree(self, tree: SpaceTree, pqr: Pqr):
-        p, q, r = pqr
-        divisors = {SpaceKind.L: p * r, SpaceKind.R: q * r, SpaceKind.O: p * q}
-        total = 0.0
-        for kind, space in tree.spaces.items():
-            divisor = divisors[kind]
-            for consumer, index in space.materialized:
-                size = consumer.inputs[index].meta.estimated_bytes
-                total = total + size / divisor
-            confined = self._confined(kind, pqr)
-            for nested in space.nested:
-                total = total + self._mem_tree(nested, confined)
-        return total
-
     # -- NetEst (Eq. 4) ------------------------------------------------------------
 
     def net_est(
-        self,
-        tree: SpaceTree,
-        pqr: Pqr,
-        include_aggregation: bool = False,
-        outer_output_bytes: Optional[float] = None,
+        self, tree: SpaceTree, pqr: Pqr, include_aggregation: bool = False
     ):
         """Estimated network traffic for the whole cluster.
 
@@ -209,20 +203,11 @@ class CostModel:
         their owner task.  The optimizer uses the full estimate — it is what
         makes it "determine R as a value as small as possible" (Section 3.2)
         instead of collapsing parallelism into single-reducer shuffles.
-        ``outer_output_bytes`` overrides the outer product's tile volume
-        (used when a sparsity mask makes the partials sparse).
         """
-        return self._net_tree(tree, pqr, multiplier=1.0,
-                              include_aggregation=include_aggregation,
-                              output_bytes=outer_output_bytes)
-
-    def _full_net(self, plan: PartialFusionPlan, tree: SpaceTree, pqr: Pqr):
-        """Eq. 4 plus the aggregation shuffle of *plan*'s (possibly masked)
-        partial product tiles — the traffic :meth:`evaluate` charges."""
-        return self.net_est(
-            tree, pqr,
-            include_aggregation=True,
-            outer_output_bytes=self._aggregated_tile_bytes(plan, tree),
+        terms = tree_terms(tree)
+        return _net_sum(
+            terms.net, _monomials(pqr, terms.masks),
+            pqr[2] - 1 if include_aggregation else None, self.free_sources,
         )
 
     def _aggregated_tile_bytes(
@@ -241,70 +226,151 @@ class CostModel:
                 full = min(full, driver.meta.estimated_bytes)
         return full
 
-    def _net_tree(
-        self,
-        tree: SpaceTree,
-        pqr: Pqr,
-        multiplier,
-        include_aggregation: bool = False,
-        output_bytes: Optional[float] = None,
-    ):
-        p, q, r = pqr
-        factors = {SpaceKind.L: q, SpaceKind.R: p, SpaceKind.O: r}
-        total = 0.0
-        if include_aggregation:
-            tile_volume = (
-                output_bytes if output_bytes is not None
-                else tree.mm.meta.estimated_bytes
-            )
-            # no ``r > 1`` branch: at r == 1 the term is exactly +0.0
-            total = total + multiplier * (r - 1) * tile_volume
-        for kind, space in tree.spaces.items():
-            factor = factors[kind]
-            for consumer, index in space.materialized:
-                source = consumer.inputs[index]
-                if self.free_sources and _env_key(source) in self.free_sources:
-                    continue
-                total = total + multiplier * factor * source.meta.estimated_bytes
-            confined = self._confined(kind, pqr)
-            for nested in space.nested:
-                total = total + self._net_tree(
-                    nested, confined, multiplier * factor,
-                    include_aggregation=include_aggregation,
-                )
-        return total
-
     # -- ComEst (Eq. 5) --------------------------------------------------------------
 
     def com_est(self, tree: SpaceTree, pqr: Pqr):
         """Estimated floating point operations for the whole cluster."""
-        return self._com_tree(tree, pqr, multiplier=1.0)
+        terms = tree_terms(tree)
+        return _com_sum(terms.com, _monomials(pqr, terms.masks))
 
-    def _com_tree(self, tree: SpaceTree, pqr: Pqr, multiplier):
-        p, q, r = pqr
-        factors = {SpaceKind.L: q, SpaceKind.R: p, SpaceKind.O: r}
-        total = multiplier * tree.mm.estimated_flops()  # v_mm computed once
-        for kind, space in tree.spaces.items():
-            factor = factors[kind]
-            for node in space.operators:
-                total = total + multiplier * factor * node.estimated_flops()
-            confined = self._confined(kind, pqr)
-            for nested in space.nested:
-                total = total + self._com_tree(
-                    nested, confined, multiplier * factor
-                )
-        return total
 
-    # -- helpers -------------------------------------------------------------------------
+# ---------------------------------------------------------------------------
+# compiled walks
+# ---------------------------------------------------------------------------
+#
+# Algorithm 1 walks the space tree with the partitioning ``(P, Q, R)``
+# confined at every nesting level — ``(P,1,R)`` below L, ``(1,Q,R)`` below R,
+# ``(P,Q,1)`` below O — and scales a nested tree's Eq. 4/5 terms by the
+# replication factors of the spaces above it.  Every divisor and multiplier
+# is therefore a product of distinct outer parameters: a *monomial*, written
+# as a bitmask over ``P``, ``Q``, ``R``.  Compiling a tree resolves each
+# term's monomial and size once; evaluating adds the terms, each one nested
+# tree's into a subtotal of its own, in the walk's order.  Products of
+# partition counts are exact, so each term — and each sum — is the same
+# IEEE-754 operation on the same operands as in the recursive walk.
 
-    @staticmethod
-    def _confined(kind: SpaceKind, pqr: Pqr) -> Pqr:
-        """Algorithm 1 line 4: the partitioning a space passes to nested
-        multiplications — ``(P,1,R)`` for L, ``(1,Q,R)`` for R, ``(P,Q,1)``
-        for O."""
-        p, q, r = pqr
-        if kind is SpaceKind.L:
-            return (p, 1, r)
-        if kind is SpaceKind.R:
-            return (1, q, r)
-        return (p, q, 1)
+_P, _Q, _R = 1, 2, 4
+#: A term whose "monomial" is a nested tree's program.
+_NEST = -1
+
+
+@dataclass(frozen=True)
+class TreeTerms:
+    """One :class:`SpaceTree`'s Eq. 3/4/5 walks as term lists.
+
+    * ``mem``: ``(divisor, size)``, or ``(_NEST, nested mem)``;
+    * ``net``: ``(aggregation, terms)`` — ``aggregation`` is the
+      ``(multiplier, tile bytes)`` of the ``(R - 1)`` shuffle, ``None``
+      where the confined ``R`` is 1 (the term is exactly ``+0.0``); terms
+      are ``(multiplier, bytes, env key)`` or ``(_NEST, nested net, None)``;
+    * ``com``: ``((multiplier, flops of v_mm), terms)`` with terms
+      ``(multiplier, flops)`` or ``(_NEST, nested com)``;
+    * ``masks``: the multi-parameter monomials any term uses.
+    """
+
+    mem: tuple
+    net: tuple
+    com: tuple
+    masks: tuple
+
+
+def tree_terms(tree: SpaceTree) -> TreeTerms:
+    """*tree*'s compiled terms, built on first use and kept on the tree."""
+    terms = tree.terms
+    if terms is None:
+        masks: set[int] = set()
+        mem, net, com = _compile(tree, (_P, _Q, _R), 0, masks)
+        terms = tree.terms = TreeTerms(
+            mem, net, com, tuple(sorted(m for m in masks if m & (m - 1)))
+        )
+    return terms
+
+
+def _compile(tree: SpaceTree, params: tuple, multiplier: int, masks: set):
+    """The three programs of *tree* under confined *params* (a bit per
+    parameter, 0 where it is confined to 1) and replication *multiplier*."""
+    p, q, r = params
+    divisors = {SpaceKind.L: p | r, SpaceKind.R: q | r, SpaceKind.O: p | q}
+    factors = {SpaceKind.L: q, SpaceKind.R: p, SpaceKind.O: r}
+    confined = {
+        SpaceKind.L: (p, 0, r), SpaceKind.R: (0, q, r), SpaceKind.O: (p, q, 0),
+    }
+    mem, net, com = [], [], []
+    masks.add(multiplier)
+    for kind, space in tree.spaces.items():
+        factor = multiplier | factors[kind]
+        masks.update((divisors[kind], factor))
+        for consumer, index in space.materialized:
+            source = consumer.inputs[index]
+            size = source.meta.estimated_bytes
+            mem.append((divisors[kind], size))
+            net.append((factor, float(size), _env_key(source)))
+        for node in space.operators:
+            com.append((factor, float(node.estimated_flops())))
+        for nested in space.nested:
+            sub_mem, sub_net, sub_com = _compile(
+                nested, confined[kind], factor, masks
+            )
+            mem.append((_NEST, sub_mem))
+            net.append((_NEST, sub_net, None))
+            com.append((_NEST, sub_com))
+    aggregation = (
+        (multiplier, float(tree.mm.meta.estimated_bytes)) if r else None
+    )
+    head = (multiplier, float(tree.mm.estimated_flops()))
+    return tuple(mem), (aggregation, tuple(net)), (head, tuple(com))
+
+
+def _monomials(pqr: Pqr, masks: tuple) -> list:
+    """Every monomial value a program may index, for one ``(P, Q, R)``."""
+    p, q, r = pqr
+    mono = [1.0, p, q, None, r, None, None, None]
+    for mask in masks:
+        if mask == _P | _Q:
+            mono[mask] = p * q
+        elif mask == _P | _R:
+            mono[mask] = p * r
+        elif mask == _Q | _R:
+            mono[mask] = q * r
+        else:
+            mono[mask] = p * q * r
+    return mono
+
+
+def _mem_sum(program: tuple, mono: list):
+    total = 0.0
+    for divisor, size in program:
+        if divisor == _NEST:
+            total = total + _mem_sum(size, mono)
+        else:
+            total = total + size / mono[divisor]
+    return total
+
+
+def _net_sum(program: tuple, mono: list, r_minus_1, free, tile=None):
+    """Eq. 4; with *r_minus_1* (``R - 1``) the aggregation shuffle too, the
+    outermost tile volume overridden by *tile*."""
+    aggregation, terms = program
+    total = 0.0
+    if r_minus_1 is not None and aggregation is not None:
+        multiplier, volume = aggregation
+        total = total + mono[multiplier] * r_minus_1 * (
+            volume if tile is None else tile
+        )
+    for multiplier, size, key in terms:
+        if multiplier == _NEST:
+            total = total + _net_sum(size, mono, r_minus_1, free)
+        elif not (free and key in free):
+            total = total + mono[multiplier] * size
+    return total
+
+
+def _com_sum(program: tuple, mono: list):
+    (multiplier, flops), terms = program
+    total = mono[multiplier] * flops  # v_mm computed once
+    for multiplier, flops in terms:
+        if multiplier == _NEST:
+            total = total + _com_sum(flops, mono)
+        else:
+            total = total + mono[multiplier] * flops
+    return total

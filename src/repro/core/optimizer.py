@@ -8,28 +8,30 @@ Two search strategies are provided:
   cluster's parallelism (``P*Q*R < N*Tc``) are skipped, and monotonicity of
   Net/Com in each parameter prunes dominated regions.  For a fixed ``(Q, R)``
   the cost grows with ``P`` while memory shrinks, so the best ``P`` is the
-  smallest feasible one — found by binary search; lower bounds on the cost of
-  a whole ``(Q, R)`` or ``R`` slab abandon it without enumeration.
+  smallest feasible one; lower bounds on the cost of a whole ``(Q, R)`` or
+  ``R`` slab abandon it without enumeration.
 
 The pruned search prices the whole ``(Q, R)`` grid at once.  The cost model
-is array-polymorphic (:mod:`repro.core.cost`), so one ``raw_seconds`` walk at
-``P = 1`` yields every slab bound, the bisection for the smallest feasible
-``P`` runs on all ``(q, r)`` cells in lockstep (``ceil(log2 I)`` ``mem_est``
-walks), and one more walk prices the ``K x J`` candidates it found.  The
-``r -> q`` scan with its ``break`` rules, strict ``<`` tie-break and
-``evaluations`` tally then replays over those precomputed numbers, and the
-winner is materialized by the scalar ``CostModel.evaluate``.  Grid cells
-equal the scalar calls bit for bit, so the chosen ``(P*, Q*, R*)``, its
-``PlanCost`` and the tally are exactly what a candidate-at-a-time search
-returns — in a dozen tree walks whatever the voxel count (the paper's
-Figure 13(d): flat).  ``exhaustive`` stays one scalar ``evaluate`` per
-candidate over the same formula on purpose: its cost *is* the baseline that
-figure compares against.
+is array-polymorphic (:mod:`repro.core.cost`), so one ``raw_seconds`` walk
+at ``P = 1`` yields every slab bound.  The smallest feasible ``P`` of every
+cell comes from one ``mem_est`` walk at the cells' parallelism floors; the
+cells that do not fit there get a guess from Eq. 3's ``A + B/P`` form,
+which two more walks confirm exactly (a cell the guess misses is bisected).
+One walk prices the ``K x J`` candidates found.  The paper's ``r -> q``
+scan — its ``break`` rules, strict ``<`` tie-break and ``evaluations``
+tally — is then reproduced with row-wise prefix minima and a
+first-occurrence argmin (:func:`_scan`), and the winner is materialized by
+the scalar ``CostModel.evaluate``.  Grid cells equal the scalar calls bit
+for bit, so the chosen ``(P*, Q*, R*)``, its ``PlanCost`` and the tally are
+exactly what a candidate-at-a-time search returns — in a handful of tree
+walks whatever the voxel count (the paper's Figure 13(d): flat).
+``exhaustive`` stays one scalar ``evaluate`` per candidate over the same
+formula on purpose: its cost *is* the baseline that figure compares
+against.
 """
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass
 from typing import Literal, Optional
@@ -196,7 +198,6 @@ def _pruned(
 ) -> tuple[Optional[PlanCost], int]:
     slots = config.cluster.total_tasks
     voxels = extent_i * extent_j * extent_k
-    evaluations = 0
 
     if voxels < slots:
         # Cannot exploit full parallelism anyway: use the maximal parameters
@@ -204,54 +205,141 @@ def _pruned(
         cost = model.evaluate(plan, tree, (extent_i, extent_j, extent_k))
         return (cost if cost.feasible else None), 1
 
-    budget = config.cluster.task_memory_budget
     grid = (extent_k, extent_j)
     q = np.arange(1, extent_j + 1, dtype=np.float64)[np.newaxis, :]
     r = np.arange(1, extent_k + 1, dtype=np.float64)[:, np.newaxis]
     # cheapest conceivable cost of every (q, r) column; the q == 1 entries
     # are the lower bounds of the whole r-slabs
-    bounds = np.broadcast_to(model.raw_seconds(tree, (1, q, r)), grid).tolist()
+    bounds = np.broadcast_to(model.raw_seconds(tree, (1, q, r)), grid)
     # The smallest P that fills the cluster, then the smallest memory-feasible
     # one at or above it: per-task memory is non-increasing in P (Eq. 3
     # divides by ``P*R`` and ``P*Q``) while Net/Com are non-decreasing
     # (Eq. 4-5 multiply R-space contributions by P), so that P is optimal
     # for its (Q, R).
-    p_floor = np.maximum(1.0, np.ceil(slots / (q * r)))
-    usable = (p_floor <= extent_i) & (
-        model.mem_est(plan, tree, (extent_i, q, r)) <= budget
+    p_floor = np.broadcast_to(np.maximum(1.0, np.ceil(slots / (q * r))), grid)
+    p_best, usable = _smallest_feasible_p(
+        plan, tree, model, p_floor, q, r, extent_i,
+        config.cluster.task_memory_budget,
     )
-    lo = np.where(usable, p_floor, extent_i)
-    hi = np.full(grid, float(extent_i))
-    # every cell bisects in lockstep; an interval of at most I candidates is
-    # down to one after ceil(log2 I) halvings
-    for _ in range((extent_i - 1).bit_length()):
-        mid = np.floor((lo + hi) / 2)
-        fits = model.mem_est(plan, tree, (mid, q, r)) <= budget
-        unsettled = lo < hi
-        hi = np.where(unsettled & fits, mid, hi)
-        lo = np.where(unsettled & ~fits, mid + 1, lo)
     seconds = np.broadcast_to(
-        model.full_seconds(plan, tree, (lo, q, r)), grid
-    ).tolist()
-    p_floor, usable, p_best = p_floor.tolist(), usable.tolist(), lo.tolist()
-
-    best: Optional[tuple[float, tuple[int, int, int]]] = None
-    for k in range(extent_k):
-        # lower bound for this whole r-slab: the cheapest conceivable (p=1,q=1)
-        evaluations += 1
-        if best is not None and bounds[k][0] >= best[0]:
-            break  # Net/Com grow with r; later slabs only get worse
-        for j in range(extent_j):
-            evaluations += 1
-            if best is not None and bounds[k][j] >= best[0]:
-                break  # cost grows with q at fixed r
-            if not usable[k][j]:
-                continue
-            evaluations += 2 + int(
-                math.log2(max(1, extent_i - int(p_floor[k][j]) + 1))
-            )
-            if best is None or seconds[k][j] < best[0]:
-                best = (seconds[k][j], (int(p_best[k][j]), j + 1, k + 1))
-    if best is None:
+        model.full_seconds(plan, tree, (p_best, q, r)), grid
+    )
+    winner, evaluations = _scan(bounds, seconds, usable, p_floor, extent_i)
+    if winner is None:
         return None, evaluations
-    return model.evaluate(plan, tree, best[1]), evaluations
+    k, j = winner
+    return (
+        model.evaluate(plan, tree, (int(p_best[k, j]), j + 1, k + 1)),
+        evaluations,
+    )
+
+
+def _smallest_feasible_p(plan, tree, model, p_floor, q, r, extent_i, budget):
+    """Per ``(q, r)`` cell: the smallest ``P`` in ``[p_floor, I]`` whose
+    per-task memory fits *budget*, and whether there is one.
+
+    ``mem_est`` is non-increasing in ``P`` in floating point too (every
+    Eq. 3 term divides a size by a partition count), so a candidate ``P``
+    is that smallest one exactly when it fits and ``P - 1`` does not (or
+    ``P`` is the floor).  Most cells fit at the floor.  For the rest, Eq. 3
+    is ``A + B/P`` at every nesting depth, and its values at the floor and
+    at ``I`` give ``A`` and ``B``, hence a guess that two exact estimates
+    confirm.  A cell the guess misses is bisected, so the answer never
+    rests on the guess.
+    """
+    start = np.minimum(p_floor, extent_i)
+    mem_start = model.mem_est(plan, tree, (start, q, r))
+    fits = mem_start <= budget
+    p_best = start.copy()
+    usable = fits & (p_floor <= extent_i)
+    open_ = ~fits & (p_floor <= extent_i)
+    if not open_.any():
+        return p_best, usable
+    mem_max = np.broadcast_to(
+        model.mem_est(plan, tree, (extent_i, q, r)), p_floor.shape
+    )
+    open_ &= mem_max <= budget
+    usable |= open_
+    if not open_.any():
+        return p_best, usable
+    guess = _guess_p(mem_start, mem_max, start, extent_i, budget, open_)
+    below = np.maximum(guess - 1, start)
+    confirmed = open_ & (
+        model.mem_est(plan, tree, (guess, q, r)) <= budget
+    ) & ((below == start) | (model.mem_est(plan, tree, (below, q, r)) > budget))
+    p_best = np.where(confirmed, guess, p_best)
+    missed = open_ & ~confirmed
+    if missed.any():
+        # bisect in lockstep: an interval of at most I candidates is down to
+        # one after ceil(log2 I) halvings
+        lo = np.where(missed, start + 1, p_best)
+        hi = np.where(missed, extent_i, p_best)
+        for _ in range((extent_i - 1).bit_length()):
+            mid = np.floor((lo + hi) / 2)
+            fits = model.mem_est(plan, tree, (mid, q, r)) <= budget
+            unsettled = lo < hi
+            hi = np.where(unsettled & fits, mid, hi)
+            lo = np.where(unsettled & ~fits, mid + 1, lo)
+        p_best = lo
+    return p_best, usable
+
+
+def _guess_p(mem_start, mem_max, start, extent_i, budget, open_):
+    """Where ``A + B/P`` through ``mem(start)`` and ``mem(I)`` meets
+    *budget*, clipped to ``(start, I]``.  Open cells have ``start < I`` and
+    ``mem(start) > budget >= mem(I)``; any other cell gets ``I``."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        b = (mem_start - mem_max) * start * extent_i / (extent_i - start)
+        guess = np.ceil(b / (budget - (mem_max - b / extent_i)))
+    guess = np.where(open_ & np.isfinite(guess), guess, extent_i)
+    return np.clip(guess, start + 1, extent_i)
+
+
+def _scan(bounds, seconds, usable, p_floor, extent_i):
+    """The paper's ``r -> q`` scan over the ``(K, J)`` grid, without a loop.
+
+    The scan visits rows ``r = 1, 2, ...`` and in each row the cells
+    ``q = 1, 2, ...``; it leaves a row at the first cell whose bound reaches
+    the best full cost seen so far, stops at the first row whose ``q = 1``
+    bound does, and keeps a visited usable cell only when it is strictly
+    cheaper.  Bounds are non-decreasing along both axes and no cell's bound
+    exceeds its own full cost (both in floating point: every term only
+    grows with ``P``, ``Q``, ``R`` and with the aggregation shuffle), so a
+    cell the scan skips never beats the best it already has, and
+
+    * the best before a row is the minimum over *every* usable cell of the
+      earlier rows;
+    * the best before a cell is that, or a row-wise prefix minimum;
+    * the winner is the first usable cell, in scan order, of least cost.
+
+    Returns the winning ``(k, j)`` (or ``None``) and the ``evaluations``
+    tally: a row, a cell, and for each usable visited cell the
+    ``2 + floor(log2(I - p_floor + 1))`` estimates a candidate-at-a-time
+    bisection would spend on it.
+    """
+    extent_k, extent_j = bounds.shape
+    costs = np.where(usable, seconds, np.inf)
+    row_best = np.minimum.accumulate(costs.min(axis=1))
+    before_row = np.concatenate(([np.inf], row_best[:-1]))
+    stops = bounds[:, 0] >= before_row
+    rows = int(stops.argmax()) if stops.any() else extent_k
+    # per visited row: the best before each cell, and the cell that breaks
+    prefix = np.minimum.accumulate(costs[:rows], axis=1)
+    before = np.minimum(
+        np.concatenate((np.full((rows, 1), np.inf), prefix[:, :-1]), axis=1),
+        before_row[:rows, np.newaxis],
+    )
+    breaks = bounds[:rows] >= before
+    ends = np.where(breaks.any(axis=1), breaks.argmax(axis=1), extent_j)
+    visited = np.arange(extent_j) < ends[:, np.newaxis]
+    # 2 + floor(log2(n)) of an integer n >= 1: frexp's exponent plus one
+    spans = np.frexp(np.maximum(1.0, extent_i - p_floor[:rows] + 1))[1] + 1
+    evaluations = (
+        rows + int(rows < extent_k)
+        + int(ends.sum()) + int(breaks.any(axis=1).sum())
+        + int(spans[visited & usable[:rows]].sum())
+    )
+    if not np.isfinite(row_best[-1]):
+        return None, evaluations
+    k, j = divmod(int(costs.argmin()), extent_j)
+    return (k, j), evaluations

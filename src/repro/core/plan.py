@@ -82,7 +82,7 @@ class PartialFusionPlan:
         """Plan operators in topological order (children first)."""
         return self.derived(
             "topo_nodes",
-            lambda: tuple(n for n in self.dag.nodes() if n in self.nodes),
+            lambda: tuple([n for n in self.dag.nodes() if n in self.nodes]),
         )
 
     def derived(self, key: Hashable, compute: Callable[[], T]) -> T:

@@ -241,6 +241,9 @@ class SpaceTree:
     #: True when the plan's materialized output is produced by this tree's
     #: root (only set on the outermost tree).
     produces_output: bool = False
+    #: The cost model's compiled walks (:func:`repro.core.cost.tree_terms`),
+    #: built on first use; they live and die with the tree.
+    terms: object = field(default=None, repr=False, compare=False)
 
     def space(self, kind: SpaceKind) -> Space:
         return self.spaces[kind]
@@ -510,7 +513,7 @@ def _zero_preserving_above(plan: PartialFusionPlan, mask_mul: Node) -> bool:
 
     current = mask_mul
     while current is not plan.root:
-        parents = [p for p in plan.nodes if current in p.inputs]
+        parents = [p for p in plan.dag.parents(current) if p in plan.nodes]
         if len(parents) != 1:
             return False
         parent = parents[0]
@@ -572,8 +575,8 @@ def _reaches_avoiding(
         if current in visited or current is blocked:
             continue
         visited.add(current)
-        for parent in plan.nodes:
-            if current in parent.inputs and parent is not blocked:
+        for parent in plan.dag.parents(current):
+            if parent in plan.nodes and parent is not blocked:
                 if parent is target:
                     return True
                 frontier.add(parent)

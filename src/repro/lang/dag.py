@@ -301,6 +301,8 @@ class DAG:
         self.roots: tuple[Node, ...] = tuple(roots)
         self._topo = self._toposort()
         self._consumers = self._count_consumers()
+        #: node -> its consumers, built by the first :meth:`parents` call
+        self._parents: Optional[dict[Node, tuple[Node, ...]]] = None
 
     # -- traversal -------------------------------------------------------------
 
@@ -333,8 +335,16 @@ class DAG:
             raise PlanError(f"{node!r} is not part of this DAG") from None
 
     def parents(self, node: Node) -> tuple[Node, ...]:
-        """Nodes consuming *node* directly."""
-        return tuple(n for n in self._topo if node in n.inputs)
+        """Nodes consuming *node* directly, in topological order."""
+        if self._parents is None:
+            found: dict[Node, list[Node]] = {}
+            for parent in self._topo:
+                for child in dict.fromkeys(parent.inputs):
+                    found.setdefault(child, []).append(parent)
+            self._parents = {
+                child: tuple(parents) for child, parents in found.items()
+            }
+        return self._parents.get(node, ())
 
     def matmul_nodes(self) -> tuple[MatMulNode, ...]:
         return tuple(n for n in self._topo if isinstance(n, MatMulNode))

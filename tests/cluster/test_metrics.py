@@ -52,12 +52,6 @@ class TestTotals:
 
 
 class TestBookkeeping:
-    def test_reset(self):
-        m = MetricsCollector()
-        m.record(record())
-        m.reset()
-        assert m.num_stages == 0
-
     def test_copy_is_independent(self):
         m = MetricsCollector()
         m.record(record())

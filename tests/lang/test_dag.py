@@ -132,6 +132,18 @@ class TestDAG:
         assert len(parents) == 1
         assert isinstance(parents[0], BinaryNode)
 
+    def test_parents_name_each_consumer_once_in_topological_order(self):
+        x = matrix_input("X", 10, 10, 25)
+        doubled = x + x
+        dag = DAG([(doubled * 2.0).node, (doubled + x).node])
+        order = {node: i for i, node in enumerate(dag.nodes())}
+        for node in dag.nodes():
+            expected = [n for n in dag.nodes() if node in n.inputs]
+            assert list(dag.parents(node)) == expected
+            assert sorted(expected, key=order.get) == expected
+        assert len(dag.parents(x.node)) == 2  # x + x counts once
+        assert dag.parents(leaf("Z")) == ()
+
     def test_multi_root(self):
         x = matrix_input("X", 10, 10, 25)
         dag = DAG([(x * 2.0).node, sum_of(x).node])
