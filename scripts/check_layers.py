@@ -18,10 +18,10 @@ rules the paper's architecture depends on get called out explicitly:
 
 * ``blocks`` and ``matrix`` never import ``cluster`` (the data plane stays
   runtime-free), and nothing below ``serving`` imports ``serving``;
-* only the fused operators (``core/cfo.py``, ``operators/bfo.py``,
-  ``operators/cell.py``) and their shared output sink (``core/stages.py``,
-  which runs the final-aggregation stage) may open cluster stages
-  (``.stage(...)``) — engines and everything above talk to the cluster
+* only the task-table runner (``core/stages.py``: every fused operator's
+  stages and the final-aggregation stage) may open cluster stages
+  (``.stage(...)``) outside the cluster package — the operators compile
+  their tables, and engines and everything above talk to the cluster
   through the physical plan;
 * ``core/calibration.py`` consumes plain floats only: it may import nothing
   above the config layer (in particular never ``serving``), even though the
@@ -57,12 +57,13 @@ ALLOWED = {
     "matrix": {"blocks", "utils", "errors", "config"},
     "lang": {"matrix", "blocks", "utils", "errors", "config"},
     "cluster": {"matrix", "blocks", "utils", "errors", "config"},
-    "core": {"operators", "execution", "cluster", "lang", "matrix", "blocks",
-             "obs", "utils", "errors", "config"},
+    "core": {"execution", "cluster", "lang", "matrix", "blocks", "obs",
+             "utils", "errors", "config"},
     "operators": {"core", "cluster", "lang", "matrix", "blocks", "obs",
                   "utils", "errors", "config"},
-    "execution": {"core", "cluster", "lang", "matrix", "blocks", "obs",
-                  "utils", "errors", "config"},
+    # the base engine's run_unit picks the operator a unit runs on
+    "execution": {"core", "operators", "cluster", "lang", "matrix", "blocks",
+                  "obs", "utils", "errors", "config"},
     "baselines": {"core", "operators", "execution", "cluster", "lang",
                   "matrix", "blocks", "obs", "utils", "errors", "config"},
     "serving": {"baselines", "core", "operators", "execution", "cluster",
@@ -75,14 +76,9 @@ ALLOWED = {
 }
 
 #: Files allowed to call ``<something>.stage(...)``: the cluster package
-#: (which defines it) plus the fused operators and their output sink.
+#: (which defines it) plus the runner every fused operator's table runs on.
 STAGE_ALLOWED_DIRS = ("cluster",)
-STAGE_ALLOWED_FILES = (
-    "core/cfo.py",
-    "core/stages.py",
-    "operators/bfo.py",
-    "operators/cell.py",
-)
+STAGE_ALLOWED_FILES = ("core/stages.py",)
 
 #: ``core/calibration.py`` is the shared store the serving layer publishes
 #: and ``scripts/calibrate.py`` round-trips to disk.  It consumes plain
@@ -214,8 +210,8 @@ def main() -> int:
         if not stage_allowed(rel):
             for lineno in stage_calls(tree):
                 violations.append(
-                    f"{rel}:{lineno}: only the fused operators and their "
-                    f"output sink may open cluster stages (.stage(...))"
+                    f"{rel}:{lineno}: only the task-table runner "
+                    f"(core/stages.py) may open cluster stages (.stage(...))"
                 )
     if violations:
         print(f"check_layers: {len(violations)} violation(s)")

@@ -20,7 +20,6 @@ from repro.core.plan import FusionPlan, PartialFusionPlan, PlanUnit
 from repro.execution import Engine
 from repro.lang.dag import DAG, MatMulNode, TransposeNode
 from repro.matrix.distributed import BlockedMatrix
-from repro.operators.cell import FusedCellOperator
 from repro.operators.bfo import BroadcastFusedOperator
 
 
@@ -66,4 +65,4 @@ class MatFastLikeEngine(Engine):
         plan = op.unit.plan
         if plan.contains_matmul:
             return BroadcastFusedOperator(plan, self.config).execute(cluster, env)
-        return FusedCellOperator(plan, self.config).execute(cluster, env)
+        return super().run_unit(op, cluster, env)

@@ -151,9 +151,8 @@ class KernelCalibration:
     """Fitted effective-throughput coefficients for one kernel class.
 
     ``predict_seconds`` is the calibrated Eq. 2 replacement the
-    :class:`~repro.core.cost.CostModel` prices with; the two
-    ``effective_*`` helpers express the same coefficients in the paper's
-    vocabulary (aggregate cluster bandwidths) for reports.
+    :class:`~repro.core.cost.CostModel` prices with; the two rates are the
+    inverses of the paper's aggregate cluster bandwidths.
     """
 
     kind: str

@@ -88,14 +88,18 @@ def exploration_phase(dag: DAG) -> list[PartialFusionPlan]:
         members: set[Node] = {seed}
         top_reached = False
         rejected: set[Node] = set()
-
-        def adjacent() -> list[Node]:
-            found: list[Node] = []
-            for member in members:
+        fresh: set[Node] = {seed}
+        while fresh:
+            # only the members added last round can have new adjacents (every
+            # earlier member's are members or rejected by now); they are
+            # visited in the order a scan of all members would visit them
+            order = fresh if len(fresh) == 1 else [m for m in members if m in fresh]
+            frontier: list[Node] = []
+            for member in order:
                 # incoming adjacents: operator children
                 for child in member.inputs:
                     if child.is_operator and child in workload and child not in rejected:
-                        found.append(child)
+                        frontier.append(child)
                 # outgoing adjacents: parents (skip once the top is fixed,
                 # and never through a member that must materialize anyway —
                 # a DAG root consumed by another root has one outgoing edge
@@ -104,24 +108,22 @@ def exploration_phase(dag: DAG) -> list[PartialFusionPlan]:
                     continue
                 for parent in dag.parents(member):
                     if parent in workload and parent not in rejected:
-                        found.append(parent)
-            return found
-
-        frontier = adjacent()
-        while frontier:
+                        frontier.append(parent)
+            fresh = set()
             for candidate in frontier:
                 if candidate in members or candidate in rejected:
                     continue
                 if not is_termination(dag, candidate):
                     members.add(candidate)
+                    fresh.add(candidate)
                     workload.discard(candidate)
                 elif _is_outgoing(candidate, members) and not top_reached:
                     members.add(candidate)
+                    fresh.add(candidate)
                     workload.discard(candidate)
                     top_reached = True
                 else:
                     rejected.add(candidate)
-            frontier = adjacent()
         candidates.append(PartialFusionPlan(members, dag))
     return candidates
 

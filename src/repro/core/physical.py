@@ -129,16 +129,17 @@ class UnitOp:
         return self.sources if self.sources else (self.index,)
 
 
-def estimate_from_cost(cost, paper_seconds: Optional[float] = None) -> UnitEstimate:
+def estimate_from_search(result) -> UnitEstimate:
     """A :class:`UnitEstimate` from a cuboid search's
-    :class:`~repro.core.cost.PlanCost` (Eq. 2-5 outputs).  *paper_seconds*
-    carries the paper-constant price when *cost* was calibrated."""
+    :class:`~repro.core.optimizer.OptimizerResult` (Eq. 2-5 outputs), with
+    the paper-constant price when its cost was calibrated."""
+    cost, paper = result.cost, result.paper_cost
     return UnitEstimate(
         net_bytes=float(cost.net_bytes),
         flops=float(cost.com_flops),
         seconds=float(cost.cost_seconds),
         mem_bytes_per_task=float(cost.mem_bytes_per_task),
-        paper_seconds=paper_seconds,
+        paper_seconds=paper.cost_seconds if paper is not None else None,
     )
 
 

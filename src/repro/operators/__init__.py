@@ -8,11 +8,14 @@
   Section 2.2 (SystemDS' strategy for large inputs): the CFO pinned to the
   ``(P=I, Q=J, R=1)`` corner.
 * :mod:`repro.operators.bfo` — the Broadcast-based Fused Operator of
-  Section 2.2 (SystemDS' strategy for small side matrices): the RFO corner
-  with broadcast consolidation.
+  Section 2.2 (SystemDS' strategy for small side matrices): the RFO's cells
+  dealt to the main matrix's partitions, with broadcast consolidation.
 
-A standalone multiplication is a one-node plan run on any of them.  The
-Cuboid-based Fused Operator itself lives in :mod:`repro.core.cfo`.
+Every operator, like the Cuboid-based Fused Operator in
+:mod:`repro.core.cfo`, only *compiles* its plan into a task table (its
+stages, each task's reads and charges, the cells it evaluates and where
+their tiles go); :func:`repro.core.stages.run_tasks` runs every table.  A
+standalone multiplication is a one-node plan run on any of them.
 """
 
 from repro.operators.cell import FusedCellOperator

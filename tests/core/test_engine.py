@@ -123,17 +123,25 @@ def test_a_2000_level_query_explains_at_a_recursion_limit_of_120():
     stack frame per level of the query."""
     x = matrix_input("X", 100, 80, 25)
     w = matrix_input("W", 80, 60, 25)
+    y = matrix_input("Y", 100, 60, 25)
     engine = FuseMEEngine(make_config())
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(120)
     try:
         query = parse_expression("X %*% W" + " + 1" * 2000, {"X": x, "W": w})
         rendered = engine.explain(query)
+        # CFG's exploration grows the multiplication's candidate through
+        # all 1,000 matrix additions above it
+        chain = parse_expression(
+            "X %*% W" + " + Y" * 1000, {"X": x, "W": w, "Y": y}
+        )
+        chained = engine.explain(chain)
     finally:
         sys.setrecursionlimit(limit)
     # the 2,000 scalar additions fold into one, fused into the one CFO unit
     assert "1 unit(s)" in rendered
     assert "b(add:,s2000)" in rendered
+    assert "1 unit(s)" in chained
 
 
 class TestSparseScalarComparisons:
