@@ -132,15 +132,9 @@ class LivenessIndex:
 
 
 class SliceCache:
-    """Thread-safe ``(matrix, row_range, col_range) -> Block`` memo.
+    """Thread-safe ``(matrix, row_range, col_range) -> Block`` memo."""
 
-    With ``enabled=False`` every lookup materializes a fresh copy: the
-    placeholder of an operator used standalone, or of an engine that keeps
-    no slabs.
-    """
-
-    def __init__(self, enabled: bool = True, max_bytes: int = DEFAULT_MAX_BYTES):
-        self.enabled = enabled
+    def __init__(self, max_bytes: int = DEFAULT_MAX_BYTES):
         self.max_bytes = max_bytes
         self.hits = 0
         self.misses = 0
@@ -156,8 +150,6 @@ class SliceCache:
         col_range: BlockRange,
     ) -> Block:
         """The materialized slab for this range, shared across tasks."""
-        if not self.enabled:
-            return matrix.slab(row_range, col_range)
         version = matrix.version
         key = (id(matrix), version, row_range, col_range)
         with self._lock:
@@ -185,7 +177,7 @@ class SliceCache:
         for key in keys:
             self._bytes -= self._entries.pop(key).nbytes
 
-    def reset(self, enabled: bool | None = None) -> None:
+    def reset(self) -> None:
         """Drop all entries and zero the counters."""
         with self._lock:
             self._entries.clear()
@@ -193,8 +185,6 @@ class SliceCache:
             self._bytes = 0
             self.hits = 0
             self.misses = 0
-            if enabled is not None:
-                self.enabled = enabled
 
     @property
     def num_entries(self) -> int:
@@ -212,7 +202,6 @@ class SliceCache:
             entries, cached = len(self._entries), self._bytes
         total = hits + misses
         return {
-            "enabled": self.enabled,
             "entries": entries,
             "bytes": cached,
             "hits": hits,
@@ -222,6 +211,6 @@ class SliceCache:
 
     def __repr__(self) -> str:
         return (
-            f"SliceCache(enabled={self.enabled}, entries={self.num_entries}, "
+            f"SliceCache(entries={self.num_entries}, "
             f"hits={self.hits}, misses={self.misses})"
         )

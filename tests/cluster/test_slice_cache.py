@@ -85,15 +85,6 @@ class TestVersionInvalidation:
 
 
 class TestDisabledAndEviction:
-    def test_disabled_cache_always_copies(self):
-        cache = SliceCache(enabled=False)
-        m = matrix()
-        a = cache.get(m, (0, 2), (0, 2))
-        b = cache.get(m, (0, 2), (0, 2))
-        assert a is not b
-        assert cache.num_entries == 0
-        assert np.array_equal(a.to_numpy(), b.to_numpy())
-
     def test_lru_eviction_respects_max_bytes(self):
         m = matrix()
         slab_bytes = m.block_slice((0, 1), (0, 1)).as_single_block().nbytes
@@ -120,7 +111,6 @@ class TestDisabledAndEviction:
         cache.get(m, (0, 1), (0, 1))
         cache.get(m, (0, 1), (0, 1))
         stats = cache.stats()
-        assert stats["enabled"] is True
         assert stats["entries"] == 1
         assert stats["hits"] == 1 and stats["misses"] == 1
         assert stats["hit_rate"] == 0.5
