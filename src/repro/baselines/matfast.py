@@ -14,7 +14,6 @@ from typing import Mapping, Optional
 from repro.cluster.executor import SimulatedCluster
 from repro.config import EngineConfig
 from repro.core.cfg import _cell_fuse_leftovers, _order_units
-from repro.core.optimizer import OptimizerResult
 from repro.core.physical import UnitAnnotation, UnitOp
 from repro.core.plan import FusionPlan, PartialFusionPlan, PlanUnit
 from repro.execution import Engine
@@ -50,9 +49,7 @@ class MatFastLikeEngine(Engine):
                 units.append(PlanUnit(plan=PartialFusionPlan({node}, dag)))
         return FusionPlan(dag, _order_units(dag, units))
 
-    def annotate_unit(
-        self, unit: PlanUnit, hint: Optional[OptimizerResult] = None
-    ) -> UnitAnnotation:
+    def annotate_unit(self, unit: PlanUnit) -> UnitAnnotation:
         kind = "broadcast-mm" if unit.plan.contains_matmul else "cell"
         return UnitAnnotation(kind=kind, estimate=self.calibrated_estimate(kind, unit))
 

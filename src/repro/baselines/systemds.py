@@ -20,7 +20,6 @@ from typing import Dict, Mapping, Optional
 
 from repro.cluster.executor import SimulatedCluster
 from repro.config import EngineConfig
-from repro.core.optimizer import OptimizerResult
 from repro.core.physical import UnitAnnotation, UnitOp
 from repro.core.plan import FusionPlan, PlanUnit
 from repro.core.stages import resolve_frontier
@@ -59,12 +58,10 @@ class SystemDSLikeEngine(Engine):
     def plan_query(self, dag: DAG) -> FusionPlan:
         return self._planner.plan(dag)
 
-    def annotate_unit(
-        self, unit: PlanUnit, hint: Optional[OptimizerResult] = None
-    ) -> UnitAnnotation:
+    def annotate_unit(self, unit: PlanUnit) -> UnitAnnotation:
         plan = unit.plan
         if not plan.contains_matmul:
-            return super().annotate_unit(unit, hint)
+            return super().annotate_unit(unit)
         # metadata-estimated choice (run_unit re-decides on live sizes)
         kind = f"{self._strategy(plan)}?"
         return UnitAnnotation(kind=kind, estimate=self.calibrated_estimate(kind, unit))

@@ -132,7 +132,8 @@ class SimulatedCluster:
     def __init__(self, config: Optional[EngineConfig] = None):
         self.config = config or EngineConfig()
         self.metrics = MetricsCollector()
-        #: Shared consolidation slabs, reset by the engine per execute.
+        #: Consolidation slabs shared by this cluster's tasks; an engine
+        #: swaps in its own cache, which lives across executes.
         self.slice_cache = SliceCache()
         # the collector position at the start of the current query; the
         # simulated timeout budget applies per query, not per cluster

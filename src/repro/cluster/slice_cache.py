@@ -1,74 +1,55 @@
-"""Consolidation slice cache.
+"""The engine's one bounded cache, and the consolidation slabs kept in it.
 
-Cuboid partitioning hands many tasks the *same* slab of a frontier matrix:
-the ``R`` tasks of one ``(p, q)`` column all consolidate the identical
-O-space slice, and broadcast-style tags (a whole-axis range) repeat across
-entire task rows.  Materializing a slab (:meth:`BlockedMatrix.slab`) is a
-full copy of its data, and it used to run once per task on a serial Python
-loop — the dominant wall-clock cost of an execute.
+:class:`BoundedCache` is the LRU behind every cache of the engine — fusion
+plans (:mod:`repro.core.plan_cache`), consolidation slabs (here) and served
+results (:mod:`repro.serving.result_cache`).  It is thread-safe and bounded
+in entries and in bytes; an entry larger than the byte bound is not stored.
+An entry lives only as long as a lookup can still hit it
+(:class:`LivenessIndex`): entries hold *no* reference to the matrices they
+read, and one is dropped once a matrix it read
+
+* dies — before the next lookup, so a recycled ``id()`` can never be served
+  another matrix's entry; or
+* is stored at a newer version — versions only grow, so the older key can
+  never be looked up again.
 
 :class:`SliceCache` shares one materialized :class:`~repro.blocks.Block` per
-``(matrix identity, matrix version, row_range, col_range)``.  Blocks are
-immutable (kernels are pure, returning new blocks), so sharing is safe
-across tasks and executes.  Only the redundant *real* copies
-disappear — every task still declares its transfer via ``task.receive``, so
-modeled traffic, memory ledgers and elapsed seconds are byte-for-byte
-unchanged.
-
-The cache is owned by the :class:`~repro.execution.Engine` and survives
-across executes: iterative workloads (GNMF re-binds the same ``X`` every
-iteration) hit it from iteration 2 on even though each execute runs on a
-fresh cluster.  Over that longer lifetime an entry lives only as long as a
-lookup can still hit it (:class:`LivenessIndex`, the rule the serving
-result cache shares):
-
-* matrix identity is ``id()``-based and entries hold *no* reference to
-  their source matrix: a finalizer per source matrix reports its death, and
-  the next lookup drops that matrix's slabs before it consults the table —
-  so a dead matrix's slabs are freed with it, and a recycled ``id()`` can
-  never be served another matrix's content;
-* :meth:`~BlockedMatrix.set_block` bumps the matrix's ``version``, which is
-  part of the key, so mutated content can never be served stale; versions
-  only grow, so the first slab cut at a newer version drops every slab of
-  the older one — a written matrix keeps one version's slabs, not all;
-* entries are evicted LRU once the cache holds more than ``max_bytes`` of
-  materialized slabs.
+``(matrix id, matrix version, row_range, col_range)``.  Cuboid partitioning
+hands many tasks the *same* slab (the ``R`` tasks of one ``(p, q)`` column;
+broadcast-style whole-axis tags), and the engine keeps one slice cache
+across executes, so GNMF, which re-binds the same ``X`` every iteration,
+cuts ``X``'s slabs once.  Blocks are immutable, so sharing is safe.  Every
+task still declares its transfer via ``task.receive``: modeled traffic,
+memory ledgers and elapsed seconds are byte-for-byte unchanged.
 """
 
 from __future__ import annotations
 
+import sys
 import threading
 import weakref
 from collections import OrderedDict, deque
-from typing import Deque, Dict, Hashable, Iterable, List, Set, Tuple
+from typing import Deque, Dict, Hashable, Iterable, List, Optional, Set, Tuple
 
 from repro.blocks.block import Block
 from repro.matrix.distributed import BlockedMatrix
 
 BlockRange = Tuple[int, int]
-_Key = Tuple[int, int, BlockRange, BlockRange]
+Reads = Iterable[Tuple[BlockedMatrix, int]]
 
-#: Default cap on materialized slab bytes held across executes.
+#: Byte bound of the slice and result caches.
 DEFAULT_MAX_BYTES = 256 << 20
 
 
 class LivenessIndex:
-    """Cache keys indexed by the matrices they read, so dead keys can be dropped.
+    """Cache keys indexed by the matrices they read, at the version read.
 
-    A key is recorded under every matrix it reads, at the version it read.
-    It can never hit again, and is handed back to its cache to drop, once
-    one of those matrices
-
-    * dies: nothing here references a matrix; one finalizer per matrix
-      queues its id on ``_dead`` (``deque.append`` is atomic and takes no
-      lock — a finalizer may fire on any thread at any point, also while
-      that thread holds the cache's lock) and :meth:`drain` returns its
-      keys; or
-    * is seen at a newer version by :meth:`add`.
-
-    Not thread-safe on its own: the owning cache calls it under its lock,
-    and drains before every lookup, so a recycled ``id()`` is never served
-    the dead matrix's entries.
+    Nothing here references a matrix: one finalizer per matrix queues its
+    id on :attr:`dead` (``deque.append`` is atomic and takes no lock — a
+    finalizer may fire on any thread, also one holding the cache's lock)
+    and :meth:`drain` returns its keys; :meth:`add` returns the keys of an
+    older version.  Not thread-safe on its own: the owning cache calls it
+    under its lock and drains before every lookup.
     """
 
     def __init__(self) -> None:
@@ -79,11 +60,10 @@ class LivenessIndex:
         self._keys: Dict[int, Set[Hashable]] = {}
         #: ids of the matrices each key reads
         self._ids: Dict[Hashable, Tuple[int, ...]] = {}
-        self._dead: Deque[int] = deque()
+        #: ids of the matrices that died since the last :meth:`drain`
+        self.dead: Deque[int] = deque()
 
-    def add(
-        self, key: Hashable, reads: Iterable[Tuple[BlockedMatrix, int]]
-    ) -> List[Hashable]:
+    def add(self, key: Hashable, reads: Reads) -> List[Hashable]:
         """Record *key* as reading every ``(matrix, version)`` of *reads*;
         returns the keys it makes stale, which read an older version of one
         of these matrices."""
@@ -91,7 +71,7 @@ class LivenessIndex:
         stale: List[Hashable] = []
         for mid, matrix, version in tracked:
             if mid not in self._version:
-                weakref.finalize(matrix, self._dead.append, mid)
+                weakref.finalize(matrix, self.dead.append, mid)
                 self._keys[mid] = set()
                 self._version[mid] = version
             elif version > self._version[mid]:
@@ -116,8 +96,8 @@ class LivenessIndex:
     def drain(self) -> List[Hashable]:
         """The keys of every matrix that died since the last call."""
         dead: List[Hashable] = []
-        while self._dead:
-            mid = self._dead.popleft()
+        while self.dead:
+            mid = self.dead.popleft()
             del self._version[mid]
             dead.extend(key for key in self._keys.pop(mid) if self.discard(key))
         return dead
@@ -131,54 +111,94 @@ class LivenessIndex:
         self._ids.clear()
 
 
-class SliceCache:
-    """Thread-safe ``(matrix, row_range, col_range) -> Block`` memo."""
+class BoundedCache:
+    """Thread-safe LRU of ``key -> value``, bounded in entries and in bytes.
 
-    def __init__(self, max_bytes: int = DEFAULT_MAX_BYTES):
+    :meth:`put` takes each entry's byte size and the ``(matrix, version)``
+    pairs it read; keys must name those versions (a newer version is a new
+    key).  A cache of 0 entries holds nothing.
+    """
+
+    def __init__(
+        self, max_entries: int = sys.maxsize, max_bytes: int = DEFAULT_MAX_BYTES
+    ):
+        if max_entries < 0 or max_bytes < 0:
+            raise ValueError("cache bounds cannot be negative")
+        self.max_entries = max_entries
         self.max_bytes = max_bytes
         self.hits = 0
         self.misses = 0
-        self._entries: "OrderedDict[_Key, Block]" = OrderedDict()
+        #: key -> (value, bytes), least recently used first
+        self._entries: "OrderedDict[Hashable, Tuple[object, int]]" = OrderedDict()
         self._index = LivenessIndex()
         self._bytes = 0
-        self._lock = threading.Lock()
+        #: re-entrant: a subclass's lookup stores its miss under the lock
+        self._lock = threading.RLock()
 
-    def get(
-        self,
-        matrix: BlockedMatrix,
-        row_range: BlockRange,
-        col_range: BlockRange,
-    ) -> Block:
-        """The materialized slab for this range, shared across tasks."""
-        version = matrix.version
-        key = (id(matrix), version, row_range, col_range)
+    def get(self, key: Hashable) -> Optional[object]:
+        """The value under *key*, counted as a hit, or ``None``, a miss."""
         with self._lock:
+            if self._index.dead:
+                self._drop_dead()
+            entry = self._entries.get(key)
+            if entry is None:
+                self.misses += 1
+                return None
+            self._entries.move_to_end(key)
+            self.hits += 1
+            return entry[0]
+
+    def peek(self, key: Hashable) -> Optional[object]:
+        """The value under *key* without touching LRU order or counters."""
+        with self._lock:
+            self._drop_dead()
+            entry = self._entries.get(key)
+        return None if entry is None else entry[0]
+
+    def put(
+        self, key: Hashable, value: object, nbytes: int = 0, reads: Reads = ()
+    ) -> None:
+        """Store *value* (*nbytes* large, having read *reads*) under *key*,
+        then evict least recently used entries down to both bounds."""
+        if nbytes > self.max_bytes:
+            return  # one oversized entry would evict everything else
+        with self._lock:
+            if self._index.dead:
+                self._drop_dead()
+            self._drop(self._index.add(key, reads))
+            old = self._entries.pop(key, None)
+            self._entries[key] = (value, nbytes)
+            self._bytes += nbytes - (old[1] if old else 0)
+            while (
+                len(self._entries) > self.max_entries
+                or self._bytes > self.max_bytes
+            ):
+                evicted, (_, size) = self._entries.popitem(last=False)
+                self._bytes -= size
+                self._index.discard(evicted)
+
+    def pop(self, key: Hashable) -> bool:
+        """Drop *key*; True when it was stored."""
+        with self._lock:
+            if key not in self._entries:
+                return False
+            self._drop([key])
+            self._index.discard(key)
+            return True
+
+    def _drop_dead(self) -> None:
+        """Drop the entries of dead matrices, also of those that die because
+        a dropped entry held their last reference; callers hold ``_lock``."""
+        while self._index.dead:
             self._drop(self._index.drain())
-            block = self._entries.get(key)
-            if block is not None:
-                self._entries.move_to_end(key)
-                self.hits += 1
-                return block
-            # materialize under the lock: a miss is unique per key, so the
-            # hit/miss counts stay deterministic under parallel evaluation
-            block = matrix.slab(row_range, col_range)
-            self.misses += 1
-            self._drop(self._index.add(key, ((matrix, version),)))
-            self._entries[key] = block
-            self._bytes += block.nbytes
-            while self._bytes > self.max_bytes and len(self._entries) > 1:
-                evicted_key, evicted = self._entries.popitem(last=False)
-                self._bytes -= evicted.nbytes
-                self._index.discard(evicted_key)
-            return block
 
-    def _drop(self, keys: List[_Key]) -> None:
-        """Forget the slabs of *keys*; callers hold ``_lock``."""
+    def _drop(self, keys: List[Hashable]) -> None:
+        """Forget the entries of *keys*; callers hold ``_lock``."""
         for key in keys:
-            self._bytes -= self._entries.pop(key).nbytes
+            self._bytes -= self._entries.pop(key)[1]
 
-    def reset(self) -> None:
-        """Drop all entries and zero the counters."""
+    def clear(self) -> None:
+        """Drop every entry and zero the counters."""
         with self._lock:
             self._entries.clear()
             self._index.clear()
@@ -197,7 +217,7 @@ class SliceCache:
     def stats(self) -> dict:
         """Hit/miss counts and occupancy as a plain dict (for status pages)."""
         with self._lock:
-            self._drop(self._index.drain())
+            self._drop_dead()
             hits, misses = self.hits, self.misses
             entries, cached = len(self._entries), self._bytes
         total = hits + misses
@@ -209,8 +229,30 @@ class SliceCache:
             "hit_rate": hits / total if total else 0.0,
         }
 
-    def __repr__(self) -> str:
-        return (
-            f"SliceCache(entries={self.num_entries}, "
-            f"hits={self.hits}, misses={self.misses})"
-        )
+
+class SliceCache(BoundedCache):
+    """``(matrix, row_range, col_range) -> Block``, bounded in bytes."""
+
+    def get(  # type: ignore[override]
+        self,
+        matrix: BlockedMatrix,
+        row_range: BlockRange,
+        col_range: BlockRange,
+    ) -> Block:
+        """The materialized slab for this range, shared across tasks."""
+        version = matrix.version
+        key = (id(matrix), version, row_range, col_range)
+        with self._lock:
+            if self._index.dead:
+                self._drop_dead()
+            entry = self._entries.get(key)
+            if entry is not None:
+                self._entries.move_to_end(key)
+                self.hits += 1
+                return entry[0]
+            # materialize under the lock: a miss is unique per key, so the
+            # hit/miss counts stay deterministic under parallel evaluation
+            block = matrix.slab(row_range, col_range)
+            self.misses += 1
+            self.put(key, block, block.nbytes, ((matrix, version),))
+            return block

@@ -105,10 +105,6 @@ class EngineConfig:
     sparsity_exploitation: bool = True
     #: Enable the CFG exploitation phase (plan splitting, Algorithm 3).
     exploitation_phase: bool = True
-    #: Fusion-plan cache capacity (entries) per engine; 0 disables caching.
-    #: Iterative workloads re-executing a structurally identical DAG skip
-    #: CFG planning and the (P, Q, R) search entirely on a hit.
-    plan_cache_size: int = 64
     #: Build per-query span trees + cost-model accountability profiles
     #: (:mod:`repro.obs`).  Observability only: modeled numbers and matrix
     #: outputs are bit-identical at either setting; False removes even the
@@ -136,8 +132,6 @@ class EngineConfig:
             raise ValueError("block_size must be positive")
         if self.timeout_seconds <= 0:
             raise ValueError("timeout_seconds must be positive")
-        if self.plan_cache_size < 0:
-            raise ValueError("plan_cache_size cannot be negative")
         if self.calibration not in CALIBRATION_MODES:
             raise ValueError(
                 f"calibration must be one of {CALIBRATION_MODES}, "
@@ -183,10 +177,9 @@ class ServiceConfig:
     #: admit per scheduling round.  Smaller quanta interleave tenants more
     #: finely; the default serves one mid-sized query per tenant per round.
     drr_quantum_bytes: int = 32 * 1024 * 1024
-    #: Result-cache capacity (entries); 0 disables result caching.
+    #: Result-cache capacity (entries); a 0-entry cache holds nothing.  Its
+    #: byte bound is the slice cache's 256 MiB.
     result_cache_entries: int = 128
-    #: Result-cache capacity in materialized output bytes.
-    result_cache_bytes: int = 256 * 1024 * 1024
     #: Emit one summary log line every N completed queries; 0 disables.
     log_every: int = 0
     #: Dispatcher poll interval (seconds) while waiting for work/timeouts.
@@ -203,8 +196,6 @@ class ServiceConfig:
             raise ValueError("drr_quantum_bytes must be positive")
         if self.result_cache_entries < 0:
             raise ValueError("result_cache_entries cannot be negative")
-        if self.result_cache_bytes < 0:
-            raise ValueError("result_cache_bytes cannot be negative")
         if self.log_every < 0:
             raise ValueError("log_every cannot be negative")
         if self.dispatch_poll_seconds <= 0:

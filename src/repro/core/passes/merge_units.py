@@ -318,7 +318,7 @@ class MergeUnitsPass(GraphPass):
             # the merged estimate prices exactly that, discounted
             model = CostModel(
                 engine.config,
-                calibration=engine.calibration_for("cfo", plan),
+                calibration=engine.calibration_for(op.kind, plan),
                 free_sources=free,
             )
             cost = model.evaluate(plan, plan_layout(plan).tree, op.pqr)

@@ -491,16 +491,13 @@ def execute_unit(engine, op: UnitOp, cluster, env: Mapping[EnvKey, object]):
 def lower_plan(
     dag: DAG,
     fusion_plan: FusionPlan,
-    annotate: Callable[[PlanUnit, Optional[OptimizerResult]], UnitAnnotation],
-    hints: Optional[Mapping[int, OptimizerResult]] = None,
+    annotate: Callable[[PlanUnit], UnitAnnotation],
     engine_name: str = "",
 ) -> PhysicalPlan:
     """Lower *fusion_plan* to a :class:`PhysicalPlan`.
 
     *annotate* is the engine's per-unit hook choosing the physical operator
-    kind, the cuboid parameters and the cost estimate; *hints* optionally
-    supplies cached :class:`OptimizerResult` objects by unit index so a
-    plan-cache hit skips the parameter search.
+    kind, the cuboid parameters and the cost estimate.
     """
     producer: Dict[Node, int] = {}
     ops: List[UnitOp] = []
@@ -514,8 +511,7 @@ def lower_plan(
             for node in unit.dependencies()
             if node.is_operator and node in producer
         })
-        hint = hints.get(index) if hints else None
-        note = annotate(unit, hint)
+        note = annotate(unit)
         ops.append(
             UnitOp(
                 index=index,

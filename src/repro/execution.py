@@ -131,11 +131,10 @@ class Engine:
 
     def __init__(self, config: Optional[EngineConfig] = None):
         self.config = config or EngineConfig()
-        #: Finished plans keyed by (planning signature, DAG fingerprint);
-        #: iterative workloads hit it from iteration 2 on.  Entries carry
-        #: the lowered physical plan, so a hit skips lowering and every
-        #: per-unit parameter search too.
-        self.plan_cache = PlanCache(self.config.plan_cache_size)
+        #: Lowered plans keyed by (planning signature, DAG fingerprint);
+        #: iterative workloads hit it from iteration 2 on, skipping
+        #: planning, lowering and every per-unit parameter search.
+        self.plan_cache = PlanCache()
         #: Materialized consolidation slabs, shared across executes so an
         #: iterative workload re-binding the same matrix (GNMF's ``X``)
         #: skips the copy from iteration 2 on.
@@ -203,21 +202,17 @@ class Engine:
         """Engine-specific query normalization (rewrites) before planning."""
         return dag
 
-    def annotate_unit(
-        self, unit: PlanUnit, hint=None
-    ) -> UnitAnnotation:
+    def annotate_unit(self, unit: PlanUnit) -> UnitAnnotation:
         """Choose the physical operator kind and cost estimate for *unit*.
 
-        Called once per unit during lowering; *hint* is the cached
-        :class:`~repro.core.optimizer.OptimizerResult` on a plan-cache
-        rebuild.  A unit with a multiplication is a :attr:`cfo_kind` unit:
-        its ``(P*, Q*, R*)`` is searched here, never on the execution path
-        (a hint skips the search).  Any other unit gets a metadata-only
+        Called once per unit during lowering.  A unit with a multiplication
+        is a :attr:`cfo_kind` unit: its ``(P*, Q*, R*)`` is searched here,
+        never on the execution path.  Any other unit gets a metadata-only
         estimate.
         """
         plan = unit.plan
         if plan.contains_matmul:
-            result = hint or optimize_parameters(
+            result = optimize_parameters(
                 plan,
                 self.config,
                 method=self.optimizer_method,
@@ -303,50 +298,31 @@ class Engine:
 
     def _plan_physical(
         self, dag: DAG, tracer=None
-    ) -> tuple[DAG, PhysicalPlan, bool, Optional[tuple]]:
+    ) -> tuple[PhysicalPlan, bool, tuple]:
         """Plan + lower *dag*, via the plan cache.
 
-        Returns ``(dag, physical, cache_hit, cache_key)`` — on a hit the
-        returned DAG is the cached one (plan units hold identity-hashed
-        nodes of the DAG they were planned against; inputs still bind by
-        name, which the fingerprint guarantees to match).  The key lets the
-        calibration feedback loop find (and possibly evict) the entry this
-        query executed.
+        Returns ``(physical, cache_hit, cache_key)``.  On a hit
+        ``physical.dag`` is the cached DAG, not *dag* (plan units hold
+        identity-hashed nodes of the DAG they were planned against; inputs
+        still bind by name, which the fingerprint guarantees to match).
+        The key lets the calibration feedback loop find (and possibly
+        evict) the entry this query executed.
 
         A miss caches what :meth:`lower_dag` returns — the plan *after* the
         graph passes (the pass spec is part of the planning signature, so
         toggling passes can never reuse the other mode's entry).  *tracer*
         rides along so each pass gets its own planning span.
         """
-        cache_key = None
-        if self.plan_cache.enabled:
-            cache_key = (self.planning_signature(), dag_fingerprint(dag))
-            entry = self.plan_cache.get(cache_key)
-            if entry is not None and entry.physical is not None:
-                return entry.dag, entry.physical, True, cache_key
+        cache_key = (self.planning_signature(), dag_fingerprint(dag))
+        entry = self.plan_cache.get(cache_key)
+        if entry is not None:
+            return entry.physical, True, cache_key
         physical = self.lower_dag(dag, tracer=tracer)
-        if cache_key is not None:
-            # hints stay keyed by *raw* lowering indices (merged members
-            # keep theirs), matching how lower_plan consumes them
-            hints = {}
-            for op in physical.ops:
-                for source in (op.members if op.members else (op,)):
-                    if source.optimizer_result is not None:
-                        hints[source.index] = source.optimizer_result
-            self.plan_cache.put(
-                cache_key,
-                PlanCacheEntry(
-                    dag,
-                    physical.fusion_plan,
-                    hints,
-                    physical=physical,
-                    fit_generation=(
-                        self.calibration.generation
-                        if self.calibration_active else None
-                    ),
-                ),
-            )
-        return dag, physical, False, cache_key
+        generation = (
+            self.calibration.generation if self.calibration_active else None
+        )
+        self.plan_cache.put(cache_key, PlanCacheEntry(physical, generation))
+        return physical, False, cache_key
 
     def lower_dag(self, dag: DAG, tracer=None) -> PhysicalPlan:
         """Plan and lower *dag* (uncached): :meth:`plan_query`, then
@@ -373,7 +349,7 @@ class Engine:
         """Plan + lower *query* to its :class:`PhysicalPlan` (no execution)."""
         dag = self.prepare_dag(as_dag(query))
         with self._execute_lock:
-            _, physical, _, _ = self._plan_physical(dag)
+            physical, _, _ = self._plan_physical(dag)
         return physical
 
     # -- driver ---------------------------------------------------------------------
@@ -457,13 +433,13 @@ class Engine:
                 tracer.span("plan", "planning")
                 if tracer else nullcontext()
             ) as plan_span:
-                dag, physical, cache_hit, cache_key = self._plan_physical(
+                physical, cache_hit, cache_key = self._plan_physical(
                     dag, tracer=tracer
                 )
-            if self.plan_cache.enabled:
-                cluster.metrics.bump(
-                    "plan_cache_hits" if cache_hit else "plan_cache_misses"
-                )
+            dag = physical.dag
+            cluster.metrics.bump(
+                "plan_cache_hits" if cache_hit else "plan_cache_misses"
+            )
             search_counters = optimizer_counters(physical)
             if plan_span is not None:
                 plan_span.attrs.update(
@@ -522,7 +498,7 @@ class Engine:
 
     def _calibration_feedback(
         self,
-        cache_key: Optional[tuple],
+        cache_key: tuple,
         physical: PhysicalPlan,
         delta: MetricsCollector,
         cluster: SimulatedCluster,
@@ -593,7 +569,7 @@ class Engine:
         if observed:
             cluster.metrics.bump("calibration_observations", observed)
 
-        if cache_key is None or not errors:
+        if not errors:
             return
         entry = self.plan_cache.peek(cache_key)
         if entry is None:

@@ -120,9 +120,7 @@ class MatrixService:
         if budget is None:
             budget = self.engine.config.cluster.total_memory_budget
         self.metrics = ServiceMetrics()
-        self.result_cache = ResultCache(
-            self.config.result_cache_entries, self.config.result_cache_bytes
-        )
+        self.result_cache = ResultCache(self.config.result_cache_entries)
         self._admission = AdmissionController(self.config, budget)
         self._lock = threading.Lock()
         self._cond = threading.Condition(self._lock)

@@ -100,7 +100,7 @@ class TestDisabledAndEviction:
     def test_reset_clears_entries_and_counters(self):
         cache = SliceCache()
         cache.get(matrix(), (0, 1), (0, 1))
-        cache.reset()
+        cache.clear()
         assert cache.num_entries == 0
         assert cache.hits == 0 and cache.misses == 0
         assert cache.cached_bytes == 0
@@ -194,7 +194,7 @@ class TestSourceMatrixLifetime:
         cache = SliceCache()
         m = matrix()
         cache.get(m, (0, 1), (0, 1))
-        cache.reset()
+        cache.clear()
         cache.get(m, (0, 1), (0, 1))
         del m
         gc.collect()

@@ -268,11 +268,10 @@ class TestConfigValidation:
 
 class TestPlanCacheInvalidation:
     def entry(self):
-        return PlanCacheEntry(dag=object(), fusion_plan=object(),
-                              fit_generation=3)
+        return PlanCacheEntry(physical=object(), fit_generation=3)
 
     def test_peek_leaves_stats_untouched(self):
-        cache = PlanCache(capacity=4)
+        cache = PlanCache(max_entries=4)
         cache.put("k", self.entry())
         assert cache.peek("k") is not None
         assert cache.peek("missing") is None
@@ -280,7 +279,7 @@ class TestPlanCacheInvalidation:
         assert stats["hits"] == 0 and stats["misses"] == 0
 
     def test_invalidate_evicts_and_counts(self):
-        cache = PlanCache(capacity=4)
+        cache = PlanCache(max_entries=4)
         cache.put("k", self.entry())
         assert cache.invalidate("k")
         assert not cache.invalidate("k")  # already gone
@@ -288,7 +287,7 @@ class TestPlanCacheInvalidation:
         assert cache.stats()["invalidations"] == 1
 
     def test_clear_resets_invalidations(self):
-        cache = PlanCache(capacity=4)
+        cache = PlanCache(max_entries=4)
         cache.put("k", self.entry())
         cache.invalidate("k")
         cache.clear()

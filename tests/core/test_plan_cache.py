@@ -102,20 +102,10 @@ def test_structural_changes_miss():
     assert engine.plan_cache.num_entries == 3
 
 
-def test_disabled_cache_never_stores():
-    engine = FuseMEEngine(make_config(plan_cache_size=0))
-    inputs = _inputs()
-    engine.execute(_gnmf_like_dag(), inputs)
-    engine.execute(_gnmf_like_dag(), inputs)
-    assert engine.plan_cache.hits == 0
-    assert engine.plan_cache.misses == 0
-    assert engine.plan_cache.num_entries == 0
-
-
 def test_lru_eviction_at_capacity():
-    cache = PlanCache(capacity=1)
-    cache.put("a", PlanCacheEntry(dag=None, fusion_plan=None))
-    cache.put("b", PlanCacheEntry(dag=None, fusion_plan=None))
+    cache = PlanCache(max_entries=1)
+    cache.put("a", PlanCacheEntry(physical=None))
+    cache.put("b", PlanCacheEntry(physical=None))
     assert cache.num_entries == 1
     assert cache.get("a") is None
     assert cache.get("b") is not None

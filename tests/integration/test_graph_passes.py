@@ -22,6 +22,9 @@ from repro import (
     SystemDSLikeEngine,
 )
 from repro.config import EngineConfig
+from repro.core.cost import CostModel
+from repro.core.passes.merge_units import MergeUnitsPass
+from repro.core.spaces import plan_layout
 from repro.matrix import rand_dense, rand_sparse
 from repro.workloads.als import als_loss_query
 from repro.workloads.autoencoder import AutoEncoder, AutoEncoderShapes
@@ -203,6 +206,33 @@ def test_plan_cache_stores_optimized_plan(workload):
     assert again is first
     assert any(op.members for op in again.ops)
     assert engine.plan_cache.stats()["hits"] >= 1
+
+
+def test_merged_multiplication_member_is_priced_under_its_own_kind(workload):
+    """DistME lowers a multiplication as a ``"cuboid-mm"`` unit, so the merge
+    pass must price its member with the ``"cuboid-mm"`` fit, as lowering
+    does — never with a ``"cfo"`` fit it does not have."""
+    query, _ = workload
+    engine = DistMELikeEngine(make_config(
+        block_size=BS, graph_passes="off", calibration="active"
+    ))
+    for step in range(4):
+        engine.calibration.observe(
+            "cuboid-mm", "dense", net_bytes=1e6 * (step + 1),
+            flops=1e8 * (4 - step), measured_seconds=0.5 + 0.1 * step,
+        )
+    engine.calibration.commit()
+    op = next(op for op in engine.lower_query(query).ops if op.pqr is not None)
+    plan = op.unit.plan
+    fit = engine.calibration_for("cuboid-mm", plan)
+    assert fit is not None and engine.calibration_for("cfo", plan) is None
+    free = frozenset(op.consumes[:1])
+    cost = CostModel(engine.config, calibration=fit, free_sources=free).evaluate(
+        plan, plan_layout(plan).tree, op.pqr
+    )
+    assert MergeUnitsPass._member_estimate(engine, op, free) == (
+        float(cost.net_bytes), float(cost.com_flops), float(cost.cost_seconds)
+    )
 
 
 # -- visualization ----------------------------------------------------------

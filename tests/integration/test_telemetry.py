@@ -142,8 +142,8 @@ class MiscalibratedFuseME(FuseMEEngine):
     accountability join must expose the inflation as large positive error.
     """
 
-    def annotate_unit(self, unit, hint=None):
-        note = super().annotate_unit(unit, hint)
+    def annotate_unit(self, unit):
+        note = super().annotate_unit(unit)
         if note.estimate is None:
             return note
         est = note.estimate

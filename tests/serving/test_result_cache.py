@@ -117,7 +117,7 @@ class TestCache:
         key = result_key(SIG, dag, {"X": matrix})
         cache.put(key, make_result(dag, matrix), {"X": matrix})
         assert cache.get(key) is None
-        assert not cache.enabled
+        assert cache.num_entries == 0
 
     def test_stats_dict(self):
         cache = ResultCache(max_entries=4)
