@@ -74,7 +74,8 @@ def error_trace(mode: str, name: str, iterations: int):
     engine = FuseMEEngine(bench_config(calibration=mode))
     trace = []
     for _ in range(iterations):
-        profile = engine.profile(query, inputs)
+        result = engine.execute(query, inputs)
+        profile = result.profile
         trace.append({
             "units": len(profile.units),
             "measured_seconds": profile.measured_seconds,
@@ -85,8 +86,7 @@ def error_trace(mode: str, name: str, iterations: int):
             ),
         })
     outputs = [
-        profile.result.outputs[root].to_numpy()
-        for root in profile.result.dag.roots
+        result.outputs[root].to_numpy() for root in result.dag.roots
     ]
     return trace, outputs, engine
 

@@ -84,7 +84,7 @@ def replay(engine: FuseMEEngine, name: str, iterations: int):
     query, inputs = WORKLOADS[name]()
     first = last = None
     for iteration in range(iterations):
-        profile = engine.profile(query, inputs)
+        profile = engine.execute(query, inputs).profile
         error = profile.mean_abs_seconds_error
         if first is None:
             first = error

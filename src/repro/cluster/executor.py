@@ -36,6 +36,10 @@ from repro.cluster.slice_cache import SliceCache
 from repro.cluster.task import TaskContext
 from repro.errors import SimulatedTimeoutError
 
+#: Modeled seconds one query may run before it fails with
+#: :class:`~repro.errors.SimulatedTimeoutError`: the paper's 12-hour T.O.
+TIMEOUT_SECONDS = 12 * 3600.0
+
 
 class Stage:
     """One set of parallel tasks; a context manager that records itself."""
@@ -198,7 +202,7 @@ class SimulatedCluster:
         Called by :meth:`Engine.execute <repro.execution.Engine.execute>`.
         Accumulated metrics are left untouched (a shared cluster keeps
         whole-job totals); only the timeout epoch advances, so each query
-        gets the full ``timeout_seconds`` budget regardless of how much
+        gets the full :data:`TIMEOUT_SECONDS` budget regardless of how much
         modeled time earlier queries on the same cluster consumed.  Returns
         the collector mark the query's metrics delta is taken from.
         """
@@ -207,8 +211,8 @@ class SimulatedCluster:
 
     def _check_timeout(self) -> None:
         elapsed = self.metrics.elapsed_since(self._query_mark)
-        if elapsed > self.config.timeout_seconds:
-            raise SimulatedTimeoutError(elapsed, self.config.timeout_seconds)
+        if elapsed > TIMEOUT_SECONDS:
+            raise SimulatedTimeoutError(elapsed, TIMEOUT_SECONDS)
 
     def __repr__(self) -> str:
         c = self.config.cluster

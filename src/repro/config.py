@@ -99,8 +99,6 @@ class EngineConfig:
 
     cluster: ClusterConfig = field(default_factory=ClusterConfig)
     block_size: int = DEFAULT_BLOCK_SIZE
-    #: Simulated-time timeout; the paper uses 12 hours.
-    timeout_seconds: float = 12 * 3600.0
     #: Enable sparsity exploitation inside fused operators (Outer-style).
     sparsity_exploitation: bool = True
     #: Enable the CFG exploitation phase (plan splitting, Algorithm 3).
@@ -130,8 +128,6 @@ class EngineConfig:
     def __post_init__(self) -> None:
         if self.block_size <= 0:
             raise ValueError("block_size must be positive")
-        if self.timeout_seconds <= 0:
-            raise ValueError("timeout_seconds must be positive")
         if self.calibration not in CALIBRATION_MODES:
             raise ValueError(
                 f"calibration must be one of {CALIBRATION_MODES}, "
@@ -154,16 +150,18 @@ class EngineConfig:
 
 @dataclass(frozen=True)
 class ServiceConfig:
-    """Knobs of the multi-tenant serving layer (:mod:`repro.serving`).
+    """Limits of the multi-tenant serving layer (:mod:`repro.serving`).
 
     One dispatcher thread executes admitted queries one at a time.  Queries
-    wait in a bounded per-tenant priority queue drained by deficit
-    round-robin; a full queue, or a query whose footprint estimate exceeds
-    ``memory_budget_bytes`` (by default the cluster's aggregate task memory
-    ``N * Tc * theta_t``), is shed at submit with
+    wait in a bounded per-tenant FIFO queue drained by deficit round-robin
+    across tenants; a full queue, or a query whose footprint estimate
+    exceeds ``memory_budget_bytes`` (by default the cluster's aggregate
+    task memory ``N * Tc * theta_t``), is shed at submit with
     :class:`~repro.errors.ServiceOverloadedError`, and a queued query that
     waits longer than ``queue_timeout_seconds`` fails with
     :class:`~repro.errors.QueryTimeoutError` instead of waiting forever.
+    Identical repeated queries are answered from a result cache of
+    ``result_cache_entries`` entries.
     """
 
     #: Total queued queries across all tenants before submits are shed.
@@ -173,17 +171,9 @@ class ServiceConfig:
     #: Admission memory budget; ``None`` means the cluster's
     #: :attr:`~ClusterConfig.total_memory_budget`.
     memory_budget_bytes: Optional[int] = None
-    #: Deficit round-robin quantum: bytes of footprint each tenant may
-    #: admit per scheduling round.  Smaller quanta interleave tenants more
-    #: finely; the default serves one mid-sized query per tenant per round.
-    drr_quantum_bytes: int = 32 * 1024 * 1024
     #: Result-cache capacity (entries); a 0-entry cache holds nothing.  Its
     #: byte bound is the slice cache's 256 MiB.
     result_cache_entries: int = 128
-    #: Emit one summary log line every N completed queries; 0 disables.
-    log_every: int = 0
-    #: Dispatcher poll interval (seconds) while waiting for work/timeouts.
-    dispatch_poll_seconds: float = 0.02
 
     def __post_init__(self) -> None:
         if self.max_queue_depth <= 0:
@@ -192,14 +182,8 @@ class ServiceConfig:
             raise ValueError("queue_timeout_seconds must be positive or None")
         if self.memory_budget_bytes is not None and self.memory_budget_bytes <= 0:
             raise ValueError("memory_budget_bytes must be positive or None")
-        if self.drr_quantum_bytes <= 0:
-            raise ValueError("drr_quantum_bytes must be positive")
         if self.result_cache_entries < 0:
             raise ValueError("result_cache_entries cannot be negative")
-        if self.log_every < 0:
-            raise ValueError("log_every cannot be negative")
-        if self.dispatch_poll_seconds <= 0:
-            raise ValueError("dispatch_poll_seconds must be positive")
 
 
 def paper_cluster(num_nodes: int = 8) -> EngineConfig:

@@ -85,11 +85,10 @@ class ExecutionResult:
     #: The query's telemetry record: the cost-model accountability report
     #: and its span tree (None when ``EngineConfig.telemetry`` is off).
     #: ``profile.render()`` is the engine's EXPLAIN ANALYZE; ``profile.span``
-    #: holds every phase on both clocks.  Its ``result`` is None: a result
-    #: and its profile form no reference cycle, so dropping the result frees its
-    #: outputs (and the slabs they pinned) by refcount, without waiting for
-    #: the cyclic collector.  ``engine.profile()`` returns a copy that
-    #: holds the result instead.
+    #: holds every phase on both clocks.  The profile holds no reference
+    #: back to the result, so dropping the result frees its outputs (and the
+    #: slabs they pinned) by refcount, without waiting for the cyclic
+    #: collector.
     profile: Optional[QueryProfile] = None
 
     def __post_init__(self) -> None:
@@ -143,9 +142,6 @@ class Engine:
         #: and cluster-stage accounting are per-engine mutable state, so
         #: concurrent submitters take turns; a query runs on one thread.
         self._execute_lock = threading.RLock()
-        #: The most recent query's :class:`QueryProfile` (None before the
-        #: first execute or with ``config.telemetry=False``).
-        self.last_profile: Optional[QueryProfile] = None
         #: Per-kernel throughput observations + fits
         #: (:mod:`repro.core.calibration`).  Always constructed — it is
         #: inert (never read, never written) while
@@ -376,34 +372,6 @@ class Engine:
         with self._execute_lock:
             return self._execute(dag, inputs, cluster)
 
-    def profile(
-        self,
-        query: Query,
-        inputs: Mapping[str, BlockedMatrix],
-        cluster: Optional[SimulatedCluster] = None,
-    ) -> QueryProfile:
-        """Execute *query* and return its cost-model accountability report.
-
-        The engine's EXPLAIN ANALYZE: per-unit predicted-vs-measured net
-        bytes / flops / modeled seconds with relative errors, the query's
-        span tree, and the fast-path counters.  The underlying
-        :class:`ExecutionResult` rides along as ``profile.result``: the
-        returned profile is a copy of ``result.profile`` with the result
-        attached, so the result never points at a profile that points back
-        at it (see :attr:`ExecutionResult.profile`).  That copy is also
-        :attr:`last_profile` until the next query.
-        """
-        if not self.config.telemetry:
-            raise RuntimeError(
-                "engine.profile() needs telemetry; this engine was built "
-                "with EngineConfig.telemetry=False"
-            )
-        with self._execute_lock:
-            result = self.execute(query, inputs, cluster)
-            assert result.profile is not None
-            self.last_profile = replace(result.profile, result=result)
-            return self.last_profile
-
     def _execute(
         self,
         dag: DAG,
@@ -490,7 +458,7 @@ class Engine:
             physical_plan=physical,
         )
         if tracer is not None:
-            result.profile = self.last_profile = build_profile(
+            result.profile = build_profile(
                 self.name, physical, metrics, search_counters,
                 tracer.root, exec_span, unit_walls, modeled_epoch,
             )

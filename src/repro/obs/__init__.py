@@ -1,7 +1,7 @@
 """Unified query telemetry (`repro.obs`).
 
 A query leaves one telemetry record: its span tree, carried by a
-:class:`QueryProfile` on ``result.profile`` and ``engine.profile()``.
+:class:`QueryProfile` on ``result.profile``.
 
 * :mod:`repro.obs.span` — hierarchical query spans (query -> plan and
   execute -> per-unit -> stages), each carrying wall-clock *and* modeled

@@ -127,14 +127,6 @@ class QueryProfile:
     span: Optional[Span] = None
     #: Real end-to-end wall-clock seconds for the query (None w/o telemetry).
     wall_seconds: Optional[float] = None
-    #: The ExecutionResult this profile was built from (opaque here), set
-    #: only on the copy ``engine.profile()`` / ``service.profile()`` return,
-    #: so callers keep outputs + profile in one round trip.  The profile the
-    #: result itself carries (``result.profile``) leaves it None: a
-    #: back-reference there would put every result in a reference cycle and
-    #: keep its outputs alive until the cyclic collector ran.  Excluded from
-    #: ``to_dict``.
-    result: Any = None
 
     # -- aggregates --------------------------------------------------------
 

@@ -12,10 +12,9 @@ waits in a bounded per-tenant queue:
   instead of queueing unboundedly; a single query whose estimate exceeds
   the whole budget is shed immediately (it could never start without
   O.O.M.-ing mid-flight);
-* **priority** — within one tenant, higher-priority queries dequeue first
-  (FIFO among equals);
+* **FIFO** — within one tenant, queries dequeue in submission order;
 * **fair** — across tenants, picks follow *deficit round-robin*: each
-  tenant banks ``drr_quantum_bytes`` of credit per scheduling round and
+  tenant banks :data:`DRR_QUANTUM_BYTES` of credit per scheduling round and
   admits queued queries while its credit covers their estimated cost, so
   one chatty tenant cannot starve the others no matter how fast it
   submits;
@@ -30,9 +29,8 @@ dispatch lock.
 
 from __future__ import annotations
 
-import heapq
 from collections import deque
-from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Tuple
+from typing import TYPE_CHECKING, Deque, Dict, List, Mapping, Optional
 
 from repro.config import ELEMENT_BYTES, ServiceConfig
 from repro.errors import ServiceOverloadedError
@@ -42,9 +40,9 @@ if TYPE_CHECKING:
     from repro.matrix.distributed import BlockedMatrix
     from repro.serving.service import QueryTicket
 
-#: One queued item: (negated priority, admission sequence, ticket) — the
-#: heap pops the highest priority first, FIFO among equals.
-_Item = Tuple[int, int, "QueryTicket"]
+#: Deficit round-robin quantum: bytes of footprint each tenant may admit
+#: per scheduling round — one mid-sized query per tenant per round.
+DRR_QUANTUM_BYTES = 32 * 1024 * 1024
 
 
 def estimate_query_bytes(
@@ -73,24 +71,21 @@ def estimate_query_bytes(
 
 
 class AdmissionController:
-    """Bounded multi-tenant priority queues drained by deficit round-robin."""
+    """Bounded per-tenant FIFO queues drained by deficit round-robin."""
 
     def __init__(self, config: ServiceConfig, memory_budget: int):
         if memory_budget <= 0:
             raise ValueError("memory_budget must be positive")
         self.config = config
         self.memory_budget = memory_budget
-        self._queues: Dict[str, List[_Item]] = {}
+        self._queues: Dict[str, Deque["QueryTicket"]] = {}
         self._deficits: Dict[str, float] = {}
         #: Tenants with queued work, in round-robin order.
         self._active: deque = deque()
         #: The tenant at the head of ``_active`` whose round-robin turn is
         #: in progress (its quantum is banked); None between turns.
         self._turn: Optional[str] = None
-        self._seq = 0
         self._depth = 0
-        self.num_shed = 0
-        self.num_expired = 0
 
     @property
     def depth(self) -> int:
@@ -102,26 +97,23 @@ class AdmissionController:
     def offer(self, ticket: "QueryTicket") -> None:
         """Queue *ticket* or shed it (raises ServiceOverloadedError)."""
         if ticket.cost > self.memory_budget:
-            self.num_shed += 1
             raise ServiceOverloadedError(
                 f"query {ticket.query_id} needs an estimated {ticket.cost} "
                 f"bytes, above the service memory budget of "
                 f"{self.memory_budget} bytes — it could never be admitted"
             )
         if self._depth >= self.config.max_queue_depth:
-            self.num_shed += 1
             raise ServiceOverloadedError(
                 f"admission queue is full ({self._depth} queued, "
                 f"max_queue_depth={self.config.max_queue_depth})"
             )
         queue = self._queues.get(ticket.tenant)
         if queue is None:
-            queue = self._queues[ticket.tenant] = []
+            queue = self._queues[ticket.tenant] = deque()
         if not queue:
             if ticket.tenant not in self._active:
                 self._active.append(ticket.tenant)
-        self._seq += 1
-        heapq.heappush(queue, (-ticket.priority, self._seq, ticket))
+        queue.append(ticket)
         self._depth += 1
 
     # -- dequeue ----------------------------------------------------------
@@ -134,23 +126,21 @@ class AdmissionController:
         expired: List["QueryTicket"] = []
         for tenant in list(self._queues):
             queue = self._queues[tenant]
-            keep = [
-                item for item in queue
-                if now - item[2].enqueued_at <= timeout
-            ]
+            keep = deque(
+                ticket for ticket in queue
+                if now - ticket.enqueued_at <= timeout
+            )
             if len(keep) == len(queue):
                 continue
             expired.extend(
-                item[2] for item in queue
-                if now - item[2].enqueued_at > timeout
+                ticket for ticket in queue
+                if now - ticket.enqueued_at > timeout
             )
             self._depth -= len(queue) - len(keep)
             if keep:
-                heapq.heapify(keep)
                 self._queues[tenant] = keep
             else:
                 self._retire(tenant)
-        self.num_expired += len(expired)
         return expired
 
     def next_ticket(self) -> Optional["QueryTicket"]:
@@ -163,11 +153,11 @@ class AdmissionController:
         grows every turn, so an expensive head is admitted after banking
         enough of it.
         """
-        quantum = self.config.drr_quantum_bytes
+        quantum = DRR_QUANTUM_BYTES
         while self._active:
             tenant = self._active[0]
             queue = self._queues[tenant]
-            head = queue[0][2]
+            head = queue[0]
             if self._turn != tenant:
                 self._turn = tenant
                 self._deficits[tenant] = min(
@@ -178,7 +168,7 @@ class AdmissionController:
                 self._active.rotate(-1)
                 self._turn = None
                 continue
-            heapq.heappop(queue)
+            queue.popleft()
             self._depth -= 1
             self._deficits[tenant] -= head.cost
             if not queue:
@@ -190,7 +180,7 @@ class AdmissionController:
         """Remove and return everything queued (non-draining shutdown)."""
         leftovers: List["QueryTicket"] = []
         for tenant in list(self._queues):
-            leftovers.extend(item[2] for item in self._queues[tenant])
+            leftovers.extend(self._queues[tenant])
             self._retire(tenant)
         self._depth = 0
         return leftovers

@@ -125,7 +125,7 @@ class ServiceMetrics:
         self.queue_wait = LatencyHistogram()
         #: Wall-clock seconds from submit to completion (queue + run).
         self.latency = LatencyHistogram()
-        #: Completed queries (served + timed out + failed) — log cadence.
+        #: Completed queries (served + timed out + failed).
         self.completed = 0
 
     def _tenant(self, tenant: str) -> TenantStats:
@@ -221,19 +221,3 @@ class ServiceMetrics:
             }
             snap.update(self._totals())
         return snap
-
-    def log_line(self, queue_depth: int, running: int) -> str:
-        """One-line service summary for the periodic log."""
-        with self._lock:
-            totals = self._totals()
-            p50 = self.latency.percentile(0.50)
-            p95 = self.latency.percentile(0.95)
-        served = totals["served"]
-        hit_rate = totals["cache_hits"] / served if served else 0.0
-        return (
-            f"serving: served={served} shed={totals['shed']} "
-            f"timed_out={totals['timed_out']} failed={totals['failed']} "
-            f"queued={queue_depth} running={running} "
-            f"p50={p50 * 1e3:.1f}ms p95={p95 * 1e3:.1f}ms "
-            f"result_cache_hit_rate={hit_rate:.2f}"
-        )

@@ -37,7 +37,6 @@ import itertools
 import logging
 import threading
 import time
-from dataclasses import replace
 from typing import Dict, List, Mapping, Optional
 
 from repro.cluster.executor import SimulatedCluster
@@ -52,7 +51,6 @@ from repro.errors import (
 )
 from repro.execution import Engine, ExecutionResult, Query, as_dag
 from repro.matrix.distributed import BlockedMatrix
-from repro.obs import QueryProfile
 from repro.serving.admission import AdmissionController, estimate_query_bytes
 from repro.serving.metrics import ServiceMetrics
 from repro.serving.result_cache import ResultCache, result_key
@@ -62,6 +60,10 @@ from repro.serving.ticket import QueryTicket, ServedResult
 __all__ = ["MatrixService", "QueryTicket", "ServedResult"]
 
 logger = logging.getLogger("repro.serving")
+
+#: Seconds the idle dispatcher waits before it looks at the queue again
+#: (so queued queries expire on time even while nothing is submitted).
+DISPATCH_POLL_SECONDS = 0.02
 
 
 def _result_usage(
@@ -111,11 +113,10 @@ class MatrixService:
         self,
         engine: Optional[Engine] = None,
         config: Optional[ServiceConfig] = None,
-        cluster: Optional[SimulatedCluster] = None,
     ):
         self.engine = engine if engine is not None else FuseMEEngine()
         self.config = config or ServiceConfig()
-        self.cluster = cluster or SimulatedCluster(self.engine.config)
+        self.cluster = SimulatedCluster(self.engine.config)
         budget = self.config.memory_budget_bytes
         if budget is None:
             budget = self.engine.config.cluster.total_memory_budget
@@ -133,7 +134,6 @@ class MatrixService:
         self._broken: Optional[BaseException] = None
         #: Serializes close() against concurrent closers (not dispatch).
         self._close_lock = threading.Lock()
-        self._last_logged = 0
         self._dispatcher = threading.Thread(
             target=self._dispatch_loop,
             name="repro-serving-dispatch",
@@ -163,7 +163,6 @@ class MatrixService:
         session: Session,
         query: Query,
         inputs: Optional[Mapping[str, BlockedMatrix]] = None,
-        priority: int = 0,
     ) -> QueryTicket:
         """Queue *query* for *session*; returns immediately with a ticket.
 
@@ -181,7 +180,7 @@ class MatrixService:
         tenant = session.tenant
         query_id = f"{tenant}/q{next(self._query_seq)}"
         cost = estimate_query_bytes(dag, bound)
-        ticket = QueryTicket(query_id, tenant, dag, bound, cost, priority)
+        ticket = QueryTicket(query_id, tenant, dag, bound, cost)
         self.metrics.record_submitted(tenant)
 
         cached = self.result_cache.get(
@@ -189,7 +188,6 @@ class MatrixService:
         )
         if cached is not None:
             self._serve(ticket, cached, from_cache=True, queue_seconds=0.0)
-            self._maybe_log()
             return ticket
 
         try:
@@ -209,56 +207,10 @@ class MatrixService:
         session: Session,
         query: Query,
         inputs: Optional[Mapping[str, BlockedMatrix]] = None,
-        priority: int = 0,
         timeout: Optional[float] = None,
     ) -> ServedResult:
         """Submit and block until the result is available."""
-        return self.submit(session, query, inputs, priority).result(timeout)
-
-    def explain(
-        self,
-        session: Session,
-        query: Query,
-        inputs: Optional[Mapping[str, BlockedMatrix]] = None,
-    ) -> str:
-        """Render *query*'s physical plan without executing it.
-
-        Resolves and validates bindings exactly like :meth:`submit`, plans
-        and lowers on the shared engine —
-        warming the plan cache a later execute will hit — and never opens
-        a cluster stage, bypasses admission, and touches no result cache.
-        """
-        if session.closed:
-            raise SessionClosedError(f"session {session.session_id} is closed")
-        dag = as_dag(query)
-        bound = session.resolve_inputs(inputs)
-        dag.validate_inputs(bound.keys())
-        return self.engine.explain(dag)
-
-    def profile(
-        self,
-        session: Session,
-        query: Query,
-        inputs: Optional[Mapping[str, BlockedMatrix]] = None,
-        priority: int = 0,
-        timeout: Optional[float] = None,
-    ) -> QueryProfile:
-        """Execute *query* through the normal admission path and return its
-        cost-model accountability report.  As with ``engine.profile()``,
-        the returned profile is a copy with ``profile.result`` carrying the
-        :class:`ExecutionResult` (whose own ``result.profile`` holds no
-        back-reference).  A result-cache hit returns the profile captured
-        when the cached entry originally executed.
-        """
-        if not self.engine.config.telemetry:
-            raise RuntimeError(
-                "service.profile() needs telemetry; the engine was built "
-                "with EngineConfig.telemetry=False"
-            )
-        served = self.execute(session, query, inputs, priority, timeout)
-        profile = served.result.profile
-        assert profile is not None
-        return replace(profile, result=served.result)
+        return self.submit(session, query, inputs).result(timeout)
 
     def _check_accepting(self) -> None:
         """Raise unless the service can still take work."""
@@ -272,7 +224,7 @@ class MatrixService:
     # -- dispatch ---------------------------------------------------------
 
     def _dispatch_loop(self) -> None:
-        poll = self.config.dispatch_poll_seconds
+        poll = DISPATCH_POLL_SECONDS
         # tickets taken off the queue and not yet resolved by this loop
         expired: List[QueryTicket] = []
         try:
@@ -339,7 +291,6 @@ class MatrixService:
             with self._cond:
                 self._running -= 1
                 self._cond.notify_all()
-            self._maybe_log()
 
     def _serve(
         self,
@@ -373,7 +324,6 @@ class MatrixService:
         ticket._fail(QueryTimeoutError(
             ticket.query_id, waited, self.config.queue_timeout_seconds
         ))
-        self._maybe_log()
 
     # -- observability ----------------------------------------------------
 
@@ -402,19 +352,6 @@ class MatrixService:
             cluster=self.cluster.metrics.snapshot(),
         )
         return snap
-
-    def _maybe_log(self) -> None:
-        every = self.config.log_every
-        if not every:
-            return
-        with self._lock:
-            completed = self.metrics.completed
-            if completed < self._last_logged + every:
-                return
-            self._last_logged = completed
-            queue_depth = self._admission.depth
-            running = self._running
-        logger.info("%s", self.metrics.log_line(queue_depth, running))
 
     # -- lifecycle --------------------------------------------------------
 

@@ -42,8 +42,6 @@ class Session:
         self._bindings: Dict[str, BlockedMatrix] = {}
         self._lock = threading.Lock()
         self._closed = False
-        #: How many times a name was (re-)bound — observability only.
-        self.num_rebinds = 0
 
     # -- bindings ---------------------------------------------------------
 
@@ -51,8 +49,6 @@ class Session:
         """Bind *name* to *matrix* (replacing any previous binding)."""
         with self._lock:
             self._check_open()
-            if name in self._bindings:
-                self.num_rebinds += 1
             self._bindings[name] = matrix
         return self
 
@@ -89,41 +85,18 @@ class Session:
         self,
         query: "Query",
         inputs: Optional[Mapping[str, BlockedMatrix]] = None,
-        priority: int = 0,
     ) -> "QueryTicket":
         """Submit *query* asynchronously; returns a ticket to wait on."""
-        return self._service.submit(self, query, inputs=inputs, priority=priority)
+        return self._service.submit(self, query, inputs=inputs)
 
     def execute(
         self,
         query: "Query",
         inputs: Optional[Mapping[str, BlockedMatrix]] = None,
-        priority: int = 0,
         timeout: Optional[float] = None,
     ) -> "ServedResult":
         """Submit *query* and block until its result is available."""
-        return self.submit(query, inputs=inputs, priority=priority).result(timeout)
-
-    def explain(
-        self,
-        query: "Query",
-        inputs: Optional[Mapping[str, BlockedMatrix]] = None,
-    ) -> str:
-        """Render *query*'s physical plan (no execution, no admission)."""
-        return self._service.explain(self, query, inputs=inputs)
-
-    def profile(
-        self,
-        query: "Query",
-        inputs: Optional[Mapping[str, BlockedMatrix]] = None,
-        priority: int = 0,
-        timeout: Optional[float] = None,
-    ):
-        """Execute *query* and return its cost-model accountability report
-        (a :class:`~repro.obs.profile.QueryProfile`)."""
-        return self._service.profile(
-            self, query, inputs=inputs, priority=priority, timeout=timeout
-        )
+        return self.submit(query, inputs=inputs).result(timeout)
 
     # -- lifecycle --------------------------------------------------------
 

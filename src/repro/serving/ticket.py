@@ -54,7 +54,6 @@ class QueryTicket:
         dag,
         bound: Dict[str, "BlockedMatrix"],
         cost: int,
-        priority: int,
     ):
         self.query_id = query_id
         self.tenant = tenant
@@ -62,7 +61,6 @@ class QueryTicket:
         self.bound = bound
         #: Estimated footprint in bytes (the admission currency).
         self.cost = cost
-        self.priority = priority
         self.enqueued_at = time.monotonic()
         self._event = threading.Event()
         self._value: Optional[ServedResult] = None
@@ -82,14 +80,6 @@ class QueryTicket:
         assert self._value is not None
         return self._value
 
-    def exception(self, timeout: Optional[float] = None) -> Optional[BaseException]:
-        """The query's failure (None if it succeeded); blocks like result()."""
-        if not self._event.wait(timeout):
-            raise TimeoutError(
-                f"query {self.query_id} did not complete within {timeout}s"
-            )
-        return self._error
-
     def _resolve(self, value: ServedResult) -> None:
         self._value = value
         self._event.set()
@@ -102,5 +92,5 @@ class QueryTicket:
         state = "done" if self.done() else "pending"
         return (
             f"QueryTicket(id={self.query_id!r}, tenant={self.tenant!r}, "
-            f"cost={self.cost}, priority={self.priority}, {state})"
+            f"cost={self.cost}, {state})"
         )

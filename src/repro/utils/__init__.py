@@ -1,17 +1,9 @@
-"""Shared helpers: validation, formatting and logging."""
+"""Shared helpers: formatting."""
 
 from repro.utils.formatting import format_bytes, format_seconds, render_table
-from repro.utils.validation import (
-    check_multipliable,
-    check_positive,
-    check_same_shape,
-)
 
 __all__ = [
     "format_bytes",
     "format_seconds",
     "render_table",
-    "check_multipliable",
-    "check_positive",
-    "check_same_shape",
 ]

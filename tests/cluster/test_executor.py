@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cluster import SimulatedCluster
+from repro.cluster import SimulatedCluster, executor
 from repro.errors import SimulatedTimeoutError
 
 from tests.conftest import make_config
@@ -86,9 +86,9 @@ class TestTiming:
         assert c.metrics.elapsed_seconds > 0
         assert c.metrics.num_stages == 2
 
-    def test_timeout_enforced(self):
-        config = make_config(timeout_seconds=1e-9)
-        c = SimulatedCluster(config)
+    def test_timeout_enforced(self, monkeypatch):
+        monkeypatch.setattr(executor, "TIMEOUT_SECONDS", 1e-9)
+        c = SimulatedCluster(make_config())
         with pytest.raises(SimulatedTimeoutError):
             with c.stage("slow") as stage:
                 stage.task().receive(10_000_000)

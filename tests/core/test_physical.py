@@ -194,21 +194,6 @@ class TestExplain:
         assert result.physical_plan.render() == shown
         assert result.metrics.counter("plan_cache_hits") == 1
 
-    def test_served_explain_passthrough(self):
-        from repro.serving import MatrixService
-
-        q = als_loss_query(100, 80, 20, density=0.1, block_size=BS)
-        engine = FuseMEEngine(make_config(block_size=BS))
-        with MatrixService(engine) as service:
-            session = service.open_session("alice").bind_many({
-                "X": rand_sparse(100, 80, density=0.1, block_size=BS, seed=1),
-                "U": rand_dense(100, 20, BS, seed=2),
-                "V": rand_dense(20, 80, BS, seed=3),
-            })
-            text = session.explain(q.expr)
-            assert "PhysicalPlan[FuseME]" in text
-            assert service.cluster.metrics.num_stages == 0
-
 
 class TestPlanValidation:
     def test_forward_dependency_rejected(self):

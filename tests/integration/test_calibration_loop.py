@@ -100,7 +100,7 @@ class TestActiveLoopConverges:
         # converged steady state (no eviction, cache hits)
         errors, evictions = [], []
         for _ in range(5):
-            profile = engine.profile(query, bound)
+            profile = engine.execute(query, bound).profile
             errors.append(profile.mean_abs_seconds_error)
             evictions.append(
                 profile.counters.get("plan_cache_calibration_evictions", 0)

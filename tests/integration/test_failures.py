@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from repro import FuseMEEngine, MatFastLikeEngine
+from repro.cluster import executor
 from repro.datasets import density_skewed_matrix
 from repro.errors import SimulatedTimeoutError, TaskOutOfMemoryError
 from repro.lang import DAG, evaluate, log, matrix_input
@@ -60,16 +61,16 @@ class TestMemoryPressure:
 
 
 class TestTimeout:
-    def test_simulated_timeout_raised(self):
+    def test_simulated_timeout_raised(self, monkeypatch):
         expr, inputs = nmf()
-        config = make_config(timeout_seconds=1e-9)
+        monkeypatch.setattr(executor, "TIMEOUT_SECONDS", 1e-9)
         with pytest.raises(SimulatedTimeoutError):
-            FuseMEEngine(config).execute(expr, inputs)
+            FuseMEEngine(make_config()).execute(expr, inputs)
 
-    def test_generous_timeout_passes(self):
+    def test_generous_timeout_passes(self, monkeypatch):
         expr, inputs = nmf()
-        config = make_config(timeout_seconds=3600.0)
-        FuseMEEngine(config).execute(expr, inputs)  # must not raise
+        monkeypatch.setattr(executor, "TIMEOUT_SECONDS", 3600.0)
+        FuseMEEngine(make_config()).execute(expr, inputs)  # must not raise
 
 
 class TestSkew:

@@ -4,7 +4,8 @@ Each engine (CFO via FuseME, BFO/RFO via SystemDS) must produce
 bit-identical outputs and the exact same MetricsCollector totals whether
 it plans afresh (a fresh engine's first execute misses the plan cache) or
 runs a cached plan on warm slabs — speed is the only thing allowed to
-change.
+change.  That two fresh engines agree run to run is the stage-record
+golden's second-run check.
 """
 
 import numpy as np
@@ -37,26 +38,6 @@ def _inputs():
         "U": rand_dense(M, K, BS, seed=12),
         "V": rand_dense(K, N, BS, seed=13),
     }
-
-
-def _run(engine_cls, **options):
-    config = make_config(**options)
-    engine = engine_cls(config)
-    return engine.execute(_query(), _inputs())
-
-
-@pytest.mark.parametrize("engine_cls", [FuseMEEngine, SystemDSLikeEngine])
-def test_fast_path_is_invisible(engine_cls):
-    baseline = _run(engine_cls)
-    fast = _run(engine_cls)
-
-    for root_base, root_fast in zip(baseline.dag.roots, fast.dag.roots):
-        assert np.array_equal(
-            baseline.outputs[root_base].to_numpy(),
-            fast.outputs[root_fast].to_numpy(),
-        )
-    # counters differ by design; every modeled quantity must be exact
-    assert baseline.metrics.totals() == fast.metrics.totals()
 
 
 @pytest.mark.parametrize("engine_cls", [FuseMEEngine, SystemDSLikeEngine])

@@ -174,7 +174,7 @@ def test_gnmf_fewer_units_and_lower_modeled_cost(workload):
 def test_merged_unit_profiles_keep_source_provenance(workload):
     query, inputs = workload
     engine = FuseMEEngine(make_config(block_size=BS, graph_passes="all"))
-    profile = engine.profile(query, inputs)
+    profile = engine.execute(query, inputs).profile
     merged = [u for u in profile.units if u.kind == "merged"]
     assert merged, "GNMF should produce at least one merged unit"
     for unit in merged:

@@ -95,20 +95,3 @@ def test_a_query_and_its_reference_check_leave_no_cyclic_garbage(
     engine.execute(query, inputs)
     evaluate_many(roots, dense)
     assert gc.collect() == 0
-
-
-def test_profile_copy_carries_the_result(collector_off):
-    """``engine.profile()`` hands back the result on a copy of the profile;
-    the result's own profile still points nowhere."""
-    query, inputs, _ = gnmf_step()
-    engine = FuseMEEngine(fig14_config())
-    profile = engine.profile(query, inputs)
-    assert engine.last_profile is profile
-    result = profile.result
-    assert isinstance(result, ExecutionResult)
-    assert result.profile is not profile and result.profile.result is None
-    assert result.profile.units == profile.units
-    outputs = [weakref.ref(matrix) for matrix in result.outputs.values()]
-    del profile, result
-    engine.last_profile = None
-    assert all(ref() is None for ref in outputs)

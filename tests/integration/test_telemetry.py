@@ -1,7 +1,7 @@
 """Full-stack telemetry: profiles, span trees, invariance.
 
 The observability contract has two halves tested here.  Accountability:
-``engine.profile()`` joins every unit's cost-model prediction with its
+``result.profile`` joins every unit's cost-model prediction with its
 measured stage totals, the report is deterministic (golden-pinned for the
 GNMF iteration), and a deliberately mis-calibrated model surfaces as a
 nonzero relative error.  Non-invasiveness: with telemetry on or off, all
@@ -80,8 +80,8 @@ def test_golden_gnmf_profile_report(workload):
     of one of these reports."""
     query, inputs = workload
     paper = FuseMEEngine(make_config(block_size=BS, graph_passes="off"))
-    assert paper.profile(query, inputs).render() == GOLDEN_GNMF_REPORT
-    profile = FuseMEEngine(make_config(block_size=BS)).profile(query, inputs)
+    assert paper.execute(query, inputs).profile.render() == GOLDEN_GNMF_REPORT
+    profile = FuseMEEngine(make_config(block_size=BS)).execute(query, inputs).profile
     assert profile.render() == GOLDEN_GNMF_SHARED_REPORT
 
 
@@ -89,8 +89,8 @@ def test_golden_gnmf_profile_report(workload):
 def test_profile_covers_every_unit(engine_cls, workload):
     query, inputs = workload
     engine = engine_cls(make_config(block_size=BS))
-    profile = engine.profile(query, inputs)
-    plan = profile.result.physical_plan
+    result = engine.execute(query, inputs)
+    profile, plan = result.profile, result.physical_plan
     assert [u.index for u in profile.units] == [op.index for op in plan.ops]
     for unit, op in zip(profile.units, plan.ops):
         assert unit.kind == op.kind
@@ -108,11 +108,10 @@ def test_profile_covers_every_unit(engine_cls, workload):
     )
 
 
-def test_profile_aggregates_and_last_profile(workload):
+def test_profile_aggregates(workload):
     query, inputs = workload
     engine = FuseMEEngine(make_config(block_size=BS))
-    profile = engine.profile(query, inputs)
-    assert engine.last_profile is profile
+    profile = engine.execute(query, inputs).profile
     assert profile.engine == "FuseME"
     assert profile.wall_seconds is not None and profile.wall_seconds > 0.0
     assert profile.seconds_error is not None
@@ -128,11 +127,8 @@ def test_profile_aggregates_and_last_profile(workload):
 def test_profile_requires_telemetry(workload):
     query, inputs = workload
     engine = FuseMEEngine(make_config(block_size=BS, telemetry=False))
-    with pytest.raises(RuntimeError, match="telemetry"):
-        engine.profile(query, inputs)
     result = engine.execute(query, inputs)
     assert result.profile is None
-    assert engine.last_profile is None
 
 
 class MiscalibratedFuseME(FuseMEEngine):
@@ -161,8 +157,8 @@ def test_perturbed_cost_model_surfaces_nonzero_error(workload):
     # from the cost model, so it would drop part of the inflation
     config = make_config(block_size=BS, graph_passes="off")
     query, inputs = workload
-    honest = FuseMEEngine(config).profile(query, inputs)
-    skewed = MiscalibratedFuseME(config).profile(query, inputs)
+    honest = FuseMEEngine(config).execute(query, inputs).profile
+    skewed = MiscalibratedFuseME(config).execute(query, inputs).profile
     # execution is identical: predictions never feed the modeled run
     assert skewed.totals == honest.totals
     # ...but accountability sees straight through the inflation: the honest
@@ -204,7 +200,7 @@ def test_profile_document_carries_totals_and_counters(workload):
     """``profile.to_dict()`` is the query's whole telemetry record as plain
     JSON: totals, counters, every unit and the span tree."""
     query, inputs = workload
-    profile = FuseMEEngine(make_config(block_size=BS)).profile(query, inputs)
+    profile = FuseMEEngine(make_config(block_size=BS)).execute(query, inputs).profile
     document = json.loads(json.dumps(profile.to_dict()))
     assert document["engine"] == "FuseME"
     assert len(document["units"]) == len(profile.units)
@@ -226,7 +222,7 @@ def test_span_tree_shape_and_clocks(workload):
 def check_span_tree(workload, graph_passes, units):
     query, inputs = workload
     engine = FuseMEEngine(make_config(block_size=BS, graph_passes=graph_passes))
-    profile = engine.profile(query, inputs)
+    profile = engine.execute(query, inputs).profile
     span = profile.span
     assert span.name == "query" and span.attrs["engine"] == "FuseME"
     assert [c.name for c in span.children] == ["plan", "execute"]
@@ -263,8 +259,8 @@ def check_span_tree(workload, graph_passes, units):
 def test_plan_cache_hit_span_attrs(workload):
     query, inputs = workload
     engine = FuseMEEngine(make_config(block_size=BS))
-    first = engine.profile(query, inputs)
-    second = engine.profile(query, inputs)
+    first = engine.execute(query, inputs).profile
+    second = engine.execute(query, inputs).profile
     assert first.span.find("plan").attrs["cache_hit"] is False
     assert second.span.find("plan").attrs["cache_hit"] is True
     assert second.counters["plan_cache_hits"] == 1
@@ -299,7 +295,7 @@ def test_spans_without_scheduled_trace_still_profile(workload):
 
 def test_wall_and_modeled_clocks_are_distinct(workload):
     query, inputs = workload
-    profile = FuseMEEngine(make_config(block_size=BS)).profile(query, inputs)
+    profile = FuseMEEngine(make_config(block_size=BS)).execute(query, inputs).profile
     # modeled seconds are simulated; wall seconds are real and tiny here
     assert profile.measured_seconds > 0.1  # modeled
     assert profile.wall_seconds < 60.0  # real

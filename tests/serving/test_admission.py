@@ -7,26 +7,28 @@ from repro.errors import ServiceOverloadedError
 from repro.lang import matrix_input, sum_of, sq
 from repro.matrix import rand_dense
 from repro.execution import as_dag
+from repro.serving import admission
 from repro.serving.admission import AdmissionController, estimate_query_bytes
 
 
 class FakeTicket:
     """The minimum surface AdmissionController needs from a ticket."""
 
-    def __init__(self, tenant, cost, priority=0, enqueued_at=0.0, query_id="q"):
+    def __init__(self, tenant, cost, enqueued_at=0.0, query_id="q"):
         self.tenant = tenant
         self.cost = cost
-        self.priority = priority
         self.enqueued_at = enqueued_at
         self.query_id = query_id
 
 
+@pytest.fixture(autouse=True)
+def small_quantum(monkeypatch):
+    """A 10-byte DRR quantum, so a few small fake tickets span rounds."""
+    monkeypatch.setattr(admission, "DRR_QUANTUM_BYTES", 10)
+
+
 def controller(budget=1000, **options):
-    defaults = dict(
-        max_queue_depth=16,
-        drr_quantum_bytes=10,
-        queue_timeout_seconds=1.0,
-    )
+    defaults = dict(max_queue_depth=16, queue_timeout_seconds=1.0)
     defaults.update(options)
     return AdmissionController(ServiceConfig(**defaults), budget)
 
@@ -62,7 +64,6 @@ class TestShedding:
         with pytest.raises(ServiceOverloadedError, match="memory budget"):
             c.offer(FakeTicket("a", cost=101))
         assert c.depth == 0
-        assert c.num_shed == 1
 
     def test_full_queue_sheds(self):
         c = controller(max_queue_depth=2)
@@ -91,7 +92,7 @@ class TestWaves:
 
     def test_deficit_round_robin_interleaves_tenants(self):
         """A tenant that submitted first cannot monopolize the dispatcher."""
-        c = controller(drr_quantum_bytes=10)
+        c = controller()
         for i in range(4):
             c.offer(FakeTicket("alice", 10, query_id=f"a{i}"))
         for i in range(4):
@@ -100,9 +101,10 @@ class TestWaves:
         assert tenants == ["alice", "bob"] * 4
         assert c.depth == 0
 
-    def test_turn_spans_picks_while_credit_lasts(self):
+    def test_turn_spans_picks_while_credit_lasts(self, monkeypatch):
         """A tenant keeps its turn across calls until its credit runs out."""
-        c = controller(drr_quantum_bytes=20)
+        monkeypatch.setattr(admission, "DRR_QUANTUM_BYTES", 20)
+        c = controller()
         for i in range(3):
             c.offer(FakeTicket("alice", 10, query_id=f"a{i}"))
             c.offer(FakeTicket("bob", 10, query_id=f"b{i}"))
@@ -113,20 +115,14 @@ class TestWaves:
     def test_large_query_accumulates_credit(self):
         """A query costing many quanta is admitted after banking credit,
         not starved forever."""
-        c = controller(budget=1000, drr_quantum_bytes=10)
+        c = controller(budget=1000)
         c.offer(FakeTicket("a", 95, query_id="big"))
         c.offer(FakeTicket("b", 10, query_id="small"))
         # "small" goes first while "big" banks credit, then "big" runs
         assert [t.query_id for t in picks(c)] == ["small", "big"]
 
-    def test_priority_within_tenant(self):
-        c = controller()
-        c.offer(FakeTicket("a", 10, priority=0, query_id="low"))
-        c.offer(FakeTicket("a", 10, priority=5, query_id="high"))
-        c.offer(FakeTicket("a", 10, priority=1, query_id="mid"))
-        assert [t.query_id for t in picks(c)] == ["high", "mid", "low"]
-
     def test_fifo_among_equal_priorities(self):
+        """Within one tenant, queries dequeue in submission order."""
         c = controller()
         c.offer(FakeTicket("a", 10, query_id="first"))
         c.offer(FakeTicket("a", 10, query_id="second"))
@@ -144,7 +140,6 @@ class TestExpiry:
         expired = c.expire(now=4.0)
         assert [t.query_id for t in expired] == ["old"]
         assert c.depth == 1
-        assert c.num_expired == 1
         assert [t.query_id for t in picks(c)] == ["fresh"]
 
     def test_no_timeout_configured(self):

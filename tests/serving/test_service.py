@@ -20,7 +20,7 @@ from repro.errors import (
 from repro.execution import Engine, ExecutionResult, as_dag
 from repro.lang import matrix_input
 from repro.matrix import rand_dense
-from repro.serving import MatrixService
+from repro.serving import MatrixService, service as service_module
 
 from tests.conftest import make_config
 
@@ -68,8 +68,13 @@ class StubEngine(Engine):
         )
 
 
+@pytest.fixture(autouse=True)
+def fast_poll(monkeypatch):
+    """Poll every 5 ms, so queued queries expire promptly."""
+    monkeypatch.setattr(service_module, "DISPATCH_POLL_SECONDS", 0.005)
+
+
 def make_service(engine=None, **options):
-    options.setdefault("dispatch_poll_seconds", 0.005)
     return MatrixService(
         engine=engine or StubEngine(), config=ServiceConfig(**options)
     )
@@ -108,7 +113,6 @@ class TestHappyPath:
             ticket = alice.submit(QUERY)
             served = ticket.result(timeout=10.0)
             assert ticket.done()
-            assert ticket.exception() is None
         assert served.query_id == ticket.query_id
 
     def test_unbound_input_fails_eagerly(self):
@@ -201,7 +205,6 @@ class TestFailures:
             ticket = alice.submit(QUERY)
             with pytest.raises(ValueError, match="boom"):
                 ticket.result(timeout=10.0)
-            assert isinstance(ticket.exception(), ValueError)
             status = service.status()
         assert status["failed"] == 1
         assert status["tenants"]["alice"]["failed"] == 1
@@ -257,7 +260,8 @@ class TestLifecycle:
             ]
         # context exit = close(drain=True): everything finished
         assert all(t.done() for t in tickets)
-        assert all(t.exception() is None for t in tickets)
+        for ticket in tickets:
+            ticket.result(timeout=0)  # raises if the query failed
 
     def test_close_without_drain_fails_leftovers(self):
         engine = StubEngine()
@@ -391,13 +395,6 @@ class TestStatus:
         assert status["latency"]["count"] == 2
         assert status["cluster"]["counters"] == {}  # stub never ran stages
 
-    def test_periodic_log_line(self, caplog):
-        with caplog.at_level("INFO", logger="repro.serving"):
-            with make_service(log_every=1) as service:
-                alice = service.open_session("alice").bind("X", x_matrix())
-                alice.execute(QUERY, timeout=10.0)
-        assert any("serving: served=" in r.message for r in caplog.records)
-
 
 class TestCacheStatus:
     def test_each_cache_reports_a_stats_sub_dict(self):
@@ -418,29 +415,24 @@ class TestCacheStatus:
 
 
 class TestServingTelemetry:
-    """session.profile() and service.status(), on a real engine."""
+    """Served profiles and service.status(), on a real engine."""
 
-    def _real_service(self, **engine_options):
+    def _real_service(self):
         from repro import FuseMEEngine
 
-        return make_service(FuseMEEngine(make_config(**engine_options)))
+        return make_service(FuseMEEngine(make_config()))
 
     def test_session_profile_round_trip(self):
+        """A served query's profile comes back on its result."""
         with self._real_service() as service:
             alice = service.open_session("alice").bind("X", x_matrix())
-            profile = alice.profile(QUERY, timeout=10.0)
+            served = alice.execute(QUERY, timeout=10.0)
+        profile = served.result.profile
         assert profile.engine == "FuseME"
         assert len(profile.units) == 1
         assert profile.units[0].measured_seconds > 0.0
         assert profile.span.find("execute") is not None
-        # the served result rides along
-        assert profile.result.output(0).shape == (50, 50)
-
-    def test_profile_requires_telemetry(self):
-        with self._real_service(telemetry=False) as service:
-            alice = service.open_session("alice").bind("X", x_matrix())
-            with pytest.raises(RuntimeError, match="telemetry"):
-                alice.profile(QUERY, timeout=10.0)
+        assert served.output(0).shape == (50, 50)
 
     def test_status_covers_layers(self):
         with self._real_service() as service:

@@ -105,16 +105,6 @@ class TestServiceMetrics:
         m.record_submitted("b")
         assert m.totals()["submitted"] == 2
 
-    def test_log_line_mentions_key_figures(self):
-        m = ServiceMetrics()
-        m.record_served("a", from_cache=True,
-                        queue_seconds=0.0, total_seconds=0.004)
-        line = m.log_line(queue_depth=2, running=1)
-        assert "served=1" in line
-        assert "queued=2" in line
-        assert "running=1" in line
-        assert "result_cache_hit_rate=1.00" in line
-
 
 class TestUsage:
     def test_executions_book_usage_and_cache_hits_do_not(self):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro import FuseMEEngine
-from repro.cluster import MetricsCollector, SimulatedCluster
+from repro.cluster import MetricsCollector, SimulatedCluster, executor
 from repro.execution import ExecutionResult, as_dag
 from repro.lang import DAG, matrix_input
 from repro.matrix import rand_dense
@@ -122,7 +122,7 @@ class TestSharedCluster:
         assert result.metrics.totals() == totals
         assert cluster.metrics.num_stages == 2 * result.metrics.num_stages
 
-    def test_simulated_timeout_budget_is_per_query(self, simple):
+    def test_simulated_timeout_budget_is_per_query(self, simple, monkeypatch):
         """The paper's T.O. applies to one query, not the cluster's whole
         accumulated life: three queries each well under the budget must all
         succeed on a shared cluster even though their summed modeled time
@@ -130,7 +130,8 @@ class TestSharedCluster:
         x, inputs = simple
         single = FuseMEEngine(make_config()).execute(x * 2.0, inputs)
         budget = single.elapsed_seconds * 1.5
-        config = make_config(timeout_seconds=budget)
+        monkeypatch.setattr(executor, "TIMEOUT_SECONDS", budget)
+        config = make_config()
         cluster = SimulatedCluster(config)
         engine = FuseMEEngine(config)
         for _ in range(3):  # cumulative elapsed ends near 2x the budget

@@ -1,17 +1,10 @@
-"""Tests for formatting, validation, config and error helpers."""
+"""Tests for formatting, config and error helpers."""
 
 import pytest
 
 from repro.config import ClusterConfig, EngineConfig, paper_cluster
-from repro.errors import MatrixShapeError, SimulatedTimeoutError, TaskOutOfMemoryError
-from repro.utils import (
-    check_multipliable,
-    check_positive,
-    check_same_shape,
-    format_bytes,
-    format_seconds,
-    render_table,
-)
+from repro.errors import SimulatedTimeoutError, TaskOutOfMemoryError
+from repro.utils import format_bytes, format_seconds, render_table
 
 
 class TestFormatting:
@@ -46,23 +39,6 @@ class TestFormatting:
             render_table(["a"], [["1", "2"]])
 
 
-class TestValidation:
-    def test_check_positive(self):
-        check_positive("x", 1)
-        with pytest.raises(ValueError):
-            check_positive("x", 0)
-
-    def test_check_same_shape(self):
-        check_same_shape((2, 3), (2, 3))
-        with pytest.raises(MatrixShapeError):
-            check_same_shape((2, 3), (3, 2))
-
-    def test_check_multipliable(self):
-        check_multipliable((2, 3), (3, 4))
-        with pytest.raises(MatrixShapeError):
-            check_multipliable((2, 3), (4, 3))
-
-
 class TestConfig:
     def test_total_tasks(self):
         c = ClusterConfig(num_nodes=8, tasks_per_node=12)
@@ -84,8 +60,6 @@ class TestConfig:
     def test_invalid_engine(self):
         with pytest.raises(ValueError):
             EngineConfig(block_size=0)
-        with pytest.raises(ValueError):
-            EngineConfig(timeout_seconds=0.0)
 
     def test_with_cluster_returns_copy(self):
         base = EngineConfig()
