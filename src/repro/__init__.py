@@ -56,7 +56,7 @@ from repro.matrix import (
     rand_sparse,
     zeros,
 )
-from repro.obs import QueryProfile, Span, SpanTracer, UnitProfile
+from repro.obs import QueryProfile, UnitProfile
 from repro.serving import MatrixService, ServedResult, Session
 
 __version__ = "1.0.0"
@@ -70,8 +70,6 @@ __all__ = [
     "ServedResult",
     "Session",
     "QueryProfile",
-    "Span",
-    "SpanTracer",
     "UnitProfile",
     "paper_cluster",
     "FuseMEEngine",

@@ -38,7 +38,7 @@ class LocalXLAEngine(Engine):
         cluster = self.config.cluster
         return cluster.task_memory_budget * cluster.tasks_per_node
 
-    def lower_dag(self, dag: DAG, tracer=None) -> PhysicalPlan:
+    def lower_dag(self, dag: DAG) -> PhysicalPlan:
         """XLA compiles the whole DAG into one fused kernel, so the physical
         plan is a single synthetic unit covering every root — no fusion plan
         and no per-unit cuboid search behind it."""

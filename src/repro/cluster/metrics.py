@@ -69,27 +69,10 @@ class MetricsCollector:
     _lock: threading.Lock = field(
         default_factory=threading.Lock, repr=False, compare=False
     )
-    #: Running sum of recorded stage seconds (see :attr:`clock`).
-    _clock: float = field(default=0.0, init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        self._clock = sum(s.seconds for s in self.stages)
 
     def record(self, stage: StageRecord) -> None:
         with self._lock:
             self.stages.append(stage)
-            self._clock += stage.seconds
-
-    @property
-    def clock(self) -> float:
-        """Where the collector stands on the modeled clock, in O(1).
-
-        A *position* (a query's span epoch) for long-lived clusters
-        whose stage list only grows; every reported duration is still a sum
-        over stage records (:attr:`elapsed_seconds`, :meth:`elapsed_since`).
-        """
-        with self._lock:
-            return self._clock
 
     def bump(self, counter: str, amount: int = 1) -> None:
         """Increment an observability counter (thread-safe)."""
@@ -214,13 +197,6 @@ class MetricsCollector:
         """Modeled seconds of the stages recorded after *mark*."""
         return sum(s.seconds for s in self._stages_view(mark.num_stages))
 
-    def copy(self) -> "MetricsCollector":
-        """An independent copy of the current state (stages + counters)."""
-        with self._lock:
-            return MetricsCollector(
-                stages=list(self.stages), counters=dict(self.counters)
-            )
-
     def snapshot(self) -> Dict[str, object]:
         """Everything observable as one plain dict: the modeled totals of
         :meth:`totals` plus a ``"counters"`` sub-dict.  This is the public
@@ -230,15 +206,10 @@ class MetricsCollector:
         snap["counters"] = self._counters_view()
         return snap
 
-    def diff_since(
-        self, baseline: "MetricsMark | MetricsCollector"
-    ) -> "MetricsCollector":
-        """Metrics accumulated after *baseline* (a :meth:`mark`, or a
-        :meth:`copy`) was taken."""
-        # read before taking our lock: a collector baseline takes its own
-        start = baseline.num_stages
+    def diff_since(self, baseline: MetricsMark) -> "MetricsCollector":
+        """Metrics accumulated after the :meth:`mark` *baseline* was taken."""
         with self._lock:
-            stages = self.stages[start:]
+            stages = self.stages[baseline.num_stages:]
             counters = dict(self.counters)
         deltas = {
             name: value - baseline.counters.get(name, 0)

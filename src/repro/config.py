@@ -103,10 +103,10 @@ class EngineConfig:
     sparsity_exploitation: bool = True
     #: Enable the CFG exploitation phase (plan splitting, Algorithm 3).
     exploitation_phase: bool = True
-    #: Build per-query span trees + cost-model accountability profiles
-    #: (:mod:`repro.obs`).  Observability only: modeled numbers and matrix
-    #: outputs are bit-identical at either setting; False removes even the
-    #: bookkeeping wall-clock for overhead A/B runs.
+    #: Build each query's cost-model accountability profile
+    #: (``result.profile``, :mod:`repro.obs`).  Observability only: modeled
+    #: numbers and matrix outputs are bit-identical at either setting; False
+    #: skips the predicted-vs-measured join, for overhead A/B runs.
     telemetry: bool = True
     #: Cost-model calibration (:mod:`repro.core.calibration`).  ``"off"``
     #: (default): paper constants only — every number bit-identical to the

@@ -46,19 +46,6 @@ class FuseMEEngine(Engine):
         self.last_report = None
         return simplify_dag(dag)
 
-    def planning_attrs(self):
-        """CFG/exploitation counters for the planning span.
-
-        ``last_report`` is None on a plan-cache hit (``plan_query`` never
-        ran), so the span then carries only the method — the hit itself is
-        already an attribute of the plan span.
-        """
-        attrs = {"optimizer_method": self.optimizer_method}
-        if self.last_report is not None:
-            attrs["exploitation_splits"] = self.last_report.splits
-            attrs["plans_examined"] = self.last_report.examined
-        return attrs
-
     def plan_query(self, dag: DAG) -> FusionPlan:
         self.last_report = ExploitationReport()
         return generate_fusion_plan(

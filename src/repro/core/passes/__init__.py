@@ -5,8 +5,7 @@ between :func:`~repro.core.physical.lower_plan` and the plan cache: with
 ``EngineConfig.graph_passes="all"`` (the default) it runs every pass of
 :data:`PIPELINE` in order, threads the accumulated
 :class:`~repro.core.passes.base.PassReport` objects onto the resulting
-plan (EXPLAIN renders them), and opens one telemetry span per pass when a
-tracer is attached.
+plan (EXPLAIN renders them).
 
 Registering a new pass (DESIGN.md §15): subclass
 :class:`~repro.core.passes.base.GraphPass` in a new module under
@@ -19,8 +18,6 @@ structure, charging annotations, and modeled cost.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.core.passes.base import GraphPass, PassReport
 from repro.core.passes.dedup_consolidations import DedupConsolidationsPass
 from repro.core.passes.merge_units import MergeUnitsPass
@@ -32,9 +29,7 @@ from repro.core.physical import PhysicalPlan
 PIPELINE = (MergeUnitsPass, DedupConsolidationsPass)
 
 
-def run_graph_passes(
-    engine, physical: PhysicalPlan, tracer: Optional[object] = None
-) -> PhysicalPlan:
+def run_graph_passes(engine, physical: PhysicalPlan) -> PhysicalPlan:
     """Run every pass of :data:`PIPELINE` over *physical*, in order.
 
     With ``graph_passes="off"`` this returns *physical* untouched — not a
@@ -44,13 +39,7 @@ def run_graph_passes(
         return physical
     reports = list(physical.pass_reports)
     for pass_cls in PIPELINE:
-        graph_pass = pass_cls()
-        if tracer is not None:
-            with tracer.span(f"pass:{graph_pass.name}", "planning") as span:
-                physical, report = graph_pass.run(engine, physical)
-                span.attrs.update(report.to_dict())
-        else:
-            physical, report = graph_pass.run(engine, physical)
+        physical, report = pass_cls().run(engine, physical)
         reports.append(report)
     physical.pass_reports = tuple(reports)
     return physical

@@ -4,8 +4,8 @@ A graph pass is a rewrite over the lowered :class:`~repro.core.physical.
 PhysicalPlan` — it runs *after* the engine's per-unit annotation and
 *before* the plan is cached or executed, and it must never change matrix
 outputs (only unit structure and modeled cost).  Passes are pure plan ->
-plan functions that also return a :class:`PassReport`, which EXPLAIN and
-the per-pass telemetry spans surface.
+plan functions that also return a :class:`PassReport`, which EXPLAIN
+renders.
 
 Ordering contract (see DESIGN.md §15): passes run in the order of
 :data:`repro.core.passes.PIPELINE`.
@@ -35,8 +35,6 @@ class PassReport:
     net_bytes_saved: float = 0.0
     #: Modeled seconds the rewrite saves (planner estimate).
     seconds_saved: float = 0.0
-    #: Wall-clock the pass itself took (planning overhead, not modeled).
-    elapsed_seconds: float = 0.0
 
     @property
     def fired(self) -> bool:
@@ -61,24 +59,11 @@ class PassReport:
             parts.append(f"sec={self.seconds_saved:.4g}")
         return " ".join(parts)
 
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "fired": self.fired,
-            "units_before": self.units_before,
-            "units_after": self.units_after,
-            "merged_groups": self.merged_groups,
-            "shared_keys": self.shared_keys,
-            "net_bytes_saved": self.net_bytes_saved,
-            "seconds_saved": self.seconds_saved,
-            "elapsed_seconds": self.elapsed_seconds,
-        }
-
 
 class GraphPass:
     """One rewrite over the physical IR.
 
-    Subclasses set :attr:`name` (the report and span name) and implement
+    Subclasses set :attr:`name` (the report's name) and implement
     :meth:`run`.
     *engine* is the engine that lowered the plan — passes use its config,
     optimizer method, and calibration hooks, never its execution state.

@@ -16,7 +16,6 @@ shares intra-group are skipped, never double-counted.
 
 from __future__ import annotations
 
-import time
 from dataclasses import replace
 from typing import List, Set, Tuple
 
@@ -32,7 +31,6 @@ class DedupConsolidationsPass(GraphPass):
     name = "dedup_consolidations"
 
     def run(self, engine, physical: PhysicalPlan) -> Tuple[PhysicalPlan, PassReport]:
-        started = time.perf_counter()
         report = PassReport(
             name=self.name,
             units_before=len(physical.ops),
@@ -58,7 +56,6 @@ class DedupConsolidationsPass(GraphPass):
                 op = marked
             new_ops.append(op)
         if not changed_any:
-            report.elapsed_seconds = time.perf_counter() - started
             return physical, report
         rebuilt = PhysicalPlan(
             physical.dag,
@@ -67,7 +64,6 @@ class DedupConsolidationsPass(GraphPass):
             engine_name=physical.engine_name,
         )
         rebuilt.pass_reports = physical.pass_reports
-        report.elapsed_seconds = time.perf_counter() - started
         return rebuilt, report
 
     @staticmethod

@@ -19,7 +19,6 @@ search runs here.
 
 from __future__ import annotations
 
-import time
 from dataclasses import replace
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
@@ -97,13 +96,11 @@ class MergeUnitsPass(GraphPass):
     name = "merge_units"
 
     def run(self, engine, physical: PhysicalPlan) -> Tuple[PhysicalPlan, PassReport]:
-        started = time.perf_counter()
         ops = physical.ops
         report = PassReport(
             name=self.name, units_before=len(ops), units_after=len(ops)
         )
         if len(ops) < 2:
-            report.elapsed_seconds = time.perf_counter() - started
             return physical, report
 
         # shared consumed keys with nonzero modeled size -> candidate pairs
@@ -132,7 +129,6 @@ class MergeUnitsPass(GraphPass):
                     pair = (indices[a], indices[b])
                     pair_shared[pair] = pair_shared.get(pair, 0.0) + size
         if not pair_shared:
-            report.elapsed_seconds = time.perf_counter() - started
             return physical, report
 
         # greedy deterministic union: largest shared bytes first, then the
@@ -196,7 +192,6 @@ class MergeUnitsPass(GraphPass):
             merged_any = True
 
         if not merged_any:
-            report.elapsed_seconds = time.perf_counter() - started
             return physical, report
 
         # rebuild: topo-order the quotient graph, renumber, remap deps,
@@ -292,7 +287,6 @@ class MergeUnitsPass(GraphPass):
         )
         rebuilt.pass_reports = physical.pass_reports
         report.units_after = len(new_ops)
-        report.elapsed_seconds = time.perf_counter() - started
         return rebuilt, report
 
     @staticmethod

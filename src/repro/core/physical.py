@@ -33,7 +33,6 @@ dispatches by them.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -536,7 +535,6 @@ def run_physical_plan(
     physical: PhysicalPlan,
     cluster,
     env: Dict[EnvKey, object],
-    unit_observer: Optional[Callable[[UnitOp, float, float], None]] = None,
 ) -> None:
     """Execute *physical* on *cluster*, materializing unit outputs into *env*.
 
@@ -545,18 +543,11 @@ def run_physical_plan(
     it completes.  Stage records are therefore appended in unit-index order
     by construction.  Within a unit, operators run their cuboid/block
     tasks one after another in task order, on the same thread.
-
-    *unit_observer* (telemetry) is called as ``observer(op, wall_start,
-    wall_end)`` after each completed unit — wall-clock only, so attaching
-    one can never change a modeled number.
     """
     metrics = cluster.metrics
     for op in physical.ops:
         with cluster.unit_scope(op.index):
-            wall_start = time.perf_counter()
             result = execute_unit(engine, op, cluster, env)
-            if unit_observer is not None:
-                unit_observer(op, wall_start, time.perf_counter())
         if isinstance(result, dict):
             # multi-output unit (Multi-aggregation fusion, merged units)
             for node, value in result.items():

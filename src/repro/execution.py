@@ -15,22 +15,21 @@ The single-node baseline plans without a fusion plan: it overrides
 
 The physical plan is also the introspection surface: :meth:`Engine.explain`
 plans and lowers a query without opening a single cluster stage.  A query's
-telemetry is one record, its span tree, assembled into ``result.profile``
-by :mod:`repro.core.profiling`.
+telemetry is one record, the predicted-vs-measured join that
+:mod:`repro.core.profiling` builds into ``result.profile``.
 """
 
 from __future__ import annotations
 
 import threading
-from contextlib import nullcontext
 from dataclasses import dataclass, replace
-from typing import Any, Dict, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, Mapping, Optional, Sequence, Union
 
 from repro.cluster.executor import SimulatedCluster
 from repro.cluster.metrics import MetricsCollector
 from repro.cluster.slice_cache import SliceCache
 from repro.config import EngineConfig
-from repro.obs import QueryProfile, Span, SpanTracer
+from repro.obs import QueryProfile
 from repro.core.calibration import (
     REPLAN_THRESHOLD,
     CalibrationStore,
@@ -52,7 +51,7 @@ from repro.core.physical import (
 from repro.core.passes import run_graph_passes
 from repro.core.plan import FusionPlan, MultiAggPlan, PlanUnit
 from repro.core.plan_cache import PlanCache, PlanCacheEntry, dag_fingerprint
-from repro.core.profiling import build_profile, optimizer_counters
+from repro.core.profiling import build_profile
 from repro.errors import PlanError
 from repro.lang.builder import Expr
 from repro.lang.dag import DAG, InputNode, Node
@@ -82,10 +81,10 @@ class ExecutionResult:
     #: The lowered unit graph this query executed through (None only for
     #: hand-built results).
     physical_plan: Optional[PhysicalPlan] = None
-    #: The query's telemetry record: the cost-model accountability report
-    #: and its span tree (None when ``EngineConfig.telemetry`` is off).
-    #: ``profile.render()`` is the engine's EXPLAIN ANALYZE; ``profile.span``
-    #: holds every phase on both clocks.  The profile holds no reference
+    #: The query's telemetry record: every unit's cost-model prediction
+    #: joined with its measured stage totals (None when
+    #: ``EngineConfig.telemetry`` is off).  ``profile.render()`` is the
+    #: engine's EXPLAIN ANALYZE.  The profile holds no reference
     #: back to the result, so dropping the result frees its outputs (and the
     #: slabs they pinned) by refcount, without waiting for the cyclic
     #: collector.
@@ -141,7 +140,7 @@ class Engine:
         #: Serializes execute() on this engine: the slice cache attachment
         #: and cluster-stage accounting are per-engine mutable state, so
         #: concurrent submitters take turns; a query runs on one thread.
-        self._execute_lock = threading.RLock()
+        self._execute_lock = threading.Lock()
         #: Per-kernel throughput observations + fits
         #: (:mod:`repro.core.calibration`).  Always constructed — it is
         #: inert (never read, never written) while
@@ -281,20 +280,9 @@ class Engine:
             config.graph_passes,
         )
 
-    def planning_attrs(self) -> Dict[str, Any]:
-        """Engine-specific attributes attached to the planning span.
-
-        Called right after planning/lowering (so per-query planner state —
-        e.g. FuseME's exploitation report — is fresh).  Values must be
-        plain data; the base engine has nothing to add.
-        """
-        return {}
-
     # -- planning / lowering ----------------------------------------------------
 
-    def _plan_physical(
-        self, dag: DAG, tracer=None
-    ) -> tuple[PhysicalPlan, bool, tuple]:
+    def _plan_physical(self, dag: DAG) -> tuple[PhysicalPlan, bool, tuple]:
         """Plan + lower *dag*, via the plan cache.
 
         Returns ``(physical, cache_hit, cache_key)``.  On a hit
@@ -306,21 +294,20 @@ class Engine:
 
         A miss caches what :meth:`lower_dag` returns — the plan *after* the
         graph passes (the pass spec is part of the planning signature, so
-        toggling passes can never reuse the other mode's entry).  *tracer*
-        rides along so each pass gets its own planning span.
+        toggling passes can never reuse the other mode's entry).
         """
         cache_key = (self.planning_signature(), dag_fingerprint(dag))
         entry = self.plan_cache.get(cache_key)
         if entry is not None:
             return entry.physical, True, cache_key
-        physical = self.lower_dag(dag, tracer=tracer)
+        physical = self.lower_dag(dag)
         generation = (
             self.calibration.generation if self.calibration_active else None
         )
         self.plan_cache.put(cache_key, PlanCacheEntry(physical, generation))
         return physical, False, cache_key
 
-    def lower_dag(self, dag: DAG, tracer=None) -> PhysicalPlan:
+    def lower_dag(self, dag: DAG) -> PhysicalPlan:
         """Plan and lower *dag* (uncached): :meth:`plan_query`, then
         :func:`~repro.core.physical.lower_plan` with :meth:`annotate_unit`,
         then the graph passes."""
@@ -330,7 +317,7 @@ class Engine:
             self.annotate_unit,
             engine_name=self.name,
         )
-        return run_graph_passes(self, physical, tracer=tracer)
+        return run_graph_passes(self, physical)
 
     def explain(self, query: Query) -> str:
         """Render the physical plan for *query* without executing it.
@@ -385,60 +372,22 @@ class Engine:
         slice_hits0 = self.slice_cache.hits
         slice_misses0 = self.slice_cache.misses
 
-        # telemetry is observability only: every modeled number and matrix
-        # output below is bit-identical whether the tracer exists or not
-        tracer = SpanTracer() if self.config.telemetry else None
-        modeled_epoch = cluster.metrics.clock
-        plan_span: Optional[Span] = None
-        exec_span: Optional[Span] = None
-        unit_walls: Dict[int, Tuple[float, float]] = {}
+        physical, cache_hit, cache_key = self._plan_physical(dag)
+        dag = physical.dag
+        cluster.metrics.bump(
+            "plan_cache_hits" if cache_hit else "plan_cache_misses"
+        )
 
-        with (
-            tracer.span("query", "query", engine=self.name)
-            if tracer else nullcontext()
-        ):
-            with (
-                tracer.span("plan", "planning")
-                if tracer else nullcontext()
-            ) as plan_span:
-                physical, cache_hit, cache_key = self._plan_physical(
-                    dag, tracer=tracer
-                )
-            dag = physical.dag
-            cluster.metrics.bump(
-                "plan_cache_hits" if cache_hit else "plan_cache_misses"
-            )
-            search_counters = optimizer_counters(physical)
-            if plan_span is not None:
-                plan_span.attrs.update(
-                    cache_hit=cache_hit,
-                    units=len(physical.ops),
-                    waves=len(physical.waves()),
-                    **search_counters,
-                    **self.planning_attrs(),
-                )
-
-            observer = None
-            if tracer is not None:
-                def observer(op, wall_start, wall_end):
-                    unit_walls[op.index] = (wall_start, wall_end)
-
-            env: Dict[object, BlockedMatrix] = dict(inputs)
-            with (
-                tracer.span("execute", "execution")
-                if tracer else nullcontext()
-            ) as exec_span:
-                try:
-                    run_physical_plan(
-                        self, physical, cluster, env, unit_observer=observer
-                    )
-                finally:
-                    slices = cluster.slice_cache
-                    hit_delta = slices.hits - slice_hits0
-                    miss_delta = slices.misses - slice_misses0
-                    if hit_delta or miss_delta:
-                        cluster.metrics.bump("slice_cache_hits", hit_delta)
-                        cluster.metrics.bump("slice_cache_misses", miss_delta)
+        env: Dict[object, BlockedMatrix] = dict(inputs)
+        try:
+            run_physical_plan(self, physical, cluster, env)
+        finally:
+            slices = cluster.slice_cache
+            hit_delta = slices.hits - slice_hits0
+            miss_delta = slices.misses - slice_misses0
+            if hit_delta or miss_delta:
+                cluster.metrics.bump("slice_cache_hits", hit_delta)
+                cluster.metrics.bump("slice_cache_misses", miss_delta)
 
         outputs = {root: self._root_value(root, env, inputs) for root in dag.roots}
         if self.calibration_active:
@@ -457,11 +406,10 @@ class Engine:
             dag=dag,
             physical_plan=physical,
         )
-        if tracer is not None:
-            result.profile = build_profile(
-                self.name, physical, metrics, search_counters,
-                tracer.root, exec_span, unit_walls, modeled_epoch,
-            )
+        if self.config.telemetry:
+            # observability only: every modeled number and matrix output
+            # above is bit-identical whether the profile is built or not
+            result.profile = build_profile(self.name, physical, metrics)
         return result
 
     def _calibration_feedback(

@@ -12,8 +12,9 @@ Everything here is plain data: the execution layer extracts floats from its
 ``UnitOp`` estimates and ``MetricsCollector`` per-unit totals and builds
 these dataclasses; callers and tests read them without importing any
 engine machinery.  :meth:`QueryProfile.render` is the engine's
-"EXPLAIN ANALYZE": a deterministic text table (wall-clock values are
-excluded unless asked for, so golden tests can pin the report).
+"EXPLAIN ANALYZE": a deterministic text table of modeled numbers only
+(the per-unit wall seconds stay in :meth:`to_dict`), so golden tests can
+pin the report.
 """
 
 from __future__ import annotations
@@ -21,8 +22,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional, Sequence, Tuple
-
-from repro.obs.span import Span
 
 
 def relative_error(
@@ -123,10 +122,6 @@ class QueryProfile:
     totals: Dict[str, Any] = field(default_factory=dict)
     #: Observability counters accumulated by this query.
     counters: Dict[str, int] = field(default_factory=dict)
-    #: The query's span tree (None when telemetry was disabled).
-    span: Optional[Span] = None
-    #: Real end-to-end wall-clock seconds for the query (None w/o telemetry).
-    wall_seconds: Optional[float] = None
 
     # -- aggregates --------------------------------------------------------
 
@@ -173,22 +168,19 @@ class QueryProfile:
             "units": [u.to_dict() for u in self.units],
             "totals": dict(self.totals),
             "counters": dict(self.counters),
-            "wall_seconds": self.wall_seconds,
             "predicted_seconds": self.predicted_seconds,
             "measured_seconds": self.measured_seconds,
             "seconds_error": self.seconds_error,
             "mean_abs_seconds_error": self.mean_abs_seconds_error,
-            "span": self.span.to_dict() if self.span is not None else None,
         }
 
     # -- rendering ---------------------------------------------------------
 
-    def render(self, include_wall: bool = False) -> str:
+    def render(self) -> str:
         """The EXPLAIN ANALYZE text report.
 
-        Deterministic by default: only modeled/predicted/measured numbers
-        appear (golden tests pin the output).  ``include_wall=True`` adds
-        the wall-clock header line and per-span wall timings.
+        Deterministic: only modeled/predicted/measured numbers appear
+        (golden tests pin the output).
         """
         header = (
             f"QueryProfile[{self.engine}]: {len(self.units)} unit(s), "
@@ -202,17 +194,12 @@ class QueryProfile:
                 f"(err {_fmt_error(self.seconds_error)})"
             )
         lines = [header]
-        if include_wall and self.wall_seconds is not None:
-            lines.append(f"wall-clock: {self.wall_seconds:.6f}s")
         lines.extend(_render_table(self.units))
         if self.counters:
             parts = ", ".join(
                 f"{name}={self.counters[name]}" for name in sorted(self.counters)
             )
             lines.append(f"counters: {parts}")
-        if include_wall and self.span is not None:
-            lines.append("spans:")
-            lines.append(self.span.render(indent=1))
         return "\n".join(lines)
 
     def __repr__(self) -> str:

@@ -125,8 +125,6 @@ class ServiceMetrics:
         self.queue_wait = LatencyHistogram()
         #: Wall-clock seconds from submit to completion (queue + run).
         self.latency = LatencyHistogram()
-        #: Completed queries (served + timed out + failed).
-        self.completed = 0
 
     def _tenant(self, tenant: str) -> TenantStats:
         stats = self._tenants.get(tenant)
@@ -167,7 +165,6 @@ class ServiceMetrics:
             self.queue_wait.record(queue_seconds)
             self.latency.record(total_seconds)
             self._tenant_hist(tenant).record(total_seconds)
-            self.completed += 1
 
     def record_shed(self, tenant: str) -> None:
         with self._lock:
@@ -176,12 +173,10 @@ class ServiceMetrics:
     def record_timed_out(self, tenant: str) -> None:
         with self._lock:
             self._tenant(tenant).timed_out += 1
-            self.completed += 1
 
     def record_failed(self, tenant: str) -> None:
         with self._lock:
             self._tenant(tenant).failed += 1
-            self.completed += 1
 
     # -- reading ----------------------------------------------------------
 
@@ -217,7 +212,6 @@ class ServiceMetrics:
                 "tenants": tenants,
                 "queue_wait": self.queue_wait.snapshot(),
                 "latency": self.latency.snapshot(),
-                "completed": self.completed,
             }
             snap.update(self._totals())
         return snap

@@ -98,26 +98,6 @@ class TestTiming:
         assert c.total_tasks == 15
 
 
-class TestStageClock:
-    def test_clock_places_the_stage_on_the_run_clock(self):
-        """The collector's modeled clock positions each stage when it
-        closes: a stage starts where the previous ones end (the span tree's
-        unit and stage windows are read off this clock)."""
-        c = cluster()
-        with c.stage("filler") as stage:
-            stage.task().receive(5_000_000)
-        offset = c.metrics.elapsed_seconds
-        assert c.metrics.clock == offset
-        with c.stage("probe") as stage:
-            for size in (1_000_003, 777_777, 31_337):
-                task = stage.task()
-                task.receive(size)
-                task.add_flops(7 * size)
-        probe = c.metrics.stages[-1]
-        assert probe.name == "probe" and probe.num_tasks == 3
-        assert c.metrics.clock == pytest.approx(offset + probe.seconds)
-
-
 class TestUnitScope:
     def test_stages_inherit_thread_unit(self):
         c = cluster()

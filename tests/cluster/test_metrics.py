@@ -52,18 +52,21 @@ class TestTotals:
 
 
 class TestBookkeeping:
-    def test_copy_is_independent(self):
+    def test_mark_is_independent(self):
         m = MetricsCollector()
+        m.bump("plan_cache_hits")
         m.record(record())
-        baseline = m.copy()
+        baseline = m.mark()
         m.record(record())
+        m.bump("plan_cache_hits")
         assert baseline.num_stages == 1
+        assert baseline.counters == {"plan_cache_hits": 1}
         assert m.num_stages == 2
 
     def test_diff_since(self):
         m = MetricsCollector()
         m.record(record(consolidation=100))
-        baseline = m.copy()
+        baseline = m.mark()
         m.record(record(consolidation=999))
         diff = m.diff_since(baseline)
         assert diff.num_stages == 1
@@ -72,7 +75,7 @@ class TestBookkeeping:
     def test_diff_since_counter_deltas(self):
         m = MetricsCollector()
         m.bump("plan_cache_hits")
-        baseline = m.copy()
+        baseline = m.mark()
         m.bump("plan_cache_hits", 2)
         m.bump("slice_cache_hits", 5)
         diff = m.diff_since(baseline)
@@ -140,7 +143,7 @@ class TestConcurrentReads:
                 i += 1
 
         def reader():
-            baseline = m.copy()
+            baseline = m.mark()
             while not stop.is_set():
                 try:
                     totals = m.totals()

@@ -2,8 +2,8 @@
 
 A :class:`MatrixService` keeps one :class:`SimulatedCluster` for its whole
 life, so the cluster's stage list grows with every query served.  The
-engine's per-query bookkeeping (the metrics baseline, the timeout check,
-trace positions) must not re-walk that history: the number of
+engine's per-query bookkeeping (the metrics baseline, the timeout check)
+must not re-walk that history: the number of
 ``StageRecord``\\ s a query walks is a property of the query, not of how
 many queries came before it.  No clock is read — the gate counts records.
 
@@ -42,7 +42,6 @@ def count_walked_records(monkeypatch):
         monkeypatch.setattr(MetricsCollector, name, wrapper)
 
     counting("_stages_view", len)
-    counting("copy", lambda collector: len(collector.stages))
     counting("diff_since", lambda collector: len(collector.stages))
     return walked
 

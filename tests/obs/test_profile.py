@@ -95,25 +95,16 @@ class TestQueryProfile:
     def test_render_is_deterministic_and_wall_free(self):
         profile = QueryProfile(
             engine="e",
-            units=(_unit(0, predicted=1.0, measured=2.0),),
+            units=(_unit(0, predicted=1.0, measured=2.0,
+                         measured_wall_seconds=123.456),),
             totals={"elapsed_seconds": 2.0, "num_stages": 1},
             counters={"b": 2, "a": 1},
-            wall_seconds=123.456,
         )
         text = profile.render()
         assert text == profile.render()
-        assert "123.456" not in text  # wall-clock excluded by default
+        assert "123.456" not in text  # wall-clock stays out of the report
         assert "counters: a=1, b=2" in text
         assert "[0]" in text and "-50.0%" in text
-
-    def test_render_include_wall(self):
-        profile = QueryProfile(
-            engine="e",
-            units=(),
-            totals={"elapsed_seconds": 0.0},
-            wall_seconds=0.5,
-        )
-        assert "wall-clock: 0.500000s" in profile.render(include_wall=True)
 
     def test_undefined_error_renders_as_dash(self):
         profile = QueryProfile(

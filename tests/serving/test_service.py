@@ -431,7 +431,6 @@ class TestServingTelemetry:
         assert profile.engine == "FuseME"
         assert len(profile.units) == 1
         assert profile.units[0].measured_seconds > 0.0
-        assert profile.span.find("execute") is not None
         assert served.output(0).shape == (50, 50)
 
     def test_status_covers_layers(self):

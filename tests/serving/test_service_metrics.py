@@ -96,8 +96,10 @@ class TestServiceMetrics:
         m.record_served("a", False, 0.0, 0.1)
         m.record_timed_out("a")
         m.record_failed("b")
-        m.record_shed("b")  # shed is pre-admission, not "completed"
-        assert m.snapshot()["completed"] == 3
+        m.record_shed("b")  # shed is pre-admission, not a terminal outcome
+        snap = m.snapshot()
+        assert (snap["served"], snap["timed_out"], snap["failed"]) == (1, 1, 1)
+        assert snap["shed"] == 1
 
     def test_totals_sum_across_tenants(self):
         m = ServiceMetrics()

@@ -180,8 +180,8 @@ class TestRootResolution:
 
 class TestProfileIsolation:
     def test_result_profile_is_per_query(self, simple):
-        """On a shared cluster, each result's span tree holds only its own
-        query's stages, placed on the cluster's running modeled clock."""
+        """On a shared cluster, each result's metrics and profile hold only
+        its own query's stages, and together they are the cluster's."""
         x, inputs = simple
         config = make_config()
         cluster = SimulatedCluster(config)
@@ -189,17 +189,18 @@ class TestProfileIsolation:
         a = engine.execute(x * 2.0, inputs, cluster=cluster)
         b = engine.execute(x + 1.0, inputs, cluster=cluster)
 
-        def stage_spans(result):
-            return [s for s in result.profile.span.walk() if s.category == "stage"]
-
-        assert len(stage_spans(a)) == a.metrics.num_stages > 0
-        assert len(stage_spans(b)) == b.metrics.num_stages > 0
+        for result in (a, b):
+            assert result.metrics.num_stages > 0
+            assert result.profile.totals["num_stages"] == (
+                result.metrics.num_stages
+            )
+            assert sum(u.num_stages for u in result.profile.units) == (
+                result.metrics.num_stages
+            )
         assert (
-            len(stage_spans(a)) + len(stage_spans(b))
+            a.metrics.num_stages + b.metrics.num_stages
             == cluster.metrics.num_stages
         )
-        # b's tree starts where a's ended on the shared modeled clock
-        assert a.profile.span.modeled_start == 0.0
-        assert b.profile.span.modeled_start == pytest.approx(
-            a.profile.span.modeled_end
+        assert a.profile.measured_seconds + b.profile.measured_seconds == (
+            pytest.approx(cluster.metrics.elapsed_seconds)
         )
