@@ -98,25 +98,18 @@ class Observation:
     is applied at planning time, when only estimates exist, so train and
     predict must share a feature space — any systematic estimate bias is
     absorbed into the fitted rates, which is exactly what "effective
-    throughput" means.  ``measured_net_bytes`` / ``measured_flops`` keep the
-    unit's measured totals for accountability (how far the size estimates
-    drifted), ``measured_seconds`` is the modeled execution seconds the
-    simulator charged (the regression target), ``predicted_seconds`` what
-    the planner claimed (``None`` for units that ran no parameter search),
-    and ``wall_seconds`` the real wall-clock the unit's stages took
-    (observability only — never a regression target, it depends on host
-    load).
+    throughput" means.  ``measured_seconds`` is the modeled execution
+    seconds the simulator charged (the regression target) and
+    ``predicted_seconds`` what the planner claimed (``None`` for units that
+    ran no parameter search).  The unit's measured bytes, flops, wall time,
+    stages and tasks are on the query's
+    :class:`~repro.obs.profile.UnitProfile`.
     """
 
     net_bytes: float
     flops: float
     measured_seconds: float
     predicted_seconds: Optional[float] = None
-    measured_net_bytes: Optional[float] = None
-    measured_flops: Optional[float] = None
-    wall_seconds: Optional[float] = None
-    num_stages: int = 0
-    num_tasks: int = 0
 
     def to_dict(self) -> Dict[str, object]:
         return {
@@ -124,25 +117,17 @@ class Observation:
             "flops": self.flops,
             "measured_seconds": self.measured_seconds,
             "predicted_seconds": _finite(self.predicted_seconds),
-            "measured_net_bytes": _finite(self.measured_net_bytes),
-            "measured_flops": _finite(self.measured_flops),
-            "wall_seconds": _finite(self.wall_seconds),
-            "num_stages": self.num_stages,
-            "num_tasks": self.num_tasks,
         }
 
     @classmethod
     def from_dict(cls, doc: Dict[str, object]) -> "Observation":
+        # other keys are ignored: older files also stored five measured
+        # totals per row, which the fit never read
         return cls(
             net_bytes=float(doc["net_bytes"]),
             flops=float(doc["flops"]),
             measured_seconds=float(doc["measured_seconds"]),
             predicted_seconds=_finite(doc.get("predicted_seconds")),
-            measured_net_bytes=_finite(doc.get("measured_net_bytes")),
-            measured_flops=_finite(doc.get("measured_flops")),
-            wall_seconds=_finite(doc.get("wall_seconds")),
-            num_stages=int(doc.get("num_stages", 0)),
-            num_tasks=int(doc.get("num_tasks", 0)),
         )
 
 
@@ -295,11 +280,6 @@ class CalibrationStore:
         flops: float,
         measured_seconds: float,
         predicted_seconds: Optional[float] = None,
-        measured_net_bytes: Optional[float] = None,
-        measured_flops: Optional[float] = None,
-        wall_seconds: Optional[float] = None,
-        num_stages: int = 0,
-        num_tasks: int = 0,
     ) -> bool:
         """Record one unit's measurement; returns False when the row is
         unusable (nothing measured, or non-finite garbage) — calibration
@@ -314,11 +294,6 @@ class CalibrationStore:
             flops=ops,
             measured_seconds=measured,
             predicted_seconds=_finite(predicted_seconds),
-            measured_net_bytes=_finite(measured_net_bytes),
-            measured_flops=_finite(measured_flops),
-            wall_seconds=_finite(wall_seconds),
-            num_stages=num_stages,
-            num_tasks=num_tasks,
         )
         with self._lock:
             self._window_for((kind, bucket)).append(obs)
@@ -397,16 +372,6 @@ class CalibrationStore:
         )
         self._fits[key] = fit
         return fit
-
-    def predict(
-        self, kind: str, bucket: str, net_bytes: float, flops: float
-    ) -> Optional[float]:
-        """Calibrated seconds for a prospective unit, ``None`` when the
-        kernel class has no usable fit yet."""
-        fit = self.coefficients(kind, bucket)
-        if fit is None:
-            return None
-        return fit.predict_seconds(net_bytes, flops)
 
     # -- accountability ----------------------------------------------------
 
@@ -511,12 +476,6 @@ class CalibrationStore:
                 self._fits.pop(key, None)
                 self._fits.pop((key[0], ANY_BUCKET), None)
             self._generation += 1
-
-    def clear(self) -> None:
-        with self._lock:
-            self._observations.clear()
-            self._fits.clear()
-            self._pending = 0
 
     def __repr__(self) -> str:
         with self._lock:

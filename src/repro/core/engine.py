@@ -27,13 +27,8 @@ class FuseMEEngine(Engine):
 
     name = "FuseME"
 
-    def __init__(
-        self,
-        config: Optional[EngineConfig] = None,
-        optimizer_method: str = "pruned",
-    ):
+    def __init__(self, config: Optional[EngineConfig] = None):
         super().__init__(config)
-        self.optimizer_method = optimizer_method
         self.last_report: Optional[ExploitationReport] = None
 
     def prepare_dag(self, dag: DAG) -> DAG:

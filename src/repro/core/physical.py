@@ -253,146 +253,6 @@ class PhysicalPlan:
             )
         return "  ".join(parts)
 
-    # -- visualization -----------------------------------------------------
-
-    def visualize(self, fmt: str = "mermaid") -> str:
-        """The unit graph as Mermaid (default) or Graphviz ``dot`` text.
-
-        Units render as nodes — merged units as subgraphs containing their
-        member units — inputs as distinct shapes, and every consolidation
-        edge is labeled with the modeled traffic of the consumed matrix.
-        Edges whose consolidation a graph pass deduplicated render dashed
-        with a ``shared`` label; merged units are highlighted.
-        """
-        if fmt not in ("mermaid", "dot", "graphviz"):
-            raise ValueError(
-                f"visualize format must be 'mermaid' or 'dot', got {fmt!r}"
-            )
-        producer: Dict[EnvKey, str] = {}
-        for op in self.ops:
-            if op.members:
-                for member in op.members:
-                    for node in member.outputs:
-                        producer[env_key_of(node)] = f"u{op.index}m{member.index}"
-            else:
-                for node in op.outputs:
-                    producer[env_key_of(node)] = f"u{op.index}"
-
-        def input_id(key: EnvKey) -> str:
-            safe = "".join(c if c.isalnum() else "_" for c in str(key))
-            return f"in_{safe}"
-
-        inputs: Dict[str, str] = {}
-        edges: Dict[Tuple[str, str], Tuple[str, bool]] = {}
-
-        def collect(op: UnitOp, target: str) -> None:
-            if op.unit is None:
-                return
-            shared_keys = set(op.shared_inputs)
-            for dep in op.unit.dependencies():
-                if not (isinstance(dep, InputNode) or dep.is_operator):
-                    continue
-                key = env_key_of(dep)
-                traffic = format_bytes(int(dep.meta.estimated_bytes))
-                if isinstance(key, str):
-                    src = input_id(key)
-                    inputs.setdefault(src, str(key))
-                elif key in producer:
-                    src = producer[key]
-                else:
-                    continue
-                shared = key in shared_keys
-                label = f"shared {traffic}" if shared else traffic
-                edges.setdefault((src, target), (label, shared))
-
-        for op in self.ops:
-            if op.members:
-                for member in op.members:
-                    collect(member, f"u{op.index}m{member.index}")
-            else:
-                collect(op, f"u{op.index}")
-
-        if fmt == "mermaid":
-            return self._render_mermaid(inputs, edges)
-        return self._render_dot(inputs, edges)
-
-    @staticmethod
-    def _viz_label(text: str) -> str:
-        return text.replace('"', "'")
-
-    def _render_mermaid(self, inputs, edges) -> str:
-        lines = ["flowchart TD"]
-        for src, label in sorted(inputs.items()):
-            lines.append(f'    {src}(["{self._viz_label(label)}"])')
-        for op in self.ops:
-            if op.members:
-                title = self._viz_label(
-                    f"[{op.index}] merged("
-                    + ",".join(str(s) for s in op.source_indices) + ")"
-                )
-                lines.append(f'    subgraph u{op.index} ["{title}"]')
-                for member in op.members:
-                    mlabel = self._viz_label(
-                        f"[{member.index}] {member.kind} {member.label()}"
-                    )
-                    lines.append(f'        u{op.index}m{member.index}["{mlabel}"]')
-                lines.append("    end")
-            else:
-                label = self._viz_label(f"[{op.index}] {op.kind} {op.label()}")
-                lines.append(f'    u{op.index}["{label}"]')
-        for (src, dst), (label, shared) in sorted(edges.items()):
-            arrow = f'-. "{label}" .->' if shared else f'-- "{label}" -->'
-            lines.append(f"    {src} {arrow} {dst}")
-        merged = [f"u{op.index}" for op in self.ops if op.members]
-        if merged:
-            lines.append(
-                "    classDef merged fill:#fdf6e3,stroke:#b58900,"
-                "stroke-width:2px"
-            )
-            lines.append("    class " + ",".join(merged) + " merged")
-        return "\n".join(lines)
-
-    def _render_dot(self, inputs, edges) -> str:
-        lines = [
-            "digraph physical_plan {",
-            "    rankdir=TB;",
-            '    node [shape=box, fontname="monospace"];',
-        ]
-        for src, label in sorted(inputs.items()):
-            lines.append(
-                f'    {src} [shape=ellipse, label="{self._viz_label(label)}"];'
-            )
-        for op in self.ops:
-            if op.members:
-                title = self._viz_label(
-                    f"[{op.index}] merged("
-                    + ",".join(str(s) for s in op.source_indices) + ")"
-                )
-                lines.append(f"    subgraph cluster_u{op.index} {{")
-                lines.append(
-                    f'        label="{title}"; style=filled; '
-                    'color="#b58900"; fillcolor="#fdf6e3";'
-                )
-                for member in op.members:
-                    mlabel = self._viz_label(
-                        f"[{member.index}] {member.kind} {member.label()}"
-                    )
-                    lines.append(
-                        f'        u{op.index}m{member.index} '
-                        f'[label="{mlabel}"];'
-                    )
-                lines.append("    }")
-            else:
-                label = self._viz_label(f"[{op.index}] {op.kind} {op.label()}")
-                lines.append(f'    u{op.index} [label="{label}"];')
-        for (src, dst), (label, shared) in sorted(edges.items()):
-            style = ', style=dashed, color="#b58900"' if shared else ""
-            lines.append(
-                f'    {src} -> {dst} [label="{self._viz_label(label)}"{style}];'
-            )
-        lines.append("}")
-        return "\n".join(lines)
-
     def __len__(self) -> int:
         return len(self.ops)
 

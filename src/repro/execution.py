@@ -122,10 +122,8 @@ class Engine:
 
     #: Human-readable engine name (appears in benchmark tables).
     name: str = "engine"
-    #: The kind a unit with a multiplication lowers to, and the search that
-    #: picks its ``(P, Q, R)``.
+    #: The kind a unit with a multiplication lowers to.
     cfo_kind: str = "cfo"
-    optimizer_method: str = "pruned"
 
     def __init__(self, config: Optional[EngineConfig] = None):
         self.config = config or EngineConfig()
@@ -210,7 +208,6 @@ class Engine:
             result = optimize_parameters(
                 plan,
                 self.config,
-                method=self.optimizer_method,
                 calibration=self.calibration_for(self.cfo_kind, plan),
             )
             return UnitAnnotation(
@@ -271,7 +268,6 @@ class Engine:
         return (
             type(self).__name__,
             self.name,
-            self.optimizer_method,
             config.cluster,
             config.block_size,
             config.sparsity_exploitation,
@@ -421,7 +417,7 @@ class Engine:
     ) -> None:
         """Close the loop after one ``active`` execute.
 
-        Every unit's measured per-unit totals become one
+        Each unit's modeled seconds and the planner's estimates become one
         :class:`~repro.core.calibration.Observation` under its operator
         kind + sparsity bucket.  A cached plan whose mean abs seconds error
         crossed :data:`~repro.core.calibration.REPLAN_THRESHOLD` — while the
@@ -457,8 +453,7 @@ class Engine:
             )
             measured = float(totals.get("elapsed_seconds", 0.0))
             # regressors are the planner's own estimates (the space
-            # predict_seconds is later applied in); measured counters ride
-            # along for accountability only
+            # predict_seconds is later applied in)
             if op.estimate is not None:
                 net_est = float(op.estimate.net_bytes)
                 com_est = float(op.estimate.flops)
@@ -472,11 +467,6 @@ class Engine:
                 flops=com_est,
                 measured_seconds=measured,
                 predicted_seconds=predicted,
-                measured_net_bytes=float(totals.get("comm_bytes", 0)),
-                measured_flops=float(totals.get("flops", 0)),
-                wall_seconds=float(totals.get("wall_seconds", 0.0)),
-                num_stages=int(totals.get("num_stages", 0)),
-                num_tasks=int(totals.get("num_tasks", 0)),
             ):
                 observed += 1
                 if predicted is not None and measured > 0:

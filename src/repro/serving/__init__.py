@@ -17,7 +17,7 @@ removed.
 """
 
 from repro.serving.admission import AdmissionController, estimate_query_bytes
-from repro.serving.metrics import LatencyHistogram, ServiceMetrics, TenantStats
+from repro.serving.metrics import ServiceMetrics, TenantStats
 from repro.serving.result_cache import ResultCache, result_key
 from repro.serving.service import MatrixService
 from repro.serving.session import Session
@@ -25,7 +25,6 @@ from repro.serving.ticket import QueryTicket, ServedResult
 
 __all__ = [
     "AdmissionController",
-    "LatencyHistogram",
     "MatrixService",
     "QueryTicket",
     "ResultCache",

@@ -305,10 +305,7 @@ class MatrixService:
         usage = None if from_cache else _result_usage(
             result, self.engine.config.cluster, total
         )
-        self.metrics.record_served(
-            tenant, from_cache,
-            queue_seconds=queue_seconds, total_seconds=total, usage=usage,
-        )
+        self.metrics.record_served(tenant, from_cache, usage=usage)
         ticket._resolve(ServedResult(
             query_id=ticket.query_id,
             tenant=tenant,

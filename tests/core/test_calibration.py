@@ -1,5 +1,6 @@
 """Calibration: bucketing, fitting, store gating, persistence, threading."""
 
+import json
 import math
 import threading
 
@@ -166,8 +167,7 @@ class TestCalibrationStore:
         for n, f in [(1e6, 2e5), (3e6, 4e5), (2e6, 1e5)]:
             store.observe("cfo", "mid", net_bytes=n, flops=f,
                           measured_seconds=n * 2e-8 + f * 5e-9 + 0.1,
-                          predicted_seconds=math.inf,  # must not break JSON
-                          measured_net_bytes=n * 0.9, measured_flops=f * 1.1)
+                          predicted_seconds=math.inf)  # must not break JSON
         store.commit()
         path = tmp_path / "calibration.json"
         store.save(str(path))
@@ -185,6 +185,37 @@ class TestCalibrationStore:
         )
         # the non-finite prediction was dropped on write, not serialized
         assert loaded.mean_abs_error() is None
+
+    def test_old_file_with_measured_copies_still_loads(self, tmp_path):
+        """A version-1 file written while observations also stored the
+        unit's measured bytes, flops, wall time, stages and tasks loads,
+        drops those keys, and fits what the same rows without them fit."""
+        rows = [
+            {"net_bytes": n, "flops": f,
+             "measured_seconds": n * 2e-8 + f * 5e-9 + 0.1,
+             "predicted_seconds": 0.05}
+            for n, f in [(1e6, 2e5), (3e6, 4e5), (2e6, 1e5), (5e6, 3e5)]
+        ]
+        old_rows = [
+            dict(row, measured_net_bytes=row["net_bytes"] * 0.9,
+                 measured_flops=row["flops"] * 1.1, wall_seconds=0.25,
+                 num_stages=2, num_tasks=16)
+            for row in rows
+        ]
+
+        def document(observations):
+            return {"version": 1, "window": 16, "min_samples": 2,
+                    "generation": 3,
+                    "observations": {"cfo\tmid": observations}}
+
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps(document(old_rows)))
+        old = CalibrationStore.load(str(path))
+        new = CalibrationStore.from_dict(document(rows))
+        assert old.num_observations == new.num_observations == 4
+        assert old.coefficients("cfo", "mid") == new.coefficients("cfo", "mid")
+        assert old.mean_abs_error() == new.mean_abs_error()
+        assert old.to_dict() == new.to_dict() == document(rows)
 
     def test_merge_composes_stores(self):
         a = CalibrationStore(min_samples=2)

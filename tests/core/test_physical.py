@@ -128,6 +128,27 @@ class TestGNMFSharedLowering:
         }
         assert set(physical.ops[1].releases) == wave0_ids | {"U", "V", "X"}
 
+    def test_explain_shows_merges_members_and_shared_reads(self, physical):
+        """EXPLAIN names each merged unit's sources, lists every member
+        under it, and marks the inputs each member reads as local blocks."""
+        lines = physical.render().splitlines()
+        units = [line for line in lines if line.startswith("  [")]
+        assert len(units) == 2
+        assert "merges=0,1" in units[0].split("  ")
+        assert "merges=2,3" in units[1].split("  ")
+        members = [line for line in lines if line.startswith("    + [")]
+        assert [line[len("    + "):].split("]")[0] for line in members] == [
+            "[0", "[1", "[2", "[3",
+        ]
+        shared = [
+            [field for field in line.split("  ") if field.startswith("shared=")]
+            for line in members
+        ]
+        assert shared == [[], ["shared=V"], ["shared=V,U"], ["shared=U,X,V"]]
+        # each member line sits under its merged unit
+        assert lines.index(members[1]) < lines.index(units[1])
+        assert lines.index(members[2]) > lines.index(units[1])
+
 
 class TestALSLowering:
     def test_single_fused_unit(self):

@@ -64,14 +64,12 @@ def test_signature_changes_with_config():
     base = FuseMEEngine(make_config())
     more_nodes = FuseMEEngine(make_config(num_nodes=4))
     no_sparsity = FuseMEEngine(make_config(sparsity_exploitation=False))
-    exhaustive = FuseMEEngine(make_config(), optimizer_method="exhaustive")
     signatures = {
         base.planning_signature(),
         more_nodes.planning_signature(),
         no_sparsity.planning_signature(),
-        exhaustive.planning_signature(),
     }
-    assert len(signatures) == 4
+    assert len(signatures) == 3
 
 
 # -- engine-level behaviour ----------------------------------------------------

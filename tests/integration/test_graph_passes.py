@@ -234,19 +234,3 @@ def test_merged_multiplication_member_is_priced_under_its_own_kind(workload):
         float(cost.net_bytes), float(cost.com_flops), float(cost.cost_seconds)
     )
 
-
-# -- visualization ----------------------------------------------------------
-
-
-def test_visualize_mermaid_and_dot(workload):
-    query, _ = workload
-    engine = FuseMEEngine(make_config(block_size=BS, graph_passes="all"))
-    physical = engine.lower_query(query)
-    mermaid = physical.visualize()
-    assert mermaid.startswith("flowchart TD")
-    assert "subgraph" in mermaid and "class " in mermaid  # merged highlight
-    assert "shared" in mermaid  # deduplicated consolidation edges
-    dot = physical.visualize(fmt="dot")
-    assert dot.startswith("digraph") and "->" in dot
-    with pytest.raises(ValueError):
-        physical.visualize(fmt="png")

@@ -187,7 +187,6 @@ class TestClosedLoop:
         assert status["served"] == 9
         assert status["cache_hits"] == 6
         assert status["result_cache"]["hits"] == 6
-        assert status["latency"]["count"] == 9
         assert status["queue_depth"] == 0 and status["running"] == 0
 
     def test_rebinding_invalidates_served_results(self):

@@ -383,7 +383,7 @@ class TestStatus:
         assert isinstance(status, dict)
         for key in (
             "queue_depth", "running", "sessions", "memory_budget_bytes",
-            "tenants", "latency", "queue_wait", "served", "shed",
+            "tenants", "served", "shed",
             "timed_out", "failed", "cache_hits", "result_cache",
             "plan_cache", "slice_cache", "cluster", "closed", "broken",
         ):
@@ -392,7 +392,6 @@ class TestStatus:
         assert status["served"] == 2
         assert status["cache_hits"] == 1
         assert status["result_cache"]["hits"] >= 1
-        assert status["latency"]["count"] == 2
         assert status["cluster"]["counters"] == {}  # stub never ran stages
 
 
@@ -447,13 +446,12 @@ class TestServingTelemetry:
         # cache counters for all three layers
         for cache in ("plan_cache", "slice_cache", "result_cache"):
             assert "hits" in status[cache], cache
-        # per-tenant outcomes, latency and usage
+        # per-tenant outcomes and usage
         alice_status, bob_status = (
             status["tenants"]["alice"], status["tenants"]["bob"]
         )
         assert alice_status["served"] == 2 and alice_status["cache_hits"] == 1
-        assert alice_status["latency"]["p99"] > 0.0
-        assert bob_status["latency"]["count"] == 1
+        assert bob_status["served"] == 1
         assert bob_status["usage"]["modeled_seconds"] > 0.0
 
     def test_usage_splits_seconds_with_eq2_denominators(self):
